@@ -24,7 +24,6 @@ from .errors import MoebiusError
 from .existence import (
     CoverageGrid,
     cover_search,
-    cover_search_unpruned,
     inward_region_test,
     render_grid,
     two_hyperbolic_system,
@@ -56,7 +55,7 @@ __all__ = [
     "expansion_geometry", "expansion_interval", "image", "min_inverse_derivative",
     "EncodeResult", "Verdict", "decode", "encode", "representable_interval", "verify",
     "MoebiusError",
-    "CoverageGrid", "cover_search", "cover_search_unpruned", "inward_region_test",
+    "CoverageGrid", "cover_search", "inward_region_test",
     "render_grid", "two_hyperbolic_system",
     "NumberSystemSpec",
     "PullbackAutomaton", "build_automaton", "sofic_verdict",

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyArcSet, IsRotation
-from .transforms import DiscMoebius, TAU, canon_angle, circle_distance
+from .transforms import EPS_ROTATION, DiscMoebius, TAU, canon_angle, circle_distance
 
 EPS_ANGLE = 1e-9   # endpoint tolerance for canonicalization and equality
 EPS_GAP = 1e-10    # gaps narrower than this count as covered
@@ -287,16 +287,18 @@ def covers_circle(sets, gap_tol: float = EPS_GAP) -> bool:
 
 
 def _closed_arcs_cover(arcs, gap_tol: float = EPS_GAP) -> bool:
-    """Sweep test: do closed (start, length) arcs cover the circle?"""
+    """Sweep test: do closed (start, length) arcs, starts in [0, 2*pi),
+    cover the circle?  The sweep from 0 starts with the reach that arcs
+    carry past 2*pi, so coverage wrapping around the origin counts."""
     if not arcs:
         return False
-    arcs = sorted(arcs)
-    cs, cl = arcs[0]
-    for s, l in arcs[1:]:
-        if s > cs + cl + gap_tol:
+    reach = max(s + l for s, l in arcs) - TAU
+    for s, l in sorted(arcs):
+        if s > reach + gap_tol:
             return False
-        cl = max(cl, s + l - cs)
-    return cl >= TAU - gap_tol
+        if s + l > reach:
+            reach = s + l
+    return reach >= TAU - gap_tol
 
 
 # -- geometry of a single transformation --------------------------------------
@@ -317,19 +319,28 @@ class ExpansionGeometry:
     u_interval: ArcSet
 
 
+def _v_arc(alpha: complex, beta: complex):
+    """Expansion interval of the map with entries (alpha, beta) as a raw
+    (start, length) pair, start in [0, 2*pi); None for rotations."""
+    b = abs(beta)
+    if b <= EPS_ROTATION:
+        return None
+    half = math.acos(b / math.sqrt(1.0 + b * b))
+    center = cmath.phase(alpha / beta.conjugate())
+    return ((center - half) % TAU, 2.0 * half)
+
+
 def expansion_geometry(f: DiscMoebius) -> ExpansionGeometry:
-    if f.is_rotation:
+    v_arc = _v_arc(f.alpha, f.beta)
+    if v_arc is None:
         raise IsRotation("rotations have no expansion interval")
     b = abs(f.beta)
-    d = f.alpha / f.beta.conjugate()
-    half_v = math.acos(b / math.sqrt(1.0 + b * b))
-    v_center = cmath.phase(d)
     u_center = cmath.phase(f.alpha.conjugate() / f.beta.conjugate())
-    half_u = math.pi - half_v
+    half_u = math.pi - 0.5 * v_arc[1]
     return ExpansionGeometry(
-        center=d,
+        center=f.alpha / f.beta.conjugate(),
         radius=1.0 / b,
-        v_interval=ArcSet.from_arcs([(v_center - half_v, 2.0 * half_v)]),
+        v_interval=ArcSet.from_arcs([v_arc]),
         u_interval=ArcSet.from_arcs([(u_center - half_u, 2.0 * half_u)]),
     )
 

@@ -4,6 +4,10 @@ The encoder composes the digit maps and reports the expansion-disc
 center as the point estimate; the disc radius 1/|beta| is a hard error
 certificate whenever the digits stay inside the interval shift, because
 the discs of successive prefixes nest down to the represented point.
+It checks that they do as it goes: the prefix's refined set, pulled back
+through the prefix map, is stepped by NumberSystemSpec.pull_step, whose
+results the spec interns in a bounded table so that repeated states cost
+a lookup.
 
 The decoder walks the point backwards through inverse letter maps,
 choosing at each step the first legal symbol whose closed cover arc
@@ -18,15 +22,15 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-from .arcs import ClosedArcSet, EPS_ANGLE, image
+from .arcs import ClosedArcSet, EPS_ANGLE, image  # noqa: F401  the benchmark tests wrap codec.image
 from .errors import EmptyRefinedSet, IllegalPrefix, NoLegalDigit
 from .interval_system import EPS_ONE, NumberSystemSpec
 from .subshift import Word
-from .transforms import SpherePoint, TAU, canon_angle, circle_distance
+from .transforms import (
+    EPS_ROTATION, RENORM_MAX, SpherePoint, TAU, canon_angle, circle_distance,
+)
 
 _NEARLY_FULL = TAU - EPS_ANGLE
-_PULL_STEP_CAP = 4096  # memoized pullback steps kept per encode call
-_MISSING = object()
 
 
 @dataclass(frozen=True)
@@ -53,58 +57,6 @@ class Verdict:
         return self.status.startswith("verified")
 
 
-def _pull_arcs(arcs, ia: complex, ib: complex):
-    """Map (start, length) arcs through the transformation with entries
-    (ia, ib).  Same conventions as arcs.image, tuples instead of ArcSets."""
-    ibc, iac = ib.conjugate(), ia.conjugate()
-
-    def ang(theta):
-        z = cmath.exp(1j * theta)
-        w = (ia * z + ib) / (ibc * z + iac)
-        return math.atan2(w.imag, w.real) % TAU
-
-    out = []
-    for s, l in arcs:
-        sa, ea = ang(s), ang(s + l)
-        glen = (ea - sa) % TAU
-        if l >= TAU - 1e-6 or glen > TAU - 1e-6:
-            ma = ang(s + 0.5 * l)
-            h1 = (ma - sa) % TAU
-            h2 = (ea - ma) % TAU
-            if h1 > TAU - EPS_ANGLE:
-                h1 = 0.0
-            if h2 > TAU - EPS_ANGLE:
-                h2 = 0.0
-            glen = h1 + h2
-        if glen > EPS_ANGLE:
-            out.append((sa, glen))
-    return out
-
-
-def _intersect_arcs(a_arcs, b_arcs):
-    """Open intersection of raw (start, length) lists, canonically merged."""
-    raw = []
-    for s1, l1 in a_arcs:
-        e1 = s1 + l1
-        for s2, l2 in b_arcs:
-            for shift in (-TAU, 0.0, TAU):
-                s = s1 if s1 > s2 + shift else s2 + shift
-                e = min(e1, s2 + shift + l2)
-                if e - s > EPS_ANGLE:
-                    raw.append((s, e - s))
-    if len(raw) < 2:
-        return raw
-    raw.sort()
-    merged = [raw[0]]
-    for s, l in raw[1:]:
-        ps, pl = merged[-1]
-        if s < ps + pl - EPS_ANGLE:
-            merged[-1] = (ps, max(pl, s + l - ps))
-        else:
-            merged.append((s, l))
-    return merged
-
-
 def encode(spec: NumberSystemSpec, digits, tol: float, max_digits: int | None = None) -> EncodeResult:
     """Consume digits until the error certificate drops below tol.
 
@@ -120,60 +72,46 @@ def encode(spec: NumberSystemSpec, digits, tol: float, max_digits: int | None = 
         raise ValueError("tol must be positive")
     word_digits = spec._as_word(digits) if isinstance(digits, (str, tuple, list)) else digits
     state = spec.automaton.initial
-    # per-letter data for the raw hot loop: inverse entries and the
-    # letter's own pullback arcs (None encodes the full circle)
+    step = spec.automaton.step
     fwd = [(f.alpha, f.beta) for f in spec.transforms]
-    inv = [(f.alpha.conjugate(), -f.beta) for f in spec.transforms]
-    letter_pull: list[tuple | None] = []
-    for a in range(spec.alphabet.size):
-        za = image(spec.transforms[a].inverse(), spec.cover[a])
-        letter_pull.append(None if za.full else za.arcs)
-    pullback: tuple | None = None  # None = full circle
-    # the pullback is a function of (pullback, letter) alone, and on sofic
-    # systems it cycles through a few arc tuples, so memoize the step;
-    # the cap keeps drifting, non-repeating pullbacks from growing it
-    pull_step: dict = {}
+    renorm_max, eps_rotation = RENORM_MAX, EPS_ROTATION
+    # the pullback state is an id in the spec's table of interned pullback
+    # sets (0 the full circle, 1 the empty set); on sofic systems it cycles
+    # through a few of them, so nearly every step is a table lookup
+    table = spec._pull_table
+    rows = table.rows
+    sid = 0
     fa, fb = 1.0 + 0j, 0j
     consumed = 0
     radius = math.inf
     for a in word_digits:
         if max_digits is not None and consumed >= max_digits:
             break
-        state = spec.automaton.step(state, a)
+        state = step(state, a)
         if state is None:
             raise IllegalPrefix(
                 f"digit {spec.alphabet.symbols[a]!r} at position {consumed} leaves the language"
             )
-        key = (pullback, a)
-        nxt = pull_step.get(key, _MISSING)
-        if nxt is _MISSING:
-            ia, ib = inv[a]
-            moved = pullback if pullback is None else _pull_arcs(pullback, ia, ib)
-            za = letter_pull[a]
-            if moved is None:
-                nxt = za
-            elif za is None:
-                nxt = tuple(moved)
-            else:
-                nxt = tuple(_intersect_arcs(moved, za))
-            if len(pull_step) < _PULL_STEP_CAP:
-                pull_step[key] = nxt
-        pullback = nxt
-        if pullback is not None and not pullback:
+        nxt = rows[sid][a]
+        if nxt is None:
+            table, nxt = spec._pull_edge(table, sid, a)
+            rows = table.rows
+        sid = nxt
+        if sid == 1:  # the empty set
             raise IllegalPrefix(
                 f"digit {spec.alphabet.symbols[a]!r} at position {consumed} refines to the empty set"
             )
         a2, b2 = fwd[a]
         fa, fb = fa * a2 + fb * b2.conjugate(), fa * b2 + fb * a2.conjugate()
-        if abs(fa) < 1e6:  # renormalize while the cancellation is benign
+        if abs(fa) < renorm_max:  # renormalize while the cancellation is benign
             norm = math.sqrt(abs(fa) ** 2 - abs(fb) ** 2)
             fa, fb = fa / norm, fb / norm
         consumed += 1
         b = abs(fb)
-        radius = math.inf if b <= 1e-12 else 1.0 / b
+        radius = math.inf if b <= eps_rotation else 1.0 / b
         if radius <= tol:
             break
-    if abs(fb) > 1e-12:
+    if abs(fb) > EPS_ROTATION:
         z = fa / fb.conjugate()
     else:
         z = (fa * 0.5 + fb) / (fb.conjugate() * 0.5 + fa.conjugate())  # rotation prefix
@@ -280,7 +218,7 @@ def verify(spec: NumberSystemSpec, mode: str = "auto", n: int | None = None,
             raise ValueError("mode 'qn' needs the level n")
         compat = spec.compatibility_check(n, budget)
         if not compat.passed:
-            return _compat_failure(spec, compat, warnings)
+            return _compat_failure(spec, compat.violations, warnings)
         verdict = q_certificate(n)
         if verdict is not None:
             return verdict
@@ -293,7 +231,7 @@ def verify(spec: NumberSystemSpec, mode: str = "auto", n: int | None = None,
         b_words = [spec._as_word(b) for b in prefix_set]
         compat = spec.compatibility_check(max(len(b) for b in b_words), budget)
         if not compat.passed:
-            return _compat_failure(spec, compat, warnings)
+            return _compat_failure(spec, compat.violations, warnings)
         check = spec.check_prefix_set(b_words, budget)
         warnings.extend(check.warnings)
         if check.passed:
@@ -328,10 +266,7 @@ def verify(spec: NumberSystemSpec, mode: str = "auto", n: int | None = None,
     for level in range(1, n_max + 1):
         violations = compat_up_to(level)
         if violations:
-            words = [spec.alphabet.format(w) for w, _ in violations[:8]]
-            warnings.append(f"cover fails the extension identity at: {', '.join(words)}")
-            return Verdict("inconclusive", {"compatibility_violations": len(violations)},
-                           warnings)
+            return _compat_failure(spec, violations, warnings)
         verdict = q_certificate(level)
         if verdict is not None:
             return verdict
@@ -339,10 +274,7 @@ def verify(spec: NumberSystemSpec, mode: str = "auto", n: int | None = None,
         b_lens = [len(spec._as_word(b)) for b in prefix_set]
         violations = compat_up_to(max(b_lens))
         if violations:
-            words = [spec.alphabet.format(w) for w, _ in violations[:8]]
-            warnings.append(f"cover fails the extension identity at: {', '.join(words)}")
-            return Verdict("inconclusive", {"compatibility_violations": len(violations)},
-                           warnings)
+            return _compat_failure(spec, violations, warnings)
         check = spec.check_prefix_set([spec._as_word(b) for b in prefix_set], budget)
         warnings.extend(check.warnings)
         if check.passed:
@@ -358,7 +290,7 @@ def verify(spec: NumberSystemSpec, mode: str = "auto", n: int | None = None,
     return Verdict("inconclusive", {"n_max": n_max}, warnings)
 
 
-def _compat_failure(spec, compat, warnings) -> Verdict:
-    words = [spec.alphabet.format(w) for w, _ in compat.violations[:8]]
+def _compat_failure(spec, violations, warnings) -> Verdict:
+    words = [spec.alphabet.format(w) for w, _ in violations[:8]]
     warnings.append(f"cover fails the extension identity at: {', '.join(words)}")
-    return Verdict("inconclusive", {"compatibility_violations": len(compat.violations)}, warnings)
+    return Verdict("inconclusive", {"compatibility_violations": len(violations)}, warnings)

@@ -17,7 +17,6 @@ Cells certified by neither stay labelled unknown.
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 import csv
@@ -26,8 +25,9 @@ from multiprocessing import Pool
 
 import numpy as np
 
+from .arcs import _closed_arcs_cover, _v_arc
 from .errors import BudgetExceeded, ParamOutOfRange
-from .transforms import TAU, DiscMoebius
+from .transforms import RENORM_MAX, DiscMoebius
 
 LABEL_UNKNOWN, LABEL_COVER, LABEL_INWARD = 0, 1, 2
 _PGM_VALUES = {LABEL_COVER: 255, LABEL_INWARD: 128, LABEL_UNKNOWN: 0}
@@ -53,28 +53,6 @@ def two_hyperbolic_system(q_a: float, q_b: float) -> tuple[DiscMoebius, DiscMoeb
     return fa, fb
 
 
-def _v_arc(alpha: complex, beta: complex):
-    """Closed expansion interval of the map's inverse as (start, length)."""
-    b = abs(beta)
-    if b <= 1e-12:
-        return None
-    half = math.acos(b / math.sqrt(1.0 + b * b))
-    center = cmath.phase(alpha / beta.conjugate())
-    return ((center - half) % TAU, 2.0 * half)
-
-
-def _arcs_cover(arcs, gap_tol: float = 1e-10) -> bool:
-    if not arcs:
-        return False
-    arcs = sorted(arcs)
-    cs, cl = arcs[0]
-    for s, l in arcs[1:]:
-        if s > cs + cl + gap_tol:
-            return False
-        cl = max(cl, s + l - cs)
-    return cl >= TAU - gap_tol
-
-
 def cover_search(fa: DiscMoebius, fb: DiscMoebius, depth: int, prune: bool = True) -> bool:
     """Do the closed expansion intervals of all words of length <= depth
     cover the circle?
@@ -88,6 +66,7 @@ def cover_search(fa: DiscMoebius, fb: DiscMoebius, depth: int, prune: bool = Tru
     if depth > 16:
         raise BudgetExceeded("depth > 16 means more than 2^17 words; refusing")
     gens = ((fa.alpha, fa.beta), (fb.alpha, fb.beta))
+    renorm_max = RENORM_MAX
     arcs = []
     level = [(1.0 + 0j, 0j)]
     for _ in range(depth):
@@ -96,7 +75,7 @@ def cover_search(fa: DiscMoebius, fb: DiscMoebius, depth: int, prune: bool = Tru
             for a2, b2 in gens:
                 na = a1 * a2 + b1 * b2.conjugate()
                 nb = a1 * b2 + b1 * a2.conjugate()
-                if abs(na) < 1e6:  # see DiscMoebius: the difference cancels at scale
+                if abs(na) < renorm_max:  # see DiscMoebius: the difference cancels at scale
                     norm = math.sqrt(abs(na) ** 2 - abs(nb) ** 2)
                     na, nb = na / norm, nb / norm
                 nxt.append((na, nb))
@@ -104,9 +83,9 @@ def cover_search(fa: DiscMoebius, fb: DiscMoebius, depth: int, prune: bool = Tru
                 if arc is not None:
                     arcs.append(arc)
         level = nxt
-        if prune and _arcs_cover(arcs):
+        if prune and _closed_arcs_cover(arcs):
             return True
-    return _arcs_cover(arcs) if not prune else False
+    return _closed_arcs_cover(arcs) if not prune else False
 
 
 def cover_search_unpruned(fa: DiscMoebius, fb: DiscMoebius, depth: int) -> bool:

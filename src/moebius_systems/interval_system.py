@@ -11,6 +11,7 @@ out of the interval shift.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 from . import transforms
@@ -23,12 +24,13 @@ from .arcs import (
     image,
     min_inverse_derivative,
 )
-from .errors import BudgetExceeded, DepthCapExceeded, EmptyRefinedSet
-from .subshift import Alphabet, Subshift, Word
+from .errors import DepthCapExceeded, EmptyRefinedSet
+from .subshift import Alphabet, Subshift, Word, _pruned_words
 from .transforms import TAU
 
 EPS_COMPAT = 1e-8   # endpoint tolerance for the cover-extension identity
 EPS_ONE = 1e-9      # band around an expansion bound of exactly 1
+_PULL_TABLE_CAP = 4096  # interned pullback states per table before a fresh one starts
 
 
 @dataclass
@@ -68,12 +70,36 @@ class ExpansionRateBound:
     warnings: list[str] = field(default_factory=list)
 
 
+class _PullbackTable:
+    """Pullback states interned by exact equality, with transitions filled
+    lazily: rows[sid][a] stays None until that step is first taken.
+    State 0 is the full circle and state 1 the empty set."""
+
+    __slots__ = ("states", "index", "rows")
+
+    def __init__(self, size: int):
+        self.states = [ArcSet.full_circle(), ArcSet.empty()]
+        self.index = {z: i for i, z in enumerate(self.states)}
+        self.rows: list[list[int | None]] = [[None] * size, [1] * size]
+
+    def intern(self, z: ArcSet) -> int | None:
+        """Id of z, added if new; None when z is new and the table is full."""
+        sid = self.index.get(z)
+        if sid is None and len(self.states) < _PULL_TABLE_CAP:
+            sid = len(self.states)
+            self.states.append(z)
+            self.rows.append([None] * len(self.rows[0]))
+            self.index[z] = sid
+        return sid
+
+
 class NumberSystemSpec:
     """Alphabet -> disc map, alphabet -> cover arcs, plus a subshift.
 
     refined_set computations are cached per word (prefixes are shared
-    heavily by enumerations); values are pure, so concurrent use returns
-    the same results as serial execution.
+    heavily by enumerations), and encode's pullback states are interned
+    in a bounded table filled under a lock; values are pure, so
+    concurrent use returns the same results as serial execution.
     """
 
     def __init__(self, alphabet: Alphabet, transforms_by_symbol, cover_by_symbol,
@@ -103,6 +129,9 @@ class NumberSystemSpec:
         self._cache: dict[Word, tuple[ArcSet, transforms.DiscMoebius]] = {
             (): (ArcSet.full_circle(), transforms.identity())
         }
+        self._letter_pulls: list[tuple[transforms.DiscMoebius, ArcSet]] | None = None
+        self._pull_table = _PullbackTable(alphabet.size)
+        self._pull_lock = threading.Lock()
 
     # -- refined sets ---------------------------------------------------------
 
@@ -158,29 +187,47 @@ class NumberSystemSpec:
             return word
         return self.alphabet.word(word)
 
+    # -- the pullback step ------------------------------------------------------
+
+    def pull_step(self, z: ArcSet, a: int) -> ArcSet:
+        """One pullback step Z -> F_a^-1(Z) ∩ F_a^-1(C_a).
+
+        A word's refined set pulled back through its word map updates by
+        this step along the next letter a, and is empty exactly when the
+        extended word's refined set is.  The letter pullbacks F_a^-1(C_a)
+        are computed once, on first use.
+        """
+        letters = self._letter_pulls
+        if letters is None:
+            inverses = [f.inverse() for f in self.transforms]
+            letters = self._letter_pulls = [(g, image(g, c)) for g, c in zip(inverses, self.cover)]
+        inverse, pulled = letters[a]
+        return image(inverse, z).intersect(pulled)
+
+    def _pull_edge(self, table: _PullbackTable, sid: int, a: int) -> tuple[_PullbackTable, int]:
+        """Take the step from state sid of `table` along a by pull_step.
+
+        Returns the table to go on in and the target state's id there:
+        `table` itself with the edge filled in, or, once `table` is full,
+        the spec's current table (a fresh one if need be).
+        """
+        z = self.pull_step(table.states[sid], a)
+        with self._pull_lock:
+            nid = table.intern(z)
+            if nid is not None:
+                table.rows[sid][a] = nid
+                return table, nid
+            fresh = self._pull_table
+            if fresh is table or len(fresh.states) >= _PULL_TABLE_CAP:
+                fresh = self._pull_table = _PullbackTable(self.alphabet.size)
+            return fresh, fresh.intern(z)
+
     # -- the interval shift -----------------------------------------------------
 
     def interval_shift_language(self, n: int, budget: int = 10_000_000) -> list[Word]:
         """Legal length-n words whose refined sets are nonempty, lexicographic."""
-        out: list[Word] = []
-        count = 0
-        stack = [((), self.automaton.initial)]
-        while stack:
-            word, state = stack.pop()
-            count += 1
-            if count > budget:
-                raise BudgetExceeded(f"interval-shift enumeration exceeded {budget} candidates")
-            if len(word) == n:
-                out.append(word)
-                continue
-            for a in range(self.alphabet.size - 1, -1, -1):
-                nxt = self.automaton.step(state, a)
-                if nxt is None:
-                    continue
-                if self.refined_set(word + (a,)).is_empty:
-                    continue
-                stack.append((word + (a,), nxt))
-        return out
+        return _pruned_words(self.automaton, n, budget, "interval-shift enumeration",
+                             keep=lambda w: not self.refined_set(w).is_empty)
 
     def legal_extensions(self, word: Word) -> list[int]:
         """Symbols a with word+a still legal in the subshift language."""

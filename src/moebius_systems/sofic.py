@@ -1,11 +1,12 @@
 """Finite-automaton view of refined-set nonemptiness.
 
 Pulling a word's refined set back through the inverse word map gives a
-state that updates locally: step(Z, a) = F_a^-1(Z) intersected with the
-letter's own pullback.  When only finitely many states arise (up to a
-numerical tolerance), the words with nonempty refinement form a regular
-language, and intersecting with the subshift language yields a finite
-recognizer for the interval shift — a soficness certificate.
+state that updates locally by NumberSystemSpec.pull_step:
+Z -> F_a^-1(Z) intersected with the letter's own pullback F_a^-1(C_a).
+When only finitely many states arise (up to a numerical tolerance), the
+words with nonempty refinement form a regular language, and
+intersecting with the subshift language yields a finite recognizer for
+the interval shift — a soficness certificate.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .arcs import ArcSet, image
+from .arcs import ArcSet, image  # noqa: F401  the benchmark tests wrap sofic.image
 from .interval_system import NumberSystemSpec
 from .subshift import Word
 
@@ -74,9 +75,6 @@ def build_automaton(spec: NumberSystemSpec, state_cap: int = 10_000,
     """Breadth-first closure of the pullback states, starting from the
     full circle.  Stops when no new state appears (saturated) or when the
     cap is hit (reported in the result, not raised)."""
-    inverses = [spec.transforms[a].inverse() for a in range(spec.alphabet.size)]
-    letter_states = [image(inverses[a], spec.cover[a]) for a in range(spec.alphabet.size)]
-
     states: list[ArcSet] = [ArcSet.full_circle()]
     transitions: list[list[int] | None] = [None]
     growth: list[int] = []
@@ -88,10 +86,7 @@ def build_automaton(spec: NumberSystemSpec, state_cap: int = 10_000,
             z = states[si]
             row: list[int] = []
             for a in range(spec.alphabet.size):
-                if z.is_empty:
-                    nz = ArcSet.empty()
-                else:
-                    nz = image(inverses[a], z).intersect(letter_states[a])
+                nz = spec.pull_step(z, a)
                 found = None
                 for j, existing in enumerate(states):
                     if existing.distance(nz) <= eps_state:
@@ -141,19 +136,13 @@ class SoficReport:
 def transition_residual(spec: NumberSystemSpec, automaton: PullbackAutomaton) -> float:
     """Max deviation between stored target states and freshly recomputed
     pullback steps, over all edges from accepting states."""
-    inverses = [spec.transforms[a].inverse() for a in range(spec.alphabet.size)]
-    letter_states = [image(inverses[a], spec.cover[a]) for a in range(spec.alphabet.size)]
     worst = 0.0
     for si, row in enumerate(automaton.transitions):
         if automaton.expanded and not automaton.expanded[si]:
             continue
         z = automaton.states[si]
         for a, ti in enumerate(row):
-            if z.is_empty:
-                fresh = ArcSet.empty()
-            else:
-                fresh = image(inverses[a], z).intersect(letter_states[a])
-            d = automaton.states[ti].distance(fresh)
+            d = automaton.states[ti].distance(spec.pull_step(z, a))
             if math.isinf(d):
                 return math.inf
             worst = max(worst, d)

@@ -99,23 +99,7 @@ class Subshift:
 
     def language(self, n: int, budget: int = 10_000_000) -> list[Word]:
         """All legal words of length n, lexicographic, by pruned DFS."""
-        auto = self.follower_automaton()
-        out: list[Word] = []
-        count = 0
-        stack = [((), auto.initial)]
-        while stack:
-            word, state = stack.pop()
-            count += 1
-            if count > budget:
-                raise BudgetExceeded(f"language enumeration exceeded {budget} candidates")
-            if len(word) == n:
-                out.append(word)
-                continue
-            for a in range(self.alphabet.size - 1, -1, -1):
-                nxt = auto.step(state, a)
-                if nxt is not None:
-                    stack.append((word + (a,), nxt))
-        return out
+        return _pruned_words(self.follower_automaton(), n, budget, "language enumeration")
 
     def follower_automaton(self) -> "FollowerAutomaton":
         return FollowerAutomaton(self)
@@ -168,3 +152,33 @@ class FollowerAutomaton:
             if state is None:
                 return False
         return True
+
+
+def _pruned_words(auto: FollowerAutomaton, n: int, budget: int, what: str,
+                  keep=None) -> list[Word]:
+    """Length-n words accepted by the automaton, lexicographic, by DFS.
+
+    A branch is cut as soon as the automaton rejects it or keep(word) is
+    false for its current prefix; more than `budget` visited prefixes
+    raise BudgetExceeded, naming the enumeration as `what`.
+    """
+    out: list[Word] = []
+    count = 0
+    letters = range(auto.subshift.alphabet.size - 1, -1, -1)
+    stack = [((), auto.initial)]
+    while stack:
+        word, state = stack.pop()
+        count += 1
+        if count > budget:
+            raise BudgetExceeded(f"{what} exceeded {budget} candidates")
+        if len(word) == n:
+            out.append(word)
+            continue
+        for a in letters:
+            nxt = auto.step(state, a)
+            if nxt is None:
+                continue
+            longer = word + (a,)
+            if keep is None or keep(longer):
+                stack.append((longer, nxt))
+    return out

@@ -28,6 +28,7 @@ EPS_SINGULAR = 1e-12    # determinant threshold
 EPS_SHAPE = 1e-9        # relative tolerance for the disc-preserving shape
 EPS_TRACE = 1e-9        # band around trace^2 = 4 classified as parabolic
 EPS_ROTATION = 1e-12    # |beta| below this counts as a rotation
+RENORM_MAX = 1e6        # entry size past which |alpha|^2 - |beta|^2 is noise
 
 
 def canon_angle(theta: float) -> float:
@@ -110,7 +111,7 @@ class DiscMoebius:
         # the entries are large (deep words); renormalize only while the
         # difference still carries information.
         scale = max(abs(a), abs(b))
-        if scale < 1e6:
+        if scale < RENORM_MAX:
             n2 = abs(a) * abs(a) - abs(b) * abs(b)
             if n2 <= EPS_NORM:
                 raise NotDiscPreserving(

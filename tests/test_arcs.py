@@ -264,6 +264,14 @@ def test_covers_respects_gap_tolerance():
     assert not covers_circle([a, c])
 
 
+def test_covers_counts_coverage_wrapping_past_zero():
+    # the arc from 6.0 carries past 2*pi and closes the gap between 0.5
+    # and 0.6 that the sweep from the smallest start meets first
+    head, tail = ArcSet.arc(0, 0.5), ArcSet.arc(0.6, 6.1)
+    assert covers_circle([head, ArcSet.from_arcs([(6.0, 1.0)]), tail])
+    assert not covers_circle([head, ArcSet.from_arcs([(6.0, 0.5)]), tail])
+
+
 def test_closed_difference():
     a = ArcSet.arc(0, 3).closure()
     b = ArcSet.arc(1, 2).closure()

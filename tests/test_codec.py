@@ -3,6 +3,8 @@
 import cmath
 import math
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -10,9 +12,9 @@ import pytest
 from moebius_systems.arcs import ArcSet
 from moebius_systems.codec import decode, encode, representable_interval, verify
 from moebius_systems.errors import EmptyRefinedSet, IllegalPrefix, NoLegalDigit
-from moebius_systems.interval_system import NumberSystemSpec
+from moebius_systems.interval_system import _PULL_TABLE_CAP, NumberSystemSpec
 from moebius_systems.subshift import Subshift
-from moebius_systems.systems import builtin, cf_digit_stream, classical_cf_terms
+from moebius_systems.systems import builtin, cf_digit_stream, classical_cf_terms, with_cover
 from moebius_systems.transforms import TAU, canon_angle, circle_distance, from_real
 
 S8 = 2 * math.sqrt(2)
@@ -105,6 +107,66 @@ def test_encode_certificate_covers_longer_expansions():
             if k + 1 >= 40:
                 z = f.apply(0j).value
                 assert abs(z - short.point.value) <= short.error_radius * 1.01
+
+
+def _rotated_parabolic3():
+    # the cover turned by 0.23 of a turn: along a decoded word its
+    # pullbacks do not repeat, so each digit adds a table state
+    p3 = builtin("parabolic3")
+    phi = 0.23 * TAU
+    return with_cover(p3, {s: ArcSet.from_arcs([(a + phi, l) for a, l in c.arcs])
+                           for s, c in zip(p3.alphabet.symbols, p3.cover)})
+
+
+def _assert_table_consistent(spec):
+    # ids are unique, and every filled edge leads to the pulled-back state
+    table = spec._pull_table
+    assert len(table.states) == len(table.rows) <= _PULL_TABLE_CAP
+    assert all(table.index[z] == i for i, z in enumerate(table.states))
+    for i, row in enumerate(table.rows):
+        for a, j in enumerate(row):
+            if j is not None:
+                assert table.states[j] == spec.pull_step(table.states[i], a)
+
+
+def test_encode_pullback_table_stays_bounded():
+    spec = _rotated_parabolic3()
+    w = decode(spec, 1.234, 10_000)
+    first_table = spec._pull_table
+    res = encode(spec, w, tol=1e-12)
+    assert res.digits_consumed == len(w)
+    assert spec._pull_table is not first_table  # the cap was reached
+    assert len(spec._pull_table.states) <= _PULL_TABLE_CAP
+    assert encode(spec, w, tol=1e-12) == res
+    assert encode(_rotated_parabolic3(), w, tol=1e-12) == res
+    # threads that overflow one shared table at once agree with serial
+    shared = _rotated_parabolic3()
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave threads as often as possible
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(lambda _: encode(shared, w, tol=1e-12), range(4)))
+    finally:
+        sys.setswitchinterval(switch)
+    assert got == [res] * 4
+    _assert_table_consistent(shared)
+
+
+def test_concurrent_encode_matches_serial():
+    rng = random.Random(38)
+    switch = sys.getswitchinterval()
+    for name in ("parabolic3", "cf", "binary", "hyperbolic4"):
+        words = [decode(builtin(name), rng.uniform(0, TAU), 60) for _ in range(40)]
+        serial = [encode(builtin(name), w, tol=1e-8) for w in words]
+        fresh = builtin(name)
+        sys.setswitchinterval(1e-6)  # interleave threads as often as possible
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(lambda w: encode(fresh, w, tol=1e-8), words))
+        finally:
+            sys.setswitchinterval(switch)
+        assert got == serial, name
+        _assert_table_consistent(fresh)
 
 
 # -- decode -------------------------------------------------------------------

@@ -74,9 +74,13 @@ def test_cover_search_regression_value():
 
 def test_pruned_matches_unpruned_enumerator():
     rng = random.Random(52)
-    for _ in range(500):
-        fa, fb = two_hyperbolic_system(rng.uniform(0.02, 0.98), rng.uniform(0.02, 0.98))
-        assert cover_search(fa, fb, 6) == cover_search_unpruned(fa, fb, 6)
+    # the fixed cell's depth-6 intervals cover the circle, but only once
+    # the sweep counts the coverage an arc carries past 2*pi
+    params = [(0.495, 0.005)]
+    params += [(rng.uniform(0.02, 0.98), rng.uniform(0.02, 0.98)) for _ in range(500)]
+    for qa, qb in params:
+        fa, fb = two_hyperbolic_system(qa, qb)
+        assert cover_search(fa, fb, 6) == cover_search_unpruned(fa, fb, 6), (qa, qb)
 
 
 def test_inward_strip_zero():
