@@ -283,22 +283,38 @@ def covers_circle(sets, gap_tol: float = EPS_GAP) -> bool:
         if c.full:
             return True
         arcs.extend(c.arcs)
-    return _closed_arcs_cover(arcs, gap_tol)
-
-
-def _closed_arcs_cover(arcs, gap_tol: float = EPS_GAP) -> bool:
-    """Sweep test: do closed (start, length) arcs, starts in [0, 2*pi),
-    cover the circle?  The sweep from 0 starts with the reach that arcs
-    carry past 2*pi, so coverage wrapping around the origin counts."""
     if not arcs:
         return False
-    reach = max(s + l for s, l in arcs) - TAU
-    for s, l in sorted(arcs):
-        if s > reach + gap_tol:
-            return False
-        if s + l > reach:
-            reach = s + l
-    return reach >= TAU - gap_tol
+    starts = np.array([[s for s, _ in arcs]])
+    ends = starts + np.array([[l for _, l in arcs]])
+    return bool(_closed_arcs_cover(starts, ends, gap_tol)[0])
+
+
+def _closed_arcs_cover(starts: np.ndarray, ends: np.ndarray,
+                       gap_tol: float = EPS_GAP) -> np.ndarray:
+    """Sweep test, one circle per row: do the closed arcs [start, end] of
+    each row cover the circle?
+
+    Starts lie in [0, 2*pi); an entry with start and end -inf is padding
+    that never fails the sweep nor extends it, and a row of padding only
+    is not covered.  Over the arcs in start order the reach is the
+    running maximum of the ends, beginning at the coverage the arcs carry
+    past 2*pi, so coverage wrapping around the origin counts.  A row
+    fails where some start lies beyond the reach of the arcs before it.
+    Only maxima, one addition and comparisons enter, so the order of
+    equal starts cannot change a verdict.
+    """
+    order = np.argsort(starts, axis=1)
+    starts = np.take_along_axis(starts, order, axis=1)
+    reach = np.take_along_axis(ends, order, axis=1)
+    del order
+    np.maximum.accumulate(reach, axis=1, out=reach)
+    floor = reach[:, -1:] - TAU  # the coverage carried past 2*pi
+    covered = (reach[:, -1] >= TAU - gap_tol) & (starts[:, 0] <= floor[:, 0] + gap_tol)
+    before = reach[:, :-1]  # the reach before each later arc, in place
+    np.maximum(before, floor, out=before)
+    before += gap_tol
+    return covered & (starts[:, 1:] <= before).all(axis=1)
 
 
 # -- geometry of a single transformation --------------------------------------

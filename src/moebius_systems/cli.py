@@ -299,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--res", default="200x200", help="grid resolution, WxH")
     p.add_argument("--depth", type=int, default=8, help="word depth for the cover test")
     p.add_argument("--nmax", type=int, default=8, help="strip index cap for the inward test")
-    p.add_argument("--workers", type=int, default=1, help="parallel row workers")
+    p.add_argument("--workers", type=int, default=1, help="worker processes over blocks of grid cells")
     p.add_argument("--out", metavar="FILE", help="write .pgm, .csv or .json output")
     p.set_defaults(func=cmd_existence_map)
 

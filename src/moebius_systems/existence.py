@@ -13,6 +13,11 @@ each parameter cell we run two independent certificates:
 The two certificates are mutually exclusive by construction; a cell
 where both fire indicates a numerical or formula bug and raises.
 Cells certified by neither stay labelled unknown.
+
+The cover search runs on numpy arrays over a batch of cells at once,
+one level of words at a time.  render_grid hands it blocks of
+consecutive cells (sharded over worker processes if asked), and
+cover_search is a batch of one.  The inward test stays per cell.
 """
 
 from __future__ import annotations
@@ -25,9 +30,9 @@ from multiprocessing import Pool
 
 import numpy as np
 
-from .arcs import _closed_arcs_cover, _v_arc
+from .arcs import _closed_arcs_cover
 from .errors import BudgetExceeded, ParamOutOfRange
-from .transforms import RENORM_MAX, DiscMoebius
+from .transforms import EPS_ROTATION, RENORM_MAX, TAU, DiscMoebius
 
 LABEL_UNKNOWN, LABEL_COVER, LABEL_INWARD = 0, 1, 2
 _PGM_VALUES = {LABEL_COVER: 255, LABEL_INWARD: 128, LABEL_UNKNOWN: 0}
@@ -53,6 +58,87 @@ def two_hyperbolic_system(q_a: float, q_b: float) -> tuple[DiscMoebius, DiscMoeb
     return fa, fb
 
 
+# Word maps per level that one render block may reach: blocks of 1,024
+# cells at depth <= 8, proportionally fewer cells deeper.
+_BLOCK_WORDS = 1 << 18
+
+
+def _cover_batch(alpha_a: np.ndarray, beta_a: np.ndarray, alpha_b: np.ndarray,
+                 beta_b: np.ndarray, depth: int, prune: bool = True) -> np.ndarray:
+    """cover_search for a batch of cells, one generator entry per cell.
+
+    Level-synchronous: level k holds the 2^k word maps of each active cell
+    as a row of complex arrays.  Each level composes every word map with
+    both generators, writes the children's expansion arcs into the cell's
+    row of arcs and, with prune=True, sweeps each row and drops the cells
+    it finds covered.  Rotations (|beta| <= EPS_ROTATION) leave padding in
+    place of an arc, and their subtrees are still explored.
+    """
+    if depth > 16:
+        raise BudgetExceeded("depth > 16 means more than 2^17 words; refusing")
+    n = len(alpha_a)
+    covered = np.zeros(n, dtype=bool)
+    if depth <= 0 or n == 0:
+        return covered
+    cells = np.arange(n)
+    gen_alpha = np.stack((alpha_a, alpha_b), axis=1).astype(complex)[:, None, :]
+    gen_beta = np.stack((beta_a, beta_b), axis=1).astype(complex)[:, None, :]
+    alpha = np.ones((n, 1), dtype=complex)
+    beta = np.zeros((n, 1), dtype=complex)
+    starts = np.full((n, 2 ** (depth + 1) - 2), -np.inf)  # -inf: padding
+    ends = starts.copy()
+    filled = 0
+    for level in range(1, depth + 1):
+        alpha, beta = _children(alpha, beta, gen_alpha, gen_beta)
+        new = slice(filled, filled + alpha.shape[1])
+        filled = new.stop
+        starts[:, new], ends[:, new] = _v_arcs(alpha, beta)
+        if prune or level == depth:
+            done = _closed_arcs_cover(starts[:, :filled], ends[:, :filled])
+            covered[cells[done]] = True
+            if level == depth or done.all():
+                break
+            if done.any():
+                keep = ~done
+                cells, alpha, beta = cells[keep], alpha[keep], beta[keep]
+                gen_alpha, gen_beta = gen_alpha[keep], gen_beta[keep]
+                starts, ends = starts[keep], ends[keep]
+    return covered
+
+
+def _children(alpha: np.ndarray, beta: np.ndarray, gen_alpha: np.ndarray,
+              gen_beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's word maps composed with the row's two generators (the
+    children of word i are 2i and 2i + 1), renormalised as DiscMoebius
+    renormalises: only below RENORM_MAX, where the difference of squares
+    still carries information."""
+    a1, b1 = alpha[:, :, None], beta[:, :, None]
+    alpha = a1 * gen_alpha
+    alpha += b1 * gen_beta.conj()
+    beta = a1 * gen_beta
+    beta += b1 * gen_alpha.conj()
+    alpha, beta = alpha.reshape(len(alpha), -1), beta.reshape(len(beta), -1)
+    abs_alpha = np.hypot(alpha.real, alpha.imag)
+    small = abs_alpha < RENORM_MAX
+    norm = np.ones_like(abs_alpha)
+    norm[small] = np.sqrt(abs_alpha[small] ** 2
+                          - np.hypot(beta.real[small], beta.imag[small]) ** 2)
+    for part in (alpha.real, alpha.imag, beta.real, beta.imag):
+        part /= norm  # dividing by 1.0 leaves the other entries as they are
+    return alpha, beta
+
+
+def _v_arcs(alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Expansion arcs [start, end] of the maps with the given entries, the
+    array form of arcs._v_arc; rotations give the padding (-inf, -inf)."""
+    b = np.hypot(beta.real, beta.imag)
+    arc = b > EPS_ROTATION
+    half = np.arccos(b / np.sqrt(1.0 + b * b))
+    center = np.angle(np.divide(alpha, beta.conj(), out=np.zeros_like(alpha), where=arc))
+    starts = np.where(arc, (center - half) % TAU, -np.inf)
+    return starts, starts + 2.0 * half
+
+
 def cover_search(fa: DiscMoebius, fb: DiscMoebius, depth: int, prune: bool = True) -> bool:
     """Do the closed expansion intervals of all words of length <= depth
     cover the circle?
@@ -63,29 +149,8 @@ def cover_search(fa: DiscMoebius, fb: DiscMoebius, depth: int, prune: bool = Tru
     intervals.  Word maps that come out as rotations contribute no
     interval but their subtrees are still explored.
     """
-    if depth > 16:
-        raise BudgetExceeded("depth > 16 means more than 2^17 words; refusing")
-    gens = ((fa.alpha, fa.beta), (fb.alpha, fb.beta))
-    renorm_max = RENORM_MAX
-    arcs = []
-    level = [(1.0 + 0j, 0j)]
-    for _ in range(depth):
-        nxt = []
-        for a1, b1 in level:
-            for a2, b2 in gens:
-                na = a1 * a2 + b1 * b2.conjugate()
-                nb = a1 * b2 + b1 * a2.conjugate()
-                if abs(na) < renorm_max:  # see DiscMoebius: the difference cancels at scale
-                    norm = math.sqrt(abs(na) ** 2 - abs(nb) ** 2)
-                    na, nb = na / norm, nb / norm
-                nxt.append((na, nb))
-                arc = _v_arc(na, nb)
-                if arc is not None:
-                    arcs.append(arc)
-        level = nxt
-        if prune and _closed_arcs_cover(arcs):
-            return True
-    return _closed_arcs_cover(arcs) if not prune else False
+    entries = np.array([[fa.alpha], [fa.beta], [fb.alpha], [fb.beta]])
+    return bool(_cover_batch(*entries, depth, prune)[0])
 
 
 def cover_search_unpruned(fa: DiscMoebius, fb: DiscMoebius, depth: int) -> bool:
@@ -186,9 +251,7 @@ class CoverageGrid:
             fh.write("\n")
 
 
-def _label_cell(qa: float, qb: float, depth: int, n_max: int) -> int:
-    fa, fb = two_hyperbolic_system(qa, qb)
-    covered = cover_search(fa, fb, depth)
+def _label_cell(qa: float, qb: float, covered: bool, n_max: int) -> int:
     inward = inward_region_test(qa, qb, n_max)
     if covered and inward:
         raise RuntimeError(
@@ -202,15 +265,19 @@ def _label_cell(qa: float, qb: float, depth: int, n_max: int) -> int:
     return LABEL_UNKNOWN
 
 
-def _render_row(args) -> list[int]:
-    row, width, height, depth, n_max, rect = args
+def _render_block(args) -> list[int]:
+    """Labels of the cells first..stop-1, numbered row by row."""
+    first, stop, width, height, depth, n_max, rect = args
     x0, x1, y0, y1 = rect
-    out = []
-    for col in range(width):
-        qa = x0 + (col + 0.5) * (x1 - x0) / width
-        qb = y1 - (row + 0.5) * (y1 - y0) / height
-        out.append(_label_cell(qa, qb, depth, n_max))
-    return out
+    params = []
+    for cell in range(first, stop):
+        row, col = divmod(cell, width)
+        params.append((x0 + (col + 0.5) * (x1 - x0) / width,
+                       y1 - (row + 0.5) * (y1 - y0) / height))
+    entries = np.array([(fa.alpha, fa.beta, fb.alpha, fb.beta)
+                        for fa, fb in (two_hyperbolic_system(qa, qb) for qa, qb in params)])
+    covered = _cover_batch(*entries.T, depth)
+    return [_label_cell(qa, qb, c, n_max) for (qa, qb), c in zip(params, covered)]
 
 
 def render_grid(width: int, height: int, depth: int, n_max: int,
@@ -218,27 +285,32 @@ def render_grid(width: int, height: int, depth: int, n_max: int,
                 workers: int = 1, on_progress=None) -> CoverageGrid:
     """Label every cell of the grid; deterministic regardless of workers.
 
-    on_progress, if given, is called as on_progress(rows_done, height)
-    after each finished row (in order).
+    The cells, numbered row by row, go to the cover-search kernel in
+    blocks of consecutive cells; workers > 1 spreads the blocks over a
+    process pool.  on_progress, if given, is called as
+    on_progress(rows_done, height) once per finished row, in order.
     """
     # worst case ~2^(depth+1) word maps per cell
     if width * height * 2.0 ** (depth + 1) > 5e9:
         raise BudgetExceeded(
             f"{width}x{height} cells at depth {depth} exceeds the render budget"
         )
-    jobs = [(row, width, height, depth, n_max, rect) for row in range(height)]
-    rows = []
+    cells, step = width * height, max(1, _BLOCK_WORDS >> max(depth, 8))
+    jobs = [(first, min(first + step, cells), width, height, depth, n_max, rect)
+            for first in range(0, cells, step)]
+    labels = np.zeros(cells, dtype=np.uint8)
+
+    def collect(blocks):
+        for (first, stop, *_), block in zip(jobs, blocks):
+            labels[first:stop] = block
+            if on_progress:
+                for row in range(first // width, stop // width):
+                    on_progress(row + 1, height)
+
     if workers > 1:
         with Pool(workers) as pool:
-            for row in pool.imap(_render_row, jobs):
-                rows.append(row)
-                if on_progress:
-                    on_progress(len(rows), height)
+            collect(pool.imap(_render_block, jobs))
     else:
-        for j in jobs:
-            rows.append(_render_row(j))
-            if on_progress:
-                on_progress(len(rows), height)
-    labels = np.array(rows, dtype=np.uint8)
+        collect(map(_render_block, jobs))
     return CoverageGrid(width=width, height=height, depth=depth, n_max=n_max,
-                        rect=rect, labels=labels)
+                        rect=rect, labels=labels.reshape(height, width))

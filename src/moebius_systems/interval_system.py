@@ -306,7 +306,12 @@ class NumberSystemSpec:
         warnings = []
         if any(math.isinf(q) for _, q in table):
             warnings.append("some language levels are empty; their entries were ignored")
-        if best_n and best < 1.0 - 1e-12:
+        if best_n and abs(best - 1.0) <= EPS_ONE:
+            # rounding noise around a rate of exactly 1 is no certificate
+            best = 1.0
+            warnings.append(f"the rate equals 1 within EPS_ONE ({EPS_ONE:g}); "
+                            f"no expansion beyond 1 is certified")
+        elif best_n and best < 1.0:
             warnings.append(
                 f"Q estimate {best:.6g} < 1: expansion certificates fail at every "
                 f"depth up to {n_max}; this cover cannot certify the system and the "

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from moebius_systems.arcs import (
+    _closed_arcs_cover,
     ArcSet,
     ClosedArcSet,
     closed_difference,
@@ -270,6 +271,24 @@ def test_covers_counts_coverage_wrapping_past_zero():
     head, tail = ArcSet.arc(0, 0.5), ArcSet.arc(0.6, 6.1)
     assert covers_circle([head, ArcSet.from_arcs([(6.0, 1.0)]), tail])
     assert not covers_circle([head, ArcSet.from_arcs([(6.0, 0.5)]), tail])
+
+
+def test_cover_sweep_rows_with_padding_match_single_sets():
+    # one row per circle; (-inf, -inf) entries pad the rows to one width
+    rng = random.Random(60)
+    rows, want = [], []
+    for _ in range(300):
+        k = rng.randint(1, 6)
+        arcs = [(rng.uniform(0, TAU), rng.uniform(0.7, 2.2) * TAU / k) for _ in range(k)]
+        want.append(covers_circle([ArcSet.from_arcs([a]) for a in arcs]))
+        row = [(s, s + l) for s, l in arcs] + [(-math.inf, -math.inf)] * (8 - k)
+        rng.shuffle(row)
+        rows.append(row)
+    rows.append([(-math.inf, -math.inf)] * 8)
+    want.append(False)
+    table = np.array(rows)
+    assert 50 < sum(want) < 250
+    assert _closed_arcs_cover(table[:, :, 0], table[:, :, 1]).tolist() == want
 
 
 def test_closed_difference():

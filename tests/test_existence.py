@@ -1,13 +1,16 @@
 """The two-hyperbolic-generator parameter experiment."""
 
+import hashlib
 import math
 import random
 
 import numpy as np
 import pytest
 
+from moebius_systems.arcs import EPS_GAP, _v_arc
 from moebius_systems.errors import ParamOutOfRange
 from moebius_systems.existence import (
+    _cover_batch,
     LABEL_COVER,
     LABEL_INWARD,
     LABEL_UNKNOWN,
@@ -17,7 +20,10 @@ from moebius_systems.existence import (
     render_grid,
     two_hyperbolic_system,
 )
-from moebius_systems.transforms import TAU, circle_distance, rotation
+from moebius_systems.transforms import RENORM_MAX, TAU, circle_distance, rotation
+
+# the cover-search kernel must stay inside the domains of sqrt and arccos
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def test_generators_fixed_points_and_derivatives():
@@ -70,6 +76,61 @@ def test_cover_search_monotone_in_depth():
 def test_cover_search_regression_value():
     fa, fb = two_hyperbolic_system(0.25, 0.25)
     assert cover_search(fa, fb, 10) is True
+
+
+@pytest.mark.parametrize("angle, first_true", [
+    (2 * math.pi / 3, {0.2: 6, 0.5: 3, 0.8: 3}),
+    (math.pi, {0.2: None, 0.5: 4, 0.8: 4}),
+])
+def test_cover_search_with_a_rotation_generator(angle, first_true):
+    # words such as aa and aaa are exact rotations: they add no interval,
+    # but the words below them still do
+    fa = rotation(angle)
+    for q, depth in first_true.items():
+        fb = two_hyperbolic_system(q, q)[1]
+        want = [depth is not None and d >= depth for d in range(9)]
+        assert [cover_search(fa, fb, d) for d in range(9)] == want, q
+        assert [cover_search_unpruned(fa, fb, d) for d in range(9)] == want, q
+
+
+def _scalar_cover_search(fa, fb, depth):
+    """Reference: the word maps one Python complex at a time, every
+    interval kept, one sorted sweep at the end (no padding, no arrays)."""
+    arcs, level = [], [(1.0 + 0j, 0j)]
+    for _ in range(depth):
+        nxt = []
+        for a1, b1 in level:
+            for a2, b2 in ((fa.alpha, fa.beta), (fb.alpha, fb.beta)):
+                na = a1 * a2 + b1 * b2.conjugate()
+                nb = a1 * b2 + b1 * a2.conjugate()
+                if abs(na) < RENORM_MAX:
+                    norm = math.sqrt(abs(na) ** 2 - abs(nb) ** 2)
+                    na, nb = na / norm, nb / norm
+                nxt.append((na, nb))
+                if (arc := _v_arc(na, nb)) is not None:
+                    arcs.append(arc)
+        level = nxt
+    if not arcs:
+        return False
+    reach = max(s + l for s, l in arcs) - TAU
+    for s, l in sorted(arcs):
+        if s > reach + EPS_GAP:
+            return False
+        reach = max(reach, s + l)
+    return reach >= TAU - EPS_GAP
+
+
+def test_batched_kernel_matches_scalar_reference():
+    # one batch of cells that are certified at different levels
+    rng = random.Random(53)
+    gens = [two_hyperbolic_system(rng.uniform(0.02, 0.98), rng.uniform(0.02, 0.98))
+            for _ in range(150)]
+    entries = np.array([(fa.alpha, fa.beta, fb.alpha, fb.beta) for fa, fb in gens]).T
+    for depth in range(8):
+        want = [_scalar_cover_search(fa, fb, depth) for fa, fb in gens]
+        assert _cover_batch(*entries, depth).tolist() == want, depth
+        assert _cover_batch(*entries, depth, prune=False).tolist() == want, depth
+    assert 20 < sum(want) < 130
 
 
 def test_pruned_matches_unpruned_enumerator():
@@ -142,6 +203,25 @@ def test_grid_deterministic_and_parallel_consistent():
     a = render_grid(10, 10, depth=6, n_max=6)
     b = render_grid(10, 10, depth=6, n_max=6, workers=2)
     assert np.array_equal(a.labels, b.labels)
+
+
+def test_grid_golden_labels():
+    # 3,600 cells span several kernel blocks, so this also pins how the
+    # blocks are split and joined
+    grid = render_grid(60, 60, depth=8, n_max=8)
+    assert hashlib.sha256(grid.labels.tobytes()).hexdigest() == \
+        "b7f55b06ebf985245935b23dd1aed85f02a147b81082729fff721bd3cde55388"
+    assert np.array_equal(render_grid(60, 60, depth=8, n_max=8, workers=2).labels,
+                          grid.labels)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_progress_reports_every_row_in_order(workers):
+    # 1,500 cells make two blocks whose boundary falls inside row 20
+    calls = []
+    render_grid(50, 30, depth=3, n_max=2, workers=workers,
+                on_progress=lambda done, total: calls.append((done, total)))
+    assert calls == [(row, 30) for row in range(1, 31)]
 
 
 def test_no_cell_is_dual_labelled():

@@ -329,3 +329,10 @@ def test_cache_eviction_keeps_results_consistent():
     for w, expect in reference.items():
         assert small.refined_set(w).distance(expect) < 1e-12
     assert len(small._cache) <= 64
+
+
+def test_rate_within_eps_one_of_one_is_reported_as_one():
+    est = builtin("hyperbolic4").expansion_rate_bound(6)
+    assert est.lower_bound == 1.0
+    assert any("equals 1 within EPS_ONE" in w for w in est.warnings)
+    assert builtin("cf").expansion_rate_bound(6).lower_bound == 1.0
