@@ -8,6 +8,7 @@ inconclusive under --strict, and 2 on input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -257,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="classify the map of a word")
     _add_system_args(p)
     p.add_argument("word", help="symbol or word over the system's alphabet")
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("verify", help="certify that the system represents every point")
     _add_system_args(p)
@@ -267,32 +267,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmax", type=int, default=8, help="auto mode level cap")
     p.add_argument("--strict", action="store_true",
                    help="exit 1 when the verdict is not verified")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("encode", help="digit word -> circle point with certificate")
     _add_system_args(p)
     p.add_argument("word")
     p.add_argument("--digits", type=int, default=None, help="consume at most this many")
     p.add_argument("--tol", type=float, default=1e-6, help="target error radius")
-    p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("decode", help="circle point -> digit word")
     _add_system_args(p)
     p.add_argument("--theta", type=float, help="point as an angle in radians")
     p.add_argument("--real", type=float, help="point as an extended-real coordinate")
     p.add_argument("--digits", type=int, default=40, help="number of digits to emit")
-    p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("qn", help="table of level expansion bounds")
     _add_system_args(p)
     p.add_argument("--max-n", type=int, default=8, dest="max_n")
-    p.set_defaults(func=cmd_qn)
 
     p = sub.add_parser("sofic", help="build the pullback automaton and judge soficness")
     _add_system_args(p)
     p.add_argument("--cap", type=int, default=10_000, help="state cap")
     p.add_argument("--eps", type=float, default=1e-7, help="state dedup tolerance")
-    p.set_defaults(func=cmd_sofic)
 
     p = sub.add_parser("existence-map",
                        help="cover/inward map over the two-generator parameter square")
@@ -301,16 +296,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmax", type=int, default=8, help="strip index cap for the inward test")
     p.add_argument("--workers", type=int, default=1, help="worker processes over blocks of grid cells")
     p.add_argument("--out", metavar="FILE", help="write .pgm, .csv or .json output")
-    p.set_defaults(func=cmd_existence_map)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first main() call and reused after it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up at call time, so a replaced cmd_* function takes effect
+    command = globals()["cmd_" + args.cmd.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

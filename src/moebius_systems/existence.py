@@ -174,9 +174,15 @@ def inward_region_test(q_a: float, q_b: float, n_max: int) -> bool:
     n = 0) combined with open rectangle constraints on (q_a, q_b).  Only
     strips with |n| <= n_max are examined.
     """
+    return _inward(q_a, q_b, two_hyperbolic_system(q_a, q_b), n_max)
+
+
+def _inward(q_a: float, q_b: float, pair: tuple[DiscMoebius, DiscMoebius],
+            n_max: int) -> bool:
+    """inward_region_test on the cell's generator pair, built once by the caller."""
     if n_max < 0:
         raise ParamOutOfRange("n_max must be >= 0")
-    fa, fb = two_hyperbolic_system(q_a, q_b)
+    fa, fb = pair
     if q_a < 0.5 and q_b < 0.5 and _is_hyperbolic_word(fa, fb, "ab"):
         return True
     for n in range(1, n_max + 1):
@@ -251,8 +257,9 @@ class CoverageGrid:
             fh.write("\n")
 
 
-def _label_cell(qa: float, qb: float, covered: bool, n_max: int) -> int:
-    inward = inward_region_test(qa, qb, n_max)
+def _label_cell(qa: float, qb: float, pair: tuple[DiscMoebius, DiscMoebius],
+                covered: bool, n_max: int) -> int:
+    inward = _inward(qa, qb, pair, n_max)
     if covered and inward:
         raise RuntimeError(
             f"cell ({qa}, {qb}) certified both covering and inward; "
@@ -274,10 +281,11 @@ def _render_block(args) -> list[int]:
         row, col = divmod(cell, width)
         params.append((x0 + (col + 0.5) * (x1 - x0) / width,
                        y1 - (row + 0.5) * (y1 - y0) / height))
-    entries = np.array([(fa.alpha, fa.beta, fb.alpha, fb.beta)
-                        for fa, fb in (two_hyperbolic_system(qa, qb) for qa, qb in params)])
+    pairs = [two_hyperbolic_system(qa, qb) for qa, qb in params]
+    entries = np.array([(fa.alpha, fa.beta, fb.alpha, fb.beta) for fa, fb in pairs])
     covered = _cover_batch(*entries.T, depth)
-    return [_label_cell(qa, qb, c, n_max) for (qa, qb), c in zip(params, covered)]
+    return [_label_cell(qa, qb, pair, c, n_max)
+            for (qa, qb), pair, c in zip(params, pairs, covered)]
 
 
 def render_grid(width: int, height: int, depth: int, n_max: int,

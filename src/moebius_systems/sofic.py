@@ -14,17 +14,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .arcs import ArcSet, image  # noqa: F401  the benchmark tests wrap sofic.image
+from .arcs import EPS_ANGLE, ArcSet, image  # noqa: F401  the benchmark tests wrap sofic.image
 from .interval_system import NumberSystemSpec
 from .subshift import Word
+from .transforms import TAU
 
 
 @dataclass
 class PullbackAutomaton:
     """Deterministic automaton whose states are pulled-back refined sets.
 
-    States are deduplicated within eps_state (max endpoint deviation);
-    the empty state is a sink and the only non-accepting state.
+    States are deduplicated within eps_state (max endpoint deviation):
+    a new state maps to the lowest-index stored state within eps_state,
+    found through build_automaton's state index.  The empty state is a
+    sink and the only non-accepting state.
     """
 
     states: list[ArcSet]
@@ -74,8 +77,19 @@ def build_automaton(spec: NumberSystemSpec, state_cap: int = 10_000,
                     eps_state: float = 1e-7) -> PullbackAutomaton:
     """Breadth-first closure of the pullback states, starting from the
     full circle.  Stops when no new state appears (saturated) or when the
-    cap is hit (reported in the result, not raised)."""
+    cap is hit (reported in the result, not raised).
+
+    A new state is the lowest-index stored state within eps_state by
+    ArcSet.distance, else a state of its own.  The candidates come from a
+    _StateIndex rather than a scan of every stored state; the rule, and so
+    the automaton, is the one the scan gives.  eps_state must be finite
+    and >= 0 (0 merges exact repeats only).
+    """
+    if not 0.0 <= eps_state < math.inf:
+        raise ValueError(f"eps_state must be finite and >= 0, got {eps_state}")
     states: list[ArcSet] = [ArcSet.full_circle()]
+    index = _StateIndex(eps_state)
+    index.add(states[0], 0)
     transitions: list[list[int] | None] = [None]
     growth: list[int] = []
     frontier = [0]
@@ -88,14 +102,15 @@ def build_automaton(spec: NumberSystemSpec, state_cap: int = 10_000,
             for a in range(spec.alphabet.size):
                 nz = spec.pull_step(z, a)
                 found = None
-                for j, existing in enumerate(states):
-                    if existing.distance(nz) <= eps_state:
+                for j in index.candidates(nz):
+                    if states[j].distance(nz) <= eps_state:
                         found = j
                         break
                 if found is None:
+                    found = len(states)
                     states.append(nz)
+                    index.add(nz, found)
                     transitions.append(None)
-                    found = len(states) - 1
                     next_frontier.append(found)
                 row.append(found)
             transitions[si] = row
@@ -118,6 +133,55 @@ def build_automaton(spec: NumberSystemSpec, state_cap: int = 10_000,
         growth=growth,
         expanded=expanded,
     )
+
+
+class _StateIndex:
+    """Stored states keyed so that every state within eps of a query is
+    among the query's candidates.
+
+    ArcSet.distance is finite only between two full sets, two empty sets,
+    or sets with the same number of arcs, and a distance <= eps pairs the
+    query's first arc start with some arc start of the match within eps
+    along the circle.  So a state with arcs is filed under (arc count,
+    cell) for each of its starts, cell = floor(start / width), and a query
+    looks up its first start's cell and the two next to it, and the same a
+    turn away when the start lies within a width of 0 or 2*pi.  The width
+    is 2*eps, so that rounding in circle_distance cannot carry a match
+    past the next cell, and at least EPS_ANGLE, so that eps = 0 works.
+    """
+
+    _FULL, _EMPTY = (-1, 0), (0, 0)
+
+    def __init__(self, eps: float):
+        self.width = max(2.0 * eps, EPS_ANGLE)
+        self.cells: dict[tuple[int, int], list[int]] = {}
+
+    def add(self, z: ArcSet, i: int) -> None:
+        if z.full or not z.arcs:
+            keys = {self._FULL if z.full else self._EMPTY}
+        else:
+            keys = {(len(z.arcs), math.floor(s / self.width)) for s, _ in z.arcs}
+        for key in keys:
+            self.cells.setdefault(key, []).append(i)
+
+    def candidates(self, z: ArcSet) -> list[int]:
+        """Indices of the stored states that may lie within eps of z, in
+        ascending order."""
+        if z.full or not z.arcs:
+            return self.cells.get(self._FULL if z.full else self._EMPTY, [])
+        n, w = len(z.arcs), self.width
+        s = z.arcs[0][0]
+        starts = [s]
+        if s < w:
+            starts.append(s + TAU)
+        if s > TAU - w:
+            starts.append(s - TAU)
+        found: set[int] = set()
+        for x in starts:
+            c = math.floor(x / w)
+            for cell in (c - 1, c, c + 1):
+                found.update(self.cells.get((n, cell), ()))
+        return sorted(found)
 
 
 @dataclass
@@ -154,13 +218,22 @@ def sofic_verdict(spec: NumberSystemSpec, automaton: PullbackAutomaton) -> Sofic
 
     A saturated search certifies (numerically, up to eps_state) that the
     nonempty-refinement language is regular; the product with the
-    subshift's factor automaton then recognizes the interval shift.
+    subshift's factor automaton then recognizes the interval shift.  The
+    verdict is withheld when a recomputed transition lands farther than
+    eps_state from its stored target, or changes the arc structure.
     """
     residual = transition_residual(spec, automaton)
     if not automaton.saturated:
+        verdict = f"not shown sofic within cap (reached {automaton.n_states} states)"
+    elif not residual <= automaton.eps_state or math.isinf(residual):
+        verdict = (f"not shown sofic: transition residual {residual:g} exceeds "
+                   f"state tolerance {automaton.eps_state:g}")
+    else:
+        verdict = None
+    if verdict is not None:
         return SoficReport(
-            verdict=f"not shown sofic within cap (reached {automaton.n_states} states)",
-            saturated=False,
+            verdict=verdict,
+            saturated=automaton.saturated,
             n_states=automaton.n_states,
             eps_state=automaton.eps_state,
             growth=automaton.growth,

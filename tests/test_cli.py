@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from moebius_systems import cli
 from moebius_systems.cli import main
 from moebius_systems.systems import builtin, serialize_config
 
@@ -161,6 +162,43 @@ def test_reports_deterministic_modulo_timing(capsys):
         report.pop("timings")
         runs.append(report)
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--builtin", "cf", "--auto"),
+    ("verify", "--builtin", "cf", "--prefix-set", "01,01-,1,1-"),
+    ("sofic", "--builtin", "hyperbolic4", "--cap", "120"),
+])
+def test_reused_parser_gives_the_same_report(capsys, argv):
+    # qn is covered by test_reports_deterministic_modulo_timing
+    runs = []
+    for _ in range(2):
+        code, report, _ = run(capsys, *argv)
+        assert code == 0
+        report.pop("timings")
+        runs.append(report)
+    assert runs[0] == runs[1]
+
+
+def test_command_replaced_after_first_call_is_invoked(capsys, monkeypatch):
+    run(capsys, "sofic", "--builtin", "parabolic3")
+    seen = []
+
+    def fake_sofic(args):
+        seen.append((args.builtin, args.cap))
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_sofic", fake_sofic)
+    code, report, _ = run(capsys, "sofic", "--builtin", "cf", "--cap", "9")
+    assert code == 0 and report is None
+    assert seen == [("cf", 9)]
+
+
+@pytest.mark.parametrize("eps", ["inf", "nan", "-1"])
+def test_sofic_invalid_state_tolerance_exits_2(capsys, eps):
+    code, report, err = run(capsys, "sofic", "--builtin", "cf", "--eps", eps)
+    assert code == 2 and report is None
+    assert "eps_state" in err
 
 
 def test_module_entry_point():

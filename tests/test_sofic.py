@@ -1,13 +1,17 @@
 """Pullback automaton construction and the soficness verdict."""
 
 import itertools
+import math
 
+import pytest
+
+from moebius_systems import sofic
 from moebius_systems.arcs import ArcSet
 from moebius_systems.interval_system import NumberSystemSpec
 from moebius_systems.sofic import build_automaton, sofic_verdict, transition_residual
 from moebius_systems.subshift import Alphabet, Subshift
-from moebius_systems.systems import builtin
-from moebius_systems.transforms import rotation
+from moebius_systems.systems import BUILTIN_NAMES, builtin, with_cover
+from moebius_systems.transforms import TAU, rotation
 
 
 def test_parabolic3_saturates_with_five_states():
@@ -58,10 +62,12 @@ def test_rebuild_is_deterministic():
 
 
 def test_transition_residual_small():
-    for name in ("parabolic3", "hyperbolic4"):
+    for name, size in zip(("parabolic3", "cf", "binary", "hyperbolic4"), (5, 7, 16, 6)):
         spec = builtin(name)
         auto = build_automaton(spec)
-        assert transition_residual(spec, auto) <= auto.eps_state
+        assert auto.saturated and auto.n_states == size
+        # binary's 5.3e-15 is the largest
+        assert transition_residual(spec, auto) < 6e-15
 
 
 def test_sofic_verdict_product_language():
@@ -126,3 +132,91 @@ def test_exports_render():
     dot = auto.graph_description(p3.alphabet)
     assert dot.startswith("digraph") and dot.rstrip().endswith("}")
     assert dot.count("->") == auto.n_states * p3.alphabet.size
+
+
+class _LinearScan:
+    """Reference dedup: every stored state is a candidate, in index order,
+    which is the linear scan the state index must agree with."""
+
+    def __init__(self, eps):
+        self.n = 0
+
+    def add(self, z, i):
+        self.n += 1
+
+    def candidates(self, z):
+        return range(self.n)
+
+
+def _rotated_cover(spec, turn):
+    return with_cover(spec, {
+        sym: c if c.full else ArcSet.from_arcs([(s + TAU * turn, l) for s, l in c.arcs])
+        for sym, c in zip(spec.alphabet.symbols, spec.cover)
+    })
+
+
+def _wrap_spec():
+    # letter p keeps an arc starting just below 2*pi; letter q turns any
+    # state by +4e-4, so p then q gives an arc starting just above 0 that
+    # lies within 1e-3 of the state p reached
+    alph = Alphabet(("p", "q"))
+    return NumberSystemSpec(
+        alph,
+        {"p": rotation(0.0), "q": rotation(-4e-4)},
+        {"p": ArcSet.from_arcs([(TAU - 2e-4, 3.0)]), "q": ArcSet.full_circle()},
+        Subshift(alph, ()),
+    )
+
+
+def _assert_same_automaton(spec, cap, eps, monkeypatch):
+    indexed = build_automaton(spec, state_cap=cap, eps_state=eps)
+    with monkeypatch.context() as m:
+        m.setattr(sofic, "_StateIndex", _LinearScan)
+        linear = build_automaton(spec, state_cap=cap, eps_state=eps)
+    assert [(s.full, s.arcs) for s in indexed.states] == \
+        [(s.full, s.arcs) for s in linear.states]
+    assert indexed.transitions == linear.transitions
+    assert indexed.growth == linear.growth
+    assert indexed.expanded == linear.expanded
+    assert indexed.saturated == linear.saturated
+    return indexed
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-7, 1e-3])
+@pytest.mark.parametrize("turn", [None, 0.2, 0.35, 0.5, 0.65, 0.8])
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_state_index_matches_linear_scan(name, turn, eps, monkeypatch):
+    spec = builtin(name) if turn is None else _rotated_cover(builtin(name), turn)
+    _assert_same_automaton(spec, 120, eps, monkeypatch)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-7, 1e-3])
+def test_state_index_matches_linear_scan_across_zero(eps, monkeypatch):
+    spec = _wrap_spec()
+    auto = _assert_same_automaton(spec, 120, eps, monkeypatch)
+    p, q = spec.alphabet.index("p"), spec.alphabet.index("q")
+    below = auto.transitions[auto.initial][p]
+    assert auto.states[below].arcs[0][0] > TAU - 1e-3
+    if eps == 1e-3:
+        # the arc pulled across zero is merged with the one below 2*pi
+        assert auto.transitions[below][q] == below
+    else:
+        assert auto.states[auto.transitions[below][q]].arcs[0][0] < 1e-3
+
+
+@pytest.mark.parametrize("eps", [math.inf, math.nan, -1.0, -math.inf])
+def test_invalid_state_tolerance_rejected(eps):
+    with pytest.raises(ValueError, match="eps_state"):
+        build_automaton(builtin("cf"), eps_state=eps)
+
+
+def test_verdict_withheld_when_residual_exceeds_tolerance():
+    spec = _rotated_cover(builtin("cf"), 0.5)
+    auto = build_automaton(spec, state_cap=120, eps_state=1e-3)
+    residual = transition_residual(spec, auto)
+    assert auto.saturated and 0.0 < residual <= 1e-3
+    assert sofic_verdict(spec, auto).verdict.startswith("sofic")
+    auto.eps_state = residual / 2
+    report = sofic_verdict(spec, auto)
+    assert report.verdict.startswith("not shown sofic: transition residual")
+    assert report.product_states is None
