@@ -21,6 +21,7 @@ from .transforms import EPS_ROTATION, DiscMoebius, TAU, canon_angle, circle_dist
 
 EPS_ANGLE = 1e-9   # endpoint tolerance for canonicalization and equality
 EPS_GAP = 1e-10    # gaps narrower than this count as covered
+EPS_NEAR_FULL = 1e-6  # image arcs this close to a full turn are re-measured via the midpoint
 
 
 def _merged(items, join):
@@ -378,11 +379,11 @@ def image(f: DiscMoebius, a) -> "ArcSet":
     for s, l in a.arcs:
         sa = f.apply_angle(s)
         ea = f.apply_angle(s + l)
-        if l < TAU - 1e-6:
+        if l < TAU - EPS_NEAR_FULL:
             # a proper sub-circle arc maps to one; its length is just the
             # counterclockwise endpoint gap
             glen = (ea - sa) % TAU
-            if glen <= TAU - 1e-6:
+            if glen <= TAU - EPS_NEAR_FULL:
                 out.append((sa, glen))
                 continue
             # near-full reading of a sub-full arc: either genuine expansion

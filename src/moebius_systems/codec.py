@@ -133,14 +133,14 @@ def decode(spec: NumberSystemSpec, theta: float, n_digits: int, prefix: Word = (
     offending point attached.
     """
     x = canon_angle(theta)
+    inverses, closures = spec._inverses, spec._closures
     state = spec.automaton.initial
     word = list(prefix)
     for a in prefix:
         state = spec.automaton.step(state, a)
         if state is None:
             raise IllegalPrefix("forced prefix is not in the language")
-        x = spec.transforms[a].inverse().apply_angle(x)
-    closures: list[ClosedArcSet] = [w.closure() for w in spec.cover]
+        x = inverses[a].apply_angle(x)
     for _ in range(n_digits):
         chosen = None
         fallback = None
@@ -170,7 +170,7 @@ def decode(spec: NumberSystemSpec, theta: float, n_digits: int, prefix: Word = (
             )
         word.append(chosen)
         state = spec.automaton.step(state, chosen)
-        x = spec.transforms[chosen].inverse().apply_angle(x)
+        x = inverses[chosen].apply_angle(x)
     return tuple(word)
 
 
@@ -189,98 +189,75 @@ def verify(spec: NumberSystemSpec, mode: str = "auto", n: int | None = None,
     mode 'qn' certifies through the level-n expansion bound (with the
     rotation-free check when the bound equals 1), mode 'prefix_set'
     through a supplied prefix set B, and 'auto' tries the expansion
-    bounds for n = 1..n_max and falls back to B when given.  Cover
-    compatibility is checked first in every mode; its failure is
-    disqualifying evidence.
+    bounds for n = 1..n_max, then B when given (parsed only then).  All
+    modes share one cover compatibility walk over levels 0..depth, each
+    level enumerated once, its words also giving Q_n there; a
+    compatibility failure is disqualifying evidence.
     """
-    warnings: list[str] = []
-
-    def q_certificate(level: int) -> Verdict | None:
-        words = spec.interval_shift_language(level, budget)
-        if not words:
-            warnings.append(f"no legal words of length {level}; skipped")
-            return None
-        q = min(spec.min_expansion(w) for w in words)
-        if q > 1.0 + EPS_ONE:
-            return Verdict("verified_Qn", {"n": level, "Q_n": q}, warnings)
-        if abs(q - 1.0) <= EPS_ONE:
-            if all(not spec.word_transform(w).is_rotation for w in words):
-                warnings.append(
-                    f"expansion bound at n={level} equals 1; certified because no "
-                    f"length-{level} word map is a rotation"
-                )
-                return Verdict("verified_Qn", {"n": level, "Q_n": q, "rotation_free": True},
-                               warnings)
-        return None
-
     if mode == "qn":
         if n is None:
             raise ValueError("mode 'qn' needs the level n")
-        compat = spec.compatibility_check(n, budget)
-        if not compat.passed:
-            return _compat_failure(spec, compat.violations, warnings)
-        verdict = q_certificate(n)
-        if verdict is not None:
-            return verdict
-        return Verdict("inconclusive", {"n": n, "Q_n": spec.level_min_expansion(n, budget)},
-                       warnings)
-
-    if mode == "prefix_set":
+        if n < 0:
+            raise ValueError(f"mode 'qn' needs a level n >= 0, got {n}")
+        levels = [n]
+    elif mode == "prefix_set":
         if not prefix_set:
             raise ValueError("mode 'prefix_set' needs a nonempty set B")
+        levels = []
+    elif mode == "auto":
+        levels = range(1, n_max + 1)
+    else:
+        raise ValueError(f"unknown verify mode {mode!r}")
+    warnings: list[str] = []
+    walked = -1
+
+    def walk(depth: int):
+        """Compatibility levels up to depth not walked yet: the words of
+        the last one and the violations found on the way."""
+        nonlocal walked
+        words, violations = [], []
+        while walked < depth:
+            walked += 1
+            words, found = spec.compatibility_level(walked, budget)
+            violations.extend(found)
+        return words, violations
+
+    q = math.inf
+    for level in levels:
+        words, violations = walk(level)
+        if violations:
+            return _compat_failure(spec, violations, warnings)
+        if not words:
+            warnings.append(f"no legal words of length {level}; skipped")
+            continue
+        q = min(spec.min_expansion(w) for w in words)
+        if q > 1.0 + EPS_ONE:
+            return Verdict("verified_Qn", {"n": level, "Q_n": q}, warnings)
+        if abs(q - 1.0) <= EPS_ONE and all(not spec.word_transform(w).is_rotation for w in words):
+            warnings.append(
+                f"expansion bound at n={level} equals 1; certified because no "
+                f"length-{level} word map is a rotation"
+            )
+            return Verdict("verified_Qn", {"n": level, "Q_n": q, "rotation_free": True}, warnings)
+    if mode == "qn":
+        return Verdict("inconclusive", {"n": n, "Q_n": q}, warnings)
+    if prefix_set:
         b_words = [spec._as_word(b) for b in prefix_set]
-        compat = spec.compatibility_check(max(len(b) for b in b_words), budget)
-        if not compat.passed:
-            return _compat_failure(spec, compat.violations, warnings)
+        _, violations = walk(max(len(b) for b in b_words))
+        if violations:
+            return _compat_failure(spec, violations, warnings)
         check = spec.check_prefix_set(b_words, budget)
         warnings.extend(check.warnings)
         if check.passed:
+            return Verdict("verified_prefix_set",
+                           {"B": [spec.alphabet.format(b) for b in b_words]}, warnings)
+        if mode == "prefix_set":
             return Verdict(
-                "verified_prefix_set",
-                {"B": [spec.alphabet.format(b) for b in b_words]},
-                warnings,
-            )
-        return Verdict(
-            "inconclusive",
-            {
-                "missing_prefix": [spec.alphabet.format(w) for w in check.missing_prefix],
-                "not_contained": [spec.alphabet.format(b) for b, _ in check.not_contained],
-            },
-            warnings,
-        )
-
-    if mode != "auto":
-        raise ValueError(f"unknown verify mode {mode!r}")
-
-    compat_checked = -1
-
-    def compat_up_to(depth: int) -> list:
-        nonlocal compat_checked
-        found = []
-        while compat_checked < depth:
-            compat_checked += 1
-            _, violations = spec.compatibility_level(compat_checked, budget)
-            found.extend(violations)
-        return found
-
-    for level in range(1, n_max + 1):
-        violations = compat_up_to(level)
-        if violations:
-            return _compat_failure(spec, violations, warnings)
-        verdict = q_certificate(level)
-        if verdict is not None:
-            return verdict
-    if prefix_set:
-        b_lens = [len(spec._as_word(b)) for b in prefix_set]
-        violations = compat_up_to(max(b_lens))
-        if violations:
-            return _compat_failure(spec, violations, warnings)
-        check = spec.check_prefix_set([spec._as_word(b) for b in prefix_set], budget)
-        warnings.extend(check.warnings)
-        if check.passed:
-            return Verdict(
-                "verified_prefix_set",
-                {"B": [spec.alphabet.format(spec._as_word(b)) for b in prefix_set]},
+                "inconclusive",
+                {
+                    "missing_prefix": [spec.alphabet.format(w) for w in check.missing_prefix],
+                    "not_contained": [spec.alphabet.format(b) for b, _ in check.not_contained],
+                },
                 warnings,
             )
     warnings.append(

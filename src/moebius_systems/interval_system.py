@@ -129,7 +129,11 @@ class NumberSystemSpec:
         self._cache: dict[Word, tuple[ArcSet, transforms.DiscMoebius]] = {
             (): (ArcSet.full_circle(), transforms.identity())
         }
-        self._letter_pulls: list[tuple[transforms.DiscMoebius, ArcSet]] | None = None
+        # per-letter tables, built once: F_a^-1 (pull_step, decode), the letter
+        # pullback F_a^-1(C_a) (pull_step) and the closed cover arc (decode)
+        self._inverses = [f.inverse() for f in self.transforms]
+        self._letter_pulls = [image(g, c) for g, c in zip(self._inverses, self.cover)]
+        self._closures = [c.closure() for c in self.cover]
         self._pull_table = _PullbackTable(alphabet.size)
         self._pull_lock = threading.Lock()
 
@@ -194,15 +198,10 @@ class NumberSystemSpec:
 
         A word's refined set pulled back through its word map updates by
         this step along the next letter a, and is empty exactly when the
-        extended word's refined set is.  The letter pullbacks F_a^-1(C_a)
-        are computed once, on first use.
+        extended word's refined set is.  The inverse maps and the letter
+        pullbacks F_a^-1(C_a) are the spec's tables, built with it.
         """
-        letters = self._letter_pulls
-        if letters is None:
-            inverses = [f.inverse() for f in self.transforms]
-            letters = self._letter_pulls = [(g, image(g, c)) for g, c in zip(inverses, self.cover)]
-        inverse, pulled = letters[a]
-        return image(inverse, z).intersect(pulled)
+        return image(self._inverses[a], z).intersect(self._letter_pulls[a])
 
     def _pull_edge(self, table: _PullbackTable, sid: int, a: int) -> tuple[_PullbackTable, int]:
         """Take the step from state sid of `table` along a by pull_step.
@@ -241,8 +240,9 @@ class NumberSystemSpec:
     def compatibility_level(self, m: int, budget: int = 10_000_000):
         """Violations of the extension identity among words of length m.
 
-        Returns (words_checked, violations) where each violation pairs the
-        word with the gap arcs its extensions fail to cover.
+        Returns (words, violations): the interval-shift words of length m,
+        checked, and the violations, each pairing a word with the gap arcs
+        its extensions fail to cover.
         """
         violations = []
         words = self.interval_shift_language(m, budget)
@@ -257,7 +257,7 @@ class NumberSystemSpec:
             )
             if gaps:
                 violations.append((word, gaps))
-        return len(words), violations
+        return words, violations
 
     def compatibility_check(self, depth: int, budget: int = 10_000_000) -> CompatibilityReport:
         """Verify that each refined closure is the union of its legal
@@ -267,8 +267,8 @@ class NumberSystemSpec:
         """
         report = CompatibilityReport(depth=depth, checked=0)
         for m in range(0, depth + 1):
-            checked, violations = self.compatibility_level(m, budget)
-            report.checked += checked
+            words, violations = self.compatibility_level(m, budget)
+            report.checked += len(words)
             report.violations.extend(violations)
         return report
 

@@ -6,7 +6,10 @@ Z -> F_a^-1(Z) intersected with the letter's own pullback F_a^-1(C_a).
 When only finitely many states arise (up to a numerical tolerance), the
 words with nonempty refinement form a regular language, and
 intersecting with the subshift language yields a finite recognizer for
-the interval shift — a soficness certificate.
+the interval shift — a soficness certificate.  The breadth-first search
+records how far each computed step lands from the state it is merged
+into; the verdict is withheld when that residual exceeds the state
+tolerance.
 """
 
 from __future__ import annotations
@@ -27,7 +30,10 @@ class PullbackAutomaton:
     States are deduplicated within eps_state (max endpoint deviation):
     a new state maps to the lowest-index stored state within eps_state,
     found through build_automaton's state index.  The empty state is a
-    sink and the only non-accepting state.
+    sink and the only non-accepting state.  residual is the largest
+    distance, recorded by the BFS, between a computed pullback step and
+    the stored state it was merged into (0 for a step that became a new
+    state), over the edges of the expanded states.
     """
 
     states: list[ArcSet]
@@ -37,6 +43,7 @@ class PullbackAutomaton:
     eps_state: float
     growth: list[int] = field(default_factory=list)  # total states after each BFS depth
     expanded: list[bool] = field(default_factory=list)
+    residual: float = 0.0
 
     @property
     def n_states(self) -> int:
@@ -92,6 +99,7 @@ def build_automaton(spec: NumberSystemSpec, state_cap: int = 10_000,
     index.add(states[0], 0)
     transitions: list[list[int] | None] = [None]
     growth: list[int] = []
+    residual = 0.0
     frontier = [0]
     saturated = True
     while frontier:
@@ -103,8 +111,10 @@ def build_automaton(spec: NumberSystemSpec, state_cap: int = 10_000,
                 nz = spec.pull_step(z, a)
                 found = None
                 for j in index.candidates(nz):
-                    if states[j].distance(nz) <= eps_state:
+                    d = states[j].distance(nz)
+                    if d <= eps_state:
                         found = j
+                        residual = max(residual, d)
                         break
                 if found is None:
                     found = len(states)
@@ -132,6 +142,7 @@ def build_automaton(spec: NumberSystemSpec, state_cap: int = 10_000,
         eps_state=eps_state,
         growth=growth,
         expanded=expanded,
+        residual=residual,
     )
 
 
@@ -198,19 +209,11 @@ class SoficReport:
 
 
 def transition_residual(spec: NumberSystemSpec, automaton: PullbackAutomaton) -> float:
-    """Max deviation between stored target states and freshly recomputed
-    pullback steps, over all edges from accepting states."""
-    worst = 0.0
-    for si, row in enumerate(automaton.transitions):
-        if automaton.expanded and not automaton.expanded[si]:
-            continue
-        z = automaton.states[si]
-        for a, ti in enumerate(row):
-            d = automaton.states[ti].distance(spec.pull_step(z, a))
-            if math.isinf(d):
-                return math.inf
-            worst = max(worst, d)
-    return worst
+    """Max deviation between stored target states and the pullback steps
+    that reached them, as recorded by the BFS, over the edges of the
+    expanded states.  pull_step is deterministic, so recomputing the steps
+    gives the same value."""
+    return automaton.residual
 
 
 def sofic_verdict(spec: NumberSystemSpec, automaton: PullbackAutomaton) -> SoficReport:
@@ -219,8 +222,8 @@ def sofic_verdict(spec: NumberSystemSpec, automaton: PullbackAutomaton) -> Sofic
     A saturated search certifies (numerically, up to eps_state) that the
     nonempty-refinement language is regular; the product with the
     subshift's factor automaton then recognizes the interval shift.  The
-    verdict is withheld when a recomputed transition lands farther than
-    eps_state from its stored target, or changes the arc structure.
+    verdict is withheld when the transition residual, recorded by the BFS,
+    exceeds eps_state or is infinite.
     """
     residual = transition_residual(spec, automaton)
     if not automaton.saturated:

@@ -160,8 +160,11 @@ def _pruned_words(auto: FollowerAutomaton, n: int, budget: int, what: str,
 
     A branch is cut as soon as the automaton rejects it or keep(word) is
     false for its current prefix; more than `budget` visited prefixes
-    raise BudgetExceeded, naming the enumeration as `what`.
+    raise BudgetExceeded, naming the enumeration as `what`.  n < 0 raises
+    ValueError (no word has that length, and the walk would never stop).
     """
+    if n < 0:
+        raise ValueError(f"{what} needs a word length n >= 0, got {n}")
     out: list[Word] = []
     count = 0
     letters = range(auto.subshift.alphabet.size - 1, -1, -1)

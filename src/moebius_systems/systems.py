@@ -32,6 +32,9 @@ from .transforms import (
     rotation,
 )
 
+EPS_UNIT = 1e-9          # | |z| - 1 | allowed for a config arc endpoint on the circle
+EPS_WHOLE_TURN = 1e-15   # distinct arc endpoints this close mod 2*pi mean the whole circle
+
 
 def _spec(name, symbols, maps, cover, forbidden) -> NumberSystemSpec:
     alphabet = Alphabet(tuple(symbols))
@@ -173,7 +176,7 @@ def _parse_arc(entry) -> tuple[float, float]:
         angles = []
         for re_, im_ in pts:
             z = complex(re_, im_)
-            if abs(abs(z) - 1.0) > 1e-9:
+            if abs(abs(z) - 1.0) > EPS_UNIT:
                 raise ConfigError(f"arc endpoint {z} is not on the unit circle")
             angles.append(math.atan2(z.imag, z.real))
         return angles[0], angles[1]
@@ -217,7 +220,7 @@ def parse_config(data: dict) -> NumberSystemSpec:
         arcs = ArcSet.empty()
         for arc in c_entry:
             s, e = _parse_arc(arc)
-            if (e - s) % TAU < 1e-15 and e != s:
+            if (e - s) % TAU < EPS_WHOLE_TURN and e != s:
                 arcs = ArcSet.full_circle()  # equal endpoints: the whole circle
             else:
                 arcs = arcs.union(ArcSet.arc(s, e))

@@ -28,6 +28,10 @@ EPS_SINGULAR = 1e-12    # determinant threshold
 EPS_SHAPE = 1e-9        # relative tolerance for the disc-preserving shape
 EPS_TRACE = 1e-9        # band around trace^2 = 4 classified as parabolic
 EPS_ROTATION = 1e-12    # |beta| below this counts as a rotation
+EPS_IDENTITY = 1e-12    # a rotation with |alpha - 1| below this is the identity
+EPS_DISTINCT = 1e-12    # unit complex numbers closer than this are one circle point
+EPS_PENCIL = 1e-9       # imaginary part of a real pencil parameter left by rounding
+EPS_SOLVED = 1e-9       # angle error allowed when a solved map is checked on its data
 RENORM_MAX = 1e6        # entry size past which |alpha|^2 - |beta|^2 is noise
 
 
@@ -177,7 +181,7 @@ class DiscMoebius:
 
     @property
     def is_identity(self) -> bool:
-        return self.is_rotation and abs(self.alpha - 1.0) <= 1e-12
+        return self.is_rotation and abs(self.alpha - 1.0) <= EPS_IDENTITY
 
     def classify(self) -> MoebiusClass:
         """Elliptic / parabolic / hyperbolic taxonomy with fixed-point data.
@@ -334,15 +338,15 @@ def parabolic_map(fix: float, src: float, dst: float) -> DiscMoebius:
     """
     bp = cmath.exp(1j * (dst - fix))
     cp = cmath.exp(1j * (src - fix))
-    if min(abs(bp - 1), abs(cp - 1), abs(bp - cp)) < 1e-12:
+    if min(abs(bp - 1), abs(cp - 1), abs(bp - cp)) < EPS_DISTINCT:
         raise ValueError("fix, src, dst must be three distinct circle points")
     t = (cp - bp) / (1j * (bp - 1.0) * (cp - 1.0))
-    if abs(t.imag) > 1e-9:
+    if abs(t.imag) > EPS_PENCIL:
         raise ValueError("no parabolic map for this configuration")
     t = t.real
     core = DiscMoebius(1.0 + 1j * t, -1j * t)
     result = rotation(fix).compose(core).compose(rotation(-fix))
-    if circle_distance(result.apply_angle(src), canon_angle(dst)) > 1e-9:
+    if circle_distance(result.apply_angle(src), canon_angle(dst)) > EPS_SOLVED:
         raise ValueError("parabolic solve failed to reproduce src -> dst")
     return result
 

@@ -59,6 +59,12 @@ def test_verify_strict_exit_code(capsys):
     assert code == 0  # without --strict the report alone carries the verdict
 
 
+def test_verify_negative_level_exits_2(capsys):
+    code, report, err = run(capsys, "verify", "--builtin", "cf", "--qn", "-1")
+    assert code == 2 and report is None
+    assert "n >= 0" in err
+
+
 def test_encode_decode_round_trip(capsys):
     code, report, _ = run(capsys, "decode", "--builtin", "binary",
                           "--real", "0.5", "--digits", "40")

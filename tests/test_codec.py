@@ -1,6 +1,7 @@
 """Encoder/decoder round trips, certificates, and system verification."""
 
 import cmath
+import itertools
 import math
 import random
 import sys
@@ -12,6 +13,7 @@ import pytest
 from moebius_systems.arcs import ArcSet
 from moebius_systems.codec import decode, encode, representable_interval, verify
 from moebius_systems.errors import EmptyRefinedSet, IllegalPrefix, NoLegalDigit
+from moebius_systems.transforms import DiscMoebius
 from moebius_systems.interval_system import _PULL_TABLE_CAP, NumberSystemSpec
 from moebius_systems.subshift import Subshift
 from moebius_systems.systems import builtin, cf_digit_stream, classical_cf_terms, with_cover
@@ -378,3 +380,151 @@ def test_verify_mode_validation():
         verify(builtin("cf"), mode="prefix_set")
     with pytest.raises(ValueError):
         verify(builtin("cf"), mode="nope")
+    # budget=1 would stop any enumeration at its second prefix, so only a
+    # check made before the walk raises ValueError here
+    with pytest.raises(ValueError, match="n >= 0"):
+        verify(builtin("cf"), mode="qn", n=-1, budget=1)
+
+
+def _turned_cover(spec, turn):
+    return with_cover(spec, {
+        sym: c if c.full else ArcSet.from_arcs([(s + TAU * turn, l) for s, l in c.arcs])
+        for sym, c in zip(spec.alphabet.symbols, spec.cover)
+    })
+
+
+# (name, cover turn, mode, n, B, n_max) -> (status, evidence, warnings), as
+# recorded when each mode still ran in a branch of its own; an int B stands for
+# every word of that length.  The last case's B cannot be parsed, and auto mode
+# parses B only after the expansion bounds fail.
+_PINNED_VERDICTS = [(('binary', None, 'auto'),
+  ('verified_Qn',
+   {'n': 4, 'Q_n': 0.9999999999999991, 'rotation_free': True},
+   ['expansion bound at n=4 equals 1; certified because no length-4 word map is a '
+    'rotation'])),
+ (('cf', None, 'auto'),
+  ('verified_Qn',
+   {'n': 2, 'Q_n': 0.9999999999999996, 'rotation_free': True},
+   ['expansion bound at n=2 equals 1; certified because no length-2 word map is a '
+    'rotation'])),
+ (('hyperbolic4', None, 'auto'),
+  ('verified_Qn',
+   {'n': 1, 'Q_n': 0.999999999999998, 'rotation_free': True},
+   ['expansion bound at n=1 equals 1; certified because no length-1 word map is a '
+    'rotation'])),
+ (('parabolic3', None, 'auto'),
+  ('verified_Qn',
+   {'n': 1, 'Q_n': 0.9999999999999984, 'rotation_free': True},
+   ['expansion bound at n=1 equals 1; certified because no length-1 word map is a '
+    'rotation'])),
+ (('binary', None, 'qn', 1), ('inconclusive', {'n': 1, 'Q_n': 0.5882352941176469}, [])),
+ (('binary', None, 'qn', 2), ('inconclusive', {'n': 2, 'Q_n': 0.47058823529411764}, [])),
+ (('binary', None, 'qn', 3), ('inconclusive', {'n': 3, 'Q_n': 0.5882352941176467}, [])),
+ (('cf', None, 'qn', 1), ('inconclusive', {'n': 1, 'Q_n': 1.0}, [])),
+ (('cf', None, 'qn', 2),
+  ('verified_Qn',
+   {'n': 2, 'Q_n': 0.9999999999999996, 'rotation_free': True},
+   ['expansion bound at n=2 equals 1; certified because no length-2 word map is a '
+    'rotation'])),
+ (('cf', None, 'qn', 3),
+  ('verified_Qn',
+   {'n': 3, 'Q_n': 0.9999999999999987, 'rotation_free': True},
+   ['expansion bound at n=3 equals 1; certified because no length-3 word map is a '
+    'rotation'])),
+ (('hyperbolic4', None, 'qn', 1),
+  ('verified_Qn',
+   {'n': 1, 'Q_n': 0.999999999999998, 'rotation_free': True},
+   ['expansion bound at n=1 equals 1; certified because no length-1 word map is a '
+    'rotation'])),
+ (('hyperbolic4', None, 'qn', 2),
+  ('verified_Qn',
+   {'n': 2, 'Q_n': 0.999999999999996, 'rotation_free': True},
+   ['expansion bound at n=2 equals 1; certified because no length-2 word map is a '
+    'rotation'])),
+ (('hyperbolic4', None, 'qn', 3),
+  ('verified_Qn',
+   {'n': 3, 'Q_n': 0.9999999999999978, 'rotation_free': True},
+   ['expansion bound at n=3 equals 1; certified because no length-3 word map is a '
+    'rotation'])),
+ (('parabolic3', None, 'qn', 1),
+  ('verified_Qn',
+   {'n': 1, 'Q_n': 0.9999999999999984, 'rotation_free': True},
+   ['expansion bound at n=1 equals 1; certified because no length-1 word map is a '
+    'rotation'])),
+ (('parabolic3', None, 'qn', 2),
+  ('verified_Qn',
+   {'n': 2, 'Q_n': 0.9999999999999976, 'rotation_free': True},
+   ['expansion bound at n=2 equals 1; certified because no length-2 word map is a '
+    'rotation'])),
+ (('parabolic3', None, 'qn', 3),
+  ('verified_Qn',
+   {'n': 3, 'Q_n': 0.9999999999999953, 'rotation_free': True},
+   ['expansion bound at n=3 equals 1; certified because no length-3 word map is a '
+    'rotation'])),
+ (('cf', None, 'qn', 0), ('inconclusive', {'n': 0, 'Q_n': 1.0}, [])),
+ (('cf', None, 'prefix_set', None, ('01', '01-', '1', '1-')),
+  ('verified_prefix_set', {'B': ['01', '01-', '1', '1-']}, [])),
+ (('cf', None, 'prefix_set', None, ('0', '1')),
+  ('inconclusive', {'missing_prefix': ['1-'], 'not_contained': ['0']}, [])),
+ (('cf', None, 'prefix_set', None, ('01', '1')),
+  ('inconclusive', {'missing_prefix': ['1-1-', '1-0', '01-'], 'not_contained': []}, [])),
+ (('cf', None, 'prefix_set', None, ('1', '1-', '0')),
+  ('inconclusive', {'missing_prefix': [], 'not_contained': ['0']}, [])),
+ (('binary', None, 'prefix_set', None, ('0', '1', '1-', '21', '21-', '22')),
+  ('inconclusive', {'missing_prefix': [], 'not_contained': ['22']}, [])),
+ (('cf', None, 'auto', None, ('01', '01-', '1', '1-'), 1),
+  ('verified_prefix_set', {'B': ['01', '01-', '1', '1-']}, [])),
+ (('binary', None, 'auto', None, ('0', '1', '1-', '21', '21-', '22'), 3),
+  ('inconclusive',
+   {'n_max': 3},
+   ["no expansion certificate up to n=3; supply a prefix set B (mode='prefix_set') to "
+    'certify this system'])),
+ (('cf', 0.1, 'auto', None, 2, 1),
+  ('inconclusive',
+   {'compatibility_violations': 1},
+   ['cover fails the extension identity at: 1-0'])),
+ (('cf', 0.1, 'auto', None, 3, 1),
+  ('inconclusive',
+   {'compatibility_violations': 3},
+   ['cover fails the extension identity at: 1-0, 1-1-0, 01-0'])),
+ (('cf', 0.25, 'auto', None, 2, 1),
+  ('inconclusive',
+   {'n_max': 1},
+   ["no expansion certificate up to n=1; supply a prefix set B (mode='prefix_set') to "
+    'certify this system'])),
+ (('binary', 0.5, 'auto', None, 2, 1),
+  ('inconclusive',
+   {'n_max': 1},
+   ["no expansion certificate up to n=1; supply a prefix set B (mode='prefix_set') to "
+    'certify this system'])),
+ (('parabolic3', None, 'auto', None, ('zz',)),
+  ('verified_Qn',
+   {'n': 1, 'Q_n': 0.9999999999999984, 'rotation_free': True},
+   ['expansion bound at n=1 equals 1; certified because no length-1 word map is a '
+    'rotation']))]
+
+
+def _pinned_case(name, turn, mode, n=None, b=None, n_max=8):
+    spec = builtin(name) if turn is None else _turned_cover(builtin(name), turn)
+    if isinstance(b, int):
+        b = [spec.alphabet.format(w)
+             for w in itertools.product(range(spec.alphabet.size), repeat=b)]
+    v = verify(spec, mode=mode, n=n, prefix_set=b, n_max=n_max)
+    return v.status, v.evidence, v.warnings
+
+
+@pytest.mark.parametrize("case, expected", _PINNED_VERDICTS,
+                         ids=[str(c) for c, _ in _PINNED_VERDICTS])
+def test_verify_matches_pinned_verdicts(case, expected):
+    assert _pinned_case(*case) == expected
+
+
+def test_decode_builds_no_map_per_digit(monkeypatch):
+    spec = builtin("cf")
+    built = []
+    original = DiscMoebius.__post_init__
+    monkeypatch.setattr(DiscMoebius, "__post_init__",
+                        lambda self: built.append(1) or original(self))
+    word = decode(spec, 1.234, 60, prefix=spec.alphabet.word("1"))
+    assert len(word) == 61 and not built
+

@@ -220,3 +220,42 @@ def test_verdict_withheld_when_residual_exceeds_tolerance():
     report = sofic_verdict(spec, auto)
     assert report.verdict.startswith("not shown sofic: transition residual")
     assert report.product_states is None
+
+
+def _recomputed_residual(spec, automaton):
+    """Reference residual: pull_step recomputed on every edge of every
+    expanded state, which is what the residual recorded by the BFS must
+    equal."""
+    worst = 0.0
+    for si, row in enumerate(automaton.transitions):
+        if not automaton.expanded[si]:
+            continue
+        z = automaton.states[si]
+        for a, ti in enumerate(row):
+            d = automaton.states[ti].distance(spec.pull_step(z, a))
+            if math.isinf(d):
+                return math.inf
+            worst = max(worst, d)
+    return worst
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-7, 1e-3])
+@pytest.mark.parametrize("turn", [None, 0.2, 0.35, 0.5, 0.65, 0.8])
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_recorded_residual_matches_recomputation(name, turn, eps):
+    spec = builtin(name) if turn is None else _rotated_cover(builtin(name), turn)
+    auto = build_automaton(spec, state_cap=120, eps_state=eps)
+    assert transition_residual(spec, auto) == _recomputed_residual(spec, auto)
+
+
+def test_verdict_takes_no_pullback_step(monkeypatch):
+    spec = _rotated_cover(builtin("cf"), 0.5)
+    auto = build_automaton(spec, state_cap=120, eps_state=1e-3)
+
+    def refuse(z, a):
+        raise AssertionError("pull_step called after the BFS")
+
+    monkeypatch.setattr(spec, "pull_step", refuse)
+    report = sofic_verdict(spec, auto)
+    assert report.verdict.startswith("sofic") and report.transition_residual > 0.0
+

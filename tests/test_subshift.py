@@ -113,3 +113,13 @@ def test_forbidden_validation():
         Subshift(alph, ((),))
     with pytest.raises(ValueError):
         Subshift(alph, ((5,),))
+
+
+def test_negative_word_length_rejected():
+    # budget=1 would stop any walk at its second prefix, so only a check
+    # made before the walk can raise ValueError here
+    with pytest.raises(ValueError, match="n >= 0"):
+        cf_shift().language(-1, budget=1)
+    with pytest.raises(ValueError, match="n >= 0"):
+        cf_shift().language(-1, budget=200_000)
+
