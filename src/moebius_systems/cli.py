@@ -1,8 +1,14 @@
 """Command-line interface.
 
-Every command prints a JSON report to stdout (or --out) and exits with
-0 on success, 1 when a requested check came back negative or
+Every command prints a JSON report to stdout, or writes it to --out;
+existence-map prints its report and writes the grid to --out.  A command
+exits with 0 on success, 1 when a requested check came back negative or
 inconclusive under --strict, and 2 on input errors.
+
+main loads the system, times the command and builds and writes the
+report; each cmd_* takes the parsed arguments and the loaded system
+(None for existence-map) and returns (inputs, result, warnings), with
+the exit code as a fourth item when it can differ from 0.
 """
 
 from __future__ import annotations
@@ -23,29 +29,6 @@ from .systems import BUILTIN_NAMES, builtin, load_config
 from .transforms import canon_angle, from_real, stereographic
 
 REPORT_VERSION = 1
-
-
-def _report(command: str, system_name: str | None, inputs: dict, result: dict,
-            warnings: list[str], started: float) -> dict:
-    return {
-        "report_version": REPORT_VERSION,
-        "version": __version__,
-        "command": command,
-        "system": system_name,
-        "inputs": inputs,
-        "result": result,
-        "warnings": warnings,
-        "timings": {"seconds": round(time.perf_counter() - started, 6)},
-    }
-
-
-def _emit(report: dict, out_path: str | None) -> None:
-    text = json.dumps(report, indent=2)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
 
 
 def _load_system(args):
@@ -76,9 +59,7 @@ def _sphere_json(p):
     return {"re": p.value.real, "im": p.value.imag}
 
 
-def cmd_classify(args) -> int:
-    started = time.perf_counter()
-    spec = _load_system(args)
+def cmd_classify(args, spec):
     word = spec.alphabet.word(args.word)
     f = spec.word_transform(word)
     cls = f.classify()
@@ -99,32 +80,22 @@ def cmd_classify(args) -> int:
     elif cls.kind == "elliptic":
         result["fixed_points"] = {"interior": {"re": cls.interior.real,
                                                "im": cls.interior.imag}}
-    _emit(_report("classify", spec.name, {"word": args.word}, result, [], started), args.out)
-    return 0
+    return {"word": args.word}, result, []
 
 
-def cmd_verify(args) -> int:
-    started = time.perf_counter()
-    spec = _load_system(args)
+def cmd_verify(args, spec):
     if args.qn is not None:
-        verdict = verify(spec, mode="qn", n=args.qn)
+        mode, options = "qn", {"n": args.qn}
     elif args.prefix_set:
-        b = [s for s in args.prefix_set.split(",") if s]
-        verdict = verify(spec, mode="prefix_set", prefix_set=b)
+        mode, options = "prefix_set", {"prefix_set": [s for s in args.prefix_set.split(",") if s]}
     else:
-        verdict = verify(spec, mode="auto", n_max=args.nmax)
+        mode, options = "auto", {"n_max": args.nmax}
+    verdict = verify(spec, mode=mode, **options)
     result = {"status": verdict.status, "evidence": verdict.evidence}
-    _emit(_report("verify", spec.name, {"mode": "qn" if args.qn is not None else
-                                        ("prefix_set" if args.prefix_set else "auto")},
-                  result, verdict.warnings, started), args.out)
-    if args.strict and not verdict.verified:
-        return 1
-    return 0
+    return {"mode": mode}, result, verdict.warnings, int(args.strict and not verdict.verified)
 
 
-def cmd_encode(args) -> int:
-    started = time.perf_counter()
-    spec = _load_system(args)
+def cmd_encode(args, spec):
     word = spec.alphabet.word(args.word)
     res = encode(spec, word, tol=args.tol, max_digits=args.digits)
     point = res.point
@@ -137,15 +108,10 @@ def cmd_encode(args) -> int:
         "digits_consumed": res.digits_consumed,
         "converged": res.converged,
     }
-    _emit(_report("encode", spec.name,
-                  {"word": args.word, "tol": args.tol, "digits": args.digits},
-                  result, [], started), args.out)
-    return 0
+    return {"word": args.word, "tol": args.tol, "digits": args.digits}, result, []
 
 
-def cmd_decode(args) -> int:
-    started = time.perf_counter()
-    spec = _load_system(args)
+def cmd_decode(args, spec):
     if args.theta is not None:
         theta = canon_angle(args.theta)
     elif args.real is not None:
@@ -164,15 +130,10 @@ def cmd_decode(args) -> int:
             "error_radius": back.error_radius,
         },
     }
-    _emit(_report("decode", spec.name,
-                  {"theta": args.theta, "real": args.real, "digits": args.digits},
-                  result, [], started), args.out)
-    return 0
+    return {"theta": args.theta, "real": args.real, "digits": args.digits}, result, []
 
 
-def cmd_qn(args) -> int:
-    started = time.perf_counter()
-    spec = _load_system(args)
+def cmd_qn(args, spec):
     bound = spec.expansion_rate_bound(args.max_n)
     rows = [{"n": 0, "Q_n": 1.0, "nth_root": 1.0}]
     for n, q in bound.table:
@@ -186,14 +147,10 @@ def cmd_qn(args) -> int:
         "rate_lower_bound": bound.lower_bound,
         "achieved_at_n": bound.n_achieving,
     }
-    _emit(_report("qn", spec.name, {"max_n": args.max_n}, result, bound.warnings,
-                  started), args.out)
-    return 0
+    return {"max_n": args.max_n}, result, bound.warnings
 
 
-def cmd_sofic(args) -> int:
-    started = time.perf_counter()
-    spec = _load_system(args)
+def cmd_sofic(args, spec):
     automaton = build_automaton(spec, state_cap=args.cap, eps_state=args.eps)
     report = sofic_verdict(spec, automaton)
     result = {
@@ -207,13 +164,10 @@ def cmd_sofic(args) -> int:
     }
     if report.product_states is not None:
         result["product_states"] = report.product_states
-    _emit(_report("sofic", spec.name, {"cap": args.cap, "eps": args.eps}, result,
-                  [], started), args.out)
-    return 0
+    return {"cap": args.cap, "eps": args.eps}, result, []
 
 
-def cmd_existence_map(args) -> int:
-    started = time.perf_counter()
+def cmd_existence_map(args, spec):
     try:
         w, h = (int(v) for v in args.res.lower().split("x"))
     except ValueError:
@@ -239,12 +193,8 @@ def cmd_existence_map(args) -> int:
             grid.write_csv(args.out)
         else:
             grid.write_json(args.out)
-    report = _report("existence-map", None,
-                     {"res": args.res, "depth": args.depth, "nmax": args.nmax,
-                      "out": args.out},
-                     grid.summary(), [], started)
-    print(json.dumps(report, indent=2))
-    return 0
+    inputs = {"res": args.res, "depth": args.depth, "nmax": args.nmax, "out": args.out}
+    return inputs, grid.summary(), []
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -261,9 +211,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="certify that the system represents every point")
     _add_system_args(p)
-    p.add_argument("--qn", type=int, metavar="N", help="use the level-N expansion bound")
-    p.add_argument("--prefix-set", metavar="B1,B2,...", help="use this prefix set")
-    p.add_argument("--auto", action="store_true", help="try levels 1..nmax (default)")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--qn", type=int, metavar="N", help="use the level-N expansion bound")
+    mode.add_argument("--prefix-set", metavar="B1,B2,...", help="use this prefix set")
+    mode.add_argument("--auto", action="store_true", help="try levels 1..nmax (default)")
     p.add_argument("--nmax", type=int, default=8, help="auto mode level cap")
     p.add_argument("--strict", action="store_true",
                    help="exit 1 when the verdict is not verified")
@@ -311,11 +262,27 @@ def main(argv=None) -> int:
     # looked up at call time, so a replaced cmd_* function takes effect
     command = globals()["cmd_" + args.cmd.replace("-", "_")]
     try:
-        return command(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, ValueError) as exc:
+        started = time.perf_counter()
+        spec = None if args.cmd == "existence-map" else _load_system(args)
+        inputs, result, warnings, *code = command(args, spec)
+        report = {
+            "report_version": REPORT_VERSION,
+            "version": __version__,
+            "command": args.cmd,
+            "system": None if spec is None else spec.name,
+            "inputs": inputs,
+            "result": result,
+            "warnings": warnings,
+            "timings": {"seconds": round(time.perf_counter() - started, 6)},
+        }
+        text = json.dumps(report, indent=2)
+        if args.out and spec is not None:  # existence-map's --out is its grid file
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        else:
+            print(text)
+        return code[0] if code else 0
+    except (ConfigError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MoebiusError as exc:

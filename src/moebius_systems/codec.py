@@ -183,16 +183,17 @@ def representable_interval(spec: NumberSystemSpec, word) -> ClosedArcSet:
 
 
 def verify(spec: NumberSystemSpec, mode: str = "auto", n: int | None = None,
-           prefix_set=None, n_max: int = 8, budget: int = 10_000_000) -> Verdict:
+           prefix_set=None, n_max: int = 8) -> Verdict:
     """Decide whether the interval shift represents every circle point.
 
     mode 'qn' certifies through the level-n expansion bound (with the
     rotation-free check when the bound equals 1), mode 'prefix_set'
     through a supplied prefix set B, and 'auto' tries the expansion
     bounds for n = 1..n_max, then B when given (parsed only then).  All
-    modes share one cover compatibility walk over levels 0..depth, each
-    level enumerated once, its words also giving Q_n there; a
-    compatibility failure is disqualifying evidence.
+    modes read one walk of the interval shift up to the deepest level
+    they need: each level's words are checked for cover compatibility
+    and give Q_n and the prefix set's language there; a compatibility
+    failure is disqualifying evidence.
     """
     if mode == "qn":
         if n is None:
@@ -209,28 +210,28 @@ def verify(spec: NumberSystemSpec, mode: str = "auto", n: int | None = None,
     else:
         raise ValueError(f"unknown verify mode {mode!r}")
     warnings: list[str] = []
-    walked = -1
+    walk = spec.interval_shift_levels()
+    walked: list[list[Word]] = []  # the words of each level walked so far
+    violations = []
 
-    def walk(depth: int):
-        """Compatibility levels up to depth not walked yet: the words of
-        the last one and the violations found on the way."""
-        nonlocal walked
-        words, violations = [], []
-        while walked < depth:
-            walked += 1
-            words, found = spec.compatibility_level(walked, budget)
-            violations.extend(found)
-        return words, violations
+    def words_at(depth: int) -> list[Word]:
+        """The words of level `depth`, walking on to it; the compatibility
+        violations of each level walked on the way join `violations`."""
+        while len(walked) <= depth:
+            pairs = next(walk)
+            violations.extend(spec.compatibility_violations(pairs))
+            walked.append([w for w, _ in pairs])
+        return walked[depth]
 
     q = math.inf
     for level in levels:
-        words, violations = walk(level)
+        words = words_at(level)
         if violations:
             return _compat_failure(spec, violations, warnings)
         if not words:
             warnings.append(f"no legal words of length {level}; skipped")
             continue
-        q = min(spec.min_expansion(w) for w in words)
+        q = spec.min_expansion_over(words)
         if q > 1.0 + EPS_ONE:
             return Verdict("verified_Qn", {"n": level, "Q_n": q}, warnings)
         if abs(q - 1.0) <= EPS_ONE and all(not spec.word_transform(w).is_rotation for w in words):
@@ -243,10 +244,10 @@ def verify(spec: NumberSystemSpec, mode: str = "auto", n: int | None = None,
         return Verdict("inconclusive", {"n": n, "Q_n": q}, warnings)
     if prefix_set:
         b_words = [spec._as_word(b) for b in prefix_set]
-        _, violations = walk(max(len(b) for b in b_words))
+        language = words_at(max(len(b) for b in b_words))
         if violations:
             return _compat_failure(spec, violations, warnings)
-        check = spec.check_prefix_set(b_words, budget)
+        check = spec.check_prefix_set(b_words, language)
         warnings.extend(check.warnings)
         if check.passed:
             return Verdict("verified_prefix_set",

@@ -25,7 +25,7 @@ from .arcs import (
     min_inverse_derivative,
 )
 from .errors import DepthCapExceeded, EmptyRefinedSet
-from .subshift import Alphabet, Subshift, Word, _pruned_words
+from .subshift import Alphabet, Subshift, Word, last_level, walk
 from .transforms import TAU
 
 EPS_COMPAT = 1e-8   # endpoint tolerance for the cover-extension identity
@@ -223,53 +223,47 @@ class NumberSystemSpec:
 
     # -- the interval shift -----------------------------------------------------
 
-    def interval_shift_language(self, n: int, budget: int = 10_000_000) -> list[Word]:
+    def interval_shift_levels(self, n_max: int | None = None):
+        """Yield the levels 0..n_max of the interval shift (every level when
+        n_max is None): the legal words with nonempty refined sets, as
+        lexicographic (word, follower state) pairs, one list per level."""
+        return walk(self.automaton, n_max, "interval-shift enumeration",
+                    keep=lambda w: not self.refined_set(w).is_empty)
+
+    def interval_shift_language(self, n: int) -> list[Word]:
         """Legal length-n words whose refined sets are nonempty, lexicographic."""
-        return _pruned_words(self.automaton, n, budget, "interval-shift enumeration",
-                             keep=lambda w: not self.refined_set(w).is_empty)
+        return last_level(self.interval_shift_levels(n))
 
-    def legal_extensions(self, word: Word) -> list[int]:
-        """Symbols a with word+a still legal in the subshift language."""
-        state = self.automaton.initial
-        for a in word:
-            state = self.automaton.step(state, a)
-            if state is None:
-                return []
-        return [a for a in range(self.alphabet.size) if self.automaton.step(state, a) is not None]
-
-    def compatibility_level(self, m: int, budget: int = 10_000_000):
-        """Violations of the extension identity among words of length m.
-
-        Returns (words, violations): the interval-shift words of length m,
-        checked, and the violations, each pairing a word with the gap arcs
-        its extensions fail to cover.
-        """
+    def compatibility_violations(self, level) -> list[tuple[Word, tuple[tuple[float, float], ...]]]:
+        """Words of one walked level whose refined closure is not the union
+        of their legal one-letter extensions', each paired with the gap arcs
+        the extensions fail to cover."""
         violations = []
-        words = self.interval_shift_language(m, budget)
-        for word in words:
+        for word, state in level:
             lhs = self.refined_set(word).closure()
             rhs_open = ArcSet.empty()
-            for a in self.legal_extensions(word):
-                rhs_open = rhs_open.union(self.refined_set(word + (a,)))
+            for a, nxt in enumerate(self.automaton.transitions[state]):
+                if nxt is not None:
+                    rhs_open = rhs_open.union(self.refined_set(word + (a,)))
             gaps = tuple(
                 g for g in closed_difference(lhs, rhs_open.closure())
                 if g[1] > EPS_COMPAT
             )
             if gaps:
                 violations.append((word, gaps))
-        return words, violations
+        return violations
 
-    def compatibility_check(self, depth: int, budget: int = 10_000_000) -> CompatibilityReport:
+    def compatibility_check(self, depth: int) -> CompatibilityReport:
         """Verify that each refined closure is the union of its legal
         one-letter extensions, for all interval-shift words up to `depth`.
 
-        Violating words are reported with the uncovered gap arcs.
+        Violating words are reported with the uncovered gap arcs; a
+        negative depth raises ValueError.
         """
         report = CompatibilityReport(depth=depth, checked=0)
-        for m in range(0, depth + 1):
-            words, violations = self.compatibility_level(m, budget)
-            report.checked += len(words)
-            report.violations.extend(violations)
+        for level in self.interval_shift_levels(depth):
+            report.checked += len(level)
+            report.violations.extend(self.compatibility_violations(level))
         return report
 
     # -- expansion bounds ---------------------------------------------------------
@@ -283,20 +277,23 @@ class NumberSystemSpec:
             raise EmptyRefinedSet(f"word {word} has an empty refined set")
         return min_inverse_derivative(f, refined.closure())
 
-    def level_min_expansion(self, n: int, budget: int = 10_000_000) -> float:
+    def level_min_expansion(self, n: int) -> float:
         """Minimum of min_expansion over all interval-shift words of length n;
         +inf when that level of the language is empty."""
-        words = self.interval_shift_language(n, budget)
-        if not words:
-            return math.inf
-        return min(self.min_expansion(w) for w in words)
+        return self.min_expansion_over(self.interval_shift_language(n))
 
-    def expansion_rate_bound(self, n_max: int, budget: int = 10_000_000) -> ExpansionRateBound:
+    def min_expansion_over(self, words) -> float:
+        """Minimum of min_expansion over the words; +inf when there are none."""
+        return min((self.min_expansion(w) for w in words), default=math.inf)
+
+    def expansion_rate_bound(self, n_max: int) -> ExpansionRateBound:
         """Best n-th-root lower bound over levels 1..n_max, with diagnostics."""
         table = []
         best, best_n = -math.inf, 0
-        for n in range(1, n_max + 1):
-            q = self.level_min_expansion(n, budget)
+        levels = self.interval_shift_levels(max(n_max, 0))
+        next(levels)  # level 0, the empty word
+        for n, level in enumerate(levels, 1):
+            q = self.min_expansion_over(w for w, _ in level)
             table.append((n, q))
             if math.isinf(q):
                 continue
@@ -322,16 +319,18 @@ class NumberSystemSpec:
 
     # -- prefix sets -----------------------------------------------------------------
 
-    def check_prefix_set(self, words_b, budget: int = 10_000_000) -> PrefixSetVerdict:
+    def check_prefix_set(self, words_b, language=None) -> PrefixSetVerdict:
         """Check a candidate prefix set B: every interval-shift word of
         length max|b| must start with some b, and each b's refined set must
-        sit inside the expansion interval of its word map."""
+        sit inside the expansion interval of its word map.  `language`, the
+        interval-shift words of length max|b|, is enumerated when not given."""
         b_words = [self._as_word(b) for b in words_b]
         if not b_words:
             raise ValueError("prefix set must be nonempty")
         verdict = PrefixSetVerdict(passed=True)
-        max_len = max(len(b) for b in b_words)
-        for w in self.interval_shift_language(max_len, budget):
+        if language is None:
+            language = self.interval_shift_language(max(len(b) for b in b_words))
+        for w in language:
             if not any(w[: len(b)] == b for b in b_words):
                 verdict.missing_prefix.append(w)
         for b in b_words:

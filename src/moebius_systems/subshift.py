@@ -9,11 +9,14 @@ authoritative filter downstream.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded
 
 Word = tuple[int, ...]
+
+BUDGET = 10_000_000  # words one language walk may visit before BudgetExceeded
 
 
 @dataclass(frozen=True)
@@ -97,9 +100,9 @@ class Subshift:
                     return False
         return True
 
-    def language(self, n: int, budget: int = 10_000_000) -> list[Word]:
-        """All legal words of length n, lexicographic, by pruned DFS."""
-        return _pruned_words(self.follower_automaton(), n, budget, "language enumeration")
+    def language(self, n: int) -> list[Word]:
+        """All legal words of length n, lexicographic."""
+        return last_level(walk(self.follower_automaton(), n, "language enumeration"))
 
     def follower_automaton(self) -> "FollowerAutomaton":
         return FollowerAutomaton(self)
@@ -154,34 +157,41 @@ class FollowerAutomaton:
         return True
 
 
-def _pruned_words(auto: FollowerAutomaton, n: int, budget: int, what: str,
-                  keep=None) -> list[Word]:
-    """Length-n words accepted by the automaton, lexicographic, by DFS.
+def walk(auto: FollowerAutomaton, n_max: int | None, what: str, keep=None):
+    """Yield the levels 0..n_max of the automaton's language (every level
+    when n_max is None; the caller stops taking them).
 
-    A branch is cut as soon as the automaton rejects it or keep(word) is
-    false for its current prefix; more than `budget` visited prefixes
-    raise BudgetExceeded, naming the enumeration as `what`.  n < 0 raises
-    ValueError (no word has that length, and the walk would never stop).
+    Each level is a list of (word, state) pairs in lexicographic order,
+    state being the follower state after the word.  A level extends the
+    pairs of the one before it, so a branch is cut for good as soon as the
+    automaton rejects it or keep(word) is false; more than BUDGET words
+    over all levels raise BudgetExceeded, naming the enumeration as
+    `what`.  n_max < 0 raises ValueError (no word has that length).
     """
-    if n < 0:
-        raise ValueError(f"{what} needs a word length n >= 0, got {n}")
-    out: list[Word] = []
-    count = 0
-    letters = range(auto.subshift.alphabet.size - 1, -1, -1)
-    stack = [((), auto.initial)]
-    while stack:
-        word, state = stack.pop()
-        count += 1
-        if count > budget:
-            raise BudgetExceeded(f"{what} exceeded {budget} candidates")
-        if len(word) == n:
-            out.append(word)
-            continue
-        for a in letters:
-            nxt = auto.step(state, a)
-            if nxt is None:
-                continue
-            longer = word + (a,)
-            if keep is None or keep(longer):
-                stack.append((longer, nxt))
-    return out
+    if n_max is not None and n_max < 0:
+        raise ValueError(f"{what} needs a word length n >= 0, got {n_max}")
+    level = [((), auto.initial)]
+    count = 1
+    for depth in itertools.count():
+        yield level
+        if depth == n_max:
+            return
+        longer = []
+        for word, state in level:
+            for a, nxt in enumerate(auto.transitions[state]):
+                if nxt is None:
+                    continue
+                w = word + (a,)
+                if keep is None or keep(w):
+                    count += 1
+                    if count > BUDGET:
+                        raise BudgetExceeded(f"{what} exceeded {BUDGET} candidates")
+                    longer.append((w, nxt))
+        level = longer
+
+
+def last_level(levels) -> list[Word]:
+    """The words of the last level a walk yields."""
+    for level in levels:
+        pass
+    return [word for word, _ in level]

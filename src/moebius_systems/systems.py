@@ -58,11 +58,14 @@ def _make_parabolic3() -> NumberSystemSpec:
     )
 
 
+_CF_SYMBOLS = ("1-", "0", "1")  # shared with cf_digit_stream
+
+
 def _make_cf() -> NumberSystemSpec:
     half = math.pi / 2.0
     return _spec(
         "cf",
-        ["1-", "0", "1"],
+        _CF_SYMBOLS,
         [
             normalize([[(2 - 1j) / 2, -0.5], [-0.5, (2 + 1j) / 2]]),
             normalize([[-1j, 0], [0, 1j]]),
@@ -296,10 +299,9 @@ def cf_digit_stream(p: int, q: int):
     followed by the opposite translation repeated forever (the opposite
     sign keeps the three-letter factors legal).
     """
-    cf = builtin("cf")
-    inv = cf.alphabet.index("0")
-    minus = cf.alphabet.index("1-")
-    plus = cf.alphabet.index("1")
+    inv = _CF_SYMBOLS.index("0")
+    minus = _CF_SYMBOLS.index("1-")
+    plus = _CF_SYMBOLS.index("1")
     terms = classical_cf_terms(p, q)
     last = minus
     yield inv

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from moebius_systems.arcs import (
+    EPS_NEAR_FULL,
     _closed_arcs_cover,
     ArcSet,
     ClosedArcSet,
@@ -153,6 +154,36 @@ def test_image_membership_oracle():
                 continue
             assert got.contains(f.apply_angle(theta)) == x.contains(theta) or \
                 min(abs(circle_distance(f.apply_angle(theta), gs)) for gs, gl in got.arcs or [(99, 0)]) < 1e-6
+
+
+def _assert_image_matches_sampling(f, x, missing):
+    """image(f, x) holds f of dense samples of x and leaves out `missing`."""
+    got = image(f, x)
+    (s, l), = x.arcs
+    for theta in np.linspace(s, s + l, 2001)[1:-1]:
+        assert got.contains(f.apply_angle(theta))
+    assert not got.full and not got.contains(missing)
+    return got
+
+
+def test_image_of_circle_minus_a_point_is_near_full():
+    f = contraction(3.0)
+    got = _assert_image_matches_sampling(f, ArcSet.from_arcs([(1.0, TAU)]), f.apply_angle(1.0))
+    (s, l), = got.arcs
+    assert circle_distance(s, f.apply_angle(1.0)) < 1e-12 and l == pytest.approx(TAU)
+
+
+def test_image_of_sub_full_arc_reading_near_full():
+    # the arc misses 4e-6 around the attracting fixed point 0; f shrinks that
+    # gap by 1/9, so the endpoint gap of the image reads within
+    # EPS_NEAR_FULL of a full turn and the midpoint decides its length
+    delta = 2e-6
+    x = ArcSet.from_arcs([(delta, TAU - 2 * delta)])
+    assert TAU - x.arcs[0][1] > EPS_NEAR_FULL
+    got = _assert_image_matches_sampling(contraction(3.0), x, 0.0)
+    (_, l), = got.arcs
+    assert TAU - l == pytest.approx(2 * delta / 9, rel=1e-6)
+    assert TAU - l < EPS_NEAR_FULL
 
 
 # -- expansion geometry --------------------------------------------------------------

@@ -59,6 +59,18 @@ def test_verify_strict_exit_code(capsys):
     assert code == 0  # without --strict the report alone carries the verdict
 
 
+@pytest.mark.parametrize("modes", [
+    ("--qn", "2", "--prefix-set", "1"),
+    ("--qn", "2", "--auto"),
+    ("--prefix-set", "01,01-,1,1-", "--auto"),
+])
+def test_verify_modes_exclude_each_other(capsys, modes):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--builtin", "cf", *modes])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_verify_negative_level_exits_2(capsys):
     code, report, err = run(capsys, "verify", "--builtin", "cf", "--qn", "-1")
     assert code == 2 and report is None
@@ -190,14 +202,15 @@ def test_command_replaced_after_first_call_is_invoked(capsys, monkeypatch):
     run(capsys, "sofic", "--builtin", "parabolic3")
     seen = []
 
-    def fake_sofic(args):
-        seen.append((args.builtin, args.cap))
-        return 0
+    def fake_sofic(args, spec):
+        seen.append((args.builtin, args.cap, spec.name))
+        return {"cap": args.cap}, {"fake": True}, []
 
     monkeypatch.setattr(cli, "cmd_sofic", fake_sofic)
     code, report, _ = run(capsys, "sofic", "--builtin", "cf", "--cap", "9")
-    assert code == 0 and report is None
-    assert seen == [("cf", 9)]
+    assert code == 0 and report["result"] == {"fake": True}
+    assert report["command"] == "sofic" and report["inputs"] == {"cap": 9}
+    assert seen == [("cf", 9, "cf")]
 
 
 @pytest.mark.parametrize("eps", ["inf", "nan", "-1"])

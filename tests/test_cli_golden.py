@@ -1,0 +1,122 @@
+"""Golden CLI runs: exit code, stderr and digests of the report and files.
+
+Each case runs `moebius` in-process in an empty directory that holds only
+`cf.json` (the cf builtin as a definition file), so paths in messages are
+the same on every run.  A report is pinned by the SHA-256 of its JSON,
+printed with indent 2 and without `timings`; a written report file the
+same way, any other written file by the SHA-256 of its bytes.  The
+digests were recorded before the report path moved into `cli.main`, and
+any change to how reports are built or written must keep them.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from moebius_systems.cli import main
+from moebius_systems.systems import builtin, serialize_config
+
+# name: (argv, exit code, stderr, report digest or None, {file: digest})
+CASES = {
+    "classify": (
+        ["classify", "--builtin", "cf", "1"], 0, "",
+        "4b76ff6b299a4c9dca50314d1898c47474180bff3a4a84c906aea7e49f888765", {}),
+    "classify-system-file": (
+        ["classify", "--system", "cf.json", "0"], 0, "",
+        "541f1e2ad633334ba5313f99b3615121beadf7de11bcfdf24e4d05a028114385", {}),
+    "classify-out-file": (
+        ["classify", "--builtin", "binary", "0", "--out", "report.json"], 0, "", None,
+        {"report.json": "f9a66aed0fdfb384809148659f94548e52d96297e38e96013efe16459bb131b7"}),
+    "verify-auto": (
+        ["verify", "--builtin", "parabolic3", "--auto"], 0, "",
+        "cc3fd3d20266ca787c04fe7f6ba7b7abc8a4f9923bbcb7ee9df9b2693c7f0d11", {}),
+    "verify-auto-cf": (
+        ["verify", "--builtin", "cf", "--auto"], 0, "",
+        "e6f443f8a58b1baf38cd4d4bfe282e2e1f3a3c4e24cb68d7b0ea0e86d8f69269", {}),
+    "verify-prefix-set": (
+        ["verify", "--builtin", "cf", "--prefix-set", "01,01-,1,1-"], 0, "",
+        "90c96ad38eb488dfd0d72153ae00f5dc384f70cb7022964b18ffbe7517689c7c", {}),
+    "verify-qn-strict": (
+        ["verify", "--builtin", "binary", "--qn", "1", "--strict"], 1, "",
+        "1fe625051b09416e73a7d59cc37e3881b281ec5b036e6c28fb0c54250dcaf169", {}),
+    "encode": (
+        ["encode", "--builtin", "cf", "1-1-", "--tol", "1e-3", "--unicode"], 0, "",
+        "9267509d5d3e39c3d693bd8241a8e6b91dcd61cee34f391d4a1ed4b1fd0e9a15", {}),
+    "decode": (
+        ["decode", "--builtin", "binary", "--real", "0.5", "--digits", "40"], 0, "",
+        "38aeac5e023902e73df534a705193d2b646ba67881dc2165456c5d0a4a56c89f", {}),
+    "qn": (
+        ["qn", "--builtin", "binary", "--max-n", "4"], 0, "",
+        "3039f1f0fc020396648e18f236eb3ef9b3a1b2d7907adae1e4e9f129ca032591", {}),
+    "qn-system-file": (
+        ["qn", "--system", "cf.json", "--max-n", "3"], 0, "",
+        "d668dda0ad5b40acb947c5453f845191550612c9d0c8362a6aedecb7a2d21651", {}),
+    "sofic": (
+        ["sofic", "--builtin", "parabolic3"], 0, "",
+        "e0021b27ab3d0b048542ece718f842bd43712cc074e31466b662b36b122115ff", {}),
+    "existence-map-pgm": (
+        ["existence-map", "--res", "6x4", "--depth", "5", "--nmax", "5", "--out", "grid.pgm"],
+        0, "", "3deaca2c0e63cd18aac4854c2c9dd02f0f5f41772bea8cdf2e35a46ea1294ed2",
+        {"grid.pgm": "51a012921b6205f58c70a46366b70181596a47c04d6b2a1db77dd84d7f79f0a6"}),
+    "existence-map-csv": (
+        ["existence-map", "--res", "3x2", "--depth", "4", "--nmax", "4", "--out", "grid.csv"],
+        0, "", "ced4c896232ccb1bbecca2ff01d606accbf1603b171b3817a96e4df5c7c569a1",
+        {"grid.csv": "0f918a79b97dac5917e4e9e5108552711befb9ffd8d4647051ba5158fda13b06"}),
+    "unknown-symbol": (
+        ["classify", "--builtin", "cf", "7"], 2,
+        "error: cannot tokenize '7' over ('1-', '0', '1')\n", None, {}),
+    "missing-system-file": (
+        ["classify", "--system", "missing.json", "0"], 2,
+        "error: [Errno 2] No such file or directory: 'missing.json'\n", None, {}),
+    "no-system": (
+        ["classify", "0"], 2, "error: one of --builtin or --system is required\n", None, {}),
+    "sofic-eps-inf": (
+        ["sofic", "--builtin", "cf", "--eps", "inf"], 2,
+        "error: eps_state must be finite and >= 0, got inf\n", None, {}),
+    "verify-negative-qn": (
+        ["verify", "--builtin", "cf", "--qn", "-1"], 2,
+        "error: mode 'qn' needs a level n >= 0, got -1\n", None, {}),
+    "decode-no-point": (
+        ["decode", "--builtin", "cf"], 2, "error: decode needs --theta or --real\n", None, {}),
+    "existence-map-bad-res": (
+        ["existence-map", "--res", "banana"], 2,
+        "error: --res must look like 200x200, got 'banana'\n", None, {}),
+    "existence-map-bad-extension": (
+        ["existence-map", "--res", "4x4", "--out", "map.bmp"], 2,
+        "error: --out must end in .pgm, .csv or .json\n", None, {}),
+    "existence-map-out-missing-dir": (
+        ["existence-map", "--res", "2x2", "--depth", "3", "--nmax", "3",
+         "--out", "nodir/grid.pgm"], 2,
+        "error: [Errno 2] No such file or directory: 'nodir/grid.pgm'\n", None, {}),
+    "report-out-missing-dir": (
+        ["classify", "--builtin", "cf", "1", "--out", "nodir/r.json"], 2,
+        "error: [Errno 2] No such file or directory: 'nodir/r.json'\n", None, {}),
+}
+
+
+def _report_digest(text: str) -> str | None:
+    if not text.strip():
+        return None
+    report = json.loads(text)
+    report.pop("timings")
+    return hashlib.sha256(json.dumps(report, indent=2).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_cli_run(name, tmp_path, monkeypatch, capsys):
+    argv, code, err, report, files = CASES[name]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cf.json").write_text(json.dumps(serialize_config(builtin("cf"))))
+    assert main(list(argv)) == code
+    captured = capsys.readouterr()
+    assert captured.err == err
+    assert _report_digest(captured.out) == report
+    written = {}
+    for path in sorted(tmp_path.iterdir()):
+        if path.name == "cf.json":
+            continue
+        data = path.read_bytes()
+        written[path.name] = (_report_digest(data.decode()) if path.suffix == ".json"
+                              else hashlib.sha256(data).hexdigest())
+    assert written == files

@@ -10,6 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from moebius_systems import subshift
 from moebius_systems.arcs import ArcSet
 from moebius_systems.codec import decode, encode, representable_interval, verify
 from moebius_systems.errors import EmptyRefinedSet, IllegalPrefix, NoLegalDigit
@@ -362,6 +363,14 @@ def test_verify_binary_level_one_inconclusive():
     assert v.evidence["Q_n"] < 1.0
 
 
+def test_verify_binary_level_five_certifies_strictly():
+    # Q_5 clears 1 + EPS_ONE, so the strict certificate decides the verdict
+    # and the rotation-free rule is not needed
+    v = verify(builtin("binary"), mode="qn", n=5)
+    assert v.status == "verified_Qn" and v.warnings == []
+    assert v.evidence == {"n": 5, "Q_n": 1.2500000000000007}
+
+
 def test_verify_flags_incompatible_cover():
     from moebius_systems.systems import with_cover
     bi = builtin("binary")
@@ -373,17 +382,18 @@ def test_verify_flags_incompatible_cover():
     assert v.evidence.get("compatibility_violations")
 
 
-def test_verify_mode_validation():
+def test_verify_mode_validation(monkeypatch):
     with pytest.raises(ValueError):
         verify(builtin("cf"), mode="qn")
     with pytest.raises(ValueError):
         verify(builtin("cf"), mode="prefix_set")
     with pytest.raises(ValueError):
         verify(builtin("cf"), mode="nope")
-    # budget=1 would stop any enumeration at its second prefix, so only a
+    # a budget of 1 would stop any walk at its second word, so only a
     # check made before the walk raises ValueError here
+    monkeypatch.setattr(subshift, "BUDGET", 1)
     with pytest.raises(ValueError, match="n >= 0"):
-        verify(builtin("cf"), mode="qn", n=-1, budget=1)
+        verify(builtin("cf"), mode="qn", n=-1)
 
 
 def _turned_cover(spec, turn):

@@ -152,6 +152,9 @@ def test_shift_invariance_of_language():
 
 def test_binary_compatibility_depth_one():
     assert builtin("binary").compatibility_check(1).passed
+    # a negative depth checks no word, so it is an error and not a pass
+    with pytest.raises(ValueError, match="n >= 0"):
+        builtin("cf").compatibility_check(-1)
 
 
 def test_trivial_cover_is_compatible():

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from moebius_systems.errors import BudgetExceeded
+from moebius_systems import subshift
 from moebius_systems.subshift import Alphabet, Subshift
 
 
@@ -53,10 +54,11 @@ def test_language_matches_brute_force():
         assert p3.language(n) == brute
 
 
-def test_language_budget():
+def test_language_budget(monkeypatch):
+    monkeypatch.setattr(subshift, "BUDGET", 100)
     full = Subshift(Alphabet(("0", "1")), ())
     with pytest.raises(BudgetExceeded):
-        full.language(20, budget=100)
+        full.language(20)
 
 
 def test_factoriality():
@@ -115,11 +117,12 @@ def test_forbidden_validation():
         Subshift(alph, ((5,),))
 
 
-def test_negative_word_length_rejected():
-    # budget=1 would stop any walk at its second prefix, so only a check
-    # made before the walk can raise ValueError here
+def test_negative_word_length_rejected(monkeypatch):
     with pytest.raises(ValueError, match="n >= 0"):
-        cf_shift().language(-1, budget=1)
+        cf_shift().language(-1)
+    # a budget of 1 would stop any walk at its second word, so only a
+    # check made before the walk can raise ValueError here
+    monkeypatch.setattr(subshift, "BUDGET", 1)
     with pytest.raises(ValueError, match="n >= 0"):
-        cf_shift().language(-1, budget=200_000)
+        cf_shift().language(-1)
 
