@@ -10,7 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from moebius_systems import subshift
+from moebius_systems import interval_system, subshift
 from moebius_systems.arcs import ArcSet
 from moebius_systems.codec import decode, encode, representable_interval, verify
 from moebius_systems.errors import EmptyRefinedSet, IllegalPrefix, NoLegalDigit
@@ -369,6 +369,26 @@ def test_verify_binary_level_five_certifies_strictly():
     v = verify(builtin("binary"), mode="qn", n=5)
     assert v.status == "verified_Qn" and v.warnings == []
     assert v.evidence == {"n": 5, "Q_n": 1.2500000000000007}
+
+
+@pytest.mark.parametrize("query", [
+    lambda spec: verify(spec, mode="auto", n_max=3, prefix_set=["0", "1", "1-", "21", "21-", "22"]),
+    lambda spec: verify(spec, mode="prefix_set", prefix_set=["0", "1", "1-", "21", "21-", "22"]),
+    lambda spec: verify(spec, mode="qn", n=3),
+    lambda spec: spec.expansion_rate_bound(4),
+    lambda spec: spec.compatibility_check(3),
+], ids=["verify-auto", "verify-prefix-set", "verify-qn", "expansion-rate-bound",
+        "compatibility-check"])
+def test_each_query_walks_the_interval_shift_once(monkeypatch, query):
+    real, starts = interval_system.walk, []
+
+    def counted(*args, **kwargs):
+        starts.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(interval_system, "walk", counted)
+    query(builtin("binary"))
+    assert len(starts) == 1
 
 
 def test_verify_flags_incompatible_cover():
