@@ -9,6 +9,19 @@ through the prefix map, is stepped by NumberSystemSpec.pull_step, whose
 results the spec interns in a bounded table so that repeated states cost
 a lookup.
 
+A run of one letter a is taken in closed form once _RUN_MIN digits of it
+went one by one, when a is exactly parabolic (transforms.parabolic_scale:
+with M its matrix at determinant 1, M^k = k M - (k - 1) I) and the
+follower state and the pullback state are both fixed by a.  The least k
+whose certificate meets tol is solved for and confirmed at k - 1 and k;
+the run's digits are then read in chunks that double in size, and every
+one is compared with a at C speed.  A mismatch ends the jump there and
+the loop goes on with that digit; max_digits still caps the count.  The
+jump does not renormalize, so F keeps det F_0, and the certificate of a
+run carries no rounding drift: on the cf system's rational streams, whose
+tails are endless runs of a parabolic letter, the digit count at which
+encode stops is the exact first crossing of tol.
+
 The decoder walks the point backwards through inverse letter maps,
 choosing at each step the first legal symbol whose closed cover arc
 contains the current point without sitting at its counterclockwise end
@@ -21,6 +34,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from itertools import chain, compress, count, islice, repeat
+from operator import ne
 
 from .arcs import ClosedArcSet, EPS_ANGLE, image  # noqa: F401  the benchmark tests wrap codec.image
 from .errors import EmptyRefinedSet, IllegalPrefix, NoLegalDigit
@@ -31,6 +46,10 @@ from .transforms import (
 )
 
 _NEARLY_FULL = TAU - EPS_ANGLE
+_NEAR_TOL = 1e-6           # relative margin far above rounding in 1/|beta| vs tol
+_RUN_MIN = 16               # digits of a run taken one by one before a jump is tried
+_RUN_CHUNK_MIN = 8         # digits in the first chunk a run jump reads
+_RUN_CHUNK_MAX = 1 << 12   # chunk size cap: an endless run is read in bounded memory
 
 
 @dataclass(frozen=True)
@@ -63,17 +82,26 @@ def encode(spec: NumberSystemSpec, digits, tol: float, max_digits: int | None = 
     `digits` may be a finite word or any iterable digit stream; prefix
     legality (subshift language and nonempty refinement) is checked
     incrementally, so arbitrarily long streams run at constant cost per
-    digit.  If the digits run out above tol the best estimate is still
-    returned with converged=False.  Pass max_digits when feeding an
-    infinite stream that might not reach tol (e.g. on unverified
-    systems); without it the loop runs until the certificate is met.
+    digit, and a run of one letter costs about as much as one digit (see
+    the module docstring).  If the digits run out above tol the best
+    estimate is still returned with converged=False.  Pass max_digits
+    when feeding an infinite stream that might not reach tol (e.g. on
+    unverified systems); without it the loop runs until the certificate
+    is met.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:  # NaN too: no radius is ever <= NaN
+        raise ValueError(f"tol must be positive, got {tol!r}")
+    if max_digits is not None and max_digits < 0:
+        raise ValueError(f"max_digits must be >= 0, got {max_digits!r}")
     word_digits = spec._as_word(digits) if isinstance(digits, (str, tuple, list)) else digits
+    # the loop reads `stream`: the digits a run jump read past its end
+    # (`pending`, from stream position `pstart` on), then the rest of `base`
+    base = iter(word_digits)
+    stream, pending, pstart = base, (), 0
     state = spec.automaton.initial
-    step = spec.automaton.step
+    moves = spec.automaton.transitions  # follower state x letter -> state or None
     fwd = [(f.alpha, f.beta) for f in spec.transforms]
+    scales = spec._parabolic_scales
     renorm_max, eps_rotation = RENORM_MAX, EPS_ROTATION
     # the pullback state is an id in the spec's table of interned pullback
     # sets (0 the full circle, 1 the empty set); on sofic systems it cycles
@@ -83,35 +111,64 @@ def encode(spec: NumberSystemSpec, digits, tol: float, max_digits: int | None = 
     sid = 0
     fa, fb = 1.0 + 0j, 0j
     consumed = 0
-    radius = math.inf
-    for a in word_digits:
-        if max_digits is not None and consumed >= max_digits:
-            break
-        state = step(state, a)
-        if state is None:
-            raise IllegalPrefix(
-                f"digit {spec.alphabet.symbols[a]!r} at position {consumed} leaves the language"
-            )
-        nxt = rows[sid][a]
-        if nxt is None:
-            table, nxt = spec._pull_edge(table, sid, a)
-            rows = table.rows
-        sid = nxt
-        if sid == 1:  # the empty set
-            raise IllegalPrefix(
-                f"digit {spec.alphabet.symbols[a]!r} at position {consumed} refines to the empty set"
-            )
-        a2, b2 = fwd[a]
-        fa, fb = fa * a2 + fb * b2.conjugate(), fa * b2 + fb * a2.conjugate()
-        if abs(fa) < renorm_max:  # renormalize while the cancellation is benign
-            norm = math.sqrt(abs(fa) ** 2 - abs(fb) ** 2)
-            fa, fb = fa / norm, fb / norm
-        consumed += 1
-        b = abs(fb)
-        radius = math.inf if b <= eps_rotation else 1.0 / b
-        if radius <= tol:
-            break
-    if abs(fb) > EPS_ROTATION:
+    b_near = (1.0 - _NEAR_TOL) / tol  # below this |beta| the radius 1/|beta| exceeds tol
+    prev, jump_from, run_min = None, 0, _RUN_MIN
+    while stream is not None:
+        digits_in, stream = stream, None
+        for a in digits_in:
+            if max_digits is not None and consumed >= max_digits:
+                break
+            if a != prev:
+                prev, jump_from = a, consumed + run_min
+            elif (consumed >= jump_from and rows[sid][a] == sid
+                    and scales[a] is not None and moves[state][a] == state):
+                # a run of a from here on: state and pullback stay put, and
+                # F A^k = k (F A) - (k - 1) F takes the run in one step
+                scale = scales[a]
+                a2, b2 = fwd[a]
+                a1 = (fa * a2 + fb * b2.conjugate()) * scale
+                b1 = (fa * b2 + fb * a2.conjugate()) * scale
+                room = math.inf if max_digits is None else max_digits - consumed
+                k = _run_crossing(fb, b1, tol, room)
+                m, rest, n_read = _read_run(digits_in, a, (room if k is None else k) - 1)
+                fa, fb = (m + 1) * a1 - m * fa, (m + 1) * b1 - m * fb
+                end = consumed + 1 + n_read  # stream position after what was read
+                consumed += m + 1
+                b = abs(fb)
+                if b > eps_rotation and 1.0 / b <= tol:
+                    break
+                if rest:  # the run broke: go on from the mismatching digit
+                    if end < pstart + len(pending):
+                        rest += pending[end - pstart:]
+                    stream, pending, pstart = chain(rest, base), rest, consumed
+                    break
+                continue
+            state = moves[state][a]
+            if state is None:
+                raise IllegalPrefix(
+                    f"digit {spec.alphabet.symbols[a]!r} at position {consumed} leaves the language"
+                )
+            nxt = rows[sid][a]
+            if nxt is None:
+                table, nxt = spec._pull_edge(table, sid, a)
+                rows = table.rows
+            sid = nxt
+            if sid == 1:  # the empty set
+                raise IllegalPrefix(
+                    f"digit {spec.alphabet.symbols[a]!r} at position {consumed} refines to the empty set"
+                )
+            a2, b2 = fwd[a]
+            fa, fb = fa * a2 + fb * b2.conjugate(), fa * b2 + fb * a2.conjugate()
+            if abs(fa) < renorm_max:  # renormalize while the cancellation is benign
+                norm = math.sqrt(abs(fa) ** 2 - abs(fb) ** 2)
+                fa, fb = fa / norm, fb / norm
+            consumed += 1
+            b = abs(fb)
+            if b >= b_near and (math.inf if b <= eps_rotation else 1.0 / b) <= tol:
+                break
+    b = abs(fb)
+    radius = math.inf if b <= EPS_ROTATION else 1.0 / b
+    if b > EPS_ROTATION:
         z = fa / fb.conjugate()
     else:
         z = (fa * 0.5 + fb) / (fb.conjugate() * 0.5 + fa.conjugate())  # rotation prefix
@@ -121,6 +178,78 @@ def encode(spec: NumberSystemSpec, digits, tol: float, max_digits: int | None = 
         digits_consumed=consumed,
         converged=radius <= tol,
     )
+
+
+def _run_crossing(b0: complex, b1: complex, tol: float, cap) -> int | None:
+    """Least k in 1..cap with 1/|beta_k| <= tol, or None when there is none.
+
+    beta_k = k b1 - (k - 1) b0 is the beta entry after k digits of a
+    parabolic run that starts at beta b0 and gives b1 after one.
+    |beta_k|^2 is a convex quadratic in k, below 1/tol^2 at k = 0, so the
+    k that meet tol are all those from the least one on.  That k is
+    solved for from |beta_k| = 1/tol and then confirmed at k - 1 and k,
+    galloping and bisecting when rounding put the root off by more than one.
+    """
+    def met(k):
+        b = abs(k * b1 - (k - 1) * b0)
+        return b > EPS_ROTATION and 1.0 / b <= tol
+
+    # tol * beta_k = u + k v: the positive root of |u + k v|^2 = 1
+    u, v = tol * b0, tol * (b1 - b0)
+    qa = v.real * v.real + v.imag * v.imag
+    qb = u.real * v.real + u.imag * v.imag
+    qc = u.real * u.real + u.imag * u.imag - 1.0
+    root = math.sqrt(qb * qb - qa * qc)
+    guess = -qc / (qb + root) if qb > 0 else (root - qb) / qa if qa else math.inf
+    if not guess < cap:
+        if cap == math.inf:
+            return None
+        guess = cap
+    hi = max(1, math.ceil(guess))
+    if met(hi):
+        gap = 1
+        while hi - gap >= 1 and met(hi - gap):
+            hi -= gap
+            gap *= 2
+        lo = max(hi - gap, 0)
+    else:
+        lo, gap = hi, 1
+        while True:
+            if lo >= cap:
+                return None
+            hi = min(lo + gap, cap)
+            if met(hi):
+                break
+            lo, gap = hi, 2 * gap
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if met(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _read_run(stream, a: int, need) -> tuple[int, tuple, int]:
+    """Read up to `need` digits equal to `a` from the stream, in chunks that
+    double in size, comparing each digit at C speed.
+
+    Returns (m, rest, n_read): the m digits of the run that were read,
+    the chunk's digits from the first mismatch on (empty when the run
+    reached `need` or the stream ended) and the count of digits read.
+    """
+    m, size = 0, _RUN_CHUNK_MIN
+    while m < need:
+        asked = min(size, need - m)
+        chunk = tuple(islice(stream, asked))
+        if chunk.count(a) < len(chunk):
+            j = next(compress(count(), map(ne, chunk, repeat(a))))
+            return m + j, chunk[j:], m + len(chunk)
+        m += len(chunk)
+        if len(chunk) < asked:  # the stream ended
+            break
+        size = min(2 * size, _RUN_CHUNK_MAX)
+    return m, (), m
 
 
 def decode(spec: NumberSystemSpec, theta: float, n_digits: int, prefix: Word = ()) -> Word:

@@ -130,10 +130,12 @@ class NumberSystemSpec:
             (): (ArcSet.full_circle(), transforms.identity())
         }
         # per-letter tables, built once: F_a^-1 (pull_step, decode), the letter
-        # pullback F_a^-1(C_a) (pull_step) and the closed cover arc (decode)
+        # pullback F_a^-1(C_a) (pull_step), the closed cover arc (decode) and
+        # the scale that makes F_a exactly parabolic, or None (encode's runs)
         self._inverses = [f.inverse() for f in self.transforms]
         self._letter_pulls = [image(g, c) for g, c in zip(self._inverses, self.cover)]
         self._closures = [c.closure() for c in self.cover]
+        self._parabolic_scales = [transforms.parabolic_scale(f) for f in self.transforms]
         self._pull_table = _PullbackTable(alphabet.size)
         self._pull_lock = threading.Lock()
 
@@ -288,9 +290,11 @@ class NumberSystemSpec:
 
     def expansion_rate_bound(self, n_max: int) -> ExpansionRateBound:
         """Best n-th-root lower bound over levels 1..n_max, with diagnostics."""
+        if n_max < 1:
+            raise ValueError(f"n_max must be >= 1, got {n_max}")
         table = []
         best, best_n = -math.inf, 0
-        levels = self.interval_shift_levels(max(n_max, 0))
+        levels = self.interval_shift_levels(n_max)
         next(levels)  # level 0, the empty word
         for n, level in enumerate(levels, 1):
             q = self.min_expansion_over(w for w, _ in level)

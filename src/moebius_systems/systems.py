@@ -14,6 +14,7 @@ Four systems ship with the package:
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
@@ -297,19 +298,17 @@ def cf_digit_stream(p: int, q: int):
     blocks of unit translations whose lengths are the classical terms;
     the exact remainder 0-at-infinity is finished off with an inversion
     followed by the opposite translation repeated forever (the opposite
-    sign keeps the three-letter factors legal).
+    sign keeps the three-letter factors legal).  The endless tail is an
+    itertools.repeat, so reading it costs no Python frame per digit.
     """
     inv = _CF_SYMBOLS.index("0")
     minus = _CF_SYMBOLS.index("1-")
     plus = _CF_SYMBOLS.index("1")
-    terms = classical_cf_terms(p, q)
+    head = [inv]
     last = minus
-    yield inv
-    for i, a in enumerate(terms):
+    for i, a in enumerate(classical_cf_terms(p, q)):
         last = minus if i % 2 == 0 else plus
-        for _ in range(a):
-            yield last
-        yield inv
+        head += [last] * a
+        head.append(inv)
     tail = plus if last == minus else minus
-    while True:
-        yield tail
+    return itertools.chain(head, itertools.repeat(tail))

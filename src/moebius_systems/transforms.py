@@ -252,6 +252,29 @@ class DiscMoebius:
         return f"DiscMoebius(alpha={self.alpha:.12g}, beta={self.beta:.12g})"
 
 
+# -- powers -----------------------------------------------------------------
+
+
+def parabolic_scale(f: DiscMoebius) -> float | None:
+    """The factor c for which c times f's stored matrix has determinant 1
+    and trace exactly 2, or None when there is none.
+
+    For that unit-determinant matrix M, Cayley-Hamilton gives
+    M^k = k M - (k - 1) I.  The test is exact on the float entries: with
+    Re alpha > 0 (the canonical sign) it asks |alpha|^2 - |beta|^2 =
+    (Re alpha)^2, that is (Im alpha)^2 = |beta|^2, in integers, so a
+    letter that rounding leaves slightly elliptic or hyperbolic fails it.
+    """
+    if f.alpha.real <= 0.0 or f.beta == 0:
+        return None
+    # (n/d)^2 == (p/e)^2 + (r/g)^2 with the floats' exact integer ratios
+    (n, d), (p, e), (r, g) = (x.as_integer_ratio()
+                              for x in (f.alpha.imag, f.beta.real, f.beta.imag))
+    if (n * e * g) ** 2 != ((p * g) ** 2 + (r * e) ** 2) * d * d:
+        return None
+    return 1.0 / f.alpha.real
+
+
 # -- constructors -----------------------------------------------------------
 
 

@@ -77,6 +77,15 @@ CASES = {
     "verify-negative-qn": (
         ["verify", "--builtin", "cf", "--qn", "-1"], 2,
         "error: mode 'qn' needs a level n >= 0, got -1\n", None, {}),
+    "encode-tol-nan": (
+        ["encode", "--builtin", "cf", "1", "--tol", "nan"], 2,
+        "error: tol must be positive, got nan\n", None, {}),
+    "encode-negative-digits": (
+        ["encode", "--builtin", "cf", "1", "--digits", "-1"], 2,
+        "error: max_digits must be >= 0, got -1\n", None, {}),
+    "qn-max-n-0": (
+        ["qn", "--builtin", "cf", "--max-n", "0"], 2,
+        "error: n_max must be >= 1, got 0\n", None, {}),
     "decode-no-point": (
         ["decode", "--builtin", "cf"], 2, "error: decode needs --theta or --real\n", None, {}),
     "existence-map-bad-res": (

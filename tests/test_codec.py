@@ -6,11 +6,12 @@ import math
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from moebius_systems import interval_system, subshift
+from moebius_systems import codec, interval_system, subshift
 from moebius_systems.arcs import ArcSet
 from moebius_systems.codec import decode, encode, representable_interval, verify
 from moebius_systems.errors import EmptyRefinedSet, IllegalPrefix, NoLegalDigit
@@ -87,6 +88,163 @@ def test_encode_respects_max_digits():
     bi = builtin("binary")
     res = encode(bi, "0" * 100, tol=1e-30, max_digits=10)
     assert res.digits_consumed == 10 and not res.converged
+    # a NaN tol would never be met and a negative cap would return nothing
+    with pytest.raises(ValueError, match="tol must be positive"):
+        encode(bi, itertools.repeat(1), tol=math.nan)
+    with pytest.raises(ValueError, match="max_digits must be >= 0"):
+        encode(bi, "0" * 100, tol=1e-30, max_digits=-1)
+
+
+# -- runs of one letter ----------------------------------------------------------
+
+
+def _gauss(z: complex):
+    # a float's exact value as a Gaussian rational (re, im)
+    return Fraction(z.real), Fraction(z.imag)
+
+
+def _gmul(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _gadd(x, y):
+    return x[0] + y[0], x[1] + y[1]
+
+
+def _exact_cf_crossing(p: int, q: int, tol: float) -> int:
+    """The digit count at which the exact certificate of p/q's cf stream
+    first meets tol: the letters are exact dyadic matrices of determinant
+    1, so Gaussian rationals carry the composition without rounding; the
+    endless tail T gives F T^k = k F T - (k - 1) F (trace 2)."""
+    cf = builtin("cf")
+    letters = [(_gauss(f.alpha), _gauss(f.beta)) for f in cf.transforms]
+    for (ar, ai), (br, bi) in letters:
+        assert ar * ar + ai * ai - br * br - bi * bi == 1
+    r2 = 1 / Fraction(tol) ** 2  # the certificate 1/|beta| <= tol
+    terms = classical_cf_terms(p, q)
+    stream = cf_digit_stream(p, q)
+    head = list(itertools.islice(stream, 1 + sum(terms) + len(terms)))
+    tail = next(stream)
+    fa, fb = (Fraction(1), Fraction(0)), (Fraction(0), Fraction(0))
+    for n, a in enumerate(head, 1):
+        a2, b2 = letters[a]
+        fa, fb = (_gadd(_gmul(fa, a2), _gmul(fb, (b2[0], -b2[1]))),
+                  _gadd(_gmul(fa, b2), _gmul(fb, (a2[0], -a2[1]))))
+        if fb[0] ** 2 + fb[1] ** 2 >= r2:
+            return n
+    a2, b2 = letters[tail]
+    b1 = _gadd(_gmul(fa, b2), _gmul(fb, (a2[0], -a2[1])))
+
+    def met(k):
+        re, im = k * b1[0] - (k - 1) * fb[0], k * b1[1] - (k - 1) * fb[1]
+        return re * re + im * im >= r2
+
+    hi = 1
+    while not met(hi):
+        hi *= 2
+    lo = hi // 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if met(mid) else (mid, hi)
+    return len(head) + hi
+
+
+def test_cf_stream_stops_at_the_exact_crossing():
+    # the tails of q <= 10 run to about 1e5 digits; (441, 964) and
+    # (71, 953) are rationals a per-digit product used to end early
+    cases = [(1, 2), (1, 3), (2, 3), (1, 4), (3, 4), (2, 5), (3, 5), (1, 6), (5, 6),
+             (2, 7), (4, 7), (3, 8), (7, 8), (4, 9), (7, 9), (3, 10), (9, 10),
+             (7, 17), (441, 964), (71, 953), (250, 307), (613, 999)]
+    cf = builtin("cf")
+    for p, q in cases:
+        res = encode(cf, cf_digit_stream(p, q), tol=1e-6, max_digits=5_000_000)
+        assert res.converged
+        assert res.digits_consumed == _exact_cf_crossing(p, q, 1e-6), (p, q)
+    assert _exact_cf_crossing(7, 17, 1e-6) == 108_797
+
+
+def test_parabolic3_runs_match_a_high_precision_product():
+    # a's float matrix is exactly parabolic, so its runs are taken in
+    # closed form; b's and c's are elliptic by a rounding and go digit by digit
+    mpmath = pytest.importorskip("mpmath")
+    p3 = builtin("parabolic3")
+    with mpmath.workdps(60):
+        letters = [(mpmath.mpc(f.alpha), mpmath.mpc(f.beta)) for f in p3.transforms]
+
+        def compose(x, y):
+            (a1, b1), (a2, b2) = x, y
+            return a1 * a2 + b1 * mpmath.conj(b2), a1 * b2 + b1 * mpmath.conj(a2)
+
+        def power(letter, k):
+            result, base = (mpmath.mpc(1), mpmath.mpc(0)), letter
+            while k:
+                if k & 1:
+                    result = compose(result, base)
+                base, k = compose(base, base), k >> 1
+            return result
+
+        for head, run in (("", 20_000), ("c", 50_000), ("bca", 30_000), ("abbbbbca", 3_000)):
+            f = (mpmath.mpc(1), mpmath.mpc(0))
+            for a in p3._as_word(head):
+                f = compose(f, letters[a])
+            fa, fb = compose(f, power(letters[0], run))
+            radius = mpmath.sqrt(abs(fa) ** 2 - abs(fb) ** 2) / abs(fb)
+            exact_angle = float(mpmath.arg(fa / mpmath.conj(fb)))
+            res = encode(p3, head + "a" * run, tol=1e-30)
+            assert res.digits_consumed == len(head) + run
+            assert abs(res.error_radius / float(radius) - 1.0) <= 1e-9, head
+            assert circle_distance(res.angle, canon_angle(exact_angle)) <= 1e-12, head
+
+
+def test_run_jump_checks_every_digit(monkeypatch):
+    cf = builtin("cf")
+    minus, inv, plus = range(3)
+    jumps = []
+    read_run = codec._read_run
+    monkeypatch.setattr(codec, "_read_run", lambda *a: jumps.append(a[2]) or read_run(*a))
+    # the forbidden factor "1 1-" right after a long run is caught where it is
+    with pytest.raises(IllegalPrefix, match="position 3000"):
+        encode(cf, "1" * 3000 + "1-", tol=1e-30)
+    with pytest.raises(IllegalPrefix, match="position 3000"):
+        encode(cf, itertools.chain(itertools.repeat(plus, 3000), [minus]), tol=1e-30)
+    assert len(jumps) == 2
+    # a run broken after j digits reads the same from a stream as from a word
+    for j in (17, 100, 1000, 5000):
+        word = (inv,) + (minus,) * j + (inv,) + (plus,) * 600 + (inv, minus)
+        res = encode(cf, word, tol=1e-30)
+        assert encode(cf, (d for d in word), tol=1e-30) == res
+        assert res.digits_consumed == len(word) and not res.converged
+    assert len(jumps) == 2 + 4 * 2 * 2
+    # runs that break inside digits a jump read ahead give the counts,
+    # certificate and errors of the digit-by-digit loop
+    word = [inv]
+    for i, n in enumerate([41, 20, 33, 17, 70, 18, 25, 300, 19]):
+        word += [(minus, plus)[i % 2]] * n + [inv]
+    word = tuple(word)
+    res = encode(cf, word, tol=1e-30)
+    with monkeypatch.context() as digit_by_digit:
+        digit_by_digit.setattr(codec, "_RUN_MIN", len(word))
+        ref = encode(cf, word, tol=1e-30)
+        # an inversion inside a run makes "1 0 1" or "1- 0 1-", both forbidden
+        broken = [word[:i] + (inv,) + word[i:] for i in range(20, len(word), 7)
+                  if word[i - 1] == word[i] != inv]
+        messages = []
+        for w in broken:
+            with pytest.raises(IllegalPrefix) as err:
+                encode(cf, w, tol=1e-30)
+            messages.append(str(err.value))
+    assert res.digits_consumed == ref.digits_consumed == len(word)
+    assert res.error_radius == pytest.approx(ref.error_radius, rel=1e-9)
+    assert circle_distance(res.angle, ref.angle) <= 1e-12
+    for w, message in zip(broken, messages):
+        with pytest.raises(IllegalPrefix) as err:
+            encode(cf, iter(w), tol=1e-30)
+        assert str(err.value) == message
+    # max_digits inside a run stops there
+    res = encode(cf, itertools.repeat(plus), tol=1e-30, max_digits=2500)
+    assert res.digits_consumed == 2500 and not res.converged
+    assert res == encode(cf, "1" * 2500, tol=1e-30)
+    assert res == encode(cf, "1" * 3000, tol=1e-30, max_digits=2500)
 
 
 def test_encode_certificate_covers_longer_expansions():

@@ -246,6 +246,10 @@ def test_expansion_rate_bound_dominates_level_one():
     est = cf.expansion_rate_bound(4)
     assert est.lower_bound >= cf.level_min_expansion(1) - 1e-12
     assert est.n_achieving >= 1
+    # no level to bound: an empty range used to give -inf as a "bound"
+    for n_max in (0, -1):
+        with pytest.raises(ValueError, match="n_max must be >= 1"):
+            cf.expansion_rate_bound(n_max)
 
 
 def test_trivial_cover_rate_warning():

@@ -21,6 +21,7 @@ from moebius_systems.transforms import (
     identity,
     normalize,
     parabolic_map,
+    parabolic_scale,
     random_disc_moebius,
     rotation,
     stereographic,
@@ -326,6 +327,30 @@ def test_parabolic_map_rejects_degenerate_points():
 
 
 # -- plumbing -----------------------------------------------------------------------
+
+
+def test_parabolic_scale_is_exact():
+    from fractions import Fraction
+
+    def oracle(f):  # trace 2 at determinant 1, in rationals
+        re, im = Fraction(f.alpha.real), Fraction(f.alpha.imag)
+        det = re * re + im * im - Fraction(f.beta.real) ** 2 - Fraction(f.beta.imag) ** 2
+        return f.beta != 0 and re * re == det
+
+    assert parabolic_scale(cf_f1()) == 1.0
+    assert parabolic_scale(cf_f1().inverse()) == 1.0
+    for f in (cf_f0(), binary_f0(), contraction(2.0), rotation(0.3), identity()):
+        assert parabolic_scale(f) is None
+    # the pencil member (1 + it, -it) of parabolic_map passes with dyadic t
+    assert parabolic_scale(DiscMoebius(1.0 + 0.5j, -0.5j)) == 1.0
+    # parabolic in exact arithmetic, but the floats of parabolic3's b are not
+    assert parabolic_scale(parabolic_map(TAU / 3.0, 0.0, 2.0 * TAU / 3.0)) is None
+    rng = random.Random(5)
+    for _ in range(300):
+        f = parabolic_map(*(rng.uniform(0.0, TAU) for _ in range(3)))
+        assert (parabolic_scale(f) is not None) == oracle(f)
+        if parabolic_scale(f) is not None:
+            assert parabolic_scale(f) == 1.0 / f.alpha.real
 
 
 def test_canon_angle_range():
