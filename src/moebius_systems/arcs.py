@@ -22,6 +22,7 @@ from .transforms import EPS_ROTATION, DiscMoebius, TAU, canon_angle, circle_dist
 EPS_ANGLE = 1e-9   # endpoint tolerance for canonicalization and equality
 EPS_GAP = 1e-10    # gaps narrower than this count as covered
 EPS_NEAR_FULL = 1e-6  # image arcs this close to a full turn are re-measured via the midpoint
+EPS_CANCEL = 1e-12    # squared distances below this are re-measured without cancellation
 
 
 def _merged(items, join):
@@ -272,10 +273,10 @@ def closed_difference(a: ClosedArcSet, b: ClosedArcSet) -> tuple[tuple[float, fl
     return tuple(out)
 
 
-def covers_circle(sets, gap_tol: float = EPS_GAP) -> bool:
+def covers_circle(sets) -> bool:
     """True iff the closures of the given arc sets cover the whole circle.
 
-    Accepts ArcSet and ClosedArcSet instances; gaps narrower than gap_tol
+    Accepts ArcSet and ClosedArcSet instances; gaps narrower than EPS_GAP
     count as covered.
     """
     arcs = []
@@ -288,11 +289,10 @@ def covers_circle(sets, gap_tol: float = EPS_GAP) -> bool:
         return False
     starts = np.array([[s for s, _ in arcs]])
     ends = starts + np.array([[l for _, l in arcs]])
-    return bool(_closed_arcs_cover(starts, ends, gap_tol)[0])
+    return bool(_closed_arcs_cover(starts, ends)[0])
 
 
-def _closed_arcs_cover(starts: np.ndarray, ends: np.ndarray,
-                       gap_tol: float = EPS_GAP) -> np.ndarray:
+def _closed_arcs_cover(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """Sweep test, one circle per row: do the closed arcs [start, end] of
     each row cover the circle?
 
@@ -311,10 +311,10 @@ def _closed_arcs_cover(starts: np.ndarray, ends: np.ndarray,
     del order
     np.maximum.accumulate(reach, axis=1, out=reach)
     floor = reach[:, -1:] - TAU  # the coverage carried past 2*pi
-    covered = (reach[:, -1] >= TAU - gap_tol) & (starts[:, 0] <= floor[:, 0] + gap_tol)
+    covered = (reach[:, -1] >= TAU - EPS_GAP) & (starts[:, 0] <= floor[:, 0] + EPS_GAP)
     before = reach[:, :-1]  # the reach before each later arc, in place
     np.maximum(before, floor, out=before)
-    before += gap_tol
+    before += EPS_GAP
     return covered & (starts[:, 1:] <= before).all(axis=1)
 
 
@@ -418,7 +418,10 @@ def min_inverse_derivative(f: DiscMoebius, region) -> float:
     dir_angle = cmath.phase(d)
 
     def dist2(theta):
-        return 1.0 + ad * ad - 2.0 * ad * math.cos(theta - dir_angle)
+        got = 1.0 + ad * ad - 2.0 * ad * math.cos(theta - dir_angle)
+        if got < EPS_CANCEL:  # the terms cancel to rounding noise near d
+            got = abs(cmath.exp(1j * theta) - d) ** 2
+        return got
 
     far = (1.0 + ad) ** 2
     if closed.full:

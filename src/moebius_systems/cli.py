@@ -21,14 +21,15 @@ import sys
 import time
 
 from . import __version__
-from .codec import decode, encode, verify
-from .errors import MoebiusError, ConfigError
+from .codec import AUTO_N_MAX, decode, encode, verify
+from .errors import MoebiusError, ConfigError, ParamOutOfRange
 from .existence import render_grid
-from .sofic import build_automaton, sofic_verdict
+from .sofic import EPS_STATE, STATE_CAP, build_automaton, sofic_verdict
 from .systems import BUILTIN_NAMES, builtin, load_config
 from .transforms import canon_angle, from_real, stereographic
 
 REPORT_VERSION = 1
+_ROUND_TRIP_TOL = 1e-12  # decode's round trip reads the word until rounding level
 
 
 def _load_system(args):
@@ -120,7 +121,7 @@ def cmd_decode(args, spec):
     else:
         raise ConfigError("decode needs --theta or --real")
     word = decode(spec, theta, args.digits)
-    back = encode(spec, word, tol=1e-12, max_digits=len(word))
+    back = encode(spec, word, tol=_ROUND_TRIP_TOL, max_digits=len(word))
     result = {
         "angle": theta,
         "word": _fmt(spec, word, args),
@@ -215,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--qn", type=int, metavar="N", help="use the level-N expansion bound")
     mode.add_argument("--prefix-set", metavar="B1,B2,...", help="use this prefix set")
     mode.add_argument("--auto", action="store_true", help="try levels 1..nmax (default)")
-    p.add_argument("--nmax", type=int, default=8, help="auto mode level cap")
+    p.add_argument("--nmax", type=int, default=AUTO_N_MAX, help="auto mode level cap")
     p.add_argument("--strict", action="store_true",
                    help="exit 1 when the verdict is not verified")
 
@@ -237,8 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sofic", help="build the pullback automaton and judge soficness")
     _add_system_args(p)
-    p.add_argument("--cap", type=int, default=10_000, help="state cap")
-    p.add_argument("--eps", type=float, default=1e-7, help="state dedup tolerance")
+    p.add_argument("--cap", type=int, default=STATE_CAP, help="state cap")
+    p.add_argument("--eps", type=float, default=EPS_STATE, help="state dedup tolerance")
 
     p = sub.add_parser("existence-map",
                        help="cover/inward map over the two-generator parameter square")
@@ -282,7 +283,7 @@ def main(argv=None) -> int:
         else:
             print(text)
         return code[0] if code else 0
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, FileNotFoundError, ParamOutOfRange, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MoebiusError as exc:

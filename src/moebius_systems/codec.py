@@ -50,6 +50,7 @@ _NEAR_TOL = 1e-6           # relative margin far above rounding in 1/|beta| vs t
 _RUN_MIN = 16               # digits of a run taken one by one before a jump is tried
 _RUN_CHUNK_MIN = 8         # digits in the first chunk a run jump reads
 _RUN_CHUNK_MAX = 1 << 12   # chunk size cap: an endless run is read in bounded memory
+AUTO_N_MAX = 8              # levels verify's 'auto' mode tries by default
 
 
 @dataclass(frozen=True)
@@ -259,8 +260,13 @@ def decode(spec: NumberSystemSpec, theta: float, n_digits: int, prefix: Word = (
     inverse maps are applied to the point first).  The caller is expected
     to have verified the system; on covers that fail compatibility the
     decoder can run out of candidates, which raises NoLegalDigit with the
-    offending point attached.
+    offending point attached.  A non-finite theta or a negative n_digits
+    raises ValueError.
     """
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
+    if n_digits < 0:
+        raise ValueError(f"n_digits must be >= 0, got {n_digits!r}")
     x = canon_angle(theta)
     inverses, closures = spec._inverses, spec._closures
     state = spec.automaton.initial
@@ -312,7 +318,7 @@ def representable_interval(spec: NumberSystemSpec, word) -> ClosedArcSet:
 
 
 def verify(spec: NumberSystemSpec, mode: str = "auto", n: int | None = None,
-           prefix_set=None, n_max: int = 8) -> Verdict:
+           prefix_set=None, n_max: int = AUTO_N_MAX) -> Verdict:
     """Decide whether the interval shift represents every circle point.
 
     mode 'qn' certifies through the level-n expansion bound (with the
@@ -335,6 +341,8 @@ def verify(spec: NumberSystemSpec, mode: str = "auto", n: int | None = None,
             raise ValueError("mode 'prefix_set' needs a nonempty set B")
         levels = []
     elif mode == "auto":
+        if n_max < 1:
+            raise ValueError(f"mode 'auto' needs n_max >= 1, got {n_max}")
         levels = range(1, n_max + 1)
     else:
         raise ValueError(f"unknown verify mode {mode!r}")

@@ -29,10 +29,6 @@ class BudgetExceeded(MoebiusError):
     """Enumeration exceeded its candidate budget."""
 
 
-class DepthCapExceeded(MoebiusError):
-    """Word longer than the configured refinement depth cap."""
-
-
 class EmptyRefinedSet(MoebiusError):
     """The word refines to the empty set; no value is defined."""
 

@@ -298,6 +298,8 @@ def render_grid(width: int, height: int, depth: int, n_max: int,
     process pool.  on_progress, if given, is called as
     on_progress(rows_done, height) once per finished row, in order.
     """
+    if width < 1 or height < 1:
+        raise ValueError(f"grid size must be at least 1x1, got {width}x{height}")
     # worst case ~2^(depth+1) word maps per cell
     if width * height * 2.0 ** (depth + 1) > 5e9:
         raise BudgetExceeded(

@@ -24,13 +24,15 @@ from .arcs import (
     image,
     min_inverse_derivative,
 )
-from .errors import DepthCapExceeded, EmptyRefinedSet
+from .errors import EmptyRefinedSet
 from .subshift import Alphabet, Subshift, Word, last_level, walk
 from .transforms import TAU
 
 EPS_COMPAT = 1e-8   # endpoint tolerance for the cover-extension identity
 EPS_ONE = 1e-9      # band around an expansion bound of exactly 1
 _PULL_TABLE_CAP = 4096  # interned pullback states per table before a fresh one starts
+_CACHE_DEPTH = 32       # deepest cached prefix; enumerations stay far shallower
+_CACHE_CAP = 1_000_000  # cached refined sets per spec before a fresh cache starts
 
 
 @dataclass
@@ -96,15 +98,14 @@ class _PullbackTable:
 class NumberSystemSpec:
     """Alphabet -> disc map, alphabet -> cover arcs, plus a subshift.
 
-    refined_set computations are cached per word (prefixes are shared
-    heavily by enumerations), and encode's pullback states are interned
-    in a bounded table filled under a lock; values are pure, so
+    refined_set computations are cached per word up to _CACHE_DEPTH letters
+    (enumerations share prefixes heavily), and encode's pullback states are
+    interned in a bounded table filled under a lock; values are pure, so
     concurrent use returns the same results as serial execution.
     """
 
     def __init__(self, alphabet: Alphabet, transforms_by_symbol, cover_by_symbol,
-                 subshift: Subshift | None = None, name: str = "",
-                 depth_cap: int = 32, cache_cap: int = 1_000_000):
+                 subshift: Subshift | None = None, name: str = ""):
         self.name = name
         self.alphabet = alphabet
         if subshift is None:
@@ -112,8 +113,6 @@ class NumberSystemSpec:
         if subshift.alphabet != alphabet:
             raise ValueError("subshift alphabet differs from the system alphabet")
         self.subshift = subshift
-        self.depth_cap = depth_cap
-        self.cache_cap = cache_cap
         self.transforms: list[transforms.DiscMoebius] = []
         self.cover: list[ArcSet] = []
         for name_ in alphabet.symbols:
@@ -142,15 +141,18 @@ class NumberSystemSpec:
     # -- refined sets ---------------------------------------------------------
 
     def _entry(self, word: Word) -> tuple[ArcSet, transforms.DiscMoebius]:
-        cached = self._cache.get(word)
+        """(refined set, word map) of the word, stepped on from its longest
+        cached prefix; past _CACHE_CAP entries the cache starts afresh."""
+        cache = self._cache
+        cached = cache.get(word)
         if cached is not None:
             return cached
-        if len(word) > self.depth_cap:
-            raise DepthCapExceeded(f"|word| = {len(word)} exceeds depth cap {self.depth_cap}")
+        if len(cache) > _CACHE_CAP:
+            cache = self._cache = {(): cache[()]}
         start = 0
-        entry = self._cache[()]
-        for k in range(len(word) - 1, 0, -1):
-            hit = self._cache.get(word[:k])
+        entry = cache[()]
+        for k in range(min(len(word) - 1, _CACHE_DEPTH), 0, -1):
+            hit = cache.get(word[:k])
             if hit is not None:
                 entry, start = hit, k
                 break
@@ -161,20 +163,9 @@ class NumberSystemSpec:
                 refined.intersect(image(f, self.cover[a])),
                 f.compose(self.transforms[a]),
             )
-            self._cache[word[: i + 1]] = entry
-        if len(self._cache) > self.cache_cap:
-            self._evict()
+            if i < _CACHE_DEPTH:
+                cache[word[: i + 1]] = entry
         return entry
-
-    def _evict(self):
-        drop = len(self._cache) // 10 + 1
-        for key in list(self._cache.keys()):
-            if key == ():
-                continue
-            del self._cache[key]
-            drop -= 1
-            if drop == 0:
-                break
 
     def refined_set(self, word) -> ArcSet:
         """The set of circle points whose expansions can start with `word`."""

@@ -22,6 +22,9 @@ from .interval_system import NumberSystemSpec
 from .subshift import Word
 from .transforms import TAU
 
+STATE_CAP = 10_000  # BFS states before build_automaton gives up on saturation
+EPS_STATE = 1e-7    # state dedup tolerance, far above the pull steps' rounding
+
 
 @dataclass
 class PullbackAutomaton:
@@ -80,8 +83,8 @@ class PullbackAutomaton:
         return "\n".join(lines)
 
 
-def build_automaton(spec: NumberSystemSpec, state_cap: int = 10_000,
-                    eps_state: float = 1e-7) -> PullbackAutomaton:
+def build_automaton(spec: NumberSystemSpec, state_cap: int = STATE_CAP,
+                    eps_state: float = EPS_STATE) -> PullbackAutomaton:
     """Breadth-first closure of the pullback states, starting from the
     full circle.  Stops when no new state appears (saturated) or when the
     cap is hit (reported in the result, not raised).
@@ -223,25 +226,24 @@ def sofic_verdict(spec: NumberSystemSpec, automaton: PullbackAutomaton) -> Sofic
     nonempty-refinement language is regular; the product with the
     subshift's factor automaton then recognizes the interval shift.  The
     verdict is withheld when the transition residual, recorded by the BFS,
-    exceeds eps_state or is infinite.
+    exceeds eps_state, which is finite, so an infinite residual always does.
     """
     residual = transition_residual(spec, automaton)
+    report = SoficReport(
+        verdict=f"sofic (numerically, state tolerance {automaton.eps_state:g})",
+        saturated=automaton.saturated,
+        n_states=automaton.n_states,
+        eps_state=automaton.eps_state,
+        growth=automaton.growth,
+        transition_residual=residual,
+    )
     if not automaton.saturated:
-        verdict = f"not shown sofic within cap (reached {automaton.n_states} states)"
-    elif not residual <= automaton.eps_state or math.isinf(residual):
-        verdict = (f"not shown sofic: transition residual {residual:g} exceeds "
-                   f"state tolerance {automaton.eps_state:g}")
-    else:
-        verdict = None
-    if verdict is not None:
-        return SoficReport(
-            verdict=verdict,
-            saturated=automaton.saturated,
-            n_states=automaton.n_states,
-            eps_state=automaton.eps_state,
-            growth=automaton.growth,
-            transition_residual=residual,
-        )
+        report.verdict = f"not shown sofic within cap (reached {automaton.n_states} states)"
+        return report
+    if not residual <= automaton.eps_state:
+        report.verdict = (f"not shown sofic: transition residual {residual:g} exceeds "
+                          f"state tolerance {automaton.eps_state:g}")
+        return report
     follower = spec.automaton
     pairs: dict[tuple[int, int], int] = {}
     order: list[tuple[int, int]] = []
@@ -267,15 +269,7 @@ def sofic_verdict(spec: NumberSystemSpec, automaton: PullbackAutomaton) -> Sofic
                 row.append(intern((nz, nf)))
         table.append(row)
         i += 1
-    accepting = [automaton.accepting(z) for z, _ in order]
-    return SoficReport(
-        verdict=f"sofic (numerically, state tolerance {automaton.eps_state:g})",
-        saturated=True,
-        n_states=automaton.n_states,
-        eps_state=automaton.eps_state,
-        growth=automaton.growth,
-        transition_residual=residual,
-        product_states=len(order),
-        product_transitions=table,
-        product_accepting=accepting,
-    )
+    report.product_states = len(order)
+    report.product_transitions = table
+    report.product_accepting = [automaton.accepting(z) for z, _ in order]
+    return report

@@ -146,7 +146,6 @@ def with_cover(spec: NumberSystemSpec, cover_by_symbol) -> NumberSystemSpec:
         cover_by_symbol,
         spec.subshift,
         name=spec.name,
-        depth_cap=spec.depth_cap,
     )
 
 

@@ -33,12 +33,13 @@ EPS_DISTINCT = 1e-12    # unit complex numbers closer than this are one circle p
 EPS_PENCIL = 1e-9       # imaginary part of a real pencil parameter left by rounding
 EPS_SOLVED = 1e-9       # angle error allowed when a solved map is checked on its data
 RENORM_MAX = 1e6        # entry size past which |alpha|^2 - |beta|^2 is noise
+_MIN_RANDOM_BETA = 1e-6  # random maps with |beta| at most this are rotations in all but name
 
 
 def canon_angle(theta: float) -> float:
-    """Reduce an angle to the canonical interval [0, 2*pi)."""
+    """Reduce an angle to the canonical interval [0, 2*pi); NaN stays NaN."""
     theta = theta % TAU
-    return theta if theta < TAU else 0.0
+    return 0.0 if theta == TAU else theta
 
 
 def circle_distance(a: float, b: float) -> float:
@@ -342,10 +343,11 @@ def stereographic(z) -> SpherePoint:
 
 
 def from_real(x) -> SpherePoint:
-    """Inverse stereographic projection: real coordinate -> circle point."""
-    if isinstance(x, SpherePoint) and x.is_infinity:
+    """Inverse stereographic projection: real coordinate -> circle point;
+    infinity (INFINITY or a float +-inf) goes to i."""
+    x = math.inf if isinstance(x, SpherePoint) and x.is_infinity else complex(x)
+    if cmath.isinf(x):
         return SpherePoint(1j)
-    x = complex(x)
     den = x + 1j
     if den == 0:
         return INFINITY
@@ -378,7 +380,7 @@ def random_disc_moebius(rng, beta_scale: float = 1.0, rotations_ok: bool = False
     """Random transformation; beta is complex normal scaled by beta_scale."""
     while True:
         b = complex(rng.gauss(0.0, beta_scale), rng.gauss(0.0, beta_scale))
-        if not rotations_ok and abs(b) <= 1e-6:
+        if not rotations_ok and abs(b) <= _MIN_RANDOM_BETA:
             continue
         a = math.sqrt(1.0 + abs(b) ** 2) * cmath.exp(1j * rng.uniform(0.0, TAU))
         return DiscMoebius(a, b)

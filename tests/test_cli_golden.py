@@ -98,6 +98,24 @@ CASES = {
         ["existence-map", "--res", "2x2", "--depth", "3", "--nmax", "3",
          "--out", "nodir/grid.pgm"], 2,
         "error: [Errno 2] No such file or directory: 'nodir/grid.pgm'\n", None, {}),
+    "decode-real-inf": (
+        ["decode", "--builtin", "cf", "--real", "inf", "--digits", "12"], 0, "",
+        "9ec7b8c48736dd5860483a6f7bea997fc51746a5cb94d34994cfe17803d85f86", {}),
+    "decode-theta-nan": (
+        ["decode", "--builtin", "cf", "--theta", "nan"], 2,
+        "error: theta must be finite, got nan\n", None, {}),
+    "decode-negative-digits": (
+        ["decode", "--builtin", "cf", "--theta", "1", "--digits", "-3"], 2,
+        "error: n_digits must be >= 0, got -3\n", None, {}),
+    "verify-nmax-0": (
+        ["verify", "--builtin", "cf", "--nmax", "0"], 2,
+        "error: mode 'auto' needs n_max >= 1, got 0\n", None, {}),
+    "existence-map-res-0": (
+        ["existence-map", "--res", "0x3"], 2,
+        "error: grid size must be at least 1x1, got 0x3\n", None, {}),
+    "existence-map-negative-nmax": (
+        ["existence-map", "--res", "2x2", "--depth", "3", "--nmax", "-1"], 2,
+        "error: n_max must be >= 0\n", None, {}),
     "report-out-missing-dir": (
         ["classify", "--builtin", "cf", "1", "--out", "nodir/r.json"], 2,
         "error: [Errno 2] No such file or directory: 'nodir/r.json'\n", None, {}),

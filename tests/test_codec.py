@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from moebius_systems import codec, interval_system, subshift
-from moebius_systems.arcs import ArcSet
+from moebius_systems.arcs import EPS_ANGLE, ArcSet
 from moebius_systems.codec import decode, encode, representable_interval, verify
 from moebius_systems.errors import EmptyRefinedSet, IllegalPrefix, NoLegalDigit
 from moebius_systems.transforms import DiscMoebius
@@ -476,6 +476,29 @@ def test_representable_interval_examples():
         representable_interval(builtin("parabolic3"), "ac")
 
 
+def test_representable_interval_of_a_long_word_sits_in_the_encode_disc():
+    # 60 digits reach past the refined-set cache depth
+    cf = builtin("cf")
+    w = decode(cf, 1.234, 60)
+    got = representable_interval(cf, w)
+    assert got.contains(1.234, tol=EPS_ANGLE)
+    res = encode(cf, w, tol=1e-30)
+    assert res.digits_consumed == 60
+    for s, l in got.arcs:
+        for end in (s, s + l):
+            assert abs(cmath.exp(1j * end) - res.point.value) <= res.error_radius
+
+
+def test_decode_rejects_non_finite_angles_and_negative_counts():
+    cf = builtin("cf")
+    for theta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="theta must be finite"):
+            decode(cf, theta, 5)
+    with pytest.raises(ValueError, match="n_digits must be >= 0"):
+        decode(cf, 1.0, -3)
+    assert decode(cf, 1.0, 0) == ()
+
+
 # -- verify --------------------------------------------------------------------------
 
 
@@ -572,6 +595,8 @@ def test_verify_mode_validation(monkeypatch):
     monkeypatch.setattr(subshift, "BUDGET", 1)
     with pytest.raises(ValueError, match="n >= 0"):
         verify(builtin("cf"), mode="qn", n=-1)
+    with pytest.raises(ValueError, match="n_max >= 1"):
+        verify(builtin("cf"), mode="auto", n_max=0)
 
 
 def _turned_cover(spec, turn):

@@ -162,6 +162,12 @@ def test_inward_open_rectangle_boundary():
     assert not inward_region_test(0.5, 0.45, 0)
 
 
+@pytest.mark.parametrize("size", [(0, 3), (3, 0), (-1, 2)])
+def test_grid_rejects_sizes_below_one(size):
+    with pytest.raises(ValueError, match="at least 1x1"):
+        render_grid(*size, depth=4, n_max=4)
+
+
 def test_single_cell_grid_matches_predicates():
     grid = render_grid(1, 1, depth=10, n_max=8,
                        rect=(0.2499, 0.2501, 0.2499, 0.2501))

@@ -5,9 +5,11 @@ import random
 
 import pytest
 
-from moebius_systems.arcs import ArcSet, image
-from moebius_systems.errors import DepthCapExceeded, EmptyRefinedSet
-from moebius_systems.interval_system import NumberSystemSpec
+from moebius_systems import interval_system
+from moebius_systems.arcs import EPS_ANGLE, ArcSet, image
+from moebius_systems.codec import decode, representable_interval
+from moebius_systems.errors import EmptyRefinedSet
+from moebius_systems.interval_system import _CACHE_DEPTH, NumberSystemSpec
 from moebius_systems.subshift import Subshift
 from moebius_systems.systems import builtin, with_cover
 from moebius_systems.transforms import TAU
@@ -62,11 +64,13 @@ def test_parabolic3_refined_sets_are_pushed_last_letter_covers():
 @pytest.mark.parametrize("name", ["parabolic3", "cf", "binary", "hyperbolic4"])
 def test_refined_set_matches_direct_definition(name):
     # independent oracle: intersect the pushed-forward letter covers left
-    # to right without the cache or the incremental recursion
+    # to right without the cache or the incremental recursion; the decoded
+    # words reach past the cached depth
     from moebius_systems.transforms import identity
 
     spec = builtin(name)
-    for w in spec.interval_shift_language(5):
+    decoded = [decode(spec, 1.234, n) for n in (33, 48, 60)]
+    for w in spec.interval_shift_language(5) + decoded:
         direct = ArcSet.full_circle()
         f = identity()
         for a in w:
@@ -106,10 +110,20 @@ def test_refined_sets_inside_expansion_intervals():
                 assert leak.length() < 1e-7, (name, u)
 
 
-def test_depth_cap():
+def test_words_past_the_cache_depth_step_on_from_the_cache():
     cf = builtin("cf")
-    with pytest.raises(DepthCapExceeded):
-        cf.refined_set(tuple([2] * (cf.depth_cap + 1)))
+    w = decode(cf, 1.234, 60)
+    before = len(cf._cache)
+    assert not cf.refined_set(w).is_empty
+    assert not cf.word_transform(w).is_rotation
+    assert 1.0 < cf.min_expansion(w) < math.inf
+    assert representable_interval(cf, w).contains(1.234, tol=EPS_ANGLE)
+    assert len(cf._cache) - before <= _CACHE_DEPTH
+    assert all(len(k) <= _CACHE_DEPTH for k in cf._cache)
+    fresh = builtin("cf")
+    long_word = decode(fresh, 1.234, 2000)
+    fresh.refined_set(long_word)
+    assert len(fresh._cache) - 1 <= _CACHE_DEPTH
 
 
 # -- interval shift language -------------------------------------------------------
@@ -323,16 +337,11 @@ def test_concurrent_refinement_matches_serial():
         assert got.distance(serial[w]) < 1e-12
 
 
-def test_cache_eviction_keeps_results_consistent():
+def test_cache_eviction_keeps_results_consistent(monkeypatch):
     cf = builtin("cf")
-    small = NumberSystemSpec(
-        cf.alphabet,
-        dict(zip(cf.alphabet.symbols, cf.transforms)),
-        dict(zip(cf.alphabet.symbols, cf.cover)),
-        cf.subshift,
-        cache_cap=16,
-    )
     reference = {w: cf.refined_set(w) for w in cf.interval_shift_language(4)}
+    small = builtin("cf")
+    monkeypatch.setattr(interval_system, "_CACHE_CAP", 16)
     for w, expect in reference.items():
         assert small.refined_set(w).distance(expect) < 1e-12
     assert len(small._cache) <= 64

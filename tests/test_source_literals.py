@@ -1,0 +1,68 @@
+"""Every small tolerance in the package is named once.
+
+A float literal with 0 < |x| < 1e-3 is a tolerance.  It may appear only
+as the value of a module-level constant (where it gets its name and a
+one-line reason), as a parameter default, or as an argparse default;
+anywhere else it is a bare tolerance that the next reader cannot find.
+"""
+
+import ast
+from pathlib import Path
+
+import moebius_systems
+
+SRC = Path(moebius_systems.__file__).parent
+SMALL = 1e-3
+
+
+def _allowed_nodes(tree: ast.Module) -> set[int]:
+    """ids of the nodes under which a small literal is allowed."""
+    allowed = set()
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign)) and stmt.value is not None:
+            allowed.add(id(stmt.value))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            allowed.update(id(d) for d in args.defaults + args.kw_defaults if d is not None)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "add_argument"):
+            allowed.update(id(k.value) for k in node.keywords if k.arg == "default")
+    return allowed
+
+
+def bare_tolerances(source: str) -> list[tuple[int, float]]:
+    """(line, value) of each small float literal outside the allowed places."""
+    tree = ast.parse(source)
+    allowed = _allowed_nodes(tree)
+    found = []
+
+    def visit(node, inside):
+        inside = inside or id(node) in allowed
+        if (isinstance(node, ast.Constant) and type(node.value) is float
+                and 0.0 < abs(node.value) < SMALL and not inside):
+            found.append((node.lineno, node.value))
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, False)
+    return found
+
+
+def test_checker_flags_bare_tolerances_only():
+    source = (
+        "EPS = 1e-9\n"
+        "def f(x, tol=1e-6):\n"
+        "    p.add_argument('--eps', default=1e-7)\n"
+        "    return abs(x) < 1e-12 or x > 0.5\n"
+    )
+    assert bare_tolerances(source) == [(4, 1e-12)]
+
+
+def test_no_bare_tolerance_literals_in_src():
+    found = {
+        path.name: hits
+        for path in sorted(SRC.glob("*.py"))
+        if (hits := bare_tolerances(path.read_text()))
+    }
+    assert found == {}

@@ -358,6 +358,16 @@ def test_canon_angle_range():
         assert 0.0 <= canon_angle(theta) < TAU
 
 
+def test_canon_angle_keeps_nan():
+    assert math.isnan(canon_angle(math.nan))
+    assert math.isnan(canon_angle(math.inf))
+
+
+def test_from_real_sends_infinity_to_i():
+    for x in (math.inf, -math.inf, INFINITY):
+        assert from_real(x) == SpherePoint(1j)
+
+
 def test_stereographic_round_trip():
     rng = random.Random(11)
     for _ in range(100):
