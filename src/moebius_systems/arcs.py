@@ -6,6 +6,11 @@ canonical in [0, 2*pi) and the length in (0, 2*pi]; length exactly 2*pi
 is the circle minus the start point, while the genuinely full circle is
 a separate flag.  Arcs shorter than EPS_ANGLE are treated as numerical
 noise and dropped, which is also what "empty" means throughout.
+
+Only raw input is merged: from_arcs (and so union) and closure sort and
+merge their arcs.  intersect, complement and image get disjoint pieces
+from canonical sets, so they build their result from those pieces under
+the same rules (_canonical_pieces) with no merge.
 """
 
 from __future__ import annotations
@@ -25,6 +30,12 @@ EPS_NEAR_FULL = 1e-6  # image arcs this close to a full turn are re-measured via
 EPS_CANCEL = 1e-12    # squared distances below this are re-measured without cancellation
 
 
+def _canonical_pieces(items) -> list[tuple[float, float]]:
+    """Raw (start, length) pairs with canonical starts and lengths clamped
+    to 2*pi, sorted, those no longer than EPS_ANGLE dropped."""
+    return sorted((canon_angle(s), min(l, TAU)) for s, l in items if l > EPS_ANGLE)
+
+
 def _merged(items, join):
     """Sort raw (start, length) pairs and merge per the join predicate.
 
@@ -32,7 +43,7 @@ def _merged(items, join):
     and the next start (negative gap = overlap).  Wraparound past 2*pi is
     resolved by folding spilled coverage back onto the leading arcs.
     """
-    arcs = sorted((canon_angle(s), min(l, TAU)) for s, l in items if l > EPS_ANGLE)
+    arcs = _canonical_pieces(items)
     if not arcs:
         return []
     merged = [list(arcs[0])]
@@ -139,7 +150,7 @@ class ArcSet:
                     e = min(e1, s2 + shift + l2)
                     if e - s > EPS_ANGLE:
                         out.append((s, e - s))
-        return ArcSet.from_arcs(out)
+        return ArcSet(tuple(_canonical_pieces(out)))
 
     def union(self, other: "ArcSet") -> "ArcSet":
         if self.full or other.full:
@@ -157,9 +168,8 @@ class ArcSet:
         for i, (s, l) in enumerate(self.arcs):
             nxt = self.arcs[(i + 1) % n][0] + (TAU if i == n - 1 else 0.0)
             gap = nxt - (s + l)
-            if gap > EPS_ANGLE:
-                out.append((s + l, gap))
-        return ArcSet.from_arcs(out)
+            out.append((s + l, gap))
+        return ArcSet(tuple(_canonical_pieces(out)))
 
     def closure(self) -> "ClosedArcSet":
         """Closed view; arcs sharing an endpoint merge."""
@@ -227,13 +237,7 @@ class ClosedArcSet:
         return TAU if self.full else sum(l for _, l in self.arcs)
 
     def contains(self, theta: float, tol: float = 0.0) -> bool:
-        if self.full:
-            return True
-        for s, l in self.arcs:
-            d = (theta - s) % TAU
-            if d <= l + tol or d >= TAU - tol:
-                return True
-        return False
+        return self.component_containing(theta, tol) is not None
 
     def component_containing(self, theta: float, tol: float = 0.0):
         """The (start, length) component holding theta, or None."""
@@ -246,42 +250,12 @@ class ClosedArcSet:
         return None
 
 
-def closed_difference(a: ClosedArcSet, b: ClosedArcSet) -> tuple[tuple[float, float], ...]:
-    """Components of a minus b as (start, length) pairs (boundary-insensitive)."""
-    if a.is_empty or b.full:
-        return ()
-    a_arcs = ((0.0, TAU),) if a.full else a.arcs
-    if b.is_empty:
-        return a_arcs
-    out = []
-    for s, l in a_arcs:
-        pieces = [(s, s + l)]
-        for bs, bl in b.arcs:
-            for shift in (-TAU, 0.0, TAU):
-                lo, hi = bs + shift, bs + shift + bl
-                nxt = []
-                for ps, pe in pieces:
-                    if hi <= ps or lo >= pe:
-                        nxt.append((ps, pe))
-                        continue
-                    if lo > ps:
-                        nxt.append((ps, lo))
-                    if hi < pe:
-                        nxt.append((hi, pe))
-                pieces = nxt
-        out.extend((canon_angle(ps), pe - ps) for ps, pe in pieces if pe - ps > 0.0)
-    return tuple(out)
-
-
 def covers_circle(sets) -> bool:
-    """True iff the closures of the given arc sets cover the whole circle.
-
-    Accepts ArcSet and ClosedArcSet instances; gaps narrower than EPS_GAP
-    count as covered.
-    """
+    """True iff the closures of the given arc sets cover the whole circle;
+    gaps narrower than EPS_GAP count as covered."""
     arcs = []
     for s in sets:
-        c = s if isinstance(s, ClosedArcSet) else s.closure()
+        c = s.closure()
         if c.full:
             return True
         arcs.extend(c.arcs)
@@ -397,7 +371,7 @@ def image(f: DiscMoebius, a) -> "ArcSet":
         if h2 > TAU - EPS_ANGLE:
             h2 = 0.0
         out.append((sa, h1 + h2))
-    return ArcSet.from_arcs(out)
+    return ArcSet(tuple(_canonical_pieces(out)))
 
 
 def min_inverse_derivative(f: DiscMoebius, region) -> float:

@@ -385,7 +385,6 @@ def verify(spec: NumberSystemSpec, mode: str = "auto", n: int | None = None,
         if violations:
             return _compat_failure(spec, violations, warnings)
         check = spec.check_prefix_set(b_words, language)
-        warnings.extend(check.warnings)
         if check.passed:
             return Verdict("verified_prefix_set",
                            {"B": [spec.alphabet.format(b) for b in b_words]}, warnings)

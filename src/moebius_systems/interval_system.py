@@ -15,15 +15,7 @@ import threading
 from dataclasses import dataclass, field
 
 from . import transforms
-from .arcs import (
-    ArcSet,
-    EPS_ANGLE,
-    closed_difference,
-    covers_circle,
-    expansion_interval,
-    image,
-    min_inverse_derivative,
-)
+from .arcs import ArcSet, covers_circle, expansion_interval, image, min_inverse_derivative
 from .errors import EmptyRefinedSet
 from .subshift import Alphabet, Subshift, Word, last_level, walk
 from .transforms import TAU
@@ -55,7 +47,6 @@ class PrefixSetVerdict:
     passed: bool
     missing_prefix: list[Word] = field(default_factory=list)
     not_contained: list[tuple[Word, tuple[tuple[float, float], ...]]] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -70,6 +61,12 @@ class ExpansionRateBound:
     n_achieving: int
     table: list[tuple[int, float]] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
+
+
+def _difference(a: ArcSet, b: ArcSet) -> tuple[tuple[float, float], ...]:
+    """Arcs of a outside the closure of b; the full circle as ((0, 2*pi),)."""
+    rest = a.intersect(b.complement())
+    return ((0.0, TAU),) if rest.full else rest.arcs
 
 
 class _PullbackTable:
@@ -233,15 +230,12 @@ class NumberSystemSpec:
         the extensions fail to cover."""
         violations = []
         for word, state in level:
-            lhs = self.refined_set(word).closure()
-            rhs_open = ArcSet.empty()
+            covered = ArcSet.empty()
             for a, nxt in enumerate(self.automaton.transitions[state]):
                 if nxt is not None:
-                    rhs_open = rhs_open.union(self.refined_set(word + (a,)))
-            gaps = tuple(
-                g for g in closed_difference(lhs, rhs_open.closure())
-                if g[1] > EPS_COMPAT
-            )
+                    covered = covered.union(self.refined_set(word + (a,)))
+            gaps = tuple(g for g in _difference(self.refined_set(word), covered)
+                         if g[1] > EPS_COMPAT)
             if gaps:
                 violations.append((word, gaps))
         return violations
@@ -329,22 +323,8 @@ class NumberSystemSpec:
             if not any(w[: len(b)] == b for b in b_words):
                 verdict.missing_prefix.append(w)
         for b in b_words:
-            refined = self.refined_set(b)
-            if refined.is_empty:
-                continue
-            expansion = self.word_expansion_interval(b)
-            leak = refined.intersect(expansion.complement())
-            if leak.full:
-                verdict.not_contained.append((b, ((0.0, TAU),)))
-                continue
-            gaps = tuple((s, l) for s, l in leak.arcs if l > EPS_ANGLE)
-            if gaps:
-                verdict.not_contained.append((b, gaps))
-                continue
-            if closed_difference(refined.closure(), expansion.closure()):
-                verdict.warnings.append(
-                    f"refined set of {self.alphabet.format(b)} touches the boundary of "
-                    f"its expansion interval; containment holds only as open sets"
-                )
+            leak = _difference(self.refined_set(b), self.word_expansion_interval(b))
+            if leak:
+                verdict.not_contained.append((b, leak))
         verdict.passed = not verdict.missing_prefix and not verdict.not_contained
         return verdict

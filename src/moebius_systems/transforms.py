@@ -141,9 +141,6 @@ class DiscMoebius:
     def inverse(self) -> "DiscMoebius":
         return DiscMoebius(self.alpha.conjugate(), -self.beta)
 
-    def matrix(self) -> list[list[complex]]:
-        return [[self.alpha, self.beta], [self.beta.conjugate(), self.alpha.conjugate()]]
-
     def apply(self, z) -> SpherePoint:
         """Apply to a point of the sphere (complex or SpherePoint)."""
         if isinstance(z, SpherePoint):

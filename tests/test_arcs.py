@@ -12,7 +12,6 @@ from moebius_systems.arcs import (
     _closed_arcs_cover,
     ArcSet,
     ClosedArcSet,
-    closed_difference,
     covers_circle,
     expansion_geometry,
     expansion_interval,
@@ -320,12 +319,3 @@ def test_cover_sweep_rows_with_padding_match_single_sets():
     table = np.array(rows)
     assert 50 < sum(want) < 250
     assert _closed_arcs_cover(table[:, :, 0], table[:, :, 1]).tolist() == want
-
-
-def test_closed_difference():
-    a = ArcSet.arc(0, 3).closure()
-    b = ArcSet.arc(1, 2).closure()
-    gaps = closed_difference(a, b)
-    total = sum(l for _, l in gaps)
-    assert abs(total - 2.0) < 1e-12
-    assert closed_difference(a, ClosedArcSet.full_circle()) == ()

@@ -182,8 +182,11 @@ def test_shrunk_cover_fails_with_gap():
     cover["1"] = ArcSet.from_arcs([(s + 0.1, l - 0.1)])
     report = with_cover(bi, cover).compatibility_check(1)
     assert not report.passed
-    total_gap = sum(l for _, gaps in report.violations for _, l in gaps)
-    assert total_gap > 0.01
+    [(word, gaps)] = report.violations
+    assert bi.alphabet.format(word) == "2"
+    [(start, length)] = gaps
+    assert abs(start - 5.639684198386302) <= 1e-12
+    assert abs(length - 0.16480815299067686) <= 1e-12
 
 
 @pytest.mark.parametrize("name", ["parabolic3", "cf", "binary", "hyperbolic4"])
