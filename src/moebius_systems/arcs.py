@@ -27,7 +27,6 @@ from .transforms import EPS_ROTATION, DiscMoebius, TAU, canon_angle, circle_dist
 EPS_ANGLE = 1e-9   # endpoint tolerance for canonicalization and equality
 EPS_GAP = 1e-10    # gaps narrower than this count as covered
 EPS_NEAR_FULL = 1e-6  # image arcs this close to a full turn are re-measured via the midpoint
-EPS_CANCEL = 1e-12    # squared distances below this are re-measured without cancellation
 
 
 def _canonical_pieces(items) -> list[tuple[float, float]]:
@@ -392,10 +391,7 @@ def min_inverse_derivative(f: DiscMoebius, region) -> float:
     dir_angle = cmath.phase(d)
 
     def dist2(theta):
-        got = 1.0 + ad * ad - 2.0 * ad * math.cos(theta - dir_angle)
-        if got < EPS_CANCEL:  # the terms cancel to rounding noise near d
-            got = abs(cmath.exp(1j * theta) - d) ** 2
-        return got
+        return abs(cmath.exp(1j * theta) - d) ** 2
 
     far = (1.0 + ad) ** 2
     if closed.full:

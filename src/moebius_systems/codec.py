@@ -16,11 +16,12 @@ follower state and the pullback state are both fixed by a.  The least k
 whose certificate meets tol is solved for and confirmed at k - 1 and k;
 the run's digits are then read in chunks that double in size, and every
 one is compared with a at C speed.  A mismatch ends the jump there and
-the loop goes on with that digit; max_digits still caps the count.  The
-jump does not renormalize, so F keeps det F_0, and the certificate of a
-run carries no rounding drift: on the cf system's rational streams, whose
-tails are endless runs of a parabolic letter, the digit count at which
-encode stops is the exact first crossing of tol.
+the loop goes on with that digit; max_digits still caps the count.
+Neither a digit nor a jump renormalizes F (products of disc maps never
+are, see transforms); a jump keeps det F as it was, so the certificate
+of a run carries no rounding drift: on the cf system's rational
+streams, whose tails are endless runs of a parabolic letter, the digit
+count at which encode stops is the exact first crossing of tol.
 
 The decoder walks the point backwards through inverse letter maps,
 choosing at each step the first legal symbol whose closed cover arc
@@ -42,7 +43,7 @@ from .errors import EmptyRefinedSet, IllegalPrefix, NoLegalDigit
 from .interval_system import EPS_ONE, NumberSystemSpec
 from .subshift import Word
 from .transforms import (
-    EPS_ROTATION, RENORM_MAX, SpherePoint, TAU, canon_angle, circle_distance,
+    EPS_ROTATION, SpherePoint, TAU, canon_angle, circle_distance,
 )
 
 _NEARLY_FULL = TAU - EPS_ANGLE
@@ -103,7 +104,7 @@ def encode(spec: NumberSystemSpec, digits, tol: float, max_digits: int | None = 
     moves = spec.automaton.transitions  # follower state x letter -> state or None
     fwd = [(f.alpha, f.beta) for f in spec.transforms]
     scales = spec._parabolic_scales
-    renorm_max, eps_rotation = RENORM_MAX, EPS_ROTATION
+    eps_rotation = EPS_ROTATION
     # the pullback state is an id in the spec's table of interned pullback
     # sets (0 the full circle, 1 the empty set); on sofic systems it cycles
     # through a few of them, so nearly every step is a table lookup
@@ -160,9 +161,6 @@ def encode(spec: NumberSystemSpec, digits, tol: float, max_digits: int | None = 
                 )
             a2, b2 = fwd[a]
             fa, fb = fa * a2 + fb * b2.conjugate(), fa * b2 + fb * a2.conjugate()
-            if abs(fa) < renorm_max:  # renormalize while the cancellation is benign
-                norm = math.sqrt(abs(fa) ** 2 - abs(fb) ** 2)
-                fa, fb = fa / norm, fb / norm
             consumed += 1
             b = abs(fb)
             if b >= b_near and (math.inf if b <= eps_rotation else 1.0 / b) <= tol:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .arcs import _closed_arcs_cover
 from .errors import BudgetExceeded, ParamOutOfRange
-from .transforms import EPS_ROTATION, RENORM_MAX, TAU, DiscMoebius
+from .transforms import EPS_ROTATION, TAU, DiscMoebius
 
 LABEL_UNKNOWN, LABEL_COVER, LABEL_INWARD = 0, 1, 2
 _PGM_VALUES = {LABEL_COVER: 255, LABEL_INWARD: 128, LABEL_UNKNOWN: 0}
@@ -109,23 +109,15 @@ def _cover_batch(alpha_a: np.ndarray, beta_a: np.ndarray, alpha_b: np.ndarray,
 def _children(alpha: np.ndarray, beta: np.ndarray, gen_alpha: np.ndarray,
               gen_beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row's word maps composed with the row's two generators (the
-    children of word i are 2i and 2i + 1), renormalised as DiscMoebius
-    renormalises: only below RENORM_MAX, where the difference of squares
-    still carries information."""
+    children of word i are 2i and 2i + 1).  Like DiscMoebius.compose, the
+    products are not renormalised: the generators are, and a product's
+    determinant drifts from 1 by only a few rounding errors per level."""
     a1, b1 = alpha[:, :, None], beta[:, :, None]
     alpha = a1 * gen_alpha
     alpha += b1 * gen_beta.conj()
     beta = a1 * gen_beta
     beta += b1 * gen_alpha.conj()
-    alpha, beta = alpha.reshape(len(alpha), -1), beta.reshape(len(beta), -1)
-    abs_alpha = np.hypot(alpha.real, alpha.imag)
-    small = abs_alpha < RENORM_MAX
-    norm = np.ones_like(abs_alpha)
-    norm[small] = np.sqrt(abs_alpha[small] ** 2
-                          - np.hypot(beta.real[small], beta.imag[small]) ** 2)
-    for part in (alpha.real, alpha.imag, beta.real, beta.imag):
-        part /= norm  # dividing by 1.0 leaves the other entries as they are
-    return alpha, beta
+    return alpha.reshape(len(alpha), -1), beta.reshape(len(beta), -1)
 
 
 def _v_arcs(alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -10,6 +10,13 @@ disc onto itself.  The matrix sign is canonicalized (Re alpha > 0, or
 Re alpha == 0 and Im alpha >= 0) so equal maps compare equal; note the
 two matrices +M and -M always describe the same map.
 
+A map is normalized once, where it is built from outside data: the
+constructor checks |alpha|^2 - |beta|^2 > EPS_NORM and divides by its
+square root.  Products and inverses of maps are not normalized again.
+The determinant of a product of n letters drifts from 1 by about n
+rounding errors, whereas the difference of squares of large entries
+cancels to noise, so re-measuring it would only add error.
+
 Circle points are plain float angles in radians, canonical in [0, 2*pi).
 """
 
@@ -23,7 +30,7 @@ from .errors import NotDiscPreserving, OrientationReversing, SingularMatrix
 
 TAU = 2.0 * math.pi
 
-EPS_NORM = 1e-12        # tolerance on |alpha|^2 - |beta|^2 - 1
+EPS_NORM = 1e-12        # least |alpha|^2 - |beta|^2 a map may be built from
 EPS_SINGULAR = 1e-12    # determinant threshold
 EPS_SHAPE = 1e-9        # relative tolerance for the disc-preserving shape
 EPS_TRACE = 1e-9        # band around trace^2 = 4 classified as parabolic
@@ -32,7 +39,6 @@ EPS_IDENTITY = 1e-12    # a rotation with |alpha - 1| below this is the identity
 EPS_DISTINCT = 1e-12    # unit complex numbers closer than this are one circle point
 EPS_PENCIL = 1e-9       # imaginary part of a real pencil parameter left by rounding
 EPS_SOLVED = 1e-9       # angle error allowed when a solved map is checked on its data
-RENORM_MAX = 1e6        # entry size past which |alpha|^2 - |beta|^2 is noise
 _MIN_RANDOM_BETA = 1e-6  # random maps with |beta| at most this are rotations in all but name
 
 
@@ -111,24 +117,28 @@ class DiscMoebius:
     def __post_init__(self):
         a = complex(self.alpha)
         b = complex(self.beta)
-        # |a|^2 - |b|^2 = 1 holds to ~1e-16 relative under composition, but
-        # evaluating the difference of squares cancels catastrophically once
-        # the entries are large (deep words); renormalize only while the
-        # difference still carries information.
-        scale = max(abs(a), abs(b))
-        if scale < RENORM_MAX:
-            n2 = abs(a) * abs(a) - abs(b) * abs(b)
-            if n2 <= EPS_NORM:
-                raise NotDiscPreserving(
-                    f"|alpha|^2 - |beta|^2 = {n2:.3g} <= 0; not a disc-preserving pair"
-                )
-            s = 1.0 / math.sqrt(n2)
-            a *= s
-            b *= s
+        n2 = abs(a) * abs(a) - abs(b) * abs(b)
+        if not n2 > EPS_NORM:
+            raise NotDiscPreserving(
+                f"|alpha|^2 - |beta|^2 = {n2:.3g} <= 0; not a disc-preserving pair"
+            )
+        s = 1.0 / math.sqrt(n2)
+        self._set_canonical(a * s, b * s)
+
+    def _set_canonical(self, a: complex, b: complex) -> None:
         if a.real < 0.0 or (a.real == 0.0 and a.imag < 0.0):
             a, b = -a, -b
         object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "beta", b)
+
+    @classmethod
+    def _product(cls, a: complex, b: complex) -> "DiscMoebius":
+        """The map with entries that already have |a|^2 - |b|^2 = 1 up to
+        rounding (a product of maps, or a formula of determinant 1): the
+        sign is canonicalized, nothing is checked or rescaled."""
+        f = object.__new__(cls)
+        f._set_canonical(a, b)
+        return f
 
     # -- basic algebra ----------------------------------------------------
 
@@ -136,10 +146,10 @@ class DiscMoebius:
         """Matrix product: self applied after other."""
         a1, b1 = self.alpha, self.beta
         a2, b2 = other.alpha, other.beta
-        return DiscMoebius(a1 * a2 + b1 * b2.conjugate(), a1 * b2 + b1 * a2.conjugate())
+        return DiscMoebius._product(a1 * a2 + b1 * b2.conjugate(), a1 * b2 + b1 * a2.conjugate())
 
     def inverse(self) -> "DiscMoebius":
-        return DiscMoebius(self.alpha.conjugate(), -self.beta)
+        return DiscMoebius._product(self.alpha.conjugate(), -self.beta)
 
     def apply(self, z) -> SpherePoint:
         """Apply to a point of the sphere (complex or SpherePoint)."""
@@ -289,7 +299,9 @@ def contraction(r: float) -> DiscMoebius:
     """The hyperbolic map fixing +-1 that contracts toward 1 when r > 1."""
     if r <= 0:
         raise ValueError("contraction parameter must be positive")
-    return DiscMoebius(complex((r + 1.0 / r) / 2.0), complex((r - 1.0 / r) / 2.0))
+    # determinant 1 by formula; the checked constructor would cancel
+    # (r + 1/r)^2 - (r - 1/r)^2 to 0 for large r
+    return DiscMoebius._product(complex((r + 1.0 / r) / 2.0), complex((r - 1.0 / r) / 2.0))
 
 
 def normalize(m) -> DiscMoebius:
@@ -366,7 +378,7 @@ def parabolic_map(fix: float, src: float, dst: float) -> DiscMoebius:
     if abs(t.imag) > EPS_PENCIL:
         raise ValueError("no parabolic map for this configuration")
     t = t.real
-    core = DiscMoebius(1.0 + 1j * t, -1j * t)
+    core = DiscMoebius._product(1.0 + 1j * t, -1j * t)  # determinant 1 by formula
     result = rotation(fix).compose(core).compose(rotation(-fix))
     if circle_distance(result.apply_angle(src), canon_angle(dst)) > EPS_SOLVED:
         raise ValueError("parabolic solve failed to reproduce src -> dst")

@@ -6,7 +6,9 @@ the same on every run.  A report is pinned by the SHA-256 of its JSON,
 printed with indent 2 and without `timings`; a written report file the
 same way, any other written file by the SHA-256 of its bytes.  The
 digests were recorded before the report path moved into `cli.main`, and
-any change to how reports are built or written must keep them.
+any change to how reports are built or written must keep them.  Seven
+were re-recorded when products of disc maps stopped being renormalized:
+only the last bits of Q_n values, radii and points moved.
 """
 
 import hashlib
@@ -30,10 +32,10 @@ CASES = {
         {"report.json": "f9a66aed0fdfb384809148659f94548e52d96297e38e96013efe16459bb131b7"}),
     "verify-auto": (
         ["verify", "--builtin", "parabolic3", "--auto"], 0, "",
-        "cc3fd3d20266ca787c04fe7f6ba7b7abc8a4f9923bbcb7ee9df9b2693c7f0d11", {}),
+        "c952d4837d94d0eace03b33e47fc01e5af1fee44cdddbb0319e5215c7e8e492f", {}),
     "verify-auto-cf": (
         ["verify", "--builtin", "cf", "--auto"], 0, "",
-        "e6f443f8a58b1baf38cd4d4bfe282e2e1f3a3c4e24cb68d7b0ea0e86d8f69269", {}),
+        "ca498ded3a17795fb61b99ff95720ce2826ec60ab0bb7afd30780c49fce1d2f0", {}),
     "verify-prefix-set": (
         ["verify", "--builtin", "cf", "--prefix-set", "01,01-,1,1-"], 0, "",
         "90c96ad38eb488dfd0d72153ae00f5dc384f70cb7022964b18ffbe7517689c7c", {}),
@@ -42,16 +44,16 @@ CASES = {
         "1fe625051b09416e73a7d59cc37e3881b281ec5b036e6c28fb0c54250dcaf169", {}),
     "encode": (
         ["encode", "--builtin", "cf", "1-1-", "--tol", "1e-3", "--unicode"], 0, "",
-        "9267509d5d3e39c3d693bd8241a8e6b91dcd61cee34f391d4a1ed4b1fd0e9a15", {}),
+        "766d1c35075cbc33b0560164cf5caed670c38ce25d497997784bd65f484e5a33", {}),
     "decode": (
         ["decode", "--builtin", "binary", "--real", "0.5", "--digits", "40"], 0, "",
-        "38aeac5e023902e73df534a705193d2b646ba67881dc2165456c5d0a4a56c89f", {}),
+        "6b3001fd3c9301759d92a856f5c2754b50922cca6139fff2f42e50947ec065c8", {}),
     "qn": (
         ["qn", "--builtin", "binary", "--max-n", "4"], 0, "",
-        "3039f1f0fc020396648e18f236eb3ef9b3a1b2d7907adae1e4e9f129ca032591", {}),
+        "5b7202a394a7aa4d9d1c79155247dcba99e823b2db66985304db46856c7a6ebe", {}),
     "qn-system-file": (
         ["qn", "--system", "cf.json", "--max-n", "3"], 0, "",
-        "d668dda0ad5b40acb947c5453f845191550612c9d0c8362a6aedecb7a2d21651", {}),
+        "74d8444ccc37718cbdaff1d842b5f8464b2047626eaed291202b09b474530f6a", {}),
     "sofic": (
         ["sofic", "--builtin", "parabolic3"], 0, "",
         "e0021b27ab3d0b048542ece718f842bd43712cc074e31466b662b36b122115ff", {}),
@@ -100,7 +102,7 @@ CASES = {
         "error: [Errno 2] No such file or directory: 'nodir/grid.pgm'\n", None, {}),
     "decode-real-inf": (
         ["decode", "--builtin", "cf", "--real", "inf", "--digits", "12"], 0, "",
-        "9ec7b8c48736dd5860483a6f7bea997fc51746a5cb94d34994cfe17803d85f86", {}),
+        "bed326193d8deed828b925eb36ef8f946e2845aa29968668695daa5605701b7b", {}),
     "decode-theta-nan": (
         ["decode", "--builtin", "cf", "--theta", "nan"], 2,
         "error: theta must be finite, got nan\n", None, {}),

@@ -196,6 +196,27 @@ def test_parabolic3_runs_match_a_high_precision_product():
             assert circle_distance(res.angle, canon_angle(exact_angle)) <= 1e-12, head
 
 
+def test_encode_radius_matches_a_high_precision_product():
+    # 1/|beta| of the float product, never renormalized, against the same
+    # letters multiplied at 60 digits: sqrt(det)/|beta|
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(61)
+    with mpmath.workdps(60):
+        for name in ("binary", "cf", "hyperbolic4", "parabolic3"):
+            spec = builtin(name)
+            letters = [(mpmath.mpc(f.alpha), mpmath.mpc(f.beta)) for f in spec.transforms]
+            for _ in range(50):
+                word = decode(spec, rng.uniform(0.0, TAU), 60)
+                res = encode(spec, word, tol=1e-300, max_digits=len(word))
+                fa, fb = mpmath.mpc(1), mpmath.mpc(0)
+                for a in word:
+                    a2, b2 = letters[a]
+                    fa, fb = fa * a2 + fb * mpmath.conj(b2), fa * b2 + fb * mpmath.conj(a2)
+                radius = mpmath.sqrt(abs(fa) ** 2 - abs(fb) ** 2) / abs(fb)
+                assert res.digits_consumed == 60
+                assert abs(res.error_radius / radius - 1) <= 1e-12, (name, word)
+
+
 def test_run_jump_checks_every_digit(monkeypatch):
     cf = builtin("cf")
     minus, inv, plus = range(3)
@@ -549,7 +570,7 @@ def test_verify_binary_level_five_certifies_strictly():
     # and the rotation-free rule is not needed
     v = verify(builtin("binary"), mode="qn", n=5)
     assert v.status == "verified_Qn" and v.warnings == []
-    assert v.evidence == {"n": 5, "Q_n": 1.2500000000000007}
+    assert v.evidence == {"n": 5, "Q_n": 1.2499999999999984}
 
 
 @pytest.mark.parametrize("query", [
@@ -609,69 +630,71 @@ def _turned_cover(spec, turn):
 # (name, cover turn, mode, n, B, n_max) -> (status, evidence, warnings), as
 # recorded when each mode still ran in a branch of its own; an int B stands for
 # every word of that length.  The last case's B cannot be parsed, and auto mode
-# parses B only after the expansion bounds fail.
+# parses B only after the expansion bounds fail.  The Q_n values were re-recorded,
+# each within 1e-14 of a 60-digit product of the letters, when products of disc
+# maps stopped being renormalized.
 _PINNED_VERDICTS = [(('binary', None, 'auto'),
   ('verified_Qn',
-   {'n': 4, 'Q_n': 0.9999999999999991, 'rotation_free': True},
+   {'n': 4, 'Q_n': 0.9999999999999984, 'rotation_free': True},
    ['expansion bound at n=4 equals 1; certified because no length-4 word map is a '
     'rotation'])),
  (('cf', None, 'auto'),
   ('verified_Qn',
-   {'n': 2, 'Q_n': 0.9999999999999996, 'rotation_free': True},
+   {'n': 2, 'Q_n': 1.0, 'rotation_free': True},
    ['expansion bound at n=2 equals 1; certified because no length-2 word map is a '
     'rotation'])),
  (('hyperbolic4', None, 'auto'),
   ('verified_Qn',
-   {'n': 1, 'Q_n': 0.999999999999998, 'rotation_free': True},
+   {'n': 1, 'Q_n': 0.9999999999999991, 'rotation_free': True},
    ['expansion bound at n=1 equals 1; certified because no length-1 word map is a '
     'rotation'])),
  (('parabolic3', None, 'auto'),
   ('verified_Qn',
-   {'n': 1, 'Q_n': 0.9999999999999984, 'rotation_free': True},
+   {'n': 1, 'Q_n': 0.9999999999999978, 'rotation_free': True},
    ['expansion bound at n=1 equals 1; certified because no length-1 word map is a '
     'rotation'])),
  (('binary', None, 'qn', 1), ('inconclusive', {'n': 1, 'Q_n': 0.5882352941176469}, [])),
- (('binary', None, 'qn', 2), ('inconclusive', {'n': 2, 'Q_n': 0.47058823529411764}, [])),
+ (('binary', None, 'qn', 2), ('inconclusive', {'n': 2, 'Q_n': 0.47058823529411736}, [])),
  (('binary', None, 'qn', 3), ('inconclusive', {'n': 3, 'Q_n': 0.5882352941176467}, [])),
  (('cf', None, 'qn', 1), ('inconclusive', {'n': 1, 'Q_n': 1.0}, [])),
  (('cf', None, 'qn', 2),
   ('verified_Qn',
-   {'n': 2, 'Q_n': 0.9999999999999996, 'rotation_free': True},
+   {'n': 2, 'Q_n': 1.0, 'rotation_free': True},
    ['expansion bound at n=2 equals 1; certified because no length-2 word map is a '
     'rotation'])),
  (('cf', None, 'qn', 3),
   ('verified_Qn',
-   {'n': 3, 'Q_n': 0.9999999999999987, 'rotation_free': True},
+   {'n': 3, 'Q_n': 0.9999999999999996, 'rotation_free': True},
    ['expansion bound at n=3 equals 1; certified because no length-3 word map is a '
     'rotation'])),
  (('hyperbolic4', None, 'qn', 1),
   ('verified_Qn',
-   {'n': 1, 'Q_n': 0.999999999999998, 'rotation_free': True},
+   {'n': 1, 'Q_n': 0.9999999999999991, 'rotation_free': True},
    ['expansion bound at n=1 equals 1; certified because no length-1 word map is a '
     'rotation'])),
  (('hyperbolic4', None, 'qn', 2),
   ('verified_Qn',
-   {'n': 2, 'Q_n': 0.999999999999996, 'rotation_free': True},
+   {'n': 2, 'Q_n': 0.999999999999998, 'rotation_free': True},
    ['expansion bound at n=2 equals 1; certified because no length-2 word map is a '
     'rotation'])),
  (('hyperbolic4', None, 'qn', 3),
   ('verified_Qn',
-   {'n': 3, 'Q_n': 0.9999999999999978, 'rotation_free': True},
+   {'n': 3, 'Q_n': 0.999999999999996, 'rotation_free': True},
    ['expansion bound at n=3 equals 1; certified because no length-3 word map is a '
     'rotation'])),
  (('parabolic3', None, 'qn', 1),
   ('verified_Qn',
-   {'n': 1, 'Q_n': 0.9999999999999984, 'rotation_free': True},
+   {'n': 1, 'Q_n': 0.9999999999999978, 'rotation_free': True},
    ['expansion bound at n=1 equals 1; certified because no length-1 word map is a '
     'rotation'])),
  (('parabolic3', None, 'qn', 2),
   ('verified_Qn',
-   {'n': 2, 'Q_n': 0.9999999999999976, 'rotation_free': True},
+   {'n': 2, 'Q_n': 0.9999999999999958, 'rotation_free': True},
    ['expansion bound at n=2 equals 1; certified because no length-2 word map is a '
     'rotation'])),
  (('parabolic3', None, 'qn', 3),
   ('verified_Qn',
-   {'n': 3, 'Q_n': 0.9999999999999953, 'rotation_free': True},
+   {'n': 3, 'Q_n': 0.999999999999994, 'rotation_free': True},
    ['expansion bound at n=3 equals 1; certified because no length-3 word map is a '
     'rotation'])),
  (('cf', None, 'qn', 0), ('inconclusive', {'n': 0, 'Q_n': 1.0}, [])),
@@ -712,7 +735,7 @@ _PINNED_VERDICTS = [(('binary', None, 'auto'),
     'certify this system'])),
  (('parabolic3', None, 'auto', None, ('zz',)),
   ('verified_Qn',
-   {'n': 1, 'Q_n': 0.9999999999999984, 'rotation_free': True},
+   {'n': 1, 'Q_n': 0.9999999999999978, 'rotation_free': True},
    ['expansion bound at n=1 equals 1; certified because no length-1 word map is a '
     'rotation']))]
 
@@ -735,9 +758,15 @@ def test_verify_matches_pinned_verdicts(case, expected):
 def test_decode_builds_no_map_per_digit(monkeypatch):
     spec = builtin("cf")
     built = []
-    original = DiscMoebius.__post_init__
+    checked, product = DiscMoebius.__post_init__, DiscMoebius._product
+    # the checked constructor and the product constructor of compose/inverse
     monkeypatch.setattr(DiscMoebius, "__post_init__",
-                        lambda self: built.append(1) or original(self))
+                        lambda self: built.append(1) or checked(self))
+    monkeypatch.setattr(DiscMoebius, "_product",
+                        staticmethod(lambda a, b: built.append(1) or product(a, b)))
+    spec.transforms[0].compose(spec.transforms[1])
+    assert built == [1]  # a product is counted
+    built.clear()
     word = decode(spec, 1.234, 60, prefix=spec.alphabet.word("1"))
     assert len(word) == 61 and not built
 

@@ -20,7 +20,7 @@ from moebius_systems.existence import (
     render_grid,
     two_hyperbolic_system,
 )
-from moebius_systems.transforms import RENORM_MAX, TAU, circle_distance, rotation
+from moebius_systems.transforms import TAU, circle_distance, rotation
 
 # the cover-search kernel must stay inside the domains of sqrt and arccos
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -103,9 +103,6 @@ def _scalar_cover_search(fa, fb, depth):
             for a2, b2 in ((fa.alpha, fa.beta), (fb.alpha, fb.beta)):
                 na = a1 * a2 + b1 * b2.conjugate()
                 nb = a1 * b2 + b1 * a2.conjugate()
-                if abs(na) < RENORM_MAX:
-                    norm = math.sqrt(abs(na) ** 2 - abs(nb) ** 2)
-                    na, nb = na / norm, nb / norm
                 nxt.append((na, nb))
                 if (arc := _v_arc(na, nb)) is not None:
                     arcs.append(arc)

@@ -206,6 +206,40 @@ def test_min_expansion_requires_nonempty():
         builtin("parabolic3").min_expansion("ac")
 
 
+def test_min_expansion_matches_a_high_precision_product():
+    # the inverse derivative det / |alpha - conj(beta) x|^2 of the float
+    # letters' product at 60 digits, taken at the same closed refined-set
+    # endpoints (and at the antipode of the disc center when it is inside)
+    mpmath = pytest.importorskip("mpmath")
+
+    def reference(spec, word):
+        fa, fb = mpmath.mpc(1), mpmath.mpc(0)
+        for a in word:
+            f = spec.transforms[a]
+            a2, b2 = mpmath.mpc(f.alpha), mpmath.mpc(f.beta)
+            fa, fb = fa * a2 + fb * mpmath.conj(b2), fa * b2 + fb * mpmath.conj(a2)
+        det = abs(fa) ** 2 - abs(fb) ** 2
+        far = det / (abs(fb) + abs(fa)) ** 2
+        antipode = float(mpmath.arg(fa / mpmath.conj(fb))) + math.pi
+        values = []
+        for s, l in spec.refined_set(word).closure().arcs:
+            for theta in (s, s + l):
+                x = mpmath.expj(mpmath.mpf(theta))
+                values.append(det / abs(fa - mpmath.conj(fb) * x) ** 2)
+            if (antipode - s) % TAU <= l:
+                values.append(far)
+        return min(values)
+
+    cases = [(builtin("hyperbolic4"), "00000000"), (builtin("hyperbolic4"), "33322222")]
+    for name in ("binary", "cf", "hyperbolic4", "parabolic3"):
+        spec = builtin(name)
+        cases += [(spec, w) for w in spec.interval_shift_language(6)]
+    with mpmath.workdps(60):
+        for spec, word in cases:
+            word = spec._as_word(word)
+            assert abs(spec.min_expansion(word) / reference(spec, word) - 1) <= 1e-9, word
+
+
 def test_trivial_binary_zero_run_expansion():
     spec = trivial_binary()
     for n in (1, 3, 6):

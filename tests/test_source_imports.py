@@ -1,12 +1,15 @@
-"""Every name a module imports is used.
+"""Every name a module imports is used, and every constant is read.
 
 No linter ships with the package, so this parses each module of `src/`
 (except `__init__.py`, whose imports are the public API) and fails on an
 imported name the module never reads.  An import that is kept on purpose
-carries `# noqa: F401` on its line.
+carries `# noqa: F401` on its line.  It also fails on a module-level
+UPPER_CASE constant that no module of `src/` reads, so a tolerance whose
+last use was deleted goes with it.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import moebius_systems
@@ -56,3 +59,45 @@ def test_no_unused_imports_in_src():
         if path.name != "__init__.py" and (hits := unused_imports(path.read_text()))
     }
     assert found == {}
+
+
+CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*$")
+
+
+def unread_constants(sources: dict[str, str]) -> list[tuple[str, int, str]]:
+    """(module, line, name) of each module-level UPPER_CASE constant that
+    no module reads, by name or as an attribute; its definition is no read."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            defined += [(module, node.lineno, name.id) for target in targets
+                        for name in ast.walk(target)
+                        if isinstance(name, ast.Name) and CONSTANT.match(name.id)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [hit for hit in defined if hit[2] not in read]
+
+
+def test_checker_flags_unread_constants_only():
+    sources = {
+        "a.py": "EPS_USED = 1e-9\n_CAP = 3\nEPS_LEFT = 1e-12\nlower = 2\nX, Y = 1, 2\n"
+                "def f(z):\n    return z < EPS_USED + Y\n",
+        "b.py": "from . import a\nLIMIT: int = 4\ndef g():\n    return a._CAP\n",
+    }
+    assert unread_constants(sources) == [
+        ("a.py", 3, "EPS_LEFT"), ("a.py", 5, "X"), ("b.py", 2, "LIMIT")]
+
+
+def test_no_unread_constants_in_src():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unread_constants(sources) == []

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from moebius_systems.errors import NotDiscPreserving, OrientationReversing, SingularMatrix
+from moebius_systems.systems import builtin
 from moebius_systems.transforms import (
     INFINITY,
     DiscMoebius,
@@ -78,6 +79,19 @@ def test_normalize_accepts_scalar_multiples():
     g = normalize([[3 * 1j, 1], [-1, 3 * 1j]])  # i * (unnormalized F0 matrix)
     assert g.approx_eq(normalize([[3, -1j], [1j, 3]]))
     assert f.approx_eq(g)
+
+
+def test_constructor_normalizes_or_rejects():
+    f = DiscMoebius(2, 1)
+    assert abs(f.alpha - 2 / math.sqrt(3)) < 1e-15 and abs(f.beta - 1 / math.sqrt(3)) < 1e-15
+    with pytest.raises(NotDiscPreserving):
+        DiscMoebius(1, 2)
+
+
+def test_contraction_is_built_from_its_formula():
+    # (r + 1/r)/2 and (r - 1/r)/2 round to the same float here, so a
+    # checked difference of squares would be 0
+    assert contraction(1e9).derivative_modulus(0.0) == 1e-18
 
 
 # -- from_real_line ----------------------------------------------------------
@@ -309,6 +323,12 @@ def test_decompose_recomposes():
         g = f.decompose().recompose()
         for theta in samples:
             assert circle_distance(f.apply_angle(theta), g.apply_angle(theta)) < 1e-9
+    # a deep word map, |alpha| about 8192: its entries come back to rounding
+    f = builtin("binary").word_transform("0" * 25 + "1" * 3)
+    g = f.decompose().recompose()
+    assert abs(f.alpha) > 8000
+    assert abs(g.alpha - f.alpha) <= 1e-12 * abs(f.alpha)
+    assert abs(g.beta - f.beta) <= 1e-12 * abs(f.beta)
 
 
 def test_parabolic_map_three_points():
