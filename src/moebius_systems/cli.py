@@ -252,6 +252,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _strict_json(value):
+    """value with each non-finite float written as the string 'inf', '-inf'
+    or 'nan' (JSON has no such numbers), containers copied as they go."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else str(value)
+    if isinstance(value, dict):
+        return {k: _strict_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(v) for v in value]
+    return value
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The parser, built on the first main() call and reused after it."""
@@ -276,7 +288,7 @@ def main(argv=None) -> int:
             "warnings": warnings,
             "timings": {"seconds": round(time.perf_counter() - started, 6)},
         }
-        text = json.dumps(report, indent=2)
+        text = json.dumps(_strict_json(report), indent=2, allow_nan=False)
         if args.out and spec is not None:  # existence-map's --out is its grid file
             with open(args.out, "w") as fh:
                 fh.write(text + "\n")

@@ -22,6 +22,7 @@ from .transforms import TAU
 
 EPS_COMPAT = 1e-8   # endpoint tolerance for the cover-extension identity
 EPS_ONE = 1e-9      # band around an expansion bound of exactly 1
+EPS_PRUNE = 1e-9    # slack on q(uv) >= q(u)*Q_|v|; min_expansion is within 2.5e-12 of a 60-digit product
 _PULL_TABLE_CAP = 4096  # interned pullback states per table before a fresh one starts
 _CACHE_DEPTH = 32       # deepest cached prefix; enumerations stay far shallower
 _CACHE_CAP = 1_000_000  # cached refined sets per spec before a fresh cache starts
@@ -55,12 +56,27 @@ class ExpansionRateBound:
 
     The per-level minima are supermultiplicative, so every n-th root is a
     lower bound for the limit rate; the best one over 1..n_max is kept.
+    Each table entry Q_n is the exhaustive level minimum, bit for bit: the
+    walk that computes it cuts only words none of whose extensions can
+    attain a later level's minimum (see expansion_rate_bound).
     """
 
     lower_bound: float
     n_achieving: int
     table: list[tuple[int, float]] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
+
+
+def _extension_bound(lower: list[float], upper: list[float]) -> float:
+    """The q above which a word of level k = len(lower) - 1 has no extension
+    attaining Q_m for any m in k+1..n_max = len(upper) - 1, from the exact
+    Q_0..Q_k in lower and the upper bounds U_m in upper."""
+    k, n_max = len(lower) - 1, len(upper) - 1
+    est = list(lower)
+    for j in range(k + 1, n_max - k + 1):
+        est.append(max(est[i] * est[j - i] for i in range(1, j)))
+    return max(upper[m] * (1.0 + EPS_PRUNE) / est[m - k] if est[m - k] > 0 else math.inf
+               for m in range(k + 1, n_max + 1))
 
 
 def _difference(a: ArcSet, b: ArcSet) -> tuple[tuple[float, float], ...]:
@@ -265,25 +281,66 @@ class NumberSystemSpec:
         return min_inverse_derivative(f, refined.closure())
 
     def level_min_expansion(self, n: int) -> float:
-        """Minimum of min_expansion over all interval-shift words of length n;
-        +inf when that level of the language is empty."""
-        return self.min_expansion_over(self.interval_shift_language(n))
+        """Minimum of min_expansion over all interval-shift words of length n
+        (1.0 at n = 0, the empty word); +inf when that level is empty."""
+        if n < 0:
+            raise ValueError(f"level n must be >= 0, got {n}")
+        return self.expansion_rate_bound(n).table[-1][1] if n else 1.0
 
     def min_expansion_over(self, words) -> float:
         """Minimum of min_expansion over the words; +inf when there are none."""
         return min((self.min_expansion(w) for w in words), default=math.inf)
 
+    def _dive_bounds(self, n_max: int) -> list[float]:
+        """Upper bounds on Q_0..Q_n_max: the q of the words met by descending
+        from the root, each time to the interval-shift child of least q;
+        +inf past a word that has no such child."""
+        upper = [1.0] + [math.inf] * n_max
+        word, state = (), self.automaton.initial
+        for m in range(1, n_max + 1):
+            children = [(self.min_expansion(w), w, nxt)
+                        for a, nxt in enumerate(self.automaton.transitions[state])
+                        if nxt is not None and not self.refined_set(w := word + (a,)).is_empty]
+            if not children:
+                break
+            upper[m], word, state = min(children)
+        return upper
+
     def expansion_rate_bound(self, n_max: int) -> ExpansionRateBound:
-        """Best n-th-root lower bound over levels 1..n_max, with diagnostics."""
+        """Best n-th-root lower bound over levels 1..n_max, with diagnostics.
+
+        Q_n is the least q(w) = min_expansion(w) over the interval-shift
+        words of length n.  The chain rule gives F_u^-1(R(uv)) within R(v),
+        so q(uv) >= q(u)*Q_|v|, and the levels are walked by branch and
+        bound on it.  A greedy descent first gives upper bounds U_m >= Q_m.
+        After level k the lower bounds L_j are Q_j for j <= k and
+        max_i L_i*L_(j-i) beyond; a word u of level k is not extended when
+        q(u)*L_(m-k) > U_m*(1 + EPS_PRUNE) for every m in k+1..n_max.
+        The invariant that keeps every Q_n exact: the computed q satisfy
+        the chain-rule bound within the relative slack EPS_PRUNE, so no cut
+        word has an extension attaining a level's minimum, and that
+        minimum is read from the same min_expansion as in a full walk.
+        """
         if n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {n_max}")
-        table = []
-        best, best_n = -math.inf, 0
-        levels = self.interval_shift_levels(n_max)
+        upper = self._dive_bounds(n_max)
+        lower = [1.0]   # exact Q_0..Q_k of the levels walked so far
+        cut: set[Word] = set()   # words of the last level that are not extended
+        levels = walk(self.automaton, n_max, "interval-shift enumeration",
+                      keep=lambda w: w[:-1] not in cut and not self.refined_set(w).is_empty)
         next(levels)  # level 0, the empty word
+        table = []
         for n, level in enumerate(levels, 1):
-            q = self.min_expansion_over(w for w, _ in level)
+            qs = [self.min_expansion(w) for w, _ in level]
+            q = min(qs, default=math.inf)
             table.append((n, q))
+            lower.append(q)
+            cut.clear()
+            if qs and n < n_max:
+                bound = _extension_bound(lower, upper)
+                cut.update(w for (w, _), qw in zip(level, qs) if qw > bound)
+        best, best_n = -math.inf, 0
+        for n, q in table:
             if math.isinf(q):
                 continue
             root = q ** (1.0 / n)

@@ -38,7 +38,7 @@ EPS_ROTATION = 1e-12    # |beta| below this counts as a rotation
 EPS_IDENTITY = 1e-12    # a rotation with |alpha - 1| below this is the identity
 EPS_DISTINCT = 1e-12    # unit complex numbers closer than this are one circle point
 EPS_PENCIL = 1e-9       # imaginary part of a real pencil parameter left by rounding
-EPS_SOLVED = 1e-9       # angle error allowed when a solved map is checked on its data
+EPS_SOLVED = 1e-9       # a solved map's angle error on its data, relative to the points' least separation
 _MIN_RANDOM_BETA = 1e-6  # random maps with |beta| at most this are rotations in all but name
 
 
@@ -380,7 +380,12 @@ def parabolic_map(fix: float, src: float, dst: float) -> DiscMoebius:
     t = t.real
     core = DiscMoebius._product(1.0 + 1j * t, -1j * t)  # determinant 1 by formula
     result = rotation(fix).compose(core).compose(rotation(-fix))
-    if circle_distance(result.apply_angle(src), canon_angle(dst)) > EPS_SOLVED:
+    # a map that misses dst by a fixed angle would pass an absolute check
+    # on points closer than that angle, so the miss is measured against
+    # the points' least separation
+    separation = min(circle_distance(fix, src), circle_distance(src, dst),
+                     circle_distance(dst, fix))
+    if circle_distance(result.apply_angle(src), canon_angle(dst)) > EPS_SOLVED * separation:
         raise ValueError("parabolic solve failed to reproduce src -> dst")
     return result
 

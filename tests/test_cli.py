@@ -113,6 +113,20 @@ def test_qn_table(capsys):
     assert report["result"]["rate_lower_bound"] == pytest.approx(1.0, abs=1e-6)
 
 
+def test_reports_are_strict_json(capsys):
+    def reject(token):
+        raise AssertionError(f"non-strict JSON number {token}")
+
+    for argv, path, value in (
+        (["decode", "--builtin", "cf", "--real", "inf", "--digits", "3"], ("inputs", "real"), "inf"),
+        (["decode", "--builtin", "cf", "--real=-inf", "--digits", "3"], ("inputs", "real"), "-inf"),
+        (["encode", "--builtin", "cf", "1", "--digits", "0"], ("result", "error_radius"), "inf"),
+    ):
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert report[path[0]][path[1]] == value
+
+
 def test_sofic_report(capsys):
     code, report, _ = run(capsys, "sofic", "--builtin", "parabolic3")
     assert code == 0

@@ -39,6 +39,21 @@ def trivial_binary():
     return with_cover(bi, {s: ArcSet.full_circle() for s in bi.alphabet.symbols})
 
 
+def _exhaustive_table(spec, n_max):
+    """Q_1..Q_n_max from every word of every level: the oracle the pruned
+    walk of expansion_rate_bound must reproduce bit for bit."""
+    levels = spec.interval_shift_levels(n_max)
+    next(levels)
+    return [(n, spec.min_expansion_over(w for w, _ in level)) for n, level in enumerate(levels, 1)]
+
+
+def _turned_cover(spec, turn):
+    return with_cover(spec, {
+        sym: c if c.full else ArcSet.from_arcs([(s + TAU * turn, l) for s, l in c.arcs])
+        for sym, c in zip(spec.alphabet.symbols, spec.cover)
+    })
+
+
 # -- refined sets ---------------------------------------------------------------
 
 
@@ -307,9 +322,32 @@ def test_trivial_cover_rate_warning():
     est = trivial_binary().expansion_rate_bound(8)
     assert est.lower_bound < 1.0
     assert any("Q estimate" in w for w in est.warnings)
-    # oracle: recompute the table directly
-    for n, q in est.table:
-        assert abs(q - trivial_binary().level_min_expansion(n)) < 1e-12
+    assert est.table == _exhaustive_table(trivial_binary(), 8)
+
+
+@pytest.mark.parametrize("name", ["parabolic3", "cf", "binary", "hyperbolic4"])
+def test_pruned_table_matches_exhaustive_on_builtins(name):
+    assert builtin(name).expansion_rate_bound(8).table == _exhaustive_table(builtin(name), 8)
+
+
+@pytest.mark.parametrize("turn", [0.1, 0.25, 0.37, 0.5, 0.9])
+@pytest.mark.parametrize("name", ["parabolic3", "cf", "binary", "hyperbolic4"])
+def test_pruned_table_matches_exhaustive_on_turned_covers(name, turn):
+    spec = _turned_cover(builtin(name), turn)
+    oracle = _exhaustive_table(_turned_cover(builtin(name), turn), 9)
+    assert spec.expansion_rate_bound(9).table == oracle
+
+
+def test_pruned_walk_computes_few_word_minima(monkeypatch):
+    # every Q_n of hyperbolic4 is 1, attained on few branches: the bound
+    # q(uv) >= q(u)*Q_|v| cuts nearly all of the 118,096 words of levels 1..10
+    calls = []
+    original = NumberSystemSpec.min_expansion
+    monkeypatch.setattr(NumberSystemSpec, "min_expansion",
+                        lambda self, word: calls.append(word) or original(self, word))
+    table = builtin("hyperbolic4").expansion_rate_bound(10).table
+    assert len(table) == 10 and all(abs(q - 1.0) <= 1e-9 for _, q in table)
+    assert len(calls) <= 1000
 
 
 # -- prefix sets ------------------------------------------------------------------------

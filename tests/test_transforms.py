@@ -346,6 +346,18 @@ def test_parabolic_map_rejects_degenerate_points():
         parabolic_map(0.0, 1.0, 1.0)
 
 
+def test_parabolic_map_rejects_close_points():
+    # the solve at points 1e-11 apart sent src to 0.0, a miss of 2e-11 that
+    # an absolute 1e-9 check let through; measured against the points'
+    # separation, both close configurations are refused
+    for sep in (1e-11, 1e-9):
+        with pytest.raises(ValueError, match="failed to reproduce"):
+            parabolic_map(0.0, sep, 2.0 * sep)
+    # points a thousandth of a turn apart still solve
+    f = parabolic_map(1.0, 1.0 + 1e-3 * TAU, 1.0 + 2e-3 * TAU)
+    assert circle_distance(f.apply_angle(1.0 + 1e-3 * TAU), 1.0 + 2e-3 * TAU) < 1e-12
+
+
 # -- plumbing -----------------------------------------------------------------------
 
 
