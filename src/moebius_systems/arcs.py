@@ -386,21 +386,21 @@ def min_inverse_derivative(f: DiscMoebius, region) -> float:
     if f.is_rotation:
         return 1.0
     b = abs(f.beta)
+    b2 = b * b
     d = f.alpha / f.beta.conjugate()
-    ad = abs(d)
-    dir_angle = cmath.phase(d)
+    return _least_on(closed, lambda t: 1.0 / (b2 * abs(cmath.exp(1j * t) - d) ** 2),
+                     cmath.phase(d) + math.pi, 1.0 / (b2 * (1.0 + abs(d)) ** 2))
 
-    def dist2(theta):
-        return abs(cmath.exp(1j * theta) - d) ** 2
 
-    far = (1.0 + ad) ** 2
+def _least_on(closed: ClosedArcSet, value, pole: float, at_pole: float) -> float:
+    """Least of value(theta) over a nonempty closed arc set, for a value
+    that grows with the angular distance from `pole`, where it is at_pole:
+    the least value at an arc endpoint, or at_pole where an arc holds pole."""
     if closed.full:
-        best = far
-    else:
-        best = 0.0
-        antipode = dir_angle + math.pi
-        for s, l in closed.arcs:
-            best = max(best, dist2(s), dist2(s + l))
-            if (antipode - s) % TAU <= l:
-                best = max(best, far)
-    return 1.0 / (b * b * best)
+        return at_pole
+    best = math.inf
+    for s, l in closed.arcs:
+        best = min(best, value(s), value(s + l))
+        if (pole - s) % TAU <= l:
+            best = min(best, at_pole)
+    return best

@@ -89,13 +89,13 @@ def encode(spec: NumberSystemSpec, digits, tol: float, max_digits: int | None = 
     estimate is still returned with converged=False.  Pass max_digits
     when feeding an infinite stream that might not reach tol (e.g. on
     unverified systems); without it the loop runs until the certificate
-    is met.
+    is met.  A digit outside the alphabet's indices raises ValueError.
     """
     if not tol > 0:  # NaN too: no radius is ever <= NaN
         raise ValueError(f"tol must be positive, got {tol!r}")
     if max_digits is not None and max_digits < 0:
         raise ValueError(f"max_digits must be >= 0, got {max_digits!r}")
-    word_digits = spec._as_word(digits) if isinstance(digits, (str, tuple, list)) else digits
+    word_digits = spec.alphabet.word(digits) if isinstance(digits, (str, list)) else digits
     # the loop reads `stream`: the digits a run jump read past its end
     # (`pending`, from stream position `pstart` on), then the rest of `base`
     base = iter(word_digits)
@@ -103,6 +103,7 @@ def encode(spec: NumberSystemSpec, digits, tol: float, max_digits: int | None = 
     state = spec.automaton.initial
     moves = spec.automaton.transitions  # follower state x letter -> state or None
     fwd = [(f.alpha, f.beta) for f in spec.transforms]
+    n_symbols = len(fwd)
     scales = spec._parabolic_scales
     eps_rotation = EPS_ROTATION
     # the pullback state is an id in the spec's table of interned pullback
@@ -121,6 +122,9 @@ def encode(spec: NumberSystemSpec, digits, tol: float, max_digits: int | None = 
             if max_digits is not None and consumed >= max_digits:
                 break
             if a != prev:
+                if not 0 <= a < n_symbols:
+                    raise ValueError(f"digit {a!r} at position {consumed} is not a symbol "
+                                     f"index 0..{n_symbols - 1}")
                 prev, jump_from = a, consumed + run_min
             elif (consumed >= jump_from and rows[sid][a] == sid
                     and scales[a] is not None and moves[state][a] == state):
@@ -258,8 +262,8 @@ def decode(spec: NumberSystemSpec, theta: float, n_digits: int, prefix: Word = (
     inverse maps are applied to the point first).  The caller is expected
     to have verified the system; on covers that fail compatibility the
     decoder can run out of candidates, which raises NoLegalDigit with the
-    offending point attached.  A non-finite theta or a negative n_digits
-    raises ValueError.
+    offending point attached.  A non-finite theta, a negative n_digits or
+    a prefix index outside the alphabet raises ValueError.
     """
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta!r}")
@@ -268,6 +272,7 @@ def decode(spec: NumberSystemSpec, theta: float, n_digits: int, prefix: Word = (
     x = canon_angle(theta)
     inverses, closures = spec._inverses, spec._closures
     state = spec.automaton.initial
+    prefix = spec._as_word(tuple(prefix))
     word = list(prefix)
     for a in prefix:
         state = spec.automaton.step(state, a)

@@ -2,43 +2,33 @@
 
 A number system candidate is an alphabet of disc maps together with a
 family of open arc sets whose closures fill the circle, and a subshift
-restricting the admissible digit strings.  Refining a cover along a word
-intersects the base arcs pulled forward through the word's prefix maps;
-words whose refinement is empty carry no representable points and drop
-out of the interval shift.
+restricting the admissible digit strings.  A word w is held as the
+pullback state Z_w = F_w^-1(R(w)) of its refined set R(w), stepped letter
+by letter by pull_step from the full circle.  Z_w does not shrink as w
+grows, so interval-shift membership (Z_w nonempty), the expansion minimum
+and the cover gaps are read from it; R(w) = F_w(Z_w) is formed on demand.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import threading
 from dataclasses import dataclass, field
+from functools import reduce
 
 from . import transforms
-from .arcs import ArcSet, covers_circle, expansion_interval, image, min_inverse_derivative
+from .arcs import ArcSet, _least_on, covers_circle, expansion_interval, image
 from .errors import EmptyRefinedSet
 from .subshift import Alphabet, Subshift, Word, last_level, walk
 from .transforms import TAU
 
 EPS_COMPAT = 1e-8   # endpoint tolerance for the cover-extension identity
 EPS_ONE = 1e-9      # band around an expansion bound of exactly 1
-EPS_PRUNE = 1e-9    # slack on q(uv) >= q(u)*Q_|v|; min_expansion is within 2.5e-12 of a 60-digit product
+EPS_PRUNE = 1e-9    # slack on q(uv) >= q(u)*Q_|v|; min_expansion is within 3e-12 of a 60-digit product
 _PULL_TABLE_CAP = 4096  # interned pullback states per table before a fresh one starts
 _CACHE_DEPTH = 32       # deepest cached prefix; enumerations stay far shallower
-_CACHE_CAP = 1_000_000  # cached refined sets per spec before a fresh cache starts
-
-
-@dataclass
-class CompatibilityReport:
-    """Outcome of checking that covers extend along legal digits."""
-
-    depth: int
-    checked: int
-    violations: list[tuple[Word, tuple[tuple[float, float], ...]]] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
+_CACHE_CAP = 1_000_000  # cached words per spec before a fresh cache starts
 
 
 @dataclass
@@ -79,10 +69,9 @@ def _extension_bound(lower: list[float], upper: list[float]) -> float:
                for m in range(k + 1, n_max + 1))
 
 
-def _difference(a: ArcSet, b: ArcSet) -> tuple[tuple[float, float], ...]:
-    """Arcs of a outside the closure of b; the full circle as ((0, 2*pi),)."""
-    rest = a.intersect(b.complement())
-    return ((0.0, TAU),) if rest.full else rest.arcs
+def _arcs(a: ArcSet) -> tuple[tuple[float, float], ...]:
+    """The arcs of a; the full circle as ((0, 2*pi),)."""
+    return ((0.0, TAU),) if a.full else a.arcs
 
 
 class _PullbackTable:
@@ -111,10 +100,10 @@ class _PullbackTable:
 class NumberSystemSpec:
     """Alphabet -> disc map, alphabet -> cover arcs, plus a subshift.
 
-    refined_set computations are cached per word up to _CACHE_DEPTH letters
-    (enumerations share prefixes heavily), and encode's pullback states are
-    interned in a bounded table filled under a lock; values are pure, so
-    concurrent use returns the same results as serial execution.
+    Each word's pullback state and word map are cached up to _CACHE_DEPTH
+    letters (enumerations share prefixes heavily), and encode's pullback
+    states are interned in a bounded table filled under a lock; values are
+    pure, so concurrent use returns the same results as serial execution.
     """
 
     def __init__(self, alphabet: Alphabet, transforms_by_symbol, cover_by_symbol,
@@ -147,6 +136,11 @@ class NumberSystemSpec:
         self._inverses = [f.inverse() for f in self.transforms]
         self._letter_pulls = [image(g, c) for g, c in zip(self._inverses, self.cover)]
         self._closures = [c.closure() for c in self.cover]
+        # per follower state, the points that no legal letter's closed cover
+        # arc holds: the cover gaps of a word in its own coordinates
+        self._gaps = [reduce(ArcSet.union, (c for c, nxt in zip(self.cover, row) if nxt is not None),
+                             ArcSet.empty()).complement()
+                      for row in self.automaton.transitions]
         self._parabolic_scales = [transforms.parabolic_scale(f) for f in self.transforms]
         self._pull_table = _PullbackTable(alphabet.size)
         self._pull_lock = threading.Lock()
@@ -154,8 +148,8 @@ class NumberSystemSpec:
     # -- refined sets ---------------------------------------------------------
 
     def _entry(self, word: Word) -> tuple[ArcSet, transforms.DiscMoebius]:
-        """(refined set, word map) of the word, stepped on from its longest
-        cached prefix; past _CACHE_CAP entries the cache starts afresh."""
+        """(pullback state Z_w, word map F_w) of the word, stepped on from its
+        longest cached prefix; past _CACHE_CAP entries the cache starts afresh."""
         cache = self._cache
         cached = cache.get(word)
         if cached is not None:
@@ -171,18 +165,21 @@ class NumberSystemSpec:
                 break
         for i in range(start, len(word)):
             a = word[i]
-            refined, f = entry
-            entry = (
-                refined.intersect(image(f, self.cover[a])),
-                f.compose(self.transforms[a]),
-            )
+            z, f = entry
+            entry = (self.pull_step(z, a), f.compose(self.transforms[a]))
             if i < _CACHE_DEPTH:
                 cache[word[: i + 1]] = entry
         return entry
 
     def refined_set(self, word) -> ArcSet:
-        """The set of circle points whose expansions can start with `word`."""
-        return self._entry(self._as_word(word))[0]
+        """The set of circle points whose expansions can start with `word`:
+        F_w(Z_w), empty once it is narrower than EPS_ANGLE though Z_w is not."""
+        z, f = self._entry(self._as_word(word))
+        return image(f, z)
+
+    def _member(self, word: Word) -> bool:
+        """Interval-shift test of a legal word, as in encode: Z_w is nonempty."""
+        return not self._entry(word)[0].is_empty
 
     def word_transform(self, word) -> transforms.DiscMoebius:
         """Composition of the letter maps along the word."""
@@ -193,19 +190,22 @@ class NumberSystemSpec:
         return expansion_interval(self.word_transform(word))
 
     def _as_word(self, word) -> Word:
-        if isinstance(word, tuple):
-            return word
-        return self.alphabet.word(word)
+        """A tuple of symbol indices as it is, anything else parsed by the
+        alphabet; an index outside the alphabet raises ValueError."""
+        if not isinstance(word, tuple):
+            return self.alphabet.word(word)
+        if word and (min(word) < 0 or max(word) >= self.alphabet.size):
+            raise ValueError(f"word {word} has a symbol index outside 0..{self.alphabet.size - 1}")
+        return word
 
     # -- the pullback step ------------------------------------------------------
 
     def pull_step(self, z: ArcSet, a: int) -> ArcSet:
         """One pullback step Z -> F_a^-1(Z) ∩ F_a^-1(C_a).
 
-        A word's refined set pulled back through its word map updates by
-        this step along the next letter a, and is empty exactly when the
-        extended word's refined set is.  The inverse maps and the letter
-        pullbacks F_a^-1(C_a) are the spec's tables, built with it.
+        A word's pullback state Z_w = F_w^-1(R(w)) steps to Z_wa along the
+        next letter a, since R(wa) = R(w) ∩ F_w(C_a).  The inverse maps and
+        the letter pullbacks F_a^-1(C_a) are the spec's tables, built with it.
         """
         return image(self._inverses[a], z).intersect(self._letter_pulls[a])
 
@@ -231,10 +231,9 @@ class NumberSystemSpec:
 
     def interval_shift_levels(self, n_max: int | None = None):
         """Yield the levels 0..n_max of the interval shift (every level when
-        n_max is None): the legal words with nonempty refined sets, as
+        n_max is None): the legal words with nonempty pullback states, as
         lexicographic (word, follower state) pairs, one list per level."""
-        return walk(self.automaton, n_max, "interval-shift enumeration",
-                    keep=lambda w: not self.refined_set(w).is_empty)
+        return walk(self.automaton, n_max, "interval-shift enumeration", keep=self._member)
 
     def interval_shift_language(self, n: int) -> list[Word]:
         """Legal length-n words whose refined sets are nonempty, lexicographic."""
@@ -243,42 +242,36 @@ class NumberSystemSpec:
     def compatibility_violations(self, level) -> list[tuple[Word, tuple[tuple[float, float], ...]]]:
         """Words of one walked level whose refined closure is not the union
         of their legal one-letter extensions', each paired with the gap arcs
-        the extensions fail to cover."""
+        the extensions fail to cover.  The gaps are Z_w less the closed
+        cover arcs of the letters legal after w, carried onto the circle by
+        F_w; those no longer than EPS_COMPAT are dropped."""
         violations = []
         for word, state in level:
-            covered = ArcSet.empty()
-            for a, nxt in enumerate(self.automaton.transitions[state]):
-                if nxt is not None:
-                    covered = covered.union(self.refined_set(word + (a,)))
-            gaps = tuple(g for g in _difference(self.refined_set(word), covered)
-                         if g[1] > EPS_COMPAT)
+            z, f = self._entry(word)
+            rest = z.intersect(self._gaps[state])
+            if rest.is_empty:
+                continue
+            gaps = tuple(g for g in _arcs(image(f, rest)) if g[1] > EPS_COMPAT)
             if gaps:
                 violations.append((word, gaps))
         return violations
-
-    def compatibility_check(self, depth: int) -> CompatibilityReport:
-        """Verify that each refined closure is the union of its legal
-        one-letter extensions, for all interval-shift words up to `depth`.
-
-        Violating words are reported with the uncovered gap arcs; a
-        negative depth raises ValueError.
-        """
-        report = CompatibilityReport(depth=depth, checked=0)
-        for level in self.interval_shift_levels(depth):
-            report.checked += len(level)
-            report.violations.extend(self.compatibility_violations(level))
-        return report
 
     # -- expansion bounds ---------------------------------------------------------
 
     def min_expansion(self, word) -> float:
         """Minimum inverse-derivative modulus of the word map over the
-        closed refined set of the word."""
+        closed refined set: the least 1/|F_w'(y)| = |conj(beta) y + conj(alpha)|^2
+        over cl Z_w, at an arc endpoint or, nearest F_w's pole, the closed
+        form 1/(|alpha| + |beta|)^2, which does not cancel."""
         word = self._as_word(word)
-        refined, f = self._entry(word)
-        if refined.is_empty:
+        z, f = self._entry(word)
+        if z.is_empty:
             raise EmptyRefinedSet(f"word {word} has an empty refined set")
-        return min_inverse_derivative(f, refined.closure())
+        if f.is_rotation:
+            return 1.0
+        ca, cb = f.alpha.conjugate(), f.beta.conjugate()
+        return _least_on(z.closure(), lambda t: abs(cb * cmath.exp(1j * t) + ca) ** 2,
+                         cmath.phase(-ca * f.beta), 1.0 / (abs(f.alpha) + abs(f.beta)) ** 2)
 
     def level_min_expansion(self, n: int) -> float:
         """Minimum of min_expansion over all interval-shift words of length n
@@ -300,7 +293,7 @@ class NumberSystemSpec:
         for m in range(1, n_max + 1):
             children = [(self.min_expansion(w), w, nxt)
                         for a, nxt in enumerate(self.automaton.transitions[state])
-                        if nxt is not None and not self.refined_set(w := word + (a,)).is_empty]
+                        if nxt is not None and self._member(w := word + (a,))]
             if not children:
                 break
             upper[m], word, state = min(children)
@@ -327,7 +320,7 @@ class NumberSystemSpec:
         lower = [1.0]   # exact Q_0..Q_k of the levels walked so far
         cut: set[Word] = set()   # words of the last level that are not extended
         levels = walk(self.automaton, n_max, "interval-shift enumeration",
-                      keep=lambda w: w[:-1] not in cut and not self.refined_set(w).is_empty)
+                      keep=lambda w: w[:-1] not in cut and self._member(w))
         next(levels)  # level 0, the empty word
         table = []
         for n, level in enumerate(levels, 1):
@@ -380,7 +373,7 @@ class NumberSystemSpec:
             if not any(w[: len(b)] == b for b in b_words):
                 verdict.missing_prefix.append(w)
         for b in b_words:
-            leak = _difference(self.refined_set(b), self.word_expansion_interval(b))
+            leak = _arcs(self.refined_set(b).intersect(self.word_expansion_interval(b).complement()))
             if leak:
                 verdict.not_contained.append((b, leak))
         verdict.passed = not verdict.missing_prefix and not verdict.not_contained

@@ -208,7 +208,6 @@ class SoficReport:
     transition_residual: float
     product_states: int | None = None
     product_transitions: list[list[int | None]] | None = None
-    product_accepting: list[bool] | None = None
 
 
 def transition_residual(spec: NumberSystemSpec, automaton: PullbackAutomaton) -> float:
@@ -271,5 +270,4 @@ def sofic_verdict(spec: NumberSystemSpec, automaton: PullbackAutomaton) -> Sofic
         i += 1
     report.product_states = len(order)
     report.product_transitions = table
-    report.product_accepting = [automaton.accepting(z) for z, _ in order]
     return report

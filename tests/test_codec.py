@@ -520,6 +520,23 @@ def test_decode_rejects_non_finite_angles_and_negative_counts():
     assert decode(cf, 1.0, 0) == ()
 
 
+def test_symbol_indices_outside_the_alphabet_are_rejected():
+    # -1 used to alias the last letter through Python's negative indexing
+    cf = builtin("cf")
+    for bad in (-1, cf.alphabet.size):
+        entry_points = [
+            lambda: encode(cf, (bad,), tol=1e-6),
+            lambda: encode(cf, iter(decode(cf, 1.234, 3) + (bad, 1)), tol=1e-30),
+            lambda: decode(cf, 1.0, 2, prefix=(bad,)),
+            lambda: cf.refined_set((bad,)),
+            lambda: cf.min_expansion((1, bad)),
+            lambda: verify(cf, mode="prefix_set", prefix_set=[(bad,)]),
+        ]
+        for call in entry_points:
+            with pytest.raises(ValueError, match="symbol index"):
+                call()
+
+
 # -- verify --------------------------------------------------------------------------
 
 
@@ -570,7 +587,7 @@ def test_verify_binary_level_five_certifies_strictly():
     # and the rotation-free rule is not needed
     v = verify(builtin("binary"), mode="qn", n=5)
     assert v.status == "verified_Qn" and v.warnings == []
-    assert v.evidence == {"n": 5, "Q_n": 1.2499999999999984}
+    assert v.evidence == {"n": 5, "Q_n": 1.250000000000001}
 
 
 @pytest.mark.parametrize("query", [
@@ -578,7 +595,7 @@ def test_verify_binary_level_five_certifies_strictly():
     lambda spec: verify(spec, mode="prefix_set", prefix_set=["0", "1", "1-", "21", "21-", "22"]),
     lambda spec: verify(spec, mode="qn", n=3),
     lambda spec: spec.expansion_rate_bound(4),
-    lambda spec: spec.compatibility_check(3),
+    lambda spec: [spec.compatibility_violations(level) for level in spec.interval_shift_levels(3)],
 ], ids=["verify-auto", "verify-prefix-set", "verify-qn", "expansion-rate-bound",
         "compatibility-check"])
 def test_each_query_walks_the_interval_shift_once(monkeypatch, query):
@@ -632,69 +649,70 @@ def _turned_cover(spec, turn):
 # every word of that length.  The last case's B cannot be parsed, and auto mode
 # parses B only after the expansion bounds fail.  The Q_n values were re-recorded,
 # each within 1e-14 of a 60-digit product of the letters, when products of disc
-# maps stopped being renormalized.
+# maps stopped being renormalized, and again, each within 3e-15, when the
+# expansion minimum came to be read from the pullback state.
 _PINNED_VERDICTS = [(('binary', None, 'auto'),
   ('verified_Qn',
-   {'n': 4, 'Q_n': 0.9999999999999984, 'rotation_free': True},
+   {'n': 4, 'Q_n': 1.0, 'rotation_free': True},
    ['expansion bound at n=4 equals 1; certified because no length-4 word map is a '
     'rotation'])),
  (('cf', None, 'auto'),
   ('verified_Qn',
-   {'n': 2, 'Q_n': 1.0, 'rotation_free': True},
+   {'n': 2, 'Q_n': 0.9999999999999998, 'rotation_free': True},
    ['expansion bound at n=2 equals 1; certified because no length-2 word map is a '
     'rotation'])),
  (('hyperbolic4', None, 'auto'),
   ('verified_Qn',
-   {'n': 1, 'Q_n': 0.9999999999999991, 'rotation_free': True},
+   {'n': 1, 'Q_n': 0.9999999999999987, 'rotation_free': True},
    ['expansion bound at n=1 equals 1; certified because no length-1 word map is a '
     'rotation'])),
  (('parabolic3', None, 'auto'),
   ('verified_Qn',
-   {'n': 1, 'Q_n': 0.9999999999999978, 'rotation_free': True},
+   {'n': 1, 'Q_n': 0.9999999999999998, 'rotation_free': True},
    ['expansion bound at n=1 equals 1; certified because no length-1 word map is a '
     'rotation'])),
- (('binary', None, 'qn', 1), ('inconclusive', {'n': 1, 'Q_n': 0.5882352941176469}, [])),
- (('binary', None, 'qn', 2), ('inconclusive', {'n': 2, 'Q_n': 0.47058823529411736}, [])),
- (('binary', None, 'qn', 3), ('inconclusive', {'n': 3, 'Q_n': 0.5882352941176467}, [])),
+ (('binary', None, 'qn', 1), ('inconclusive', {'n': 1, 'Q_n': 0.5882352941176472}, [])),
+ (('binary', None, 'qn', 2), ('inconclusive', {'n': 2, 'Q_n': 0.47058823529411786}, [])),
+ (('binary', None, 'qn', 3), ('inconclusive', {'n': 3, 'Q_n': 0.5882352941176475}, [])),
  (('cf', None, 'qn', 1), ('inconclusive', {'n': 1, 'Q_n': 1.0}, [])),
  (('cf', None, 'qn', 2),
   ('verified_Qn',
-   {'n': 2, 'Q_n': 1.0, 'rotation_free': True},
+   {'n': 2, 'Q_n': 0.9999999999999998, 'rotation_free': True},
    ['expansion bound at n=2 equals 1; certified because no length-2 word map is a '
     'rotation'])),
  (('cf', None, 'qn', 3),
   ('verified_Qn',
-   {'n': 3, 'Q_n': 0.9999999999999996, 'rotation_free': True},
+   {'n': 3, 'Q_n': 0.9999999999999998, 'rotation_free': True},
    ['expansion bound at n=3 equals 1; certified because no length-3 word map is a '
     'rotation'])),
  (('hyperbolic4', None, 'qn', 1),
   ('verified_Qn',
-   {'n': 1, 'Q_n': 0.9999999999999991, 'rotation_free': True},
+   {'n': 1, 'Q_n': 0.9999999999999987, 'rotation_free': True},
    ['expansion bound at n=1 equals 1; certified because no length-1 word map is a '
     'rotation'])),
  (('hyperbolic4', None, 'qn', 2),
   ('verified_Qn',
-   {'n': 2, 'Q_n': 0.999999999999998, 'rotation_free': True},
+   {'n': 2, 'Q_n': 0.9999999999999969, 'rotation_free': True},
    ['expansion bound at n=2 equals 1; certified because no length-2 word map is a '
     'rotation'])),
  (('hyperbolic4', None, 'qn', 3),
   ('verified_Qn',
-   {'n': 3, 'Q_n': 0.999999999999996, 'rotation_free': True},
+   {'n': 3, 'Q_n': 0.9999999999999951, 'rotation_free': True},
    ['expansion bound at n=3 equals 1; certified because no length-3 word map is a '
     'rotation'])),
  (('parabolic3', None, 'qn', 1),
   ('verified_Qn',
-   {'n': 1, 'Q_n': 0.9999999999999978, 'rotation_free': True},
+   {'n': 1, 'Q_n': 0.9999999999999998, 'rotation_free': True},
    ['expansion bound at n=1 equals 1; certified because no length-1 word map is a '
     'rotation'])),
  (('parabolic3', None, 'qn', 2),
   ('verified_Qn',
-   {'n': 2, 'Q_n': 0.9999999999999958, 'rotation_free': True},
+   {'n': 2, 'Q_n': 0.9999999999999996, 'rotation_free': True},
    ['expansion bound at n=2 equals 1; certified because no length-2 word map is a '
     'rotation'])),
  (('parabolic3', None, 'qn', 3),
   ('verified_Qn',
-   {'n': 3, 'Q_n': 0.999999999999994, 'rotation_free': True},
+   {'n': 3, 'Q_n': 0.9999999999999993, 'rotation_free': True},
    ['expansion bound at n=3 equals 1; certified because no length-3 word map is a '
     'rotation'])),
  (('cf', None, 'qn', 0), ('inconclusive', {'n': 0, 'Q_n': 1.0}, [])),
@@ -735,9 +753,30 @@ _PINNED_VERDICTS = [(('binary', None, 'auto'),
     'certify this system'])),
  (('parabolic3', None, 'auto', None, ('zz',)),
   ('verified_Qn',
-   {'n': 1, 'Q_n': 0.9999999999999978, 'rotation_free': True},
+   {'n': 1, 'Q_n': 0.9999999999999998, 'rotation_free': True},
    ['expansion bound at n=1 equals 1; certified because no length-1 word map is a '
     'rotation']))]
+
+
+# compatibility-violation counts of verify --auto on the builtins with their
+# covers turned k/40 of a turn, k = 8..32 (the benchmark's certify band),
+# recorded while refined sets were still refined forward; None is no
+# violation.  Every verdict is inconclusive and names no level n.
+_TURNED_VIOLATIONS = {
+    "parabolic3": [None] * 25,
+    "cf": [1, 1] + [None] * 21 + [1, 1],
+    "binary": [2, 2, 1] + [None] * 19 + [1, 2, 2],
+    "hyperbolic4": [None] * 25,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TURNED_VIOLATIONS))
+def test_turned_cover_verdicts_are_pinned(name):
+    got = []
+    for k in range(8, 33):
+        v = verify(_turned_cover(builtin(name), k / 40), mode="auto")
+        got.append((v.status, v.evidence.get("n"), v.evidence.get("compatibility_violations")))
+    assert got == [("inconclusive", None, c) for c in _TURNED_VIOLATIONS[name]]
 
 
 def _pinned_case(name, turn, mode, n=None, b=None, n_max=8):
