@@ -214,7 +214,7 @@ class ClosedArcSet:
     """Closed arcs for membership/length/extremum queries.
 
     Arc lengths may be 0 (a single point), which never arises from
-    closure() but can be constructed directly.
+    closure() but can from image() or be constructed directly.
     """
 
     arcs: tuple[tuple[float, float], ...] = ()
@@ -342,12 +342,11 @@ def expansion_interval(f: DiscMoebius) -> ArcSet:
     return expansion_geometry(f).v_interval
 
 
-def image(f: DiscMoebius, a) -> "ArcSet":
-    """Image of an arc set under f (endpoint mapping, orientation kept)."""
-    if isinstance(a, ClosedArcSet):
-        raise TypeError("image() operates on open ArcSets")
+def image(f: DiscMoebius, a):
+    """Image of an ArcSet or a ClosedArcSet under f, of the same kind (endpoint
+    mapping, orientation kept); a closed image keeps arcs of any length."""
     if a.full:
-        return ArcSet.full_circle()
+        return type(a).full_circle()
     out = []
     for s, l in a.arcs:
         sa = f.apply_angle(s)
@@ -370,6 +369,8 @@ def image(f: DiscMoebius, a) -> "ArcSet":
         if h2 > TAU - EPS_ANGLE:
             h2 = 0.0
         out.append((sa, h1 + h2))
+    if isinstance(a, ClosedArcSet):
+        return ClosedArcSet(tuple(sorted((canon_angle(s), min(l, TAU)) for s, l in out)))
     return ArcSet(tuple(_canonical_pieces(out)))
 
 

@@ -74,6 +74,8 @@ def _cover_batch(alpha_a: np.ndarray, beta_a: np.ndarray, alpha_b: np.ndarray,
     it finds covered.  Rotations (|beta| <= EPS_ROTATION) leave padding in
     place of an arc, and their subtrees are still explored.
     """
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
     if depth > 16:
         raise BudgetExceeded("depth > 16 means more than 2^17 words; refusing")
     n = len(alpha_a)
@@ -190,6 +192,15 @@ def _inward(q_a: float, q_b: float, pair: tuple[DiscMoebius, DiscMoebius],
     return False
 
 
+def _cell_centre(rect: tuple[float, float, float, float], width: int, height: int,
+                 row: int, col: int) -> tuple[float, float]:
+    """(q_a, q_b) at the centre of the cell in the given row and column of a
+    width x height grid over rect; row 0 is the top (largest q_b)."""
+    x0, x1, y0, y1 = rect
+    return (x0 + (col + 0.5) * (x1 - x0) / width,
+            y1 - (row + 0.5) * (y1 - y0) / height)
+
+
 @dataclass
 class CoverageGrid:
     """Per-cell labels over the parameter rectangle.
@@ -206,10 +217,7 @@ class CoverageGrid:
     labels: np.ndarray  # uint8, shape (height, width)
 
     def cell_params(self, row: int, col: int) -> tuple[float, float]:
-        x0, x1, y0, y1 = self.rect
-        qa = x0 + (col + 0.5) * (x1 - x0) / self.width
-        qb = y1 - (row + 0.5) * (y1 - y0) / self.height
-        return qa, qb
+        return _cell_centre(self.rect, self.width, self.height, row, col)
 
     def fractions(self) -> dict[str, float]:
         total = self.labels.size
@@ -267,12 +275,8 @@ def _label_cell(qa: float, qb: float, pair: tuple[DiscMoebius, DiscMoebius],
 def _render_block(args) -> list[int]:
     """Labels of the cells first..stop-1, numbered row by row."""
     first, stop, width, height, depth, n_max, rect = args
-    x0, x1, y0, y1 = rect
-    params = []
-    for cell in range(first, stop):
-        row, col = divmod(cell, width)
-        params.append((x0 + (col + 0.5) * (x1 - x0) / width,
-                       y1 - (row + 0.5) * (y1 - y0) / height))
+    params = [_cell_centre(rect, width, height, *divmod(cell, width))
+              for cell in range(first, stop)]
     pairs = [two_hyperbolic_system(qa, qb) for qa, qb in params]
     entries = np.array([(fa.alpha, fa.beta, fb.alpha, fb.beta) for fa, fb in pairs])
     covered = _cover_batch(*entries.T, depth)
@@ -292,6 +296,8 @@ def render_grid(width: int, height: int, depth: int, n_max: int,
     """
     if width < 1 or height < 1:
         raise ValueError(f"grid size must be at least 1x1, got {width}x{height}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     # worst case ~2^(depth+1) word maps per cell
     if width * height * 2.0 ** (depth + 1) > 5e9:
         raise BudgetExceeded(

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 
 from . import transforms
-from .arcs import ArcSet, _least_on, covers_circle, expansion_interval, image
+from .arcs import ArcSet, _least_on, covers_circle, expansion_geometry, image
 from .errors import EmptyRefinedSet
 from .subshift import Alphabet, Subshift, Word, last_level, walk
 from .transforms import TAU
@@ -37,7 +37,7 @@ class PrefixSetVerdict:
 
     passed: bool
     missing_prefix: list[Word] = field(default_factory=list)
-    not_contained: list[tuple[Word, tuple[tuple[float, float], ...]]] = field(default_factory=list)
+    not_contained: list[Word] = field(default_factory=list)
 
 
 @dataclass
@@ -184,10 +184,6 @@ class NumberSystemSpec:
     def word_transform(self, word) -> transforms.DiscMoebius:
         """Composition of the letter maps along the word."""
         return self._entry(self._as_word(word))[1]
-
-    def word_expansion_interval(self, word) -> ArcSet:
-        """Expansion interval of the composed word map (empty for rotations)."""
-        return expansion_interval(self.word_transform(word))
 
     def _as_word(self, word) -> Word:
         """A tuple of symbol indices as it is, anything else parsed by the
@@ -361,7 +357,8 @@ class NumberSystemSpec:
     def check_prefix_set(self, words_b, language=None) -> PrefixSetVerdict:
         """Check a candidate prefix set B: every interval-shift word of
         length max|b| must start with some b, and each b's refined set must
-        sit inside the expansion interval of its word map.  `language`, the
+        sit inside the expansion interval V(F_b) of its word map, read as
+        Z_b within U(F_b), which F_b carries onto V(F_b).  `language`, the
         interval-shift words of length max|b|, is enumerated when not given."""
         b_words = [self._as_word(b) for b in words_b]
         if not b_words:
@@ -373,8 +370,9 @@ class NumberSystemSpec:
             if not any(w[: len(b)] == b for b in b_words):
                 verdict.missing_prefix.append(w)
         for b in b_words:
-            leak = _arcs(self.refined_set(b).intersect(self.word_expansion_interval(b).complement()))
-            if leak:
-                verdict.not_contained.append((b, leak))
+            z, f = self._entry(b)
+            u = ArcSet.empty() if f.is_rotation else expansion_geometry(f).u_interval
+            if not z.intersect(u.complement()).is_empty:
+                verdict.not_contained.append(b)
         verdict.passed = not verdict.missing_prefix and not verdict.not_contained
         return verdict

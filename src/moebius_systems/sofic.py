@@ -92,9 +92,11 @@ def build_automaton(spec: NumberSystemSpec, state_cap: int = STATE_CAP,
     A new state is the lowest-index stored state within eps_state by
     ArcSet.distance, else a state of its own.  The candidates come from a
     _StateIndex rather than a scan of every stored state; the rule, and so
-    the automaton, is the one the scan gives.  eps_state must be finite
-    and >= 0 (0 merges exact repeats only).
+    the automaton, is the one the scan gives.  state_cap must be >= 1, and
+    eps_state finite and >= 0 (0 merges exact repeats only).
     """
+    if state_cap < 1:
+        raise ValueError(f"state_cap must be >= 1, got {state_cap}")
     if not 0.0 <= eps_state < math.inf:
         raise ValueError(f"eps_state must be finite and >= 0, got {eps_state}")
     states: list[ArcSet] = [ArcSet.full_circle()]

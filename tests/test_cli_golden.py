@@ -123,6 +123,21 @@ CASES = {
     "existence-map-negative-nmax": (
         ["existence-map", "--res", "2x2", "--depth", "3", "--nmax", "-1"], 2,
         "error: n_max must be >= 0\n", None, {}),
+    "sofic-cap-0": (
+        ["sofic", "--builtin", "cf", "--cap", "0"], 2,
+        "error: state_cap must be >= 1, got 0\n", None, {}),
+    "sofic-negative-cap": (
+        ["sofic", "--builtin", "cf", "--cap", "-3"], 2,
+        "error: state_cap must be >= 1, got -3\n", None, {}),
+    "existence-map-negative-depth": (
+        ["existence-map", "--res", "4x4", "--depth", "-2"], 2,
+        "error: depth must be >= 0, got -2\n", None, {}),
+    "existence-map-workers-0": (
+        ["existence-map", "--res", "2x2", "--depth", "3", "--nmax", "3", "--workers", "0"], 2,
+        "error: workers must be >= 1, got 0\n", None, {}),
+    "existence-map-negative-workers": (
+        ["existence-map", "--res", "2x2", "--depth", "3", "--nmax", "3", "--workers", "-2"], 2,
+        "error: workers must be >= 1, got -2\n", None, {}),
     "report-out-missing-dir": (
         ["classify", "--builtin", "cf", "1", "--out", "nodir/r.json"], 2,
         "error: [Errno 2] No such file or directory: 'nodir/r.json'\n", None, {}),

@@ -510,6 +510,16 @@ def test_representable_interval_of_a_long_word_sits_in_the_encode_disc():
             assert abs(cmath.exp(1j * end) - res.point.value) <= res.error_radius
 
 
+@pytest.mark.parametrize("name", ["parabolic3", "cf", "binary", "hyperbolic4"])
+def test_representable_interval_answers_every_prefix_of_a_decoded_word(name):
+    # from 25 to 77 digits on, depending on the system, F_w(Z_w) is narrower
+    # than EPS_ANGLE, which an open arc set drops; the closed image keeps it
+    spec = builtin(name)
+    word = decode(spec, 1.234, 120)
+    for k in range(1, len(word) + 1):
+        assert representable_interval(spec, word[:k]).contains(1.234, tol=1e-12), k
+
+
 def test_decode_rejects_non_finite_angles_and_negative_counts():
     cf = builtin("cf")
     for theta in (math.nan, math.inf, -math.inf):

@@ -64,6 +64,15 @@ def test_cover_search_depth_zero_is_false():
     assert not cover_search(fa, fb, 0)
 
 
+@pytest.mark.parametrize("depth", [-1, -2])
+def test_cover_search_rejects_a_negative_depth(depth):
+    fa, fb = two_hyperbolic_system(0.25, 0.25)
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        cover_search(fa, fb, depth)
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        render_grid(2, 2, depth=depth, n_max=4)
+
+
 def test_cover_search_monotone_in_depth():
     rng = random.Random(51)
     for _ in range(100):
@@ -163,6 +172,12 @@ def test_inward_open_rectangle_boundary():
 def test_grid_rejects_sizes_below_one(size):
     with pytest.raises(ValueError, match="at least 1x1"):
         render_grid(*size, depth=4, n_max=4)
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_grid_rejects_workers_below_one(workers):
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        render_grid(2, 2, depth=4, n_max=4, workers=workers)
 
 
 def test_single_cell_grid_matches_predicates():

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from moebius_systems import interval_system
-from moebius_systems.arcs import EPS_ANGLE, ArcSet, image, min_inverse_derivative
+from moebius_systems.arcs import EPS_ANGLE, ArcSet, expansion_interval, image, min_inverse_derivative
 from moebius_systems.codec import decode, representable_interval
 from moebius_systems.errors import EmptyRefinedSet
 from moebius_systems.interval_system import _CACHE_DEPTH, NumberSystemSpec
@@ -159,7 +159,8 @@ def test_refined_sets_inside_expansion_intervals():
         spec = builtin(name)
         for n in range(1, 7):
             for u in spec.interval_shift_language(n):
-                leak = spec.refined_set(u).intersect(spec.word_expansion_interval(u).complement())
+                v = expansion_interval(spec.word_transform(u))
+                leak = spec.refined_set(u).intersect(v.complement())
                 assert leak.length() < 1e-7, (name, u)
 
 
@@ -453,9 +454,48 @@ def test_binary_prefix_set_is_rejected_at_22():
     bi = builtin("binary")
     check = bi.check_prefix_set(["0", "1", "1-", "21", "21-", "22"])
     assert not check.passed
-    assert [bi.alphabet.format(b) for b, _ in check.not_contained] == ["22"]
+    assert [bi.alphabet.format(b) for b in check.not_contained] == ["22"]
     assert not check.missing_prefix
     assert bi.min_expansion("22") < 0.5  # quantitative witness (8/17)
+
+
+def _global_prefix_check(spec, b_words):
+    """(passed, missing prefixes, words not contained) of the prefix set by
+    the global form: R(b) within V(F_b) on the circle, formed through
+    refined_set, as the package read it before it read Z_b within U(F_b);
+    kept here as the reference."""
+    language = spec.interval_shift_language(max(len(b) for b in b_words))
+    missing = [w for w in language if not any(w[: len(b)] == b for b in b_words)]
+    leaking = [b for b in b_words if not spec.refined_set(b).intersect(
+        expansion_interval(spec.word_transform(b)).complement()).is_empty]
+    return not missing and not leaking, missing, leaking
+
+
+# prefix sets beyond the letters and the two-letter words: the benchmark's
+# for cf and the one rejected at 22 for binary
+PREFIX_SETS = {"cf": "01,01-,1,1-", "binary": "0,1,1-,21,21-,22"}
+
+
+@pytest.mark.parametrize("name", ["parabolic3", "cf", "binary", "hyperbolic4"])
+def test_prefix_check_matches_the_global_form_on_turned_covers(name):
+    # covers turned 0 to 0.95 of a turn: 60 prefix sets on cf and binary,
+    # 40 on the others, each checked in local coordinates against the global
+    # form; words fall on both sides of the containment test
+    inside = outside = 0
+    for k in range(20):
+        spec = builtin(name) if k == 0 else _turned_cover(builtin(name), 0.05 * k)
+        size = spec.alphabet.size
+        candidates = [[(a,) for a in range(size)],
+                      [(a, b) for a in range(size) for b in range(size)]]
+        if name in PREFIX_SETS:
+            candidates.append([spec.alphabet.word(b) for b in PREFIX_SETS[name].split(",")])
+        for b_words in candidates:
+            check = spec.check_prefix_set(b_words)
+            got = (check.passed, check.missing_prefix, check.not_contained)
+            assert got == _global_prefix_check(spec, b_words), (k, b_words)
+            outside += len(check.not_contained)
+            inside += len(b_words) - len(check.not_contained)
+    assert inside and outside
 
 
 def test_single_letter_prefix_set_misses_words():

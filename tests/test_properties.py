@@ -15,7 +15,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from moebius_systems.arcs import ArcSet, image  # noqa: E402
+from moebius_systems.arcs import EPS_ANGLE, ArcSet, image  # noqa: E402
 from moebius_systems.codec import decode  # noqa: E402
 from moebius_systems.systems import builtin  # noqa: E402
 from moebius_systems.transforms import TAU, DiscMoebius  # noqa: E402
@@ -29,16 +29,17 @@ angles = st.floats(0.0, TAU, exclude_max=True)
 
 
 @st.composite
-def arc_sets(draw, min_length=0.0):
+def arc_sets(draw, min_length=0.0, max_length=TAU, min_size=0):
     if draw(st.integers(0, 9)) == 0:
         return ArcSet.full_circle()
-    arcs = draw(st.lists(st.tuples(angles, st.floats(min_length, TAU)), max_size=4))
+    arcs = draw(st.lists(st.tuples(angles, st.floats(min_length, max_length)),
+                         min_size=min_size, max_size=4))
     return ArcSet.from_arcs(arcs)
 
 
 @st.composite
-def disc_maps(draw):
-    b = draw(st.floats(0.0, 3.0))
+def disc_maps(draw, b_max=3.0, b_min=0.0):
+    b = draw(st.floats(b_min, b_max))
     beta = b * cmath.exp(1j * draw(angles))
     return DiscMoebius(math.sqrt(1.0 + b * b) * cmath.exp(1j * draw(angles)), beta)
 
@@ -81,6 +82,37 @@ def test_image_round_trip_is_canonical(f, a):
     back = image(f.inverse(), there)
     assert _canonical(back)
     assert a.distance(back) <= 1e-9
+
+
+def _closed_distance(p, q) -> float:
+    """ArcSet.distance between the arcs of two closed sets."""
+    if p.full or q.full:
+        return 0.0 if p.full and q.full else math.inf
+    return ArcSet(p.arcs).distance(ArcSet(q.arcs))
+
+
+@PROPERTY_SETTINGS
+@given(disc_maps(), arc_sets(min_length=1e-3, max_length=2.0, min_size=1))
+def test_image_of_the_closure_is_the_closure_of_the_image(f, a):
+    closed = image(f, a).closure()
+    if not closed.is_empty:
+        assert _closed_distance(image(f, a.closure()), closed) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(disc_maps(b_min=100.0, b_max=1e4), st.floats(2 * EPS_ANGLE, 1e-6), st.floats(0.0, 1.0))
+def test_closed_image_keeps_an_arc_narrower_than_eps_angle(f, length, offset):
+    # an arc at the centre of U(f), where f contracts by 1/(|alpha| + |beta|)^2
+    # < 2.5e-5, maps to less than EPS_ANGLE: the open image drops it, the
+    # closed one holds the images of its endpoints
+    centre = cmath.phase(f.alpha.conjugate() / f.beta.conjugate())
+    a = ArcSet.from_arcs([(centre - offset * length, length)])
+    assert image(f, a).is_empty
+    closed = image(f, a.closure())
+    assert not closed.is_empty
+    for s, l in a.closure().arcs:
+        for end in (s, s + l):
+            assert closed.contains(f.apply_angle(end), tol=1e-12)
 
 
 @PROPERTY_SETTINGS

@@ -53,6 +53,12 @@ def test_cap_prevents_saturation():
     assert report.growth  # the per-depth curve is part of the diagnosis
 
 
+@pytest.mark.parametrize("cap", [0, -3])
+def test_state_cap_below_one_rejected(cap):
+    with pytest.raises(ValueError, match="state_cap must be >= 1"):
+        build_automaton(builtin("cf"), state_cap=cap)
+
+
 def test_rebuild_is_deterministic():
     p3 = builtin("parabolic3")
     a1 = build_automaton(p3)

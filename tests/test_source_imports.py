@@ -5,7 +5,9 @@ No linter ships with the package, so this parses each module of `src/`
 imported name the module never reads.  An import that is kept on purpose
 carries `# noqa: F401` on its line.  It also fails on a module-level
 UPPER_CASE constant that no module of `src/` reads, so a tolerance whose
-last use was deleted goes with it.
+last use was deleted goes with it, and on a private function, class or
+method (`_name`, not `__dunder__`) that no module of `src/` reads, so a
+helper whose last caller was deleted goes too.
 """
 
 import ast
@@ -101,3 +103,38 @@ def test_checker_flags_unread_constants_only():
 def test_no_unread_constants_in_src():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert unread_constants(sources) == []
+
+
+def unread_private_definitions(sources: dict[str, str]) -> list[tuple[str, int, str]]:
+    """(module, line, name) of each private function, class or method, at
+    any nesting, that no module reads, by name or as an attribute."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = node.name
+                if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                    defined.append((module, node.lineno, name))
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [hit for hit in defined if hit[2] not in read]
+
+
+def test_checker_flags_unread_private_definitions_only():
+    sources = {
+        "a.py": "def _used():\n    return 1\ndef _left():\n    return _used()\n"
+                "class _Kept:\n    def __init__(self):\n        pass\n"
+                "    def _orphan(self):\n        return _Kept\n    def public(self):\n"
+                "        def _inner():\n            return 2\n        return 3\n",
+        "b.py": "from . import a\ndef _helper():\n    return a._left\nx = _helper\n",
+    }
+    assert unread_private_definitions(sources) == [
+        ("a.py", 8, "_orphan"), ("a.py", 11, "_inner")]
+
+
+def test_no_unread_private_definitions_in_src():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unread_private_definitions(sources) == []
