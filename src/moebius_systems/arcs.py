@@ -11,6 +11,17 @@ Only raw input is merged: from_arcs (and so union) and closure sort and
 merge their arcs.  intersect, complement and image get disjoint pieces
 from canonical sets, so they build their result from those pieces under
 the same rules (_canonical_pieces) with no merge.
+
+The set algebra builds its results through _built, which skips the
+dataclass __init__.  Its invariant: it is given only arcs in stored form,
+sorted (start, length) pairs with canonical starts and lengths at most
+2*pi as _canonical_pieces, a merge or image makes them, never raw input;
+for no arcs it returns the class's shared empty set.  The empty set and
+the full circle of each class are shared instances.  image maps each
+arc's start and end inline with exactly the arithmetic of
+DiscMoebius.apply_angle, so its result is bit for bit the one that
+mapping them through apply_angle gives; the midpoint that settles a
+near-full reading goes through apply_angle itself.
 """
 
 from __future__ import annotations
@@ -22,24 +33,34 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyArcSet, IsRotation
-from .transforms import EPS_ROTATION, DiscMoebius, TAU, canon_angle, circle_distance
+from .transforms import EPS_ROTATION, DiscMoebius, TAU
 
 EPS_ANGLE = 1e-9   # endpoint tolerance for canonicalization and equality
 EPS_GAP = 1e-10    # gaps narrower than this count as covered
 EPS_NEAR_FULL = 1e-6  # image arcs this close to a full turn are re-measured via the midpoint
 
+_new = object.__new__
+_setattr = object.__setattr__
+
 
 def _canonical_pieces(items) -> list[tuple[float, float]]:
     """Raw (start, length) pairs with canonical starts and lengths clamped
     to 2*pi, sorted, those no longer than EPS_ANGLE dropped."""
-    return sorted((canon_angle(s), min(l, TAU)) for s, l in items if l > EPS_ANGLE)
+    out = []
+    for s, l in items:
+        if l > EPS_ANGLE:
+            s %= TAU
+            out.append((0.0 if s == TAU else s, TAU if TAU < l else l))
+    out.sort()
+    return out
 
 
-def _merged(items, join):
-    """Sort raw (start, length) pairs and merge per the join predicate.
+def _merged(items, closed: bool):
+    """Sort raw (start, length) pairs and merge those that overlap by more
+    than EPS_ANGLE, or, for closed arcs, that come within EPS_ANGLE.
 
-    join(gap) decides merging from the signed gap between the running end
-    and the next start (negative gap = overlap).  Wraparound past 2*pi is
+    The merge test reads the signed gap between the running end and the
+    next start (negative gap = overlap).  Wraparound past 2*pi is
     resolved by folding spilled coverage back onto the leading arcs.
     """
     arcs = _canonical_pieces(items)
@@ -47,23 +68,42 @@ def _merged(items, join):
         return []
     merged = [list(arcs[0])]
     for s, l in arcs[1:]:
-        ps, pl = merged[-1]
-        if join(s - (ps + pl)):
-            merged[-1][1] = max(pl, s + l - ps)
+        last = merged[-1]
+        ps, pl = last
+        gap = s - (ps + pl)
+        if (gap <= EPS_ANGLE) if closed else (gap < -EPS_ANGLE):
+            reach = s + l - ps
+            if reach > pl:
+                last[1] = reach
         else:
             merged.append([s, l])
     while len(merged) > 1:
         s0, l0 = merged[0]
-        sk, lk = merged[-1]
-        if join((s0 + TAU) - (sk + lk)):
-            merged[-1][1] = max(lk, s0 + l0 + TAU - sk)
+        last = merged[-1]
+        sk, lk = last
+        gap = (s0 + TAU) - (sk + lk)
+        if (gap <= EPS_ANGLE) if closed else (gap < -EPS_ANGLE):
+            reach = s0 + l0 + TAU - sk
+            if reach > lk:
+                last[1] = reach
             merged.pop(0)
         else:
             break
     return merged
 
 
-@dataclass(frozen=True)
+def _built(cls, arcs: tuple):
+    """The set of class cls holding arcs, which are already in stored form
+    (see the module docstring); the shared empty set for no arcs."""
+    if not arcs:
+        return _EMPTY[cls]
+    x = _new(cls)
+    _setattr(x, "arcs", arcs)
+    _setattr(x, "full", False)
+    return x
+
+
+@dataclass(frozen=True, slots=True)
 class ArcSet:
     """Canonical finite union of disjoint open arcs (or the full circle)."""
 
@@ -74,24 +114,24 @@ class ArcSet:
 
     @classmethod
     def empty(cls) -> "ArcSet":
-        return cls((), False)
+        return _EMPTY[cls]
 
     @classmethod
     def full_circle(cls) -> "ArcSet":
-        return cls((), True)
+        return _FULL[cls]
 
     @classmethod
     def from_arcs(cls, items) -> "ArcSet":
         """Canonicalize raw (start, length) pairs; overlapping arcs merge,
         arcs that merely share an endpoint stay separate (open sets)."""
-        merged = _merged(items, lambda gap: gap < -EPS_ANGLE)
+        merged = _merged(items, False)
         if not merged:
-            return cls.empty()
+            return _EMPTY[cls]
         if len(merged) == 1 and merged[0][1] > TAU + EPS_ANGLE:
-            return cls.full_circle()
+            return _FULL[cls]
         if merged[0][1] > TAU:
             merged[0][1] = TAU
-        return cls(tuple((s, l) for s, l in merged), False)
+        return _built(cls, tuple([(s, l) for s, l in merged]))
 
     @classmethod
     def arc(cls, start: float, end: float) -> "ArcSet":
@@ -138,48 +178,57 @@ class ArcSet:
             return other
         if other.full:
             return self
-        if self.is_empty or other.is_empty:
-            return ArcSet.empty()
+        if not self.arcs or not other.arcs:
+            return _EMPTY[ArcSet]
         out = []
         for s1, l1 in self.arcs:
             e1 = s1 + l1
             for s2, l2 in other.arcs:
-                for shift in (-TAU, 0.0, TAU):
-                    s = max(s1, s2 + shift)
-                    e = min(e1, s2 + shift + l2)
+                # the second arc a turn back, as it is and a turn on; the
+                # later start and the earlier end win, the first arc's on ties
+                for b in (s2 - TAU, s2, s2 + TAU):
+                    s = b if b > s1 else s1
+                    e = b + l2
+                    if not e < e1:
+                        e = e1
                     if e - s > EPS_ANGLE:
                         out.append((s, e - s))
-        return ArcSet(tuple(_canonical_pieces(out)))
+        return _built(ArcSet, tuple(_canonical_pieces(out)))
 
     def union(self, other: "ArcSet") -> "ArcSet":
         if self.full or other.full:
-            return ArcSet.full_circle()
+            return _FULL[ArcSet]
         return ArcSet.from_arcs(self.arcs + other.arcs)
 
     def complement(self) -> "ArcSet":
         """Interior of the set complement (endpoints belong to neither side)."""
         if self.full:
-            return ArcSet.empty()
+            return _EMPTY[ArcSet]
         if not self.arcs:
-            return ArcSet.full_circle()
+            return _FULL[ArcSet]
         out = []
         n = len(self.arcs)
         for i, (s, l) in enumerate(self.arcs):
             nxt = self.arcs[(i + 1) % n][0] + (TAU if i == n - 1 else 0.0)
             gap = nxt - (s + l)
             out.append((s + l, gap))
-        return ArcSet(tuple(_canonical_pieces(out)))
+        return _built(ArcSet, tuple(_canonical_pieces(out)))
 
     def closure(self) -> "ClosedArcSet":
         """Closed view; arcs sharing an endpoint merge."""
         if self.full:
-            return ClosedArcSet.full_circle()
-        if not self.arcs:
-            return ClosedArcSet.empty()
-        merged = _merged(self.arcs, lambda gap: gap <= EPS_ANGLE)
+            return _FULL[ClosedArcSet]
+        arcs = self.arcs
+        if len(arcs) == 1:
+            # one arc has nothing to merge with: its canonical piece
+            merged = _canonical_pieces(arcs)
+        elif arcs:
+            merged = _merged(arcs, True)
+        else:
+            return _EMPTY[ClosedArcSet]
         if len(merged) == 1 and merged[0][1] >= TAU - EPS_ANGLE:
-            return ClosedArcSet.full_circle()
-        return ClosedArcSet(tuple((s, min(l, TAU)) for s, l in merged))
+            return _FULL[ClosedArcSet]
+        return _built(ClosedArcSet, tuple([(s, TAU if TAU < l else l) for s, l in merged]))
 
     # -- comparison -----------------------------------------------------------
 
@@ -188,28 +237,41 @@ class ArcSet:
         structure differs.  Used for numerical state deduplication."""
         if self.full or other.full:
             return 0.0 if (self.full and other.full) else math.inf
-        if len(self.arcs) != len(other.arcs):
+        mine, theirs = self.arcs, other.arcs
+        n = len(mine)
+        if n != len(theirs):
             return math.inf
-        n = len(self.arcs)
         if n == 0:
             return 0.0
         best = math.inf
         for k in range(n):
             worst = 0.0
             for i in range(n):
-                s1, l1 = self.arcs[i]
-                s2, l2 = other.arcs[(i + k) % n]
-                worst = max(worst, circle_distance(s1, s2), abs(l1 - l2))
+                s1, l1 = mine[i]
+                s2, l2 = theirs[(i + k) % n]
+                # the larger of worst, the circle distance of the starts and
+                # the length difference; the earlier one on ties
+                d = (s1 - s2) % TAU
+                if TAU - d < d:
+                    d = TAU - d
+                if d > worst:
+                    worst = d
+                d = l1 - l2
+                if d < 0.0:
+                    d = -d
+                if d > worst:
+                    worst = d
                 if worst >= best:
                     break
-            best = min(best, worst)
+            if worst < best:
+                best = worst
         return best
 
     def approx_eq(self, other: "ArcSet", tol: float = 1e-8) -> bool:
         return self.distance(other) <= tol
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClosedArcSet:
     """Closed arcs for membership/length/extremum queries.
 
@@ -222,11 +284,11 @@ class ClosedArcSet:
 
     @classmethod
     def empty(cls) -> "ClosedArcSet":
-        return cls((), False)
+        return _EMPTY[cls]
 
     @classmethod
     def full_circle(cls) -> "ClosedArcSet":
-        return cls((), True)
+        return _FULL[cls]
 
     @property
     def is_empty(self) -> bool:
@@ -247,6 +309,10 @@ class ClosedArcSet:
             if d <= l + tol or d >= TAU - tol:
                 return (s, l)
         return None
+
+
+_EMPTY = {ArcSet: ArcSet(), ClosedArcSet: ClosedArcSet()}
+_FULL = {ArcSet: ArcSet((), True), ClosedArcSet: ClosedArcSet((), True)}
 
 
 def covers_circle(sets) -> bool:
@@ -344,19 +410,31 @@ def expansion_interval(f: DiscMoebius) -> ArcSet:
 
 def image(f: DiscMoebius, a):
     """Image of an ArcSet or a ClosedArcSet under f, of the same kind (endpoint
-    mapping, orientation kept); a closed image keeps arcs of any length."""
+    mapping, orientation kept); a closed image keeps arcs of any length.
+    Each endpoint t maps as in f.apply_angle(t)."""
     if a.full:
-        return type(a).full_circle()
+        return _FULL[type(a)]
+    closed = type(a) is ClosedArcSet
+    alpha, beta = f.alpha, f.beta
+    cb, ca = beta.conjugate(), alpha.conjugate()
+    exp, phase = cmath.exp, cmath.phase
     out = []
     for s, l in a.arcs:
-        sa = f.apply_angle(s)
-        ea = f.apply_angle(s + l)
+        z = exp(1j * s)
+        sa = phase((alpha * z + beta) / (cb * z + ca)) % TAU
+        if sa == TAU:
+            sa = 0.0
+        z = exp(1j * (s + l))
+        ea = phase((alpha * z + beta) / (cb * z + ca)) % TAU
+        if ea == TAU:
+            ea = 0.0
         if l < TAU - EPS_NEAR_FULL:
             # a proper sub-circle arc maps to one; its length is just the
             # counterclockwise endpoint gap
             glen = (ea - sa) % TAU
             if glen <= TAU - EPS_NEAR_FULL:
-                out.append((sa, glen))
+                if closed or glen > EPS_ANGLE:
+                    out.append((sa, glen))
                 continue
             # near-full reading of a sub-full arc: either genuine expansion
             # or rounding flipped a microscopic image; midpoint settles it
@@ -368,10 +446,13 @@ def image(f: DiscMoebius, a):
             h1 = 0.0
         if h2 > TAU - EPS_ANGLE:
             h2 = 0.0
-        out.append((sa, h1 + h2))
-    if isinstance(a, ClosedArcSet):
-        return ClosedArcSet(tuple(sorted((canon_angle(s), min(l, TAU)) for s, l in out)))
-    return ArcSet(tuple(_canonical_pieces(out)))
+        length = h1 + h2
+        if closed or length > EPS_ANGLE:
+            out.append((sa, TAU if TAU < length else length))
+    # the mapped starts are canonical already; pieces are kept, clamped and
+    # sorted as _canonical_pieces does, an open image dropping short ones
+    out.sort()
+    return _built(type(a), tuple(out))
 
 
 def min_inverse_derivative(f: DiscMoebius, region) -> float:
@@ -396,12 +477,18 @@ def min_inverse_derivative(f: DiscMoebius, region) -> float:
 def _least_on(closed: ClosedArcSet, value, pole: float, at_pole: float) -> float:
     """Least of value(theta) over a nonempty closed arc set, for a value
     that grows with the angular distance from `pole`, where it is at_pole:
-    the least value at an arc endpoint, or at_pole where an arc holds pole."""
+    the least value at an arc endpoint, or at_pole where an arc holds pole.
+    The earliest of equal values is kept."""
     if closed.full:
         return at_pole
     best = math.inf
     for s, l in closed.arcs:
-        best = min(best, value(s), value(s + l))
-        if (pole - s) % TAU <= l:
-            best = min(best, at_pole)
+        v = value(s)
+        if v < best:
+            best = v
+        v = value(s + l)
+        if v < best:
+            best = v
+        if (pole - s) % TAU <= l and at_pole < best:
+            best = at_pole
     return best

@@ -192,12 +192,17 @@ class _StateIndex:
             starts.append(s + TAU)
         if s > TAU - w:
             starts.append(s - TAU)
-        found: set[int] = set()
+        get = self.cells.get
+        hits = []
         for x in starts:
             c = math.floor(x / w)
             for cell in (c - 1, c, c + 1):
-                found.update(self.cells.get((n, cell), ()))
-        return sorted(found)
+                hit = get((n, cell))
+                if hit:
+                    hits.append(hit)
+        if len(hits) == 1:
+            return hits[0]  # one cell's list is ascending already
+        return sorted({i for hit in hits for i in hit})
 
 
 @dataclass

@@ -173,12 +173,21 @@ def parse_angle(value) -> float:
     raise ConfigError(f"cannot parse angle {value!r}; use radians or 'pi*p/q'")
 
 
+def _pairs(vals, what: str) -> list[complex]:
+    """Complex numbers from a list of [re, im] pairs."""
+    try:
+        return [complex(re_, im_) for re_, im_ in vals]
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} needs [re, im] pairs of numbers, got {vals!r}")
+
+
 def _parse_arc(entry) -> tuple[float, float]:
     if isinstance(entry, dict) and "points" in entry:
-        pts = entry["points"]
+        zs = _pairs(entry["points"], "'points'")
+        if len(zs) < 2:
+            raise ConfigError(f"'points' needs two [re, im] pairs, got {entry['points']!r}")
         angles = []
-        for re_, im_ in pts:
-            z = complex(re_, im_)
+        for z in zs:
             if abs(abs(z) - 1.0) > EPS_UNIT:
                 raise ConfigError(f"arc endpoint {z} is not on the unit circle")
             angles.append(math.atan2(z.imag, z.real))
@@ -190,38 +199,63 @@ def _parse_arc(entry) -> tuple[float, float]:
 
 def _parse_transform(entry) -> DiscMoebius:
     if isinstance(entry, dict) and "disc" in entry:
-        vals = entry["disc"]
-        if len(vals) != 4:
+        zs = _pairs(entry["disc"], "'disc'")
+        if len(zs) != 4:
             raise ConfigError("'disc' needs the four matrix entries, row major")
-        zs = [complex(re_, im_) for re_, im_ in vals]
         return normalize([[zs[0], zs[1]], [zs[2], zs[3]]])
     if isinstance(entry, dict) and "real_line" in entry:
         vals = entry["real_line"]
-        if len(vals) != 4:
+        try:
+            nums = [float(v) for v in vals]
+        except (TypeError, ValueError):
+            raise ConfigError(f"'real_line' needs [a, b, c, d] numbers, got {vals!r}")
+        if len(nums) != 4:
             raise ConfigError("'real_line' needs [a, b, c, d]")
-        return from_real_line(*(float(v) for v in vals))
+        return from_real_line(*nums)
     raise ConfigError(f"transform must give 'disc' or 'real_line', got {entry!r}")
 
 
+def _section(data: dict, key: str) -> dict:
+    """The object keyed by symbol under key, {} when absent."""
+    section = data.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"'{key}' needs an object keyed by symbol, got {section!r}")
+    return section
+
+
+def _listed(value, what: str) -> list:
+    """The items of a JSON array; any iterable passes."""
+    try:
+        return list(value)
+    except TypeError:
+        raise ConfigError(f"{what} needs a list, got {value!r}")
+
+
 def parse_config(data: dict) -> NumberSystemSpec:
-    """Build a system from its JSON object form, validating as we go."""
+    """Build a system from its JSON object form, validating as we go: a
+    section of the wrong JSON type raises ConfigError like a missing one."""
     try:
         symbols = list(data["alphabet"])
     except (KeyError, TypeError):
         raise ConfigError("config needs an 'alphabet' list")
+    for name in symbols:
+        if not isinstance(name, str):
+            raise ConfigError(f"alphabet symbols need to be strings, got {name!r}")
     alphabet = Alphabet(tuple(symbols))
+    transforms_in = _section(data, "transforms")
+    cover_in = _section(data, "cover")
     transforms_map = {}
     cover_map = {}
     for name in symbols:
-        t_entry = data.get("transforms", {}).get(name)
+        t_entry = transforms_in.get(name)
         if t_entry is None:
             raise ConfigError(f"no transform for symbol {name!r}")
         transforms_map[name] = _parse_transform(t_entry)
-        c_entry = data.get("cover", {}).get(name)
+        c_entry = cover_in.get(name)
         if c_entry is None:
             raise ConfigError(f"no cover arcs for symbol {name!r}")
         arcs = ArcSet.empty()
-        for arc in c_entry:
+        for arc in _listed(c_entry, f"the cover of {name!r}"):
             s, e = _parse_arc(arc)
             if (e - s) % TAU < EPS_WHOLE_TURN and e != s:
                 arcs = ArcSet.full_circle()  # equal endpoints: the whole circle
@@ -229,11 +263,13 @@ def parse_config(data: dict) -> NumberSystemSpec:
                 arcs = arcs.union(ArcSet.arc(s, e))
         cover_map[name] = arcs
     forbidden = []
-    for w in data.get("forbidden", []):
+    for w in _listed(data.get("forbidden", []), "'forbidden'"):
         try:
             forbidden.append(alphabet.word(w))
         except ValueError as exc:
             raise ConfigError(str(exc))
+        except TypeError:
+            raise ConfigError(f"a forbidden word needs a string or a list of symbols, got {w!r}")
     try:
         return NumberSystemSpec(
             alphabet, transforms_map, cover_map,

@@ -107,7 +107,7 @@ class KAKDecomposition:
         return rotation(self.phi1).compose(contraction(self.r)).compose(rotation(self.phi2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiscMoebius:
     """A disc-preserving Moebius transformation in canonical normalized form."""
 
@@ -166,7 +166,8 @@ class DiscMoebius:
         return SpherePoint((self.alpha * z + self.beta) / den)
 
     def apply_angle(self, theta: float) -> float:
-        """Image of the circle point e^(i*theta), returned as an angle."""
+        """Image of the circle point e^(i*theta), returned as an angle.
+        arcs.image maps arc endpoints with this arithmetic written inline."""
         z = cmath.exp(1j * theta)
         w = (self.alpha * z + self.beta) / (self.beta.conjugate() * z + self.alpha.conjugate())
         return canon_angle(cmath.phase(w))

@@ -178,6 +178,38 @@ def test_system_file_and_errors(tmp_path, capsys):
     assert code == 2  # unknown symbol is an input error
 
 
+def _cf_config_with(change):
+    data = json.loads(json.dumps(serialize_config(builtin("cf"))))
+    change(data)
+    return data
+
+
+@pytest.mark.parametrize("change", [
+    lambda d: d.update(transforms=[]),
+    lambda d: d.update(cover=[]),
+    lambda d: d["cover"].update({"1": 5}),
+    lambda d: d["cover"].update({"1": [{"points": ["ab", "cd"]}]}),
+    lambda d: d["cover"].update({"1": [{"points": [[1, 0]]}]}),
+    lambda d: d["transforms"].update({"1": {"disc": ["ab", "cd", "ef", "gh"]}}),
+    lambda d: d["transforms"].update({"1": {"disc": 4}}),
+    lambda d: d["transforms"].update({"1": {"real_line": [[1], 1, 0, 1]}}),
+    lambda d: d.update(forbidden=[3]),
+    lambda d: d.update(forbidden=3),
+    lambda d: d.update(alphabet=[["0"], "1", "1-"]),
+    lambda d: d["cover"].update({"1": [{"points": 5}]}),
+    lambda d: d["transforms"].update({"1": {"real_line": 3}}),
+], ids=["transforms-list", "cover-list", "cover-entry-number", "points-strings",
+        "points-one-pair", "disc-strings", "disc-number", "real-line-nested-list",
+        "forbidden-number", "forbidden-not-a-list", "alphabet-nested-list", "points-number",
+        "real-line-number"])
+def test_system_file_section_of_wrong_type_exits_2(tmp_path, capsys, change):
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(_cf_config_with(change)))
+    code, report, err = run(capsys, "verify", "--system", str(path))
+    assert code == 2 and report is None
+    assert err.startswith("error:")
+
+
 def test_report_written_to_file(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["classify", "--builtin", "cf", "1", "--out", str(out)])

@@ -15,7 +15,7 @@ from moebius_systems.systems import (
     parse_config,
     serialize_config,
 )
-from moebius_systems.transforms import TAU, circle_distance, normalize
+from moebius_systems.transforms import TAU, circle_distance, from_real_line, normalize
 
 
 def test_registry_contents():
@@ -126,6 +126,27 @@ def test_config_with_pi_strings_and_points():
     spec = parse_config(data)
     assert spec.cover[0].arcs[0] == pytest.approx((0.0, math.pi))
     assert spec.cover[1].arcs[0][0] == pytest.approx(math.pi)
+
+
+def test_config_lenient_forms_still_parse():
+    # a string alphabet splits into one-letter symbols, "real_line" takes
+    # numeric strings and "points" uses its first two pairs
+    data = {
+        "alphabet": "rs",
+        "transforms": {
+            "r": {"real_line": ["1", "1", 0, 1]},
+            "s": {"real_line": [1, -1, 0, 1]},
+        },
+        "cover": {
+            "r": [["pi*0", "pi"]],
+            "s": [{"points": [[-1, 0], [1, 0], [0, 1]]}],
+        },
+        "forbidden": [],
+    }
+    spec = parse_config(data)
+    assert spec.alphabet.symbols == ("r", "s")
+    assert spec.transforms[0].approx_eq(from_real_line(1, 1, 0, 1), 0.0)
+    assert spec.cover[1].arcs[0] == pytest.approx((math.pi, math.pi))
 
 
 def test_config_error_paths():
