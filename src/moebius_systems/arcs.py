@@ -29,14 +29,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from functools import reduce
 
 from .errors import EmptyArcSet, IsRotation
 from .transforms import EPS_ROTATION, DiscMoebius, TAU
 
 EPS_ANGLE = 1e-9   # endpoint tolerance for canonicalization and equality
-EPS_GAP = 1e-10    # gaps narrower than this count as covered
 EPS_NEAR_FULL = 1e-6  # image arcs this close to a full turn are re-measured via the midpoint
 
 _new = object.__new__
@@ -160,16 +158,6 @@ class ArcSet:
             if 0.0 < d < l:
                 return True
         return False
-
-    def contains_many(self, thetas: np.ndarray) -> np.ndarray:
-        """Vectorized open membership for an array of angles."""
-        if self.full:
-            return np.ones(len(thetas), dtype=bool)
-        out = np.zeros(len(thetas), dtype=bool)
-        for s, l in self.arcs:
-            d = (thetas - s) % TAU
-            out |= (d > 0.0) & (d < l)
-        return out
 
     # -- set algebra ----------------------------------------------------------
 
@@ -315,46 +303,16 @@ _EMPTY = {ArcSet: ArcSet(), ClosedArcSet: ClosedArcSet()}
 _FULL = {ArcSet: ArcSet((), True), ClosedArcSet: ClosedArcSet((), True)}
 
 
+def _uncovered(sets) -> ArcSet:
+    """The points that the closure of none of the given arc sets holds: the
+    complement of their union, so gaps no wider than EPS_ANGLE are covered."""
+    return reduce(ArcSet.union, sets, _EMPTY[ArcSet]).complement()
+
+
 def covers_circle(sets) -> bool:
     """True iff the closures of the given arc sets cover the whole circle;
-    gaps narrower than EPS_GAP count as covered."""
-    arcs = []
-    for s in sets:
-        c = s.closure()
-        if c.full:
-            return True
-        arcs.extend(c.arcs)
-    if not arcs:
-        return False
-    starts = np.array([[s for s, _ in arcs]])
-    ends = starts + np.array([[l for _, l in arcs]])
-    return bool(_closed_arcs_cover(starts, ends)[0])
-
-
-def _closed_arcs_cover(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Sweep test, one circle per row: do the closed arcs [start, end] of
-    each row cover the circle?
-
-    Starts lie in [0, 2*pi); an entry with start and end -inf is padding
-    that never fails the sweep nor extends it, and a row of padding only
-    is not covered.  Over the arcs in start order the reach is the
-    running maximum of the ends, beginning at the coverage the arcs carry
-    past 2*pi, so coverage wrapping around the origin counts.  A row
-    fails where some start lies beyond the reach of the arcs before it.
-    Only maxima, one addition and comparisons enter, so the order of
-    equal starts cannot change a verdict.
-    """
-    order = np.argsort(starts, axis=1)
-    starts = np.take_along_axis(starts, order, axis=1)
-    reach = np.take_along_axis(ends, order, axis=1)
-    del order
-    np.maximum.accumulate(reach, axis=1, out=reach)
-    floor = reach[:, -1:] - TAU  # the coverage carried past 2*pi
-    covered = (reach[:, -1] >= TAU - EPS_GAP) & (starts[:, 0] <= floor[:, 0] + EPS_GAP)
-    before = reach[:, :-1]  # the reach before each later arc, in place
-    np.maximum(before, floor, out=before)
-    before += EPS_GAP
-    return covered & (starts[:, 1:] <= before).all(axis=1)
+    gaps no wider than EPS_ANGLE count as covered."""
+    return _uncovered(sets).is_empty
 
 
 # -- geometry of a single transformation --------------------------------------

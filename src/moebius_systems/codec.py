@@ -89,16 +89,17 @@ def encode(spec: NumberSystemSpec, digits, tol: float, max_digits: int | None = 
     estimate is still returned with converged=False.  Pass max_digits
     when feeding an infinite stream that might not reach tol (e.g. on
     unverified systems); without it the loop runs until the certificate
-    is met.  A digit outside the alphabet's indices raises ValueError.
+    is met.  A string or a list of names is parsed by the alphabet; a
+    list of ints is read as symbol indices, like a tuple or an iterator.
+    A digit outside the alphabet's indices raises ValueError.
     """
     if not tol > 0:  # NaN too: no radius is ever <= NaN
         raise ValueError(f"tol must be positive, got {tol!r}")
     if max_digits is not None and max_digits < 0:
         raise ValueError(f"max_digits must be >= 0, got {max_digits!r}")
-    word_digits = spec.alphabet.word(digits) if isinstance(digits, (str, list)) else digits
     # the loop reads `stream`: the digits a run jump read past its end
     # (`pending`, from stream position `pstart` on), then the rest of `base`
-    base = iter(word_digits)
+    base = iter(spec._as_word(digits) if isinstance(digits, (str, list)) else digits)
     stream, pending, pstart = base, (), 0
     state = spec.automaton.initial
     moves = spec.automaton.transitions  # follower state x letter -> state or None
@@ -262,8 +263,9 @@ def decode(spec: NumberSystemSpec, theta: float, n_digits: int, prefix: Word = (
     inverse maps are applied to the point first).  The caller is expected
     to have verified the system; on covers that fail compatibility the
     decoder can run out of candidates, which raises NoLegalDigit with the
-    offending point attached.  A non-finite theta, a negative n_digits or
-    a prefix index outside the alphabet raises ValueError.
+    offending point attached.  The prefix is read as encode reads its
+    digits.  A non-finite theta, a negative n_digits or a prefix index
+    outside the alphabet raises ValueError.
     """
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta!r}")
@@ -272,7 +274,7 @@ def decode(spec: NumberSystemSpec, theta: float, n_digits: int, prefix: Word = (
     x = canon_angle(theta)
     inverses, closures = spec._inverses, spec._closures
     state = spec.automaton.initial
-    prefix = spec._as_word(tuple(prefix))
+    prefix = spec._as_word(prefix if isinstance(prefix, (str, list)) else tuple(prefix))
     word = list(prefix)
     for a in prefix:
         state = spec.automaton.step(state, a)
@@ -372,7 +374,7 @@ def verify(spec: NumberSystemSpec, mode: str = "auto", n: int | None = None,
         if not words:
             warnings.append(f"no legal words of length {level}; skipped")
             continue
-        q = spec.min_expansion_over(words)
+        q = min(spec.min_expansion(w) for w in words)
         if q > 1.0 + EPS_ONE:
             return Verdict("verified_Qn", {"n": level, "Q_n": q}, warnings)
         if abs(q - 1.0) <= EPS_ONE and all(not spec.word_transform(w).is_rotation for w in words):

@@ -30,9 +30,10 @@ from multiprocessing import Pool
 
 import numpy as np
 
-from .arcs import _closed_arcs_cover
 from .errors import BudgetExceeded, ParamOutOfRange
 from .transforms import EPS_ROTATION, TAU, DiscMoebius
+
+EPS_GAP = 1e-10    # gaps between expansion arcs narrower than this count as covered
 
 LABEL_UNKNOWN, LABEL_COVER, LABEL_INWARD = 0, 1, 2
 _PGM_VALUES = {LABEL_COVER: 255, LABEL_INWARD: 128, LABEL_UNKNOWN: 0}
@@ -106,6 +107,32 @@ def _cover_batch(alpha_a: np.ndarray, beta_a: np.ndarray, alpha_b: np.ndarray,
                 gen_alpha, gen_beta = gen_alpha[keep], gen_beta[keep]
                 starts, ends = starts[keep], ends[keep]
     return covered
+
+
+def _closed_arcs_cover(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Sweep test, one circle per row: do the closed arcs [start, end] of
+    each row cover the circle?
+
+    Starts lie in [0, 2*pi); an entry with start and end -inf is padding
+    that never fails the sweep nor extends it, and a row of padding only
+    is not covered.  Over the arcs in start order the reach is the
+    running maximum of the ends, beginning at the coverage the arcs carry
+    past 2*pi, so coverage wrapping around the origin counts.  A row
+    fails where some start lies beyond the reach of the arcs before it.
+    Only maxima, one addition and comparisons enter, so the order of
+    equal starts cannot change a verdict.
+    """
+    order = np.argsort(starts, axis=1)
+    starts = np.take_along_axis(starts, order, axis=1)
+    reach = np.take_along_axis(ends, order, axis=1)
+    del order
+    np.maximum.accumulate(reach, axis=1, out=reach)
+    floor = reach[:, -1:] - TAU  # the coverage carried past 2*pi
+    covered = (reach[:, -1] >= TAU - EPS_GAP) & (starts[:, 0] <= floor[:, 0] + EPS_GAP)
+    before = reach[:, :-1]  # the reach before each later arc, in place
+    np.maximum(before, floor, out=before)
+    before += EPS_GAP
+    return covered & (starts[:, 1:] <= before).all(axis=1)
 
 
 def _children(alpha: np.ndarray, beta: np.ndarray, gen_alpha: np.ndarray,

@@ -1,12 +1,21 @@
 """Interval almost covers, refined sets, and expansion bounds.
 
 A number system candidate is an alphabet of disc maps together with a
-family of open arc sets whose closures fill the circle, and a subshift
-restricting the admissible digit strings.  A word w is held as the
-pullback state Z_w = F_w^-1(R(w)) of its refined set R(w), stepped letter
-by letter by pull_step from the full circle.  Z_w does not shrink as w
-grows, so interval-shift membership (Z_w nonempty), the expansion minimum
-and the cover gaps are read from it; R(w) = F_w(Z_w) is formed on demand.
+family of open arc sets whose closures fill the circle (a gap no wider
+than EPS_ANGLE counts as covered), and a subshift restricting the
+admissible digit strings.  A word w is held as the pullback state
+Z_w = F_w^-1(R(w)) of its refined set R(w), stepped letter by letter by
+pull_step from the full circle.  Interval-shift membership (Z_w
+nonempty), the expansion minimum and the cover gaps are read from it;
+R(w) = F_w(Z_w) is formed on demand.
+
+Where each letter's inverse expands on its cover arc (C_a within the
+expansion interval of F_a), F_w^-1 expands on R(w) by the chain rule, so
+Z_w is at least as wide as R(w), arc by arc, and still answers once R(w)
+is narrower than EPS_ANGLE.  The input does not promise that.  Where F_w
+contracts, Z_w is the narrower one, and a word whose Z_w drops below
+EPS_ANGLE leaves the interval shift even when R(w) is wide (a known
+defect, ROADMAP direction 1).
 """
 
 from __future__ import annotations
@@ -15,10 +24,9 @@ import cmath
 import math
 import threading
 from dataclasses import dataclass, field
-from functools import reduce
 
 from . import transforms
-from .arcs import ArcSet, _least_on, covers_circle, expansion_geometry, image
+from .arcs import ArcSet, _least_on, _uncovered, covers_circle, expansion_geometry, image
 from .errors import EmptyRefinedSet
 from .subshift import Alphabet, Subshift, Word, last_level, walk
 from .transforms import TAU
@@ -138,8 +146,7 @@ class NumberSystemSpec:
         self._closures = [c.closure() for c in self.cover]
         # per follower state, the points that no legal letter's closed cover
         # arc holds: the cover gaps of a word in its own coordinates
-        self._gaps = [reduce(ArcSet.union, (c for c, nxt in zip(self.cover, row) if nxt is not None),
-                             ArcSet.empty()).complement()
+        self._gaps = [_uncovered(c for c, nxt in zip(self.cover, row) if nxt is not None)
                       for row in self.automaton.transitions]
         self._parabolic_scales = [transforms.parabolic_scale(f) for f in self.transforms]
         self._pull_table = _PullbackTable(alphabet.size)
@@ -186,9 +193,11 @@ class NumberSystemSpec:
         return self._entry(self._as_word(word))[1]
 
     def _as_word(self, word) -> Word:
-        """A tuple of symbol indices as it is, anything else parsed by the
-        alphabet; an index outside the alphabet raises ValueError."""
-        if not isinstance(word, tuple):
+        """A tuple or a list of symbol indices as a tuple, anything else
+        parsed by the alphabet; an index outside the alphabet raises ValueError."""
+        if isinstance(word, list) and all(isinstance(a, int) for a in word):
+            word = tuple(word)
+        elif not isinstance(word, tuple):
             return self.alphabet.word(word)
         if word and (min(word) < 0 or max(word) >= self.alphabet.size):
             raise ValueError(f"word {word} has a symbol index outside 0..{self.alphabet.size - 1}")
@@ -275,10 +284,6 @@ class NumberSystemSpec:
         if n < 0:
             raise ValueError(f"level n must be >= 0, got {n}")
         return self.expansion_rate_bound(n).table[-1][1] if n else 1.0
-
-    def min_expansion_over(self, words) -> float:
-        """Minimum of min_expansion over the words; +inf when there are none."""
-        return min((self.min_expansion(w) for w in words), default=math.inf)
 
     def _dive_bounds(self, n_max: int) -> list[float]:
         """Upper bounds on Q_0..Q_n_max: the q of the words met by descending

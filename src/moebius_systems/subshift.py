@@ -88,18 +88,6 @@ class Subshift:
     def from_words(cls, alphabet: Alphabet, words) -> "Subshift":
         return cls(alphabet, tuple(alphabet.word(w) for w in words))
 
-    def in_language(self, word: Word) -> bool:
-        """No forbidden word occurs as a factor of `word`."""
-        n = len(word)
-        for f in self.forbidden:
-            m = len(f)
-            if m > n:
-                continue
-            for i in range(n - m + 1):
-                if word[i:i + m] == f:
-                    return False
-        return True
-
     def language(self, n: int) -> list[Word]:
         """All legal words of length n, lexicographic."""
         return last_level(walk(self.follower_automaton(), n, "language enumeration"))
@@ -147,14 +135,6 @@ class FollowerAutomaton:
 
     def step(self, state: int, symbol: int) -> int | None:
         return self.transitions[state][symbol]
-
-    def accepts(self, word: Word) -> bool:
-        state = self.initial
-        for a in word:
-            state = self.transitions[state][a]
-            if state is None:
-                return False
-        return True
 
 
 def walk(auto: FollowerAutomaton, n_max: int | None, what: str, keep=None):

@@ -39,7 +39,6 @@ EPS_IDENTITY = 1e-12    # a rotation with |alpha - 1| below this is the identity
 EPS_DISTINCT = 1e-12    # unit complex numbers closer than this are one circle point
 EPS_PENCIL = 1e-9       # imaginary part of a real pencil parameter left by rounding
 EPS_SOLVED = 1e-9       # a solved map's angle error on its data, relative to the points' least separation
-_MIN_RANDOM_BETA = 1e-6  # random maps with |beta| at most this are rotations in all but name
 
 
 def canon_angle(theta: float) -> float:
@@ -171,11 +170,6 @@ class DiscMoebius:
         z = cmath.exp(1j * theta)
         w = (self.alpha * z + self.beta) / (self.beta.conjugate() * z + self.alpha.conjugate())
         return canon_angle(cmath.phase(w))
-
-    def derivative_modulus(self, theta: float) -> float:
-        """|F'| at the circle point with the given angle."""
-        z = cmath.exp(1j * theta)
-        return 1.0 / abs(self.beta.conjugate() * z + self.alpha.conjugate()) ** 2
 
     # -- structure ---------------------------------------------------------
 
@@ -389,13 +383,3 @@ def parabolic_map(fix: float, src: float, dst: float) -> DiscMoebius:
     if circle_distance(result.apply_angle(src), canon_angle(dst)) > EPS_SOLVED * separation:
         raise ValueError("parabolic solve failed to reproduce src -> dst")
     return result
-
-
-def random_disc_moebius(rng, beta_scale: float = 1.0, rotations_ok: bool = False) -> DiscMoebius:
-    """Random transformation; beta is complex normal scaled by beta_scale."""
-    while True:
-        b = complex(rng.gauss(0.0, beta_scale), rng.gauss(0.0, beta_scale))
-        if not rotations_ok and abs(b) <= _MIN_RANDOM_BETA:
-            continue
-        a = math.sqrt(1.0 + abs(b) ** 2) * cmath.exp(1j * rng.uniform(0.0, TAU))
-        return DiscMoebius(a, b)

@@ -30,11 +30,12 @@ from moebius_systems.interval_system import NumberSystemSpec
 from moebius_systems.sofic import build_automaton
 from moebius_systems.subshift import Subshift
 from moebius_systems.systems import builtin, cf_digit_stream, with_cover
-from moebius_systems.transforms import (
-    TAU,
-    canon_angle,
-    circle_distance,
-    from_real,
+from moebius_systems.transforms import TAU, canon_angle, circle_distance, from_real
+from reference import (
+    SAMPLE_ANGLES,
+    contains_many,
+    derivative_modulus,
+    random_arcset,
     random_disc_moebius,
 )
 
@@ -87,7 +88,7 @@ def test_criterion_02_algebra_suite():
                 worst,
                 circle_distance(f.apply_angle(cls.stable), cls.stable),
                 circle_distance(f.apply_angle(cls.unstable), cls.unstable),
-                abs(f.derivative_modulus(cls.stable) * f.derivative_modulus(cls.unstable) - 1.0),
+                abs(derivative_modulus(f, cls.stable) * derivative_modulus(f, cls.unstable) - 1.0),
             )
         elif cls.kind == "parabolic":
             worst = max(worst, circle_distance(f.apply_angle(cls.fixed), cls.fixed))
@@ -292,20 +293,15 @@ def test_criterion_10_oracle_equivalence():
         if cover_search(fa, fb, 6) != cover_search_unpruned(fa, fb, 6):
             disagreements += 1
 
-    angles = np.linspace(0, TAU, 10_000, endpoint=False) + 1e-4
     mism = 0
     for _ in range(1000):
-        arcs_a = [(rng.uniform(0, TAU), rng.uniform(1e-3, TAU * 0.8))
-                  for _ in range(rng.randint(0, 3))]
-        arcs_b = [(rng.uniform(0, TAU), rng.uniform(1e-3, TAU * 0.8))
-                  for _ in range(rng.randint(0, 3))]
-        a, b = ArcSet.from_arcs(arcs_a), ArcSet.from_arcs(arcs_b)
-        sa, sb = a.contains_many(angles), b.contains_many(angles)
-        if not np.array_equal(a.intersect(b).contains_many(angles), sa & sb):
+        a, b = random_arcset(rng), random_arcset(rng)
+        sa, sb = contains_many(a, SAMPLE_ANGLES), contains_many(b, SAMPLE_ANGLES)
+        if not np.array_equal(contains_many(a.intersect(b), SAMPLE_ANGLES), sa & sb):
             mism += 1
-        if not np.array_equal(a.union(b).contains_many(angles), sa | sb):
+        if not np.array_equal(contains_many(a.union(b), SAMPLE_ANGLES), sa | sb):
             mism += 1
-        if not np.array_equal(a.complement().contains_many(angles), ~sa):
+        if not np.array_equal(contains_many(a.complement(), SAMPLE_ANGLES), ~sa):
             mism += 1
     elapsed = time.perf_counter() - t0
     ok = disagreements == 0 and mism == 0 and elapsed < 60.0

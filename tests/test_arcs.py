@@ -1,6 +1,7 @@
 """Arc-set algebra against a membership-sampling oracle, plus the
-expansion geometry of single transformations, the value types, and a
-frozen copy of the arc-set kernel that the kernel must match bit for bit."""
+expansion geometry of single transformations, the value types, and the
+frozen copy of the arc-set kernel in reference.py, which the kernel must
+match bit for bit."""
 
 import cmath
 import dataclasses
@@ -16,7 +17,6 @@ from moebius_systems.arcs import (
     EPS_ANGLE,
     EPS_NEAR_FULL,
     _canonical_pieces,
-    _closed_arcs_cover,
     ArcSet,
     ClosedArcSet,
     covers_circle,
@@ -26,8 +26,9 @@ from moebius_systems.arcs import (
     min_inverse_derivative,
 )
 from moebius_systems.errors import EmptyArcSet, IsRotation
+from moebius_systems.existence import _closed_arcs_cover
 from moebius_systems.sofic import build_automaton
-from moebius_systems.systems import builtin, with_cover
+from moebius_systems.systems import builtin
 from moebius_systems.transforms import (
     TAU,
     DiscMoebius,
@@ -35,22 +36,30 @@ from moebius_systems.transforms import (
     contraction,
     identity,
     normalize,
-    random_disc_moebius,
     rotation,
 )
-
-ORACLE_ANGLES = np.linspace(0, TAU, 10_000, endpoint=False) + 1e-4
-
-
-def random_arcset(rng, max_arcs=3):
-    arcs = []
-    for _ in range(rng.randint(0, max_arcs)):
-        arcs.append((rng.uniform(0, TAU), rng.uniform(1e-3, TAU * 0.8)))
-    return ArcSet.from_arcs(arcs)
-
+from reference import (
+    SAMPLE_ANGLES,
+    contains_many,
+    derivative_modulus,
+    random_arcset,
+    random_disc_moebius,
+    ref_canon,
+    ref_canonical_pieces,
+    ref_closure,
+    ref_complement,
+    ref_distance,
+    ref_from_arcs,
+    ref_image,
+    ref_intersect,
+    ref_min_inverse_derivative,
+    ref_union,
+    scalar_arcs_cover,
+    turned_cover,
+)
 
 def sampled(a):
-    return a.contains_many(ORACLE_ANGLES)
+    return contains_many(a, SAMPLE_ANGLES)
 
 
 # -- canonical form ------------------------------------------------------------
@@ -236,9 +245,9 @@ def test_v_interval_is_where_inverse_expands():
             if min(circle_distance(theta, s), circle_distance(theta, s + l)) < 1e-6:
                 continue
             if g.v_interval.contains(theta):
-                assert inv.derivative_modulus(theta) > 1.0
+                assert derivative_modulus(inv, theta) > 1.0
             else:
-                assert inv.derivative_modulus(theta) < 1.0
+                assert derivative_modulus(inv, theta) < 1.0
 
 
 # -- min_inverse_derivative ------------------------------------------------------------
@@ -264,7 +273,7 @@ def test_min_derivative_degenerate_point_arc():
     got = min_inverse_derivative(contraction(2.0), ClosedArcSet(((0.0, 0.0),)))
     assert abs(got - 4.0) < 1e-12
     # oracle: the inverse derivative at the point itself
-    assert abs(contraction(2.0).inverse().derivative_modulus(0.0) - 4.0) < 1e-12
+    assert abs(derivative_modulus(contraction(2.0).inverse(), 0.0) - 4.0) < 1e-12
 
 
 def test_min_derivative_against_brute_force():
@@ -277,7 +286,7 @@ def test_min_derivative_against_brute_force():
         arcs = ArcSet.from_arcs([(s, l)])
         inv = f.inverse()
         thetas = s + grid * l
-        brute = min(inv.derivative_modulus(t) for t in thetas)
+        brute = min(derivative_modulus(inv, t) for t in thetas)
         got = min_inverse_derivative(f, arcs)
         assert got <= brute + 1e-12
         assert abs(got - brute) < 1e-4 * brute
@@ -298,11 +307,15 @@ def test_covers_exact_tiling():
 
 
 def test_covers_respects_gap_tolerance():
+    # a gap no wider than EPS_ANGLE counts as covered, as in the spec's
+    # compatibility gaps
     a = ArcSet.arc(0, math.pi)
     b = ArcSet.arc(math.pi + 1e-11, TAU)        # gap below tolerance
     c = ArcSet.arc(math.pi + 1e-6, TAU)         # genuine gap
+    d = ArcSet.arc(math.pi + 5e-10, TAU)        # below EPS_ANGLE
     assert covers_circle([a, b])
     assert not covers_circle([a, c])
+    assert covers_circle([a, d])
 
 
 def test_covers_counts_coverage_wrapping_past_zero():
@@ -314,16 +327,24 @@ def test_covers_counts_coverage_wrapping_past_zero():
 
 
 def test_cover_sweep_rows_with_padding_match_single_sets():
-    # one row per circle; (-inf, -inf) entries pad the rows to one width
+    # the batched sweep of the existence map, one row per circle, against
+    # the scalar sweep of each row's arcs; (-inf, -inf) entries pad the rows
+    # to one width.  Both count gaps narrower than EPS_GAP as covered, so a
+    # 5e-10 gap is open to them though covers_circle closes it.
     rng = random.Random(60)
     rows, want = [], []
     for _ in range(300):
         k = rng.randint(1, 6)
         arcs = [(rng.uniform(0, TAU), rng.uniform(0.7, 2.2) * TAU / k) for _ in range(k)]
-        want.append(covers_circle([ArcSet.from_arcs([a]) for a in arcs]))
+        want.append(scalar_arcs_cover(arcs))
         row = [(s, s + l) for s, l in arcs] + [(-math.inf, -math.inf)] * (8 - k)
         rng.shuffle(row)
         rows.append(row)
+    for gap, covered in ((5e-10, False), (5e-11, True)):
+        arcs = [(0.0, math.pi), (math.pi + gap, math.pi - gap)]
+        assert scalar_arcs_cover(arcs) is covered
+        rows.append([(s, s + l) for s, l in arcs] + [(-math.inf, -math.inf)] * 6)
+        want.append(covered)
     rows.append([(-math.inf, -math.inf)] * 8)
     want.append(False)
     table = np.array(rows)
@@ -365,185 +386,7 @@ def test_kernel_built_sets_equal_constructed_ones():
 
 # -- bit-identity oracle -------------------------------------------------------------
 #
-# A frozen copy of the arc-set kernel as it stood with builtin min, max and
-# sorted calls and one DiscMoebius.apply_angle call per mapped endpoint, on
-# (arcs, full) pairs.  The kernel must return the same tuples float for
-# float; repr tells -0.0 from 0.0, which == does not.
-
-
-def _ref_canon(theta):
-    theta = theta % TAU
-    return 0.0 if theta == TAU else theta
-
-
-def _ref_canonical_pieces(items):
-    return sorted((_ref_canon(s), min(l, TAU)) for s, l in items if l > EPS_ANGLE)
-
-
-def _ref_merged(items, join):
-    arcs = _ref_canonical_pieces(items)
-    if not arcs:
-        return []
-    merged = [list(arcs[0])]
-    for s, l in arcs[1:]:
-        ps, pl = merged[-1]
-        if join(s - (ps + pl)):
-            merged[-1][1] = max(pl, s + l - ps)
-        else:
-            merged.append([s, l])
-    while len(merged) > 1:
-        s0, l0 = merged[0]
-        sk, lk = merged[-1]
-        if join((s0 + TAU) - (sk + lk)):
-            merged[-1][1] = max(lk, s0 + l0 + TAU - sk)
-            merged.pop(0)
-        else:
-            break
-    return merged
-
-
-def _ref_from_arcs(items):
-    merged = _ref_merged(items, lambda gap: gap < -EPS_ANGLE)
-    if not merged:
-        return ((), False)
-    if len(merged) == 1 and merged[0][1] > TAU + EPS_ANGLE:
-        return ((), True)
-    if merged[0][1] > TAU:
-        merged[0][1] = TAU
-    return (tuple((s, l) for s, l in merged), False)
-
-
-def _ref_intersect(a, b):
-    if a[1]:
-        return b
-    if b[1]:
-        return a
-    if not a[0] or not b[0]:
-        return ((), False)
-    out = []
-    for s1, l1 in a[0]:
-        e1 = s1 + l1
-        for s2, l2 in b[0]:
-            for shift in (-TAU, 0.0, TAU):
-                s = max(s1, s2 + shift)
-                e = min(e1, s2 + shift + l2)
-                if e - s > EPS_ANGLE:
-                    out.append((s, e - s))
-    return (tuple(_ref_canonical_pieces(out)), False)
-
-
-def _ref_union(a, b):
-    if a[1] or b[1]:
-        return ((), True)
-    return _ref_from_arcs(a[0] + b[0])
-
-
-def _ref_complement(a):
-    arcs, full = a
-    if full:
-        return ((), False)
-    if not arcs:
-        return ((), True)
-    out = []
-    n = len(arcs)
-    for i, (s, l) in enumerate(arcs):
-        nxt = arcs[(i + 1) % n][0] + (TAU if i == n - 1 else 0.0)
-        out.append((s + l, nxt - (s + l)))
-    return (tuple(_ref_canonical_pieces(out)), False)
-
-
-def _ref_closure(a):
-    arcs, full = a
-    if full:
-        return ((), True)
-    if not arcs:
-        return ((), False)
-    merged = _ref_merged(arcs, lambda gap: gap <= EPS_ANGLE)
-    if len(merged) == 1 and merged[0][1] >= TAU - EPS_ANGLE:
-        return ((), True)
-    return (tuple((s, min(l, TAU)) for s, l in merged), False)
-
-
-def _ref_circle_distance(a, b):
-    d = (a - b) % TAU
-    return min(d, TAU - d)
-
-
-def _ref_distance(a, b):
-    if a[1] or b[1]:
-        return 0.0 if (a[1] and b[1]) else math.inf
-    if len(a[0]) != len(b[0]):
-        return math.inf
-    n = len(a[0])
-    if n == 0:
-        return 0.0
-    best = math.inf
-    for k in range(n):
-        worst = 0.0
-        for i in range(n):
-            s1, l1 = a[0][i]
-            s2, l2 = b[0][(i + k) % n]
-            worst = max(worst, _ref_circle_distance(s1, s2), abs(l1 - l2))
-            if worst >= best:
-                break
-        best = min(best, worst)
-    return best
-
-
-def _ref_apply_angle(alpha, beta, theta):
-    z = cmath.exp(1j * theta)
-    w = (alpha * z + beta) / (beta.conjugate() * z + alpha.conjugate())
-    return _ref_canon(cmath.phase(w))
-
-
-def _ref_image(f, a, closed):
-    arcs, full = a
-    if full:
-        return ((), True)
-    out = []
-    for s, l in arcs:
-        sa = _ref_apply_angle(f.alpha, f.beta, s)
-        ea = _ref_apply_angle(f.alpha, f.beta, s + l)
-        if l < TAU - EPS_NEAR_FULL:
-            glen = (ea - sa) % TAU
-            if glen <= TAU - EPS_NEAR_FULL:
-                out.append((sa, glen))
-                continue
-        ma = _ref_apply_angle(f.alpha, f.beta, s + 0.5 * l)
-        h1 = (ma - sa) % TAU
-        h2 = (ea - ma) % TAU
-        if h1 > TAU - EPS_ANGLE:
-            h1 = 0.0
-        if h2 > TAU - EPS_ANGLE:
-            h2 = 0.0
-        out.append((sa, h1 + h2))
-    if closed:
-        return (tuple(sorted((_ref_canon(s), min(l, TAU)) for s, l in out)), False)
-    return (tuple(_ref_canonical_pieces(out)), False)
-
-
-def _ref_min_inverse_derivative(f, closed):
-    """min_inverse_derivative over a nonempty closed set, with the least of
-    the endpoint values found by builtin min."""
-    arcs, full = closed
-    if f.is_rotation:
-        return 1.0
-    b2 = abs(f.beta) * abs(f.beta)
-    d = f.alpha / f.beta.conjugate()
-    at_pole = 1.0 / (b2 * (1.0 + abs(d)) ** 2)
-    if full:
-        return at_pole
-    pole = cmath.phase(d) + math.pi
-
-    def value(t):
-        return 1.0 / (b2 * abs(cmath.exp(1j * t) - d) ** 2)
-
-    best = math.inf
-    for s, l in arcs:
-        best = min(best, value(s), value(s + l))
-        if (pole - s) % TAU <= l:
-            best = min(best, at_pole)
-    return best
+# The kernel against the frozen copy in reference.py, on (arcs, full) pairs.
 
 
 def _pair(x):
@@ -558,20 +401,20 @@ def _assert_kernel_matches_reference(a, b, f):
     """Every kernel operation on the sets a, b (ArcSets, canonical or not)
     and the map f against the frozen copy."""
     pa, pb = _pair(a), _pair(b)
-    _assert_same(_pair(a.intersect(b)), _ref_intersect(pa, pb))
-    _assert_same(_pair(b.intersect(a)), _ref_intersect(pb, pa))
-    _assert_same(_pair(a.union(b)), _ref_union(pa, pb))
-    _assert_same(_pair(a.complement()), _ref_complement(pa))
-    _assert_same(_pair(a.closure()), _ref_closure(pa))
-    _assert_same(a.distance(b), _ref_distance(pa, pb))
-    _assert_same(b.distance(a), _ref_distance(pb, pa))
-    _assert_same(_canonical_pieces(a.arcs), _ref_canonical_pieces(pa[0]))
-    _assert_same(_pair(image(f, a)), _ref_image(f, pa, False))
+    _assert_same(_pair(a.intersect(b)), ref_intersect(pa, pb))
+    _assert_same(_pair(b.intersect(a)), ref_intersect(pb, pa))
+    _assert_same(_pair(a.union(b)), ref_union(pa, pb))
+    _assert_same(_pair(a.complement()), ref_complement(pa))
+    _assert_same(_pair(a.closure()), ref_closure(pa))
+    _assert_same(a.distance(b), ref_distance(pa, pb))
+    _assert_same(b.distance(a), ref_distance(pb, pa))
+    _assert_same(_canonical_pieces(a.arcs), ref_canonical_pieces(pa[0]))
+    _assert_same(_pair(image(f, a)), ref_image(f, pa, False))
     closed = ClosedArcSet(a.arcs, a.full)
-    _assert_same(_pair(image(f, closed)), _ref_image(f, pa, True))
+    _assert_same(_pair(image(f, closed)), ref_image(f, pa, True))
     if not a.closure().is_empty:
         _assert_same(min_inverse_derivative(f, a),
-                     _ref_min_inverse_derivative(f, _ref_closure(pa)))
+                     ref_min_inverse_derivative(f, ref_closure(pa)))
 
 
 ORACLE_SETTINGS = settings(derandomize=True, database=None, max_examples=300, deadline=None)
@@ -596,8 +439,8 @@ def oracle_maps(draw):
 @given(raw_arcs(), raw_arcs(), oracle_maps())
 def test_kernel_matches_frozen_reference_on_canonical_sets(raw_a, raw_b, f):
     a, b = ArcSet.from_arcs(raw_a), ArcSet.from_arcs(raw_b)
-    _assert_same(_pair(a), _ref_from_arcs(raw_a))
-    _assert_same(_pair(b), _ref_from_arcs(raw_b))
+    _assert_same(_pair(a), ref_from_arcs(raw_a))
+    _assert_same(_pair(b), ref_from_arcs(raw_b))
     _assert_kernel_matches_reference(a, b, f)
 
 
@@ -612,16 +455,9 @@ def test_kernel_matches_frozen_reference_on_directly_built_sets(raw_a, raw_b, f)
 
 def test_closure_of_one_directly_built_arc_is_canonical():
     (s, l), = ArcSet(((TAU + 0.5, 1.0),)).closure().arcs
-    assert (s, l) == (_ref_canon(TAU + 0.5), 1.0)
+    assert (s, l) == (ref_canon(TAU + 0.5), 1.0)
     assert ArcSet(((-1.0, 0.5 * EPS_ANGLE),)).closure().is_empty
     assert ArcSet(((3.0, TAU + 1.0),)).closure().full
-
-
-def _turned(spec, turn):
-    return with_cover(spec, {
-        sym: c if c.full else ArcSet.from_arcs([(s + TAU * turn, l) for s, l in c.arcs])
-        for sym, c in zip(spec.alphabet.symbols, spec.cover)
-    })
 
 
 @pytest.mark.parametrize("name", ["parabolic3", "cf", "binary", "hyperbolic4"])
@@ -629,7 +465,7 @@ def test_kernel_matches_frozen_reference_on_pull_steps(name):
     # every pull_step input of the interval-shift walk and the sofic state
     # search, on the builtin and on its cover turned 0.2 to 0.8 of a turn
     base = builtin(name)
-    for spec in [base] + [_turned(base, t) for t in (0.2, 0.35, 0.5, 0.65, 0.8)]:
+    for spec in [base] + [turned_cover(base, t) for t in (0.2, 0.35, 0.5, 0.65, 0.8)]:
         seen = []
         step = spec.pull_step
 
@@ -644,8 +480,8 @@ def test_kernel_matches_frozen_reference_on_pull_steps(name):
         for z, a in seen:
             g, pulled = spec._inverses[a], spec._letter_pulls[a]
             mapped = image(g, z)
-            _assert_same(_pair(mapped), _ref_image(g, _pair(z), False))
+            _assert_same(_pair(mapped), ref_image(g, _pair(z), False))
             _assert_same(_pair(mapped.intersect(pulled)),
-                         _ref_intersect(_pair(mapped), _pair(pulled)))
-            _assert_same(_pair(z.closure()), _ref_closure(_pair(z)))
-            _assert_same(z.distance(pulled), _ref_distance(_pair(z), _pair(pulled)))
+                         ref_intersect(_pair(mapped), _pair(pulled)))
+            _assert_same(_pair(z.closure()), ref_closure(_pair(z)))
+            _assert_same(z.distance(pulled), ref_distance(_pair(z), _pair(pulled)))

@@ -19,7 +19,8 @@ from moebius_systems.transforms import DiscMoebius
 from moebius_systems.interval_system import _PULL_TABLE_CAP, NumberSystemSpec
 from moebius_systems.subshift import Subshift
 from moebius_systems.systems import builtin, cf_digit_stream, classical_cf_terms, with_cover
-from moebius_systems.transforms import TAU, canon_angle, circle_distance, from_real
+from moebius_systems.transforms import TAU, canon_angle, circle_distance, contraction, from_real
+from reference import in_language, turned_cover
 
 S8 = 2 * math.sqrt(2)
 
@@ -291,15 +292,6 @@ def test_encode_certificate_covers_longer_expansions():
                 assert abs(z - short.point.value) <= short.error_radius * 1.01
 
 
-def _rotated_parabolic3():
-    # the cover turned by 0.23 of a turn: along a decoded word its
-    # pullbacks do not repeat, so each digit adds a table state
-    p3 = builtin("parabolic3")
-    phi = 0.23 * TAU
-    return with_cover(p3, {s: ArcSet.from_arcs([(a + phi, l) for a, l in c.arcs])
-                           for s, c in zip(p3.alphabet.symbols, p3.cover)})
-
-
 def _assert_table_consistent(spec):
     # ids are unique, and every filled edge leads to the pulled-back state
     table = spec._pull_table
@@ -312,7 +304,9 @@ def _assert_table_consistent(spec):
 
 
 def test_encode_pullback_table_stays_bounded():
-    spec = _rotated_parabolic3()
+    # the cover turned by 0.23 of a turn: along a decoded word its
+    # pullbacks do not repeat, so each digit adds a table state
+    spec = turned_cover(builtin("parabolic3"), 0.23)
     w = decode(spec, 1.234, 10_000)
     first_table = spec._pull_table
     res = encode(spec, w, tol=1e-12)
@@ -320,9 +314,9 @@ def test_encode_pullback_table_stays_bounded():
     assert spec._pull_table is not first_table  # the cap was reached
     assert len(spec._pull_table.states) <= _PULL_TABLE_CAP
     assert encode(spec, w, tol=1e-12) == res
-    assert encode(_rotated_parabolic3(), w, tol=1e-12) == res
+    assert encode(turned_cover(builtin("parabolic3"), 0.23), w, tol=1e-12) == res
     # threads that overflow one shared table at once agree with serial
-    shared = _rotated_parabolic3()
+    shared = turned_cover(builtin("parabolic3"), 0.23)
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # interleave threads as often as possible
     try:
@@ -367,7 +361,7 @@ def test_decode_parabolic3_vertex():
     # (d_n = 1 - i*sqrt(3)/n, radius sqrt(3)/n), never faster
     p3 = builtin("parabolic3")
     w = decode(p3, 0.0, 40)
-    assert p3.subshift.in_language(w)
+    assert in_language(p3.subshift, w)
     assert w == tuple([0] * 40)
     res = encode(p3, w, tol=1e-8)
     assert res.error_radius == pytest.approx(math.sqrt(3) / 40, rel=1e-9)
@@ -536,6 +530,8 @@ def test_symbol_indices_outside_the_alphabet_are_rejected():
     for bad in (-1, cf.alphabet.size):
         entry_points = [
             lambda: encode(cf, (bad,), tol=1e-6),
+            lambda: encode(cf, [1, bad], tol=1e-6),
+            lambda: cf.word_transform([bad]),
             lambda: encode(cf, iter(decode(cf, 1.234, 3) + (bad, 1)), tol=1e-30),
             lambda: decode(cf, 1.0, 2, prefix=(bad,)),
             lambda: cf.refined_set((bad,)),
@@ -545,6 +541,29 @@ def test_symbol_indices_outside_the_alphabet_are_rejected():
         for call in entry_points:
             with pytest.raises(ValueError, match="symbol index"):
                 call()
+
+
+def test_a_list_of_symbol_indices_reads_like_a_tuple():
+    # a list of ints used to be parsed as symbol names, and failed with
+    # "tuple.index(x): x not in tuple"
+    cf = builtin("cf")
+    assert encode(cf, [1, 2, 2], 1e-3) == encode(cf, (1, 2, 2), 1e-3) \
+        == encode(cf, iter([1, 2, 2]), 1e-3)
+    assert cf.word_transform([1, 2]) == cf.word_transform((1, 2))
+    # a decode prefix is read the same way; a string prefix used to raise TypeError
+    for prefix in ([2], (2,), iter([2]), "1", ["1"]):
+        assert decode(cf, 1.0, 3, prefix=prefix) == (2, 2, 2, 1)
+    for name in ("parabolic3", "binary"):
+        spec = builtin(name)
+        word = decode(spec, 1.234, 40)
+        assert encode(spec, list(word), tol=1e-9) == encode(spec, word, tol=1e-9) \
+            == encode(spec, iter(word), tol=1e-9)
+        assert spec.min_expansion(list(word)) == spec.min_expansion(word)
+        assert spec.refined_set(list(word)) == spec.refined_set(word)
+    # strings and lists of names still parse through the alphabet
+    assert encode(cf, ["1", "0"], 1e-3) == encode(cf, "10", 1e-3) == encode(cf, (2, 1), 1e-3)
+    with pytest.raises(ValueError):
+        encode(cf, ["1", 0], 1e-3)
 
 
 # -- verify --------------------------------------------------------------------------
@@ -645,13 +664,6 @@ def test_verify_mode_validation(monkeypatch):
         verify(builtin("cf"), mode="qn", n=-1)
     with pytest.raises(ValueError, match="n_max >= 1"):
         verify(builtin("cf"), mode="auto", n_max=0)
-
-
-def _turned_cover(spec, turn):
-    return with_cover(spec, {
-        sym: c if c.full else ArcSet.from_arcs([(s + TAU * turn, l) for s, l in c.arcs])
-        for sym, c in zip(spec.alphabet.symbols, spec.cover)
-    })
 
 
 # (name, cover turn, mode, n, B, n_max) -> (status, evidence, warnings), as
@@ -784,13 +796,13 @@ _TURNED_VIOLATIONS = {
 def test_turned_cover_verdicts_are_pinned(name):
     got = []
     for k in range(8, 33):
-        v = verify(_turned_cover(builtin(name), k / 40), mode="auto")
+        v = verify(turned_cover(builtin(name), k / 40), mode="auto")
         got.append((v.status, v.evidence.get("n"), v.evidence.get("compatibility_violations")))
     assert got == [("inconclusive", None, c) for c in _TURNED_VIOLATIONS[name]]
 
 
 def _pinned_case(name, turn, mode, n=None, b=None, n_max=8):
-    spec = builtin(name) if turn is None else _turned_cover(builtin(name), turn)
+    spec = builtin(name) if turn is None else turned_cover(builtin(name), turn)
     if isinstance(b, int):
         b = [spec.alphabet.format(w)
              for w in itertools.product(range(spec.alphabet.size), repeat=b)]
@@ -819,3 +831,33 @@ def test_decode_builds_no_map_per_digit(monkeypatch):
     word = decode(spec, 1.234, 60, prefix=spec.alphabet.word("1"))
     assert len(word) == 61 and not built
 
+
+# -- standing defects, pinned until their ROADMAP direction mends them ----------------
+
+
+def _hyperbolic4_with_contraction(r):
+    """hyperbolic4 with letter 3 replaced by contraction(r).  R(3) = C_3 is a
+    quarter circle, but F_3^-1(C_3) is narrower than EPS_ANGLE, so the
+    pullback walk drops every word that holds a 3; the system is no number
+    system (3^oo converges to angle 0, and encode rejects the words decode
+    emits)."""
+    h4 = builtin("hyperbolic4")
+    maps = dict(zip(h4.alphabet.symbols, h4.transforms))
+    maps["3"] = contraction(r)
+    return NumberSystemSpec(h4.alphabet, maps, dict(zip(h4.alphabet.symbols, h4.cover)),
+                            h4.subshift, name="hyperbolic4-contracted")
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP direction 1: membership drops a word whose refined "
+                          "set is wide once its pullback state is narrower than EPS_ANGLE")
+@pytest.mark.parametrize("r", [1e5, 1e8, 1e12])
+def test_verify_does_not_certify_a_letter_that_contracts_on_its_arc(r):
+    assert not verify(_hyperbolic4_with_contraction(r), mode="auto").verified
+
+
+@pytest.mark.xfail(strict=True, raises=NoLegalDigit,
+                   reason="ROADMAP direction 7: decode strands points near cover "
+                          "endpoints on verified builtins")
+def test_decode_does_not_strand_a_point_near_a_cover_endpoint():
+    assert len(decode(builtin("cf"), 1e-9, 4)) == 4

@@ -7,7 +7,6 @@ import random
 import numpy as np
 import pytest
 
-from moebius_systems.arcs import EPS_GAP, _v_arc
 from moebius_systems.errors import ParamOutOfRange
 from moebius_systems.existence import (
     _cover_batch,
@@ -21,6 +20,7 @@ from moebius_systems.existence import (
     two_hyperbolic_system,
 )
 from moebius_systems.transforms import TAU, circle_distance, rotation
+from reference import derivative_modulus, scalar_cover_search
 
 # the cover-search kernel must stay inside the domains of sqrt and arccos
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -32,7 +32,7 @@ def test_generators_fixed_points_and_derivatives():
     assert ca.kind == "hyperbolic"
     assert circle_distance(ca.stable, 0.0) < 1e-12            # 1
     assert circle_distance(ca.unstable, 3 * math.pi / 2) < 1e-12  # -i
-    assert fa.derivative_modulus(ca.stable) == pytest.approx(0.25)
+    assert derivative_modulus(fa, ca.stable) == pytest.approx(0.25)
     cb = fb.classify()
     assert circle_distance(cb.stable, math.pi) < 1e-12        # -1
     assert circle_distance(cb.unstable, math.pi / 2) < 1e-12  # +i
@@ -102,30 +102,6 @@ def test_cover_search_with_a_rotation_generator(angle, first_true):
         assert [cover_search_unpruned(fa, fb, d) for d in range(9)] == want, q
 
 
-def _scalar_cover_search(fa, fb, depth):
-    """Reference: the word maps one Python complex at a time, every
-    interval kept, one sorted sweep at the end (no padding, no arrays)."""
-    arcs, level = [], [(1.0 + 0j, 0j)]
-    for _ in range(depth):
-        nxt = []
-        for a1, b1 in level:
-            for a2, b2 in ((fa.alpha, fa.beta), (fb.alpha, fb.beta)):
-                na = a1 * a2 + b1 * b2.conjugate()
-                nb = a1 * b2 + b1 * a2.conjugate()
-                nxt.append((na, nb))
-                if (arc := _v_arc(na, nb)) is not None:
-                    arcs.append(arc)
-        level = nxt
-    if not arcs:
-        return False
-    reach = max(s + l for s, l in arcs) - TAU
-    for s, l in sorted(arcs):
-        if s > reach + EPS_GAP:
-            return False
-        reach = max(reach, s + l)
-    return reach >= TAU - EPS_GAP
-
-
 def test_batched_kernel_matches_scalar_reference():
     # one batch of cells that are certified at different levels
     rng = random.Random(53)
@@ -133,7 +109,7 @@ def test_batched_kernel_matches_scalar_reference():
             for _ in range(150)]
     entries = np.array([(fa.alpha, fa.beta, fb.alpha, fb.beta) for fa, fb in gens]).T
     for depth in range(8):
-        want = [_scalar_cover_search(fa, fb, depth) for fa, fb in gens]
+        want = [scalar_cover_search(fa, fb, depth) for fa, fb in gens]
         assert _cover_batch(*entries, depth).tolist() == want, depth
         assert _cover_batch(*entries, depth, prune=False).tolist() == want, depth
     assert 20 < sum(want) < 130

@@ -13,6 +13,14 @@ from moebius_systems.interval_system import _CACHE_DEPTH, NumberSystemSpec
 from moebius_systems.subshift import Subshift
 from moebius_systems.systems import builtin, with_cover
 from moebius_systems.transforms import TAU
+from reference import (
+    exhaustive_table,
+    forward_levels,
+    forward_refined_set,
+    global_prefix_check,
+    mp_product,
+    turned_cover,
+)
 
 
 def rotated_parabolic3():
@@ -39,57 +47,10 @@ def trivial_binary():
     return with_cover(bi, {s: ArcSet.full_circle() for s in bi.alphabet.symbols})
 
 
-def _exhaustive_table(spec, n_max):
-    """Q_1..Q_n_max from every word of every level: the oracle the pruned
-    walk of expansion_rate_bound must reproduce bit for bit."""
-    levels = spec.interval_shift_levels(n_max)
-    next(levels)
-    return [(n, spec.min_expansion_over(w for w, _ in level)) for n, level in enumerate(levels, 1)]
-
-
-def _forward_levels(spec, n_max):
-    """The interval-shift languages of levels 0..n_max by forward refinement,
-    R(wa) = R(w) ∩ F_w(C_a), with a word kept while R(w) is nonempty: the
-    definition the package used before it read membership from the pullback
-    state, kept here as the reference."""
-    from moebius_systems.transforms import identity
-
-    level = [((), spec.automaton.initial, ArcSet.full_circle(), identity())]
-    levels = [[()]]
-    for _ in range(n_max):
-        level = [(w + (a,), nxt, r, f.compose(spec.transforms[a]))
-                 for w, state, refined, f in level
-                 for a, nxt in enumerate(spec.automaton.transitions[state])
-                 if nxt is not None
-                 and not (r := refined.intersect(image(f, spec.cover[a]))).is_empty]
-        levels.append([w for w, *_ in level])
-    return levels
-
-
-def _mp_product(spec, word):
-    """(alpha, beta, det) of the word map, the product of the float letters
-    taken at the current mpmath precision."""
-    import mpmath
-
-    fa, fb = mpmath.mpc(1), mpmath.mpc(0)
-    for a in word:
-        f = spec.transforms[a]
-        a2, b2 = mpmath.mpc(f.alpha), mpmath.mpc(f.beta)
-        fa, fb = fa * a2 + fb * mpmath.conj(b2), fa * b2 + fb * mpmath.conj(a2)
-    return fa, fb, abs(fa) ** 2 - abs(fb) ** 2
-
-
 def _violations(spec, depth):
     """The compatibility violations of the interval-shift levels 0..depth."""
     return [v for level in spec.interval_shift_levels(depth)
             for v in spec.compatibility_violations(level)]
-
-
-def _turned_cover(spec, turn):
-    return with_cover(spec, {
-        sym: c if c.full else ArcSet.from_arcs([(s + TAU * turn, l) for s, l in c.arcs])
-        for sym, c in zip(spec.alphabet.symbols, spec.cover)
-    })
 
 
 # -- refined sets ---------------------------------------------------------------
@@ -119,17 +80,10 @@ def test_refined_set_matches_direct_definition(name):
     # independent oracle: intersect the pushed-forward letter covers left
     # to right without the cache or the incremental recursion; the decoded
     # words reach past the cached depth
-    from moebius_systems.transforms import identity
-
     spec = builtin(name)
     decoded = [decode(spec, 1.234, n) for n in (33, 48, 60)]
     for w in spec.interval_shift_language(5) + decoded:
-        direct = ArcSet.full_circle()
-        f = identity()
-        for a in w:
-            direct = direct.intersect(image(f, spec.cover[a]))
-            f = f.compose(spec.transforms[a])
-        assert direct.distance(spec.refined_set(w)) < 1e-9
+        assert forward_refined_set(spec, w).distance(spec.refined_set(w)) < 1e-9
 
 
 def test_refined_set_recursion_identity():
@@ -210,9 +164,9 @@ def test_rotated_cover_language_is_constant_words():
 @pytest.mark.parametrize("turn", [None, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
 @pytest.mark.parametrize("name", ["parabolic3", "cf", "binary", "hyperbolic4"])
 def test_language_matches_forward_refinement(name, turn):
-    spec = builtin(name) if turn is None else _turned_cover(builtin(name), turn)
+    spec = builtin(name) if turn is None else turned_cover(builtin(name), turn)
     walked = [[w for w, _ in level] for level in spec.interval_shift_levels(8)]
-    assert walked == _forward_levels(spec, 8)
+    assert walked == forward_levels(spec, 8)
 
 
 def test_shift_invariance_of_language():
@@ -273,7 +227,7 @@ def test_min_expansion_matches_a_high_precision_product():
     mpmath = pytest.importorskip("mpmath")
 
     def reference(spec, word):
-        fa, fb, det = _mp_product(spec, word)
+        fa, fb, det = mp_product(spec, word)
         far = det / (abs(fb) + abs(fa)) ** 2
         antipode = float(mpmath.arg(fa / mpmath.conj(fb))) + math.pi
         values = []
@@ -323,7 +277,7 @@ def test_min_expansion_along_decoded_words_matches_a_high_precision_product(name
         for k in range(len(word) + 1):
             if k:
                 z = spec.pull_step(z, word[k - 1])
-            fa, fb, det = _mp_product(spec, word[:k])
+            fa, fb, det = mp_product(spec, word[:k])
             closed = z.closure()
             near = det / (abs(fa) + abs(fb)) ** 2
             if closed.full:
@@ -405,19 +359,19 @@ def test_trivial_cover_rate_warning():
     est = trivial_binary().expansion_rate_bound(8)
     assert est.lower_bound < 1.0
     assert any("Q estimate" in w for w in est.warnings)
-    assert est.table == _exhaustive_table(trivial_binary(), 8)
+    assert est.table == exhaustive_table(trivial_binary(), 8)
 
 
 @pytest.mark.parametrize("name", ["parabolic3", "cf", "binary", "hyperbolic4"])
 def test_pruned_table_matches_exhaustive_on_builtins(name):
-    assert builtin(name).expansion_rate_bound(8).table == _exhaustive_table(builtin(name), 8)
+    assert builtin(name).expansion_rate_bound(8).table == exhaustive_table(builtin(name), 8)
 
 
 @pytest.mark.parametrize("turn", [0.1, 0.25, 0.37, 0.5, 0.9])
 @pytest.mark.parametrize("name", ["parabolic3", "cf", "binary", "hyperbolic4"])
 def test_pruned_table_matches_exhaustive_on_turned_covers(name, turn):
-    spec = _turned_cover(builtin(name), turn)
-    oracle = _exhaustive_table(_turned_cover(builtin(name), turn), 9)
+    spec = turned_cover(builtin(name), turn)
+    oracle = exhaustive_table(turned_cover(builtin(name), turn), 9)
     assert spec.expansion_rate_bound(9).table == oracle
 
 
@@ -459,18 +413,6 @@ def test_binary_prefix_set_is_rejected_at_22():
     assert bi.min_expansion("22") < 0.5  # quantitative witness (8/17)
 
 
-def _global_prefix_check(spec, b_words):
-    """(passed, missing prefixes, words not contained) of the prefix set by
-    the global form: R(b) within V(F_b) on the circle, formed through
-    refined_set, as the package read it before it read Z_b within U(F_b);
-    kept here as the reference."""
-    language = spec.interval_shift_language(max(len(b) for b in b_words))
-    missing = [w for w in language if not any(w[: len(b)] == b for b in b_words)]
-    leaking = [b for b in b_words if not spec.refined_set(b).intersect(
-        expansion_interval(spec.word_transform(b)).complement()).is_empty]
-    return not missing and not leaking, missing, leaking
-
-
 # prefix sets beyond the letters and the two-letter words: the benchmark's
 # for cf and the one rejected at 22 for binary
 PREFIX_SETS = {"cf": "01,01-,1,1-", "binary": "0,1,1-,21,21-,22"}
@@ -483,7 +425,7 @@ def test_prefix_check_matches_the_global_form_on_turned_covers(name):
     # form; words fall on both sides of the containment test
     inside = outside = 0
     for k in range(20):
-        spec = builtin(name) if k == 0 else _turned_cover(builtin(name), 0.05 * k)
+        spec = builtin(name) if k == 0 else turned_cover(builtin(name), 0.05 * k)
         size = spec.alphabet.size
         candidates = [[(a,) for a in range(size)],
                       [(a, b) for a in range(size) for b in range(size)]]
@@ -492,7 +434,7 @@ def test_prefix_check_matches_the_global_form_on_turned_covers(name):
         for b_words in candidates:
             check = spec.check_prefix_set(b_words)
             got = (check.passed, check.missing_prefix, check.not_contained)
-            assert got == _global_prefix_check(spec, b_words), (k, b_words)
+            assert got == global_prefix_check(spec, b_words), (k, b_words)
             outside += len(check.not_contained)
             inside += len(b_words) - len(check.not_contained)
     assert inside and outside

@@ -10,8 +10,9 @@ from moebius_systems.arcs import ArcSet
 from moebius_systems.interval_system import NumberSystemSpec
 from moebius_systems.sofic import build_automaton, sofic_verdict, transition_residual
 from moebius_systems.subshift import Alphabet, Subshift
-from moebius_systems.systems import BUILTIN_NAMES, builtin, with_cover
+from moebius_systems.systems import BUILTIN_NAMES, builtin
 from moebius_systems.transforms import TAU, rotation
+from reference import LinearScan, recomputed_residual, turned_cover
 
 
 def test_parabolic3_saturates_with_five_states():
@@ -140,27 +141,6 @@ def test_exports_render():
     assert dot.count("->") == auto.n_states * p3.alphabet.size
 
 
-class _LinearScan:
-    """Reference dedup: every stored state is a candidate, in index order,
-    which is the linear scan the state index must agree with."""
-
-    def __init__(self, eps):
-        self.n = 0
-
-    def add(self, z, i):
-        self.n += 1
-
-    def candidates(self, z):
-        return range(self.n)
-
-
-def _rotated_cover(spec, turn):
-    return with_cover(spec, {
-        sym: c if c.full else ArcSet.from_arcs([(s + TAU * turn, l) for s, l in c.arcs])
-        for sym, c in zip(spec.alphabet.symbols, spec.cover)
-    })
-
-
 def _wrap_spec():
     # letter p keeps an arc starting just below 2*pi; letter q turns any
     # state by +4e-4, so p then q gives an arc starting just above 0 that
@@ -177,7 +157,7 @@ def _wrap_spec():
 def _assert_same_automaton(spec, cap, eps, monkeypatch):
     indexed = build_automaton(spec, state_cap=cap, eps_state=eps)
     with monkeypatch.context() as m:
-        m.setattr(sofic, "_StateIndex", _LinearScan)
+        m.setattr(sofic, "_StateIndex", LinearScan)
         linear = build_automaton(spec, state_cap=cap, eps_state=eps)
     assert [(s.full, s.arcs) for s in indexed.states] == \
         [(s.full, s.arcs) for s in linear.states]
@@ -192,7 +172,7 @@ def _assert_same_automaton(spec, cap, eps, monkeypatch):
 @pytest.mark.parametrize("turn", [None, 0.2, 0.35, 0.5, 0.65, 0.8])
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_state_index_matches_linear_scan(name, turn, eps, monkeypatch):
-    spec = builtin(name) if turn is None else _rotated_cover(builtin(name), turn)
+    spec = builtin(name) if turn is None else turned_cover(builtin(name), turn)
     _assert_same_automaton(spec, 120, eps, monkeypatch)
 
 
@@ -217,7 +197,7 @@ def test_invalid_state_tolerance_rejected(eps):
 
 
 def test_verdict_withheld_when_residual_exceeds_tolerance():
-    spec = _rotated_cover(builtin("cf"), 0.5)
+    spec = turned_cover(builtin("cf"), 0.5)
     auto = build_automaton(spec, state_cap=120, eps_state=1e-3)
     residual = transition_residual(spec, auto)
     assert auto.saturated and 0.0 < residual <= 1e-3
@@ -228,34 +208,17 @@ def test_verdict_withheld_when_residual_exceeds_tolerance():
     assert report.product_states is None
 
 
-def _recomputed_residual(spec, automaton):
-    """Reference residual: pull_step recomputed on every edge of every
-    expanded state, which is what the residual recorded by the BFS must
-    equal."""
-    worst = 0.0
-    for si, row in enumerate(automaton.transitions):
-        if not automaton.expanded[si]:
-            continue
-        z = automaton.states[si]
-        for a, ti in enumerate(row):
-            d = automaton.states[ti].distance(spec.pull_step(z, a))
-            if math.isinf(d):
-                return math.inf
-            worst = max(worst, d)
-    return worst
-
-
 @pytest.mark.parametrize("eps", [0.0, 1e-7, 1e-3])
 @pytest.mark.parametrize("turn", [None, 0.2, 0.35, 0.5, 0.65, 0.8])
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_recorded_residual_matches_recomputation(name, turn, eps):
-    spec = builtin(name) if turn is None else _rotated_cover(builtin(name), turn)
+    spec = builtin(name) if turn is None else turned_cover(builtin(name), turn)
     auto = build_automaton(spec, state_cap=120, eps_state=eps)
-    assert transition_residual(spec, auto) == _recomputed_residual(spec, auto)
+    assert transition_residual(spec, auto) == recomputed_residual(spec, auto)
 
 
 def test_verdict_takes_no_pullback_step(monkeypatch):
-    spec = _rotated_cover(builtin("cf"), 0.5)
+    spec = turned_cover(builtin("cf"), 0.5)
     auto = build_automaton(spec, state_cap=120, eps_state=1e-3)
 
     def refuse(z, a):

@@ -7,7 +7,10 @@ carries `# noqa: F401` on its line.  It also fails on a module-level
 UPPER_CASE constant that no module of `src/` reads, so a tolerance whose
 last use was deleted goes with it, and on a private function, class or
 method (`_name`, not `__dunder__`) that no module of `src/` reads, so a
-helper whose last caller was deleted goes too.
+helper whose last caller was deleted goes too.  A public module-level
+function must be exported by `__init__.py` or read by a module of `src/`,
+`demos/` or `bench/`: one that only tests call is a test oracle, and
+belongs in `tests/reference.py`.
 """
 
 import ast
@@ -17,6 +20,7 @@ from pathlib import Path
 import moebius_systems
 
 SRC = Path(moebius_systems.__file__).parent
+ROOT = Path(__file__).resolve().parent.parent
 KEEP = "# noqa: F401"
 
 
@@ -138,3 +142,51 @@ def test_checker_flags_unread_private_definitions_only():
 def test_no_unread_private_definitions_in_src():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert unread_private_definitions(sources) == []
+
+
+def unread_public_functions(sources: dict[str, str],
+                            readers: dict[str, str]) -> list[tuple[str, int, str]]:
+    """(module, line, name) of each public module-level function of the
+    package `sources` that `__init__.py` does not import and that no module
+    of `sources` or `readers` reads, by name or as an attribute.  cli's
+    cmd_* functions, which main looks up by name, are exempt."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        if module == "__init__.py":
+            read.update(alias.asname or alias.name for node in ast.walk(tree)
+                        if isinstance(node, ast.ImportFrom) for alias in node.names)
+        defined += [(module, node.lineno, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not node.name.startswith("_")
+                    and not (module == "cli.py" and node.name.startswith("cmd_"))]
+    for source in [*sources.values(), *readers.values()]:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [hit for hit in defined if hit[2] not in read]
+
+
+def test_checker_flags_unread_public_functions_only():
+    sources = {
+        "__init__.py": "from .a import exported\n",
+        "a.py": "def exported():\n    return 1\ndef used():\n    return 2\n"
+                "def oracle():\n    return used()\ndef by_attribute():\n    return 3\n"
+                "def by_demo():\n    return 4\ndef _private():\n    return 5\n"
+                "class Kept:\n    def method(self):\n        return 6\n",
+        "b.py": "from . import a\nx = a.by_attribute\n",
+        "cli.py": "def cmd_run(args):\n    return 7\ndef helper():\n    return 8\n",
+    }
+    readers = {"demo.py": "from pkg.a import by_demo\nby_demo()\n"}
+    assert unread_public_functions(sources, readers) == [
+        ("a.py", 5, "oracle"), ("cli.py", 3, "helper")]
+
+
+def test_no_public_function_is_a_test_oracle():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    readers = {str(path.relative_to(ROOT)): path.read_text()
+               for folder in ("demos", "bench") for path in sorted((ROOT / folder).rglob("*.py"))}
+    assert readers
+    assert unread_public_functions(sources, readers) == []
