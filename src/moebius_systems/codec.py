@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import chain, compress, count, islice, repeat
 from operator import ne
@@ -89,9 +90,9 @@ def encode(spec: NumberSystemSpec, digits, tol: float, max_digits: int | None = 
     estimate is still returned with converged=False.  Pass max_digits
     when feeding an infinite stream that might not reach tol (e.g. on
     unverified systems); without it the loop runs until the certificate
-    is met.  A string or a list of names is parsed by the alphabet; a
-    list of ints is read as symbol indices, like a tuple or an iterator.
-    A digit outside the alphabet's indices raises ValueError.
+    is met.  A str, list or tuple is a word, read by Alphabet.word; any
+    other iterable is a stream of symbol indices, checked as it is read.
+    A symbol outside the alphabet, or a non-iterable, raises ValueError.
     """
     if not tol > 0:  # NaN too: no radius is ever <= NaN
         raise ValueError(f"tol must be positive, got {tol!r}")
@@ -99,7 +100,8 @@ def encode(spec: NumberSystemSpec, digits, tol: float, max_digits: int | None = 
         raise ValueError(f"max_digits must be >= 0, got {max_digits!r}")
     # the loop reads `stream`: the digits a run jump read past its end
     # (`pending`, from stream position `pstart` on), then the rest of `base`
-    base = iter(spec._as_word(digits) if isinstance(digits, (str, list)) else digits)
+    is_word = isinstance(digits, (str, list, tuple)) or not isinstance(digits, Iterable)
+    base = iter(spec.alphabet.word(digits) if is_word else digits)
     stream, pending, pstart = base, (), 0
     state = spec.automaton.initial
     moves = spec.automaton.transitions  # follower state x letter -> state or None
@@ -263,9 +265,9 @@ def decode(spec: NumberSystemSpec, theta: float, n_digits: int, prefix: Word = (
     inverse maps are applied to the point first).  The caller is expected
     to have verified the system; on covers that fail compatibility the
     decoder can run out of candidates, which raises NoLegalDigit with the
-    offending point attached.  The prefix is read as encode reads its
-    digits.  A non-finite theta, a negative n_digits or a prefix index
-    outside the alphabet raises ValueError.
+    offending point attached.  The prefix is a word, read by
+    Alphabet.word.  A non-finite theta, a negative n_digits or a prefix
+    symbol outside the alphabet raises ValueError.
     """
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta!r}")
@@ -274,7 +276,7 @@ def decode(spec: NumberSystemSpec, theta: float, n_digits: int, prefix: Word = (
     x = canon_angle(theta)
     inverses, closures = spec._inverses, spec._closures
     state = spec.automaton.initial
-    prefix = spec._as_word(prefix if isinstance(prefix, (str, list)) else tuple(prefix))
+    prefix = spec.alphabet.word(prefix)
     word = list(prefix)
     for a in prefix:
         state = spec.automaton.step(state, a)
@@ -317,7 +319,7 @@ def decode(spec: NumberSystemSpec, theta: float, n_digits: int, prefix: Word = (
 def representable_interval(spec: NumberSystemSpec, word) -> ClosedArcSet:
     """Closed set of points expressible with the given digit prefix:
     F_w(cl Z_w), which keeps the interval of a long word however narrow."""
-    z, f = spec._entry(spec._as_word(word))
+    z, f = spec._entry(spec.alphabet.word(word))
     if z.is_empty:
         raise EmptyRefinedSet(f"no point is representable with prefix {word!r}")
     return image(f, z.closure())
@@ -386,7 +388,7 @@ def verify(spec: NumberSystemSpec, mode: str = "auto", n: int | None = None,
     if mode == "qn":
         return Verdict("inconclusive", {"n": n, "Q_n": q}, warnings)
     if prefix_set:
-        b_words = [spec._as_word(b) for b in prefix_set]
+        b_words = [spec.alphabet.word(b) for b in prefix_set]
         language = words_at(max(len(b) for b in b_words))
         if violations:
             return _compat_failure(spec, violations, warnings)

@@ -181,7 +181,7 @@ class NumberSystemSpec:
     def refined_set(self, word) -> ArcSet:
         """The set of circle points whose expansions can start with `word`:
         F_w(Z_w), empty once it is narrower than EPS_ANGLE though Z_w is not."""
-        z, f = self._entry(self._as_word(word))
+        z, f = self._entry(self.alphabet.word(word))
         return image(f, z)
 
     def _member(self, word: Word) -> bool:
@@ -190,18 +190,7 @@ class NumberSystemSpec:
 
     def word_transform(self, word) -> transforms.DiscMoebius:
         """Composition of the letter maps along the word."""
-        return self._entry(self._as_word(word))[1]
-
-    def _as_word(self, word) -> Word:
-        """A tuple or a list of symbol indices as a tuple, anything else
-        parsed by the alphabet; an index outside the alphabet raises ValueError."""
-        if isinstance(word, list) and all(isinstance(a, int) for a in word):
-            word = tuple(word)
-        elif not isinstance(word, tuple):
-            return self.alphabet.word(word)
-        if word and (min(word) < 0 or max(word) >= self.alphabet.size):
-            raise ValueError(f"word {word} has a symbol index outside 0..{self.alphabet.size - 1}")
-        return word
+        return self._entry(self.alphabet.word(word))[1]
 
     # -- the pullback step ------------------------------------------------------
 
@@ -268,7 +257,7 @@ class NumberSystemSpec:
         closed refined set: the least 1/|F_w'(y)| = |conj(beta) y + conj(alpha)|^2
         over cl Z_w, at an arc endpoint or, nearest F_w's pole, the closed
         form 1/(|alpha| + |beta|)^2, which does not cancel."""
-        word = self._as_word(word)
+        word = self.alphabet.word(word)
         z, f = self._entry(word)
         if z.is_empty:
             raise EmptyRefinedSet(f"word {word} has an empty refined set")
@@ -365,7 +354,7 @@ class NumberSystemSpec:
         sit inside the expansion interval V(F_b) of its word map, read as
         Z_b within U(F_b), which F_b carries onto V(F_b).  `language`, the
         interval-shift words of length max|b|, is enumerated when not given."""
-        b_words = [self._as_word(b) for b in words_b]
+        b_words = [self.alphabet.word(b) for b in words_b]
         if not b_words:
             raise ValueError("prefix set must be nonempty")
         verdict = PrefixSetVerdict(passed=True)

@@ -10,6 +10,7 @@ authoritative filter downstream.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded
@@ -26,37 +27,46 @@ class Alphabet:
     def __post_init__(self):
         if not self.symbols:
             raise ValueError("alphabet must contain at least one symbol")
-        if len(set(self.symbols)) != len(self.symbols):
-            raise ValueError("symbol names must be unique")
+        if len(set(self.symbols)) != len(self.symbols) or "" in self.symbols:
+            raise ValueError("symbol names must be unique and nonempty")
         object.__setattr__(self, "symbols", tuple(self.symbols))
 
     @property
     def size(self) -> int:
         return len(self.symbols)
 
-    def index(self, name: str) -> int:
-        return self.symbols.index(name)
-
     def word(self, text) -> Word:
-        """Parse a word from a sequence of names or from a string.
+        """The symbol indices of a word, read by the one rule of every entry point.
 
-        Strings are tokenized greedily by longest symbol name, so
-        multi-character names like '1-' parse unambiguously.
+        A string is tokenized greedily, longest symbol name first, so
+        multi-character names like '1-' parse unambiguously.  Any other
+        iterable must be all symbol names or all symbol indices 0..size-1;
+        anything else raises ValueError naming the item and the alphabet.
         """
-        if not isinstance(text, str):
-            return tuple(self.index(t) for t in text)
-        by_len = sorted(self.symbols, key=len, reverse=True)
-        out = []
-        i = 0
-        while i < len(text):
-            for name in by_len:
-                if text.startswith(name, i):
-                    out.append(self.index(name))
-                    i += len(name)
-                    break
-            else:
-                raise ValueError(f"cannot tokenize {text[i:]!r} over {self.symbols}")
-        return tuple(out)
+        if type(text) is tuple:
+            try:  # a tuple of indices, checked at C speed
+                if not text or max(bytes(text)) < len(self.symbols):
+                    return text
+            except (TypeError, ValueError):
+                pass  # names, or an item that is no index in 0..255
+        if isinstance(text, str):
+            name = "|".join(map(re.escape, sorted(self.symbols, key=len, reverse=True)))
+            end = re.match(f"(?:{name})*", text).end()  # the greedy tokens' extent
+            if end < len(text):
+                raise ValueError(f"cannot tokenize {text[end:]!r} over {self.symbols}")
+            return tuple(map(self.symbols.index, re.findall(name, text)))
+        try:
+            items = tuple(text)
+        except TypeError:
+            raise ValueError(f"cannot read {text!r} as a word over {self.symbols}") from None
+        names = bool(items) and isinstance(items[0], str)
+        size = len(self.symbols)
+        for a in items:
+            if a not in self.symbols if names else not (isinstance(a, int) and 0 <= a < size):
+                kind = "a symbol name" if names else f"a symbol index in 0..{size - 1}"
+                raise ValueError(f"item {a!r} of word {text!r} is not {kind} (a word is all "
+                                 f"names or all indices); the alphabet is {self.symbols}")
+        return tuple(map(self.symbols.index, items)) if names else items
 
     def format(self, word: Word, unicode_bars: bool = False) -> str:
         names = [self.symbols[i] for i in word]
@@ -67,7 +77,8 @@ class Alphabet:
 
 @dataclass(frozen=True)
 class Subshift:
-    """Subshift of finite type over an alphabet, via forbidden factors."""
+    """Subshift of finite type over an alphabet, via forbidden factors,
+    each read by Alphabet.word."""
 
     alphabet: Alphabet
     forbidden: tuple[Word, ...] = ()
@@ -75,18 +86,12 @@ class Subshift:
     def __post_init__(self):
         seen = []
         for w in self.forbidden:
-            w = tuple(w)
+            w = self.alphabet.word(w)
             if not w:
                 raise ValueError("forbidden words must be nonempty")
-            if any(i < 0 or i >= self.alphabet.size for i in w):
-                raise ValueError(f"forbidden word {w} uses symbols outside the alphabet")
             if w not in seen:
                 seen.append(w)
         object.__setattr__(self, "forbidden", tuple(sorted(seen)))
-
-    @classmethod
-    def from_words(cls, alphabet: Alphabet, words) -> "Subshift":
-        return cls(alphabet, tuple(alphabet.word(w) for w in words))
 
     def language(self, n: int) -> list[Word]:
         """All legal words of length n, lexicographic."""

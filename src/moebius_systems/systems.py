@@ -20,7 +20,7 @@ import math
 import re
 
 from .arcs import ArcSet
-from .errors import ConfigError
+from .errors import ConfigError, NotDiscPreserving, OrientationReversing, SingularMatrix
 from .interval_system import NumberSystemSpec
 from .subshift import Alphabet, Subshift
 from .transforms import (
@@ -43,7 +43,7 @@ def _spec(name, symbols, maps, cover, forbidden) -> NumberSystemSpec:
         alphabet,
         dict(zip(symbols, maps)),
         dict(zip(symbols, cover)),
-        Subshift.from_words(alphabet, forbidden),
+        Subshift(alphabet, forbidden),
         name=name,
     )
 
@@ -155,22 +155,20 @@ _PI_RE = re.compile(r"^(-?)pi(?:\*(-?\d+(?:\.\d+)?)(?:/(\d+(?:\.\d+)?))?)?$")
 
 
 def parse_angle(value) -> float:
-    """Angle from a radian number or a 'pi*<fraction>' string."""
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
-        text = value.replace(" ", "")
-        m = _PI_RE.match(text)
+    """Angle from a finite radian number or a 'pi*<fraction>' string."""
+    text = value.replace(" ", "") if isinstance(value, str) else value
+    m = _PI_RE.match(text) if isinstance(text, str) else None
+    try:
         if m:
             sign = -1.0 if m.group(1) else 1.0
-            num = float(m.group(2)) if m.group(2) else 1.0
-            den = float(m.group(3)) if m.group(3) else 1.0
-            return sign * math.pi * num / den
-        try:
-            return float(text)
-        except ValueError:
-            pass
-    raise ConfigError(f"cannot parse angle {value!r}; use radians or 'pi*p/q'")
+            angle = sign * math.pi * float(m.group(2) or 1.0) / float(m.group(3) or 1.0)
+        else:
+            angle = float(text)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        angle = math.nan
+    if not math.isfinite(angle):
+        raise ConfigError(f"cannot parse angle {value!r}; use radians or 'pi*p/q'")
+    return angle
 
 
 def _pairs(vals, what: str) -> list[complex]:
@@ -197,21 +195,29 @@ def _parse_arc(entry) -> tuple[float, float]:
     raise ConfigError(f"cannot parse arc {entry!r}")
 
 
+def _whole_turn(s: float, e: float) -> bool:
+    """Whether a cover arc written from s to e reads as the whole circle."""
+    return (e - s) % TAU < EPS_WHOLE_TURN and e != s
+
+
 def _parse_transform(entry) -> DiscMoebius:
-    if isinstance(entry, dict) and "disc" in entry:
-        zs = _pairs(entry["disc"], "'disc'")
-        if len(zs) != 4:
-            raise ConfigError("'disc' needs the four matrix entries, row major")
-        return normalize([[zs[0], zs[1]], [zs[2], zs[3]]])
-    if isinstance(entry, dict) and "real_line" in entry:
-        vals = entry["real_line"]
-        try:
-            nums = [float(v) for v in vals]
-        except (TypeError, ValueError):
-            raise ConfigError(f"'real_line' needs [a, b, c, d] numbers, got {vals!r}")
-        if len(nums) != 4:
-            raise ConfigError("'real_line' needs [a, b, c, d]")
-        return from_real_line(*nums)
+    try:
+        if isinstance(entry, dict) and "disc" in entry:
+            zs = _pairs(entry["disc"], "'disc'")
+            if len(zs) != 4:
+                raise ConfigError("'disc' needs the four matrix entries, row major")
+            return normalize([[zs[0], zs[1]], [zs[2], zs[3]]])
+        if isinstance(entry, dict) and "real_line" in entry:
+            vals = entry["real_line"]
+            try:
+                nums = [float(v) for v in vals]
+            except (TypeError, ValueError):
+                raise ConfigError(f"'real_line' needs [a, b, c, d] numbers, got {vals!r}")
+            if len(nums) != 4:
+                raise ConfigError("'real_line' needs [a, b, c, d]")
+            return from_real_line(*nums)
+    except (SingularMatrix, NotDiscPreserving, OrientationReversing) as exc:
+        raise ConfigError(str(exc))
     raise ConfigError(f"transform must give 'disc' or 'real_line', got {entry!r}")
 
 
@@ -257,23 +263,15 @@ def parse_config(data: dict) -> NumberSystemSpec:
         arcs = ArcSet.empty()
         for arc in _listed(c_entry, f"the cover of {name!r}"):
             s, e = _parse_arc(arc)
-            if (e - s) % TAU < EPS_WHOLE_TURN and e != s:
+            if _whole_turn(s, e):
                 arcs = ArcSet.full_circle()  # equal endpoints: the whole circle
             else:
                 arcs = arcs.union(ArcSet.arc(s, e))
         cover_map[name] = arcs
-    forbidden = []
-    for w in _listed(data.get("forbidden", []), "'forbidden'"):
-        try:
-            forbidden.append(alphabet.word(w))
-        except ValueError as exc:
-            raise ConfigError(str(exc))
-        except TypeError:
-            raise ConfigError(f"a forbidden word needs a string or a list of symbols, got {w!r}")
+    forbidden = _listed(data.get("forbidden", []), "'forbidden'")
     try:
         return NumberSystemSpec(
-            alphabet, transforms_map, cover_map,
-            Subshift(alphabet, tuple(forbidden)),
+            alphabet, transforms_map, cover_map, Subshift(alphabet, forbidden),
             name=data.get("name", ""),
         )
     except ValueError as exc:
@@ -281,7 +279,8 @@ def parse_config(data: dict) -> NumberSystemSpec:
 
 
 def serialize_config(spec: NumberSystemSpec) -> dict:
-    """JSON object form of a system; parse_config inverts this exactly."""
+    """JSON object form of a system; parse_config inverts this exactly.  A
+    cover arc it would read back as the whole circle raises ValueError."""
     out = {
         "name": spec.name,
         "alphabet": list(spec.alphabet.symbols),
@@ -296,6 +295,9 @@ def serialize_config(spec: NumberSystemSpec) -> dict:
         m = [f.alpha, f.beta, f.beta.conjugate(), f.alpha.conjugate()]
         out["transforms"][name] = {"disc": [[z.real, z.imag] for z in m]}
         out["cover"][name] = [[s, s + l] for s, l in spec.cover[i].arcs]
+        if any(_whole_turn(s, e) for s, e in out["cover"][name]):
+            raise ValueError(f"the cover of symbol {name!r} is the circle less a point, "
+                             f"which the definition format reads back as the whole circle")
         if spec.cover[i].full:
             out["cover"][name] = [[0.0, TAU]]
     return out

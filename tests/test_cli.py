@@ -210,6 +210,28 @@ def test_system_file_section_of_wrong_type_exits_2(tmp_path, capsys, change):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("change,shown", [
+    (lambda d: d["cover"].update({"1": [["pi*1/0", 1.0]]}), "cannot parse angle 'pi*1/0'"),
+    (lambda d: d["cover"].update({"1": [["nan", 1.0]]}), "cannot parse angle 'nan'"),
+    (lambda d: d["cover"].update({"1": [["inf", 1.0]]}), "cannot parse angle 'inf'"),
+    (lambda d: d["cover"].update({"1": [["1e999", 1.0]]}), "cannot parse angle inf"),
+    (lambda d: d["transforms"].update({"1": {"disc": [[1, 0], [1, 0], [1, 0], [1, 0]]}}),
+     "numerically zero"),
+    (lambda d: d["transforms"].update({"1": {"disc": [[1, 0], [2, 0], [0, 0], [1, 0]]}}),
+     "disc-preserving"),
+    (lambda d: d["transforms"].update({"1": {"real_line": [1, 0, 0, -1]}}), "ad - bc < 0"),
+], ids=["angle-divides-by-zero", "angle-nan", "angle-inf", "angle-overflows",
+        "transform-singular", "transform-not-disc-preserving", "transform-orientation-reversing"])
+def test_system_file_with_a_bad_value_exits_2(tmp_path, capsys, change, shown):
+    # the JSON number 1e999 reads as inf; the other values are strings or
+    # matrices that json.dumps writes as they are
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(_cf_config_with(change)).replace('"1e999"', "1e999"))
+    code, report, err = run(capsys, "verify", "--system", str(path))
+    assert code == 2 and report is None
+    assert err.startswith("error:") and shown in err
+
+
 def test_report_written_to_file(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["classify", "--builtin", "cf", "1", "--out", str(out)])

@@ -14,11 +14,13 @@ import pytest
 from moebius_systems import codec, interval_system, subshift
 from moebius_systems.arcs import EPS_ANGLE, ArcSet
 from moebius_systems.codec import decode, encode, representable_interval, verify
-from moebius_systems.errors import EmptyRefinedSet, IllegalPrefix, NoLegalDigit
+from moebius_systems.errors import ConfigError, EmptyRefinedSet, IllegalPrefix, NoLegalDigit
 from moebius_systems.transforms import DiscMoebius
 from moebius_systems.interval_system import _PULL_TABLE_CAP, NumberSystemSpec
 from moebius_systems.subshift import Subshift
-from moebius_systems.systems import builtin, cf_digit_stream, classical_cf_terms, with_cover
+from moebius_systems.systems import (
+    builtin, cf_digit_stream, classical_cf_terms, parse_config, serialize_config, with_cover,
+)
 from moebius_systems.transforms import TAU, canon_angle, circle_distance, contraction, from_real
 from reference import in_language, turned_cover
 
@@ -186,7 +188,7 @@ def test_parabolic3_runs_match_a_high_precision_product():
 
         for head, run in (("", 20_000), ("c", 50_000), ("bca", 30_000), ("abbbbbca", 3_000)):
             f = (mpmath.mpc(1), mpmath.mpc(0))
-            for a in p3._as_word(head):
+            for a in p3.alphabet.word(head):
                 f = compose(f, letters[a])
             fa, fb = compose(f, power(letters[0], run))
             radius = mpmath.sqrt(abs(fa) ** 2 - abs(fb) ** 2) / abs(fb)
@@ -390,7 +392,7 @@ def test_decode_no_legal_digit_on_over_restricted_shift():
         p3.alphabet,
         dict(zip(p3.alphabet.symbols, p3.transforms)),
         dict(zip(p3.alphabet.symbols, p3.cover)),
-        Subshift.from_words(p3.alphabet, ["ac", "ba", "cb", "aa"]),
+        Subshift(p3.alphabet, ["ac", "ba", "cb", "aa"]),
     )
     with pytest.raises(NoLegalDigit) as exc:
         decode(starved, 0.05, 30)  # hugs the first vertex, needs digit 'a' twice
@@ -564,6 +566,87 @@ def test_a_list_of_symbol_indices_reads_like_a_tuple():
     assert encode(cf, ["1", "0"], 1e-3) == encode(cf, "10", 1e-3) == encode(cf, (2, 1), 1e-3)
     with pytest.raises(ValueError):
         encode(cf, ["1", 0], 1e-3)
+
+
+# Every entry point that takes a word reads it through Alphabet.word.  The
+# words of cf's prefix set B = {01, 01-, 1, 1-}, by names and by the range of
+# their indices, are given in each form a caller may use.
+_CF_PREFIX_SET = [(("0", "1"), range(1, 3)), (("0", "1-"), range(1, -1, -1)),
+                  (("1",), range(2, 3)), (("1-",), range(1))]
+_WORD_FORMS = {
+    "str": lambda names, indices: "".join(names),
+    "name list": lambda names, indices: list(names),
+    "name tuple": lambda names, indices: tuple(names),
+    "index list": lambda names, indices: list(indices),
+    "index tuple": lambda names, indices: tuple(indices),
+    "index range": lambda names, indices: indices,
+}
+# each reads the word w, or the words b of the prefix set, all in one form
+_WORD_ENTRY_POINTS = {
+    "refined_set": lambda cf, w, b: cf.refined_set(w),
+    "word_transform": lambda cf, w, b: cf.word_transform(w),
+    "min_expansion": lambda cf, w, b: cf.min_expansion(w),
+    "representable_interval": lambda cf, w, b: representable_interval(cf, w),
+    "check_prefix_set": lambda cf, w, b: cf.check_prefix_set(b),
+    "verify": lambda cf, w, b: verify(cf, "prefix_set", prefix_set=b),
+    "decode": lambda cf, w, b: decode(cf, 4.0, 3, prefix=w),
+    "encode": lambda cf, w, b: encode(cf, w, 1e-3),
+    "Subshift": lambda cf, w, b: Subshift(cf.alphabet, b).forbidden,
+    "parse_config": lambda cf, w, b: parse_config(
+        {**serialize_config(cf), "forbidden": b}).subshift.forbidden,
+}
+# a bad word of cf, and what its error must show of it
+_BAD_WORDS = {
+    "untokenizable str": ("7", "cannot tokenize '7'"),
+    "unknown name in a list": (["9"], "item '9'"),
+    "unknown name in a tuple": (("1", "9"), "item '9'"),
+    "index list out of range": ([1, 3], "item 3"),
+    "index tuple out of range": ((1, 3), "item 3"),
+    "negative index": ((-1,), "item -1"),
+    "index range out of range": (range(2, 4), "3"),
+    "names and indices": (["1", 0], "item 0"),
+    "indices and names": ((2, "0"), "item '0'"),
+    "float item": ([1.0], "item 1.0"),
+    "none item": ((None,), "item None"),
+    "not iterable": (5, "cannot read 5"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_WORD_ENTRY_POINTS))
+def test_every_entry_point_reads_every_form_of_a_word_alike(entry):
+    cf = builtin("cf")
+    call = _WORD_ENTRY_POINTS[entry]
+
+    def run(form):
+        words = [form(names, indices) for names, indices in _CF_PREFIX_SET]
+        return call(cf, words[0], words)
+
+    want = run(_WORD_FORMS["index tuple"])
+    for name, form in _WORD_FORMS.items():
+        assert run(form) == want, name
+
+
+@pytest.mark.parametrize("entry", sorted(_WORD_ENTRY_POINTS))
+def test_every_entry_point_rejects_a_bad_word_naming_the_item(entry):
+    cf = builtin("cf")
+    call = _WORD_ENTRY_POINTS[entry]
+    for case, (bad, shown) in _BAD_WORDS.items():
+        raised = ConfigError if entry == "parse_config" else ValueError
+        with pytest.raises(raised) as exc:
+            call(cf, bad, [bad])
+        assert shown in str(exc.value), case
+
+
+def test_the_word_reader_names_the_item_and_the_alphabet():
+    alphabet = builtin("cf").alphabet
+    for bad, shown in _BAD_WORDS.values():
+        with pytest.raises(ValueError) as exc:
+            alphabet.word(bad)
+        assert shown in str(exc.value) and "('1-', '0', '1')" in str(exc.value)
+    # a tuple of indices is passed through as it is, however it was checked
+    word = (2, 1, 0, 1)
+    assert alphabet.word(word) is word
+    assert alphabet.word(iter(["1", "0"])) == alphabet.word("10") == (2, 1)
 
 
 # -- verify --------------------------------------------------------------------------

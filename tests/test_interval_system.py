@@ -245,7 +245,7 @@ def test_min_expansion_matches_a_high_precision_product():
         cases += [(spec, w) for w in spec.interval_shift_language(6)]
     with mpmath.workdps(60):
         for spec, word in cases:
-            word = spec._as_word(word)
+            word = spec.alphabet.word(word)
             assert abs(spec.min_expansion(word) / reference(spec, word) - 1) <= 1e-9, word
 
 

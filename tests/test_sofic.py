@@ -124,7 +124,7 @@ def test_unused_letter_with_empty_cover_feeds_the_sink():
     assert auto.saturated
     sinks = [i for i, s in enumerate(auto.states) if s.is_empty]
     assert len(sinks) == 1
-    z = alph.index("z")
+    (z,) = alph.word("z")
     assert all(row[z] == sinks[0] for row in auto.transitions)
     for n in range(0, 5):
         for v in itertools.product(range(3), repeat=n):
@@ -180,7 +180,7 @@ def test_state_index_matches_linear_scan(name, turn, eps, monkeypatch):
 def test_state_index_matches_linear_scan_across_zero(eps, monkeypatch):
     spec = _wrap_spec()
     auto = _assert_same_automaton(spec, 120, eps, monkeypatch)
-    p, q = spec.alphabet.index("p"), spec.alphabet.index("q")
+    p, q = spec.alphabet.word("pq")
     below = auto.transitions[auto.initial][p]
     assert auto.states[below].arcs[0][0] > TAU - 1e-3
     if eps == 1e-3:

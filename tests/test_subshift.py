@@ -13,12 +13,12 @@ from reference import follower_accepts, in_language
 
 def three_parabolic_shift():
     alph = Alphabet(("a", "b", "c"))
-    return Subshift.from_words(alph, ["ac", "ba", "cb"])
+    return Subshift(alph, ["ac", "ba", "cb"])
 
 
 def cf_shift():
     alph = Alphabet(("1-", "0", "1"))
-    return Subshift.from_words(alph, ["00", "11-", "1-1", "101", "1-01-"])
+    return Subshift(alph, ["00", "11-", "1-1", "101", "1-01-"])
 
 
 def test_alphabet_tokenizes_multichar_names():
@@ -29,6 +29,19 @@ def test_alphabet_tokenizes_multichar_names():
     assert alph.format((0,), unicode_bars=True) == "1̄"
     with pytest.raises(ValueError):
         alph.word("2")
+
+
+def test_tokenizing_is_greedy_and_names_are_nonempty():
+    # "abc" is also a + bc, but the longest name is taken first, as always
+    alph = Alphabet(("ab", "a", "bc"))
+    assert alph.word("aab") == (1, 0)
+    with pytest.raises(ValueError, match="cannot tokenize 'c' over"):
+        alph.word("abc")
+    with pytest.raises(ValueError, match="cannot tokenize 'xab' over"):
+        alph.word("abxab")
+    # an empty name used to make the tokenizer loop forever
+    with pytest.raises(ValueError, match="nonempty"):
+        Alphabet(("", "a"))
 
 
 def test_in_language_examples():
@@ -82,7 +95,7 @@ def test_language_submultiplicative():
 
 
 def test_golden_mean_automaton():
-    golden = Subshift.from_words(Alphabet(("0", "1")), ["11"])
+    golden = Subshift(Alphabet(("0", "1")), ["11"])
     auto = golden.follower_automaton()
     assert auto.n_states == 2
     assert follower_accepts(auto, (0, 1, 0, 1, 0))

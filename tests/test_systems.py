@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from moebius_systems.arcs import expansion_interval
+from moebius_systems.arcs import ArcSet, expansion_interval
 from moebius_systems.errors import ConfigError
 from moebius_systems.systems import (
     BUILTIN_NAMES,
@@ -14,6 +14,7 @@ from moebius_systems.systems import (
     parse_angle,
     parse_config,
     serialize_config,
+    with_cover,
 )
 from moebius_systems.transforms import TAU, circle_distance, from_real_line, normalize
 
@@ -91,8 +92,9 @@ def test_parse_angle_forms():
     assert parse_angle("pi*2/3") == pytest.approx(2 * math.pi / 3)
     assert parse_angle("pi*0.5") == pytest.approx(math.pi / 2)
     assert parse_angle("2.25") == 2.25
-    with pytest.raises(ConfigError):
-        parse_angle("tau")
+    for bad in ("tau", "pi*1/0", "nan", "-inf", math.inf, math.nan, 10**400, "pi*1" + "0" * 400):
+        with pytest.raises(ConfigError, match="cannot parse angle"):
+            parse_angle(bad)
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -107,6 +109,17 @@ def test_config_round_trip(name):
         assert spec.cover[i].distance(again.cover[i]) < 1e-12
     # and a second round trip is textually stable
     assert serialize_config(again) == serialize_config(parse_config(serialize_config(again)))
+
+
+def test_serialize_config_refuses_the_circle_less_a_point():
+    # [s, s + 2*pi] would read back as the whole circle, so no file is written
+    cf = builtin("cf")
+    pierced = with_cover(cf, {"1-": cf.cover[0], "0": cf.cover[1],
+                              "1": ArcSet.arc(0.3, 0.3 + TAU)})
+    with pytest.raises(ValueError, match="symbol '1'"):
+        serialize_config(pierced)
+    whole = with_cover(cf, {"1-": cf.cover[0], "0": cf.cover[1], "1": ArcSet.full_circle()})
+    assert parse_config(serialize_config(whole)).cover[2].full
 
 
 def test_config_with_pi_strings_and_points():
