@@ -103,8 +103,8 @@ def encode(spec: NumberSystemSpec, digits, tol: float, max_digits: int | None = 
     is_word = isinstance(digits, (str, list, tuple)) or not isinstance(digits, Iterable)
     base = iter(spec.alphabet.word(digits) if is_word else digits)
     stream, pending, pstart = base, (), 0
-    state = spec.automaton.initial
-    moves = spec.automaton.transitions  # follower state x letter -> state or None
+    state = spec.subshift.initial
+    moves = spec.subshift.transitions  # follower state x letter -> state or None
     fwd = [(f.alpha, f.beta) for f in spec.transforms]
     n_symbols = len(fwd)
     scales = spec._parabolic_scales
@@ -125,9 +125,12 @@ def encode(spec: NumberSystemSpec, digits, tol: float, max_digits: int | None = 
             if max_digits is not None and consumed >= max_digits:
                 break
             if a != prev:
-                if not 0 <= a < n_symbols:
+                try:
+                    if not 0 <= a < n_symbols:
+                        raise TypeError
+                except TypeError:  # out of range, or no number at all (a name)
                     raise ValueError(f"digit {a!r} at position {consumed} is not a symbol "
-                                     f"index 0..{n_symbols - 1}")
+                                     f"index 0..{n_symbols - 1}") from None
                 prev, jump_from = a, consumed + run_min
             elif (consumed >= jump_from and rows[sid][a] == sid
                     and scales[a] is not None and moves[state][a] == state):
@@ -262,12 +265,13 @@ def decode(spec: NumberSystemSpec, theta: float, n_digits: int, prefix: Word = (
     """Greedy expansion of the circle point at angle theta.
 
     Emits n_digits symbols (after the optional forced prefix, whose
-    inverse maps are applied to the point first).  The caller is expected
-    to have verified the system; on covers that fail compatibility the
-    decoder can run out of candidates, which raises NoLegalDigit with the
-    offending point attached.  The prefix is a word, read by
-    Alphabet.word.  A non-finite theta, a negative n_digits or a prefix
-    symbol outside the alphabet raises ValueError.
+    inverse maps are applied to the point first).  Each digit is chosen
+    among the letters spec.subshift.transitions allows.  The caller is
+    expected to have verified the system; on covers that fail
+    compatibility the decoder can run out of candidates, which raises
+    NoLegalDigit with the offending point attached.  The prefix is a word,
+    read by Alphabet.word.  A non-finite theta, a negative n_digits or a
+    prefix symbol outside the alphabet raises ValueError.
     """
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta!r}")
@@ -275,11 +279,12 @@ def decode(spec: NumberSystemSpec, theta: float, n_digits: int, prefix: Word = (
         raise ValueError(f"n_digits must be >= 0, got {n_digits!r}")
     x = canon_angle(theta)
     inverses, closures = spec._inverses, spec._closures
-    state = spec.automaton.initial
+    moves = spec.subshift.transitions  # follower state x letter -> state or None
+    state = spec.subshift.initial
     prefix = spec.alphabet.word(prefix)
     word = list(prefix)
     for a in prefix:
-        state = spec.automaton.step(state, a)
+        state = moves[state][a]
         if state is None:
             raise IllegalPrefix("forced prefix is not in the language")
         x = inverses[a].apply_angle(x)
@@ -287,8 +292,8 @@ def decode(spec: NumberSystemSpec, theta: float, n_digits: int, prefix: Word = (
         chosen = None
         fallback = None
         viable = []
-        for a in range(spec.alphabet.size):
-            if spec.automaton.step(state, a) is None:
+        for a, nxt in enumerate(moves[state]):
+            if nxt is None:
                 continue
             viable.append(a)
             comp = closures[a].component_containing(x, tol=EPS_ANGLE)
@@ -311,7 +316,7 @@ def decode(spec: NumberSystemSpec, theta: float, n_digits: int, prefix: Word = (
                 candidates=[spec.alphabet.symbols[a] for a in viable],
             )
         word.append(chosen)
-        state = spec.automaton.step(state, chosen)
+        state = moves[state][chosen]
         x = inverses[chosen].apply_angle(x)
     return tuple(word)
 

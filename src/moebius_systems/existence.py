@@ -30,7 +30,7 @@ from multiprocessing import Pool
 
 import numpy as np
 
-from .errors import BudgetExceeded, ParamOutOfRange
+from .errors import ParamOutOfRange
 from .transforms import EPS_ROTATION, TAU, DiscMoebius
 
 EPS_GAP = 1e-10    # gaps between expansion arcs narrower than this count as covered
@@ -78,7 +78,7 @@ def _cover_batch(alpha_a: np.ndarray, beta_a: np.ndarray, alpha_b: np.ndarray,
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
     if depth > 16:
-        raise BudgetExceeded("depth > 16 means more than 2^17 words; refusing")
+        raise ValueError("depth > 16 means more than 2^17 words; refusing")
     n = len(alpha_a)
     covered = np.zeros(n, dtype=bool)
     if depth <= 0 or n == 0:
@@ -327,7 +327,7 @@ def render_grid(width: int, height: int, depth: int, n_max: int,
         raise ValueError(f"workers must be >= 1, got {workers}")
     # worst case ~2^(depth+1) word maps per cell
     if width * height * 2.0 ** (depth + 1) > 5e9:
-        raise BudgetExceeded(
+        raise ValueError(
             f"{width}x{height} cells at depth {depth} exceeds the render budget"
         )
     cells, step = width * height, max(1, _BLOCK_WORDS >> max(depth, 8))

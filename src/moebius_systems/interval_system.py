@@ -134,7 +134,6 @@ class NumberSystemSpec:
             self.cover.append(cover_by_symbol[name_])
         if not covers_circle(self.cover):
             raise ValueError("closures of the cover arcs must fill the circle")
-        self.automaton = subshift.follower_automaton()
         self._cache: dict[Word, tuple[ArcSet, transforms.DiscMoebius]] = {
             (): (ArcSet.full_circle(), transforms.identity())
         }
@@ -147,7 +146,7 @@ class NumberSystemSpec:
         # per follower state, the points that no legal letter's closed cover
         # arc holds: the cover gaps of a word in its own coordinates
         self._gaps = [_uncovered(c for c, nxt in zip(self.cover, row) if nxt is not None)
-                      for row in self.automaton.transitions]
+                      for row in subshift.transitions]
         self._parabolic_scales = [transforms.parabolic_scale(f) for f in self.transforms]
         self._pull_table = _PullbackTable(alphabet.size)
         self._pull_lock = threading.Lock()
@@ -227,7 +226,7 @@ class NumberSystemSpec:
         """Yield the levels 0..n_max of the interval shift (every level when
         n_max is None): the legal words with nonempty pullback states, as
         lexicographic (word, follower state) pairs, one list per level."""
-        return walk(self.automaton, n_max, "interval-shift enumeration", keep=self._member)
+        return walk(self.subshift, n_max, "interval-shift enumeration", keep=self._member)
 
     def interval_shift_language(self, n: int) -> list[Word]:
         """Legal length-n words whose refined sets are nonempty, lexicographic."""
@@ -279,10 +278,10 @@ class NumberSystemSpec:
         from the root, each time to the interval-shift child of least q;
         +inf past a word that has no such child."""
         upper = [1.0] + [math.inf] * n_max
-        word, state = (), self.automaton.initial
+        word, state = (), self.subshift.initial
         for m in range(1, n_max + 1):
             children = [(self.min_expansion(w), w, nxt)
-                        for a, nxt in enumerate(self.automaton.transitions[state])
+                        for a, nxt in enumerate(self.subshift.transitions[state])
                         if nxt is not None and self._member(w := word + (a,))]
             if not children:
                 break
@@ -309,7 +308,7 @@ class NumberSystemSpec:
         upper = self._dive_bounds(n_max)
         lower = [1.0]   # exact Q_0..Q_k of the levels walked so far
         cut: set[Word] = set()   # words of the last level that are not extended
-        levels = walk(self.automaton, n_max, "interval-shift enumeration",
+        levels = walk(self.subshift, n_max, "interval-shift enumeration",
                       keep=lambda w: w[:-1] not in cut and self._member(w))
         next(levels)  # level 0, the empty word
         table = []

@@ -229,8 +229,9 @@ def sofic_verdict(spec: NumberSystemSpec, automaton: PullbackAutomaton) -> Sofic
     """Judge soficness of the interval shift from a built automaton.
 
     A saturated search certifies (numerically, up to eps_state) that the
-    nonempty-refinement language is regular; the product with the
-    subshift's factor automaton then recognizes the interval shift.  The
+    nonempty-refinement language is regular; its product with the
+    subshift's follower automaton, read from spec.subshift.transitions,
+    then recognizes the interval shift.  The
     verdict is withheld when the transition residual, recorded by the BFS,
     exceeds eps_state, which is finite, so an infinite residual always does.
     """
@@ -250,7 +251,7 @@ def sofic_verdict(spec: NumberSystemSpec, automaton: PullbackAutomaton) -> Sofic
         report.verdict = (f"not shown sofic: transition residual {residual:g} exceeds "
                           f"state tolerance {automaton.eps_state:g}")
         return report
-    follower = spec.automaton
+    follower = spec.subshift
     pairs: dict[tuple[int, int], int] = {}
     order: list[tuple[int, int]] = []
 
@@ -267,7 +268,7 @@ def sofic_verdict(spec: NumberSystemSpec, automaton: PullbackAutomaton) -> Sofic
         z, fstate = order[i]
         row: list[int | None] = []
         for a in range(spec.alphabet.size):
-            nf = follower.step(fstate, a)
+            nf = follower.transitions[fstate][a]
             nz = automaton.transitions[z][a]
             if nf is None or not automaton.accepting(nz):
                 row.append(None)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import BudgetExceeded
 
@@ -78,10 +78,17 @@ class Alphabet:
 @dataclass(frozen=True)
 class Subshift:
     """Subshift of finite type over an alphabet, via forbidden factors,
-    each read by Alphabet.word."""
+    each read by Alphabet.word, and its own follower automaton, built once:
+    `states` are the proper prefixes of forbidden words, shortest first, so
+    `initial`, the empty context, is 0; transitions[state][a] is the state
+    after letter a, or None where a forbidden factor ends.  The tables take
+    no part in equality or hashing."""
 
     alphabet: Alphabet
     forbidden: tuple[Word, ...] = ()
+    states: tuple[Word, ...] = field(init=False, compare=False, repr=False)
+    transitions: tuple[tuple[int | None, ...], ...] = field(init=False, compare=False, repr=False)
+    initial = 0  # a class constant, not a field: the empty context
 
     def __post_init__(self):
         seen = []
@@ -91,71 +98,44 @@ class Subshift:
                 raise ValueError("forbidden words must be nonempty")
             if w not in seen:
                 seen.append(w)
-        object.__setattr__(self, "forbidden", tuple(sorted(seen)))
-
-    def language(self, n: int) -> list[Word]:
-        """All legal words of length n, lexicographic."""
-        return last_level(walk(self.follower_automaton(), n, "language enumeration"))
-
-    def follower_automaton(self) -> "FollowerAutomaton":
-        return FollowerAutomaton(self)
-
-
-class FollowerAutomaton:
-    """Deterministic automaton accepting exactly the factor-avoiding words.
-
-    States are the proper prefixes of forbidden words (the live suffix
-    context); a None transition is the reject sink.  With no forbidden
-    words this is the one-state automaton accepting everything.
-    """
-
-    def __init__(self, subshift: Subshift):
-        self.subshift = subshift
-        prefixes = {()}
-        for f in subshift.forbidden:
-            for k in range(1, len(f)):
-                prefixes.add(f[:k])
-        self.states: list[Word] = sorted(prefixes, key=lambda p: (len(p), p))
-        index = {p: i for i, p in enumerate(self.states)}
-        k = subshift.alphabet.size
-        forbidden = set(subshift.forbidden)
-        self.transitions: list[list[int | None]] = []
-        for p in self.states:
+        forbidden = tuple(sorted(seen))
+        states = sorted({f[:k] for f in forbidden for k in range(len(f))} | {()},
+                        key=lambda p: (len(p), p))
+        index = {p: i for i, p in enumerate(states)}
+        transitions = []
+        for p in states:
             row: list[int | None] = []
-            for a in range(k):
+            for a in range(self.alphabet.size):
                 w = p + (a,)
                 if any(w[len(w) - len(f):] == f for f in forbidden):
                     row.append(None)
-                    continue
-                for j in range(len(w) + 1):
-                    if w[j:] in index:
-                        row.append(index[w[j:]])
-                        break
-            self.transitions.append(row)
-        self.initial = index[()]
+                else:  # the longest suffix of w that is a state
+                    row.append(next(index[w[j:]] for j in range(len(w) + 1) if w[j:] in index))
+            transitions.append(tuple(row))
+        object.__setattr__(self, "forbidden", forbidden)
+        object.__setattr__(self, "states", tuple(states))
+        object.__setattr__(self, "transitions", tuple(transitions))
 
-    @property
-    def n_states(self) -> int:
-        return len(self.states)
-
-    def step(self, state: int, symbol: int) -> int | None:
-        return self.transitions[state][symbol]
+    def language(self, n: int) -> list[Word]:
+        """All legal words of length n, lexicographic."""
+        return last_level(walk(self, n, "language enumeration"))
 
 
-def walk(auto: FollowerAutomaton, n_max: int | None, what: str, keep=None):
-    """Yield the levels 0..n_max of the automaton's language (every level
+def walk(subshift: Subshift, n_max: int | None, what: str, keep=None):
+    """Yield the levels 0..n_max of the subshift's language (every level
     when n_max is None; the caller stops taking them).
 
     Each level is a list of (word, state) pairs in lexicographic order,
-    state being the follower state after the word.  A level extends the
-    pairs of the one before it, so a branch is cut for good as soon as the
-    automaton rejects it or keep(word) is false; more than BUDGET words
-    over all levels raise BudgetExceeded, naming the enumeration as
-    `what`.  n_max < 0 raises ValueError (no word has that length).
+    state being the follower state after the word, read from
+    subshift.transitions.  A level extends the pairs of the one before it,
+    so a branch is cut for good as soon as the subshift rejects it or
+    keep(word) is false; more than BUDGET words over all levels raise
+    BudgetExceeded, naming the enumeration as `what`.  n_max < 0 raises
+    ValueError (no word has that length).
     """
     if n_max is not None and n_max < 0:
         raise ValueError(f"{what} needs a word length n >= 0, got {n_max}")
-    level = [((), auto.initial)]
+    level = [((), subshift.initial)]
     count = 1
     for depth in itertools.count():
         yield level
@@ -163,7 +143,7 @@ def walk(auto: FollowerAutomaton, n_max: int | None, what: str, keep=None):
             return
         longer = []
         for word, state in level:
-            for a, nxt in enumerate(auto.transitions[state]):
+            for a, nxt in enumerate(subshift.transitions[state]):
                 if nxt is None:
                     continue
                 w = word + (a,)

@@ -279,7 +279,10 @@ def parse_config(data: dict) -> NumberSystemSpec:
 
 
 def serialize_config(spec: NumberSystemSpec) -> dict:
-    """JSON object form of a system; parse_config inverts this exactly.  A
+    """JSON object form of a system.  parse_config reads back equal
+    alphabet, forbidden words and covers, but normalises each written
+    matrix, so the maps come back only to rounding (5e-16 on the builtins)
+    and results from the re-read system may differ in their last bits.  A
     cover arc it would read back as the whole circle raises ValueError."""
     out = {
         "name": spec.name,

@@ -5,8 +5,8 @@ faster or in other coordinates: derivative moduli, sampled arc-set
 membership, factor-avoidance, forward refinement, the exhaustive level
 minima, the scalar cover sweep, the linear state scan and a frozen copy
 of the arc-set kernel.  The random disc maps and arc sets the tests draw
-are here too.  None of it is package API, and each model is defined here
-once.
+are here too, and a system whose language ends after one letter.  None
+of it is package API, and each model is defined here once.
 """
 
 import cmath
@@ -15,7 +15,9 @@ import math
 import numpy as np
 
 from moebius_systems.arcs import EPS_ANGLE, EPS_NEAR_FULL, ArcSet, _v_arc, expansion_interval, image
-from moebius_systems.existence import EPS_GAP
+from moebius_systems.existence import EPS_GAP, two_hyperbolic_system
+from moebius_systems.interval_system import NumberSystemSpec
+from moebius_systems.subshift import Alphabet, Subshift
 from moebius_systems.systems import with_cover
 from moebius_systems.transforms import TAU, DiscMoebius, identity
 
@@ -277,11 +279,12 @@ def in_language(shift, word) -> bool:
     return True
 
 
-def follower_accepts(auto, word) -> bool:
-    """The follower automaton reads all of `word` without reaching the sink."""
-    state = auto.initial
+def follower_accepts(subshift, word) -> bool:
+    """The subshift's follower automaton reads all of `word` without
+    reaching the sink."""
+    state = subshift.initial
     for a in word:
-        state = auto.transitions[state][a]
+        state = subshift.transitions[state][a]
         if state is None:
             return False
     return True
@@ -296,6 +299,16 @@ def turned_cover(spec, turn: float):
         sym: c if c.full else ArcSet.from_arcs([(s + TAU * turn, l) for s, l in c.arcs])
         for sym, c in zip(spec.alphabet.symbols, spec.cover)
     })
+
+
+def dead_end_pair():
+    """Two hyperbolic letters over the whole circle with every two-letter
+    word forbidden: the language has its two letters and nothing longer."""
+    fa, fb = two_hyperbolic_system(0.5, 0.25)
+    alph = Alphabet(("a", "b"))
+    return NumberSystemSpec(alph, {"a": fa, "b": fb},
+                            {"a": ArcSet.full_circle(), "b": ArcSet.full_circle()},
+                            Subshift(alph, ["aa", "ab", "ba", "bb"]), name="dead-end")
 
 
 def forward_step(spec, refined: ArcSet, f: DiscMoebius, a: int):
@@ -316,12 +329,12 @@ def forward_levels(spec, n_max: int) -> list[list[tuple[int, ...]]]:
     """The interval-shift languages of levels 0..n_max by forward refinement,
     with a word kept while R(w) is nonempty: the definition the package
     used before it read membership from the pullback state."""
-    level = [((), spec.automaton.initial, ArcSet.full_circle(), identity())]
+    level = [((), spec.subshift.initial, ArcSet.full_circle(), identity())]
     levels = [[()]]
     for _ in range(n_max):
         longer = []
         for w, state, refined, f in level:
-            for a, nxt in enumerate(spec.automaton.transitions[state]):
+            for a, nxt in enumerate(spec.subshift.transitions[state]):
                 if nxt is not None:
                     r, g = forward_step(spec, refined, f, a)
                     if not r.is_empty:

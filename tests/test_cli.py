@@ -8,6 +8,7 @@ import pytest
 from moebius_systems import cli
 from moebius_systems.cli import main
 from moebius_systems.systems import builtin, serialize_config
+from reference import dead_end_pair
 
 
 def run(capsys, *argv):
@@ -160,6 +161,29 @@ def test_existence_map_bad_extension_rejected_before_render(capsys):
     assert code == 2 and ".pgm" in err  # fails fast, no long render
 
 
+def test_existence_map_depth_over_the_limit_exits_2(capsys):
+    code, report, err = run(capsys, "existence-map", "--res", "1x1", "--depth", "17")
+    assert code == 2 and report is None
+    assert "depth > 16" in err
+
+
+def test_a_word_leaving_the_language_exits_1(capsys):
+    code, report, err = run(capsys, "encode", "--builtin", "cf", "00")
+    assert code == 1 and report is None
+    assert err.startswith("error:") and "leaves the language" in err
+
+
+def test_qn_writes_an_empty_level_as_inf(tmp_path, capsys):
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(serialize_config(dead_end_pair())))
+    code, report, _ = run(capsys, "qn", "--system", str(path), "--max-n", "3")
+    assert code == 0
+    rows = report["result"]["table"]
+    assert [row["Q_n"] for row in rows[2:]] == ["inf", "inf"]
+    assert rows[1]["Q_n"] == report["result"]["rate_lower_bound"] < 1.0
+    assert "some language levels are empty; their entries were ignored" in report["warnings"]
+
+
 def test_system_file_and_errors(tmp_path, capsys):
     path = tmp_path / "sys.json"
     path.write_text(json.dumps(serialize_config(builtin("cf"))))
@@ -198,10 +222,16 @@ def _cf_config_with(change):
     lambda d: d.update(alphabet=[["0"], "1", "1-"]),
     lambda d: d["cover"].update({"1": [{"points": 5}]}),
     lambda d: d["transforms"].update({"1": {"real_line": 3}}),
+    lambda d: d["cover"].update({"1": [{"x": 1}]}),
+    lambda d: d["transforms"].update({"1": {"disc": [[1, 0], [0, 0], [0, 0]]}}),
+    lambda d: d["transforms"].update({"1": {"real_line": [1, 1, 0]}}),
+    lambda d: d["transforms"].update({"1": {}}),
+    lambda d: d["cover"].pop("1"),
 ], ids=["transforms-list", "cover-list", "cover-entry-number", "points-strings",
         "points-one-pair", "disc-strings", "disc-number", "real-line-nested-list",
         "forbidden-number", "forbidden-not-a-list", "alphabet-nested-list", "points-number",
-        "real-line-number"])
+        "real-line-number", "arc-unknown-key", "disc-three-entries", "real-line-three-numbers",
+        "transform-no-key", "symbol-without-cover"])
 def test_system_file_section_of_wrong_type_exits_2(tmp_path, capsys, change):
     path = tmp_path / "sys.json"
     path.write_text(json.dumps(_cf_config_with(change)))

@@ -545,6 +545,23 @@ def test_symbol_indices_outside_the_alphabet_are_rejected():
                 call()
 
 
+def test_a_stream_of_names_is_rejected_as_no_symbol_index():
+    # a stream is read as symbol indices; a name in it used to fail the range
+    # check with "'<=' not supported between instances of 'int' and 'str'"
+    cf = builtin("cf")
+    with pytest.raises(ValueError, match="digit '1' at position 0 is not a symbol index 0..2"):
+        encode(cf, iter(["1", "0"]), 1e-3)
+    with pytest.raises(ValueError, match="digit None at position 2"):
+        encode(cf, iter([2, 2, None]), 1e-30)
+    # numpy integers are indices
+    assert encode(cf, iter(np.array([2, 2, 1])), 1e-3) == encode(cf, (2, 2, 1), 1e-3)
+
+
+def test_decode_rejects_a_prefix_outside_the_language():
+    with pytest.raises(IllegalPrefix, match="forced prefix"):
+        decode(builtin("cf"), 1.0, 3, prefix="00")
+
+
 def test_a_list_of_symbol_indices_reads_like_a_tuple():
     # a list of ints used to be parsed as symbol names, and failed with
     # "tuple.index(x): x not in tuple"

@@ -14,6 +14,7 @@ from moebius_systems.subshift import Subshift
 from moebius_systems.systems import builtin, with_cover
 from moebius_systems.transforms import TAU
 from reference import (
+    dead_end_pair,
     exhaustive_table,
     forward_levels,
     forward_refined_set,
@@ -353,6 +354,27 @@ def test_expansion_rate_bound_dominates_level_one():
     for n_max in (0, -1):
         with pytest.raises(ValueError, match="n_max must be >= 1"):
             cf.expansion_rate_bound(n_max)
+
+
+def test_empty_levels_are_inf_and_skipped_by_the_rate_bound():
+    spec = dead_end_pair()
+    q1 = spec.level_min_expansion(1)
+    assert 0.0 < q1 < 1.0
+    # the greedy descent ends at the first level with no child
+    assert spec._dive_bounds(3) == [1.0, q1, math.inf, math.inf]
+    est = spec.expansion_rate_bound(3)
+    assert est.table == [(1, q1), (2, math.inf), (3, math.inf)]
+    assert est.lower_bound == q1 and est.n_achieving == 1
+    assert "some language levels are empty; their entries were ignored" in est.warnings
+    assert spec.level_min_expansion(2) == math.inf
+
+
+def test_level_and_prefix_set_arguments_are_checked():
+    cf = builtin("cf")
+    with pytest.raises(ValueError, match="level n must be >= 0"):
+        cf.level_min_expansion(-1)
+    with pytest.raises(ValueError, match="prefix set must be nonempty"):
+        cf.check_prefix_set([])
 
 
 def test_trivial_cover_rate_warning():

@@ -96,31 +96,36 @@ def test_language_submultiplicative():
 
 def test_golden_mean_automaton():
     golden = Subshift(Alphabet(("0", "1")), ["11"])
-    auto = golden.follower_automaton()
-    assert auto.n_states == 2
-    assert follower_accepts(auto, (0, 1, 0, 1, 0))
-    assert not follower_accepts(auto, (1, 1))
+    assert len(golden.states) == 2
+    assert follower_accepts(golden, (0, 1, 0, 1, 0))
+    assert not follower_accepts(golden, (1, 1))
 
 
 def test_free_shift_automaton():
     free = Subshift(Alphabet(("x", "y")), ())
-    auto = free.follower_automaton()
-    assert auto.n_states == 1
-    assert follower_accepts(auto, (0, 1, 1, 0, 1))
+    assert len(free.states) == 1
+    assert follower_accepts(free, (0, 1, 1, 0, 1))
 
 
 def test_three_parabolic_automaton_size():
-    auto = three_parabolic_shift().follower_automaton()
-    assert auto.n_states <= 4
+    assert len(three_parabolic_shift().states) <= 4
 
 
 @pytest.mark.parametrize("shift", [three_parabolic_shift(), cf_shift()])
 def test_automaton_agrees_with_in_language(shift):
-    auto = shift.follower_automaton()
     k = shift.alphabet.size
     for n in range(0, 7):
         for w in itertools.product(range(k), repeat=n):
-            assert follower_accepts(auto, w) == in_language(shift, w)
+            assert follower_accepts(shift, w) == in_language(shift, w)
+
+
+def test_follower_tables_take_no_part_in_equality():
+    alph = Alphabet(("a", "b", "c"))
+    one = Subshift(alph, ["ac", "ba", "cb"])
+    two = Subshift(alph, ["cb", "ac", "ba", "ac"])
+    assert one == two and hash(one) == hash(two)
+    assert one.transitions == two.transitions and one.states[one.initial] == ()
+    assert "transitions" not in repr(one)
 
 
 def test_forbidden_validation():

@@ -103,10 +103,11 @@ def test_config_round_trip(name):
     data = json.loads(json.dumps(serialize_config(spec)))
     again = parse_config(data)
     assert again.alphabet == spec.alphabet
-    assert again.subshift.forbidden == spec.subshift.forbidden
+    assert again.subshift == spec.subshift
+    assert again.cover == spec.cover
+    # parse_config normalises the written matrices: the maps come back to rounding
     for i in range(spec.alphabet.size):
-        assert spec.transforms[i].approx_eq(again.transforms[i], 1e-12)
-        assert spec.cover[i].distance(again.cover[i]) < 1e-12
+        assert spec.transforms[i].approx_eq(again.transforms[i], 1e-15)
     # and a second round trip is textually stable
     assert serialize_config(again) == serialize_config(parse_config(serialize_config(again)))
 
