@@ -156,9 +156,9 @@ def cmd_sofic(args, spec):
     report = sofic_verdict(spec, automaton)
     result = {
         "verdict": report.verdict,
-        "saturated": report.saturated,
-        "states": report.n_states,
-        "growth_per_depth": report.growth,
+        "saturated": automaton.saturated,
+        "states": automaton.n_states,
+        "growth_per_depth": automaton.growth,
         "transition_residual": report.transition_residual,
         "transition_table": automaton.transition_table(spec.alphabet),
         "graph": automaton.graph_description(spec.alphabet),

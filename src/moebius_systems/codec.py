@@ -37,7 +37,7 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import chain, compress, count, islice, repeat
-from operator import ne
+from operator import index, ne
 
 from .arcs import ClosedArcSet, EPS_ANGLE, image
 from .errors import EmptyRefinedSet, IllegalPrefix, NoLegalDigit
@@ -92,7 +92,8 @@ def encode(spec: NumberSystemSpec, digits, tol: float, max_digits: int | None = 
     unverified systems); without it the loop runs until the certificate
     is met.  A str, list or tuple is a word, read by Alphabet.word; any
     other iterable is a stream of symbol indices, checked as it is read.
-    A symbol outside the alphabet, or a non-iterable, raises ValueError.
+    A symbol outside the alphabet, a stream digit that is no index (a
+    name, a float, None) or a non-iterable raises ValueError.
     """
     if not tol > 0:  # NaN too: no radius is ever <= NaN
         raise ValueError(f"tol must be positive, got {tol!r}")
@@ -118,63 +119,67 @@ def encode(spec: NumberSystemSpec, digits, tol: float, max_digits: int | None = 
     fa, fb = 1.0 + 0j, 0j
     consumed = 0
     b_near = (1.0 - _NEAR_TOL) / tol  # below this |beta| the radius 1/|beta| exceeds tol
-    prev, jump_from, run_min = None, 0, _RUN_MIN
-    while stream is not None:
-        digits_in, stream = stream, None
-        for a in digits_in:
-            if max_digits is not None and consumed >= max_digits:
-                break
-            if a != prev:
-                try:
+    a, prev, jump_from, run_min = 0, None, 0, _RUN_MIN  # a: the digit read last
+    try:
+        while stream is not None:
+            digits_in, stream = stream, None
+            for a in digits_in:
+                if max_digits is not None and consumed >= max_digits:
+                    break
+                if a != prev:
                     if not 0 <= a < n_symbols:
-                        raise TypeError
-                except TypeError:  # out of range, or no number at all (a name)
-                    raise ValueError(f"digit {a!r} at position {consumed} is not a symbol "
-                                     f"index 0..{n_symbols - 1}") from None
-                prev, jump_from = a, consumed + run_min
-            elif (consumed >= jump_from and rows[sid][a] == sid
-                    and scales[a] is not None and moves[state][a] == state):
-                # a run of a from here on: state and pullback stay put, and
-                # F A^k = k (F A) - (k - 1) F takes the run in one step
-                scale = scales[a]
+                        raise TypeError  # the handler below names the digit
+                    prev, jump_from = a, consumed + run_min
+                elif (consumed >= jump_from and rows[sid][a] == sid
+                        and scales[a] is not None and moves[state][a] == state):
+                    # a run of a from here on: state and pullback stay put, and
+                    # F A^k = k (F A) - (k - 1) F takes the run in one step
+                    scale = scales[a]
+                    a2, b2 = fwd[a]
+                    a1 = (fa * a2 + fb * b2.conjugate()) * scale
+                    b1 = (fa * b2 + fb * a2.conjugate()) * scale
+                    room = math.inf if max_digits is None else max_digits - consumed
+                    k = _run_crossing(fb, b1, tol, room)
+                    m, rest, n_read = _read_run(digits_in, a, (room if k is None else k) - 1)
+                    fa, fb = (m + 1) * a1 - m * fa, (m + 1) * b1 - m * fb
+                    end = consumed + 1 + n_read  # stream position after what was read
+                    consumed += m + 1
+                    b = abs(fb)
+                    if b > eps_rotation and 1.0 / b <= tol:
+                        break
+                    if rest:  # the run broke: go on from the mismatching digit
+                        if end < pstart + len(pending):
+                            rest += pending[end - pstart:]
+                        stream, pending, pstart = chain(rest, base), rest, consumed
+                        break
+                    continue
+                state = moves[state][a]
+                if state is None:
+                    raise IllegalPrefix(f"digit {spec.alphabet.symbols[a]!r} at position "
+                                        f"{consumed} leaves the language")
+                nxt = rows[sid][a]
+                if nxt is None:
+                    table, nxt = spec._pull_edge(table, sid, a)
+                    rows = table.rows
+                sid = nxt
+                if sid == 1:  # the empty set
+                    raise IllegalPrefix(f"digit {spec.alphabet.symbols[a]!r} at position "
+                                        f"{consumed} refines to the empty set")
                 a2, b2 = fwd[a]
-                a1 = (fa * a2 + fb * b2.conjugate()) * scale
-                b1 = (fa * b2 + fb * a2.conjugate()) * scale
-                room = math.inf if max_digits is None else max_digits - consumed
-                k = _run_crossing(fb, b1, tol, room)
-                m, rest, n_read = _read_run(digits_in, a, (room if k is None else k) - 1)
-                fa, fb = (m + 1) * a1 - m * fa, (m + 1) * b1 - m * fb
-                end = consumed + 1 + n_read  # stream position after what was read
-                consumed += m + 1
+                fa, fb = fa * a2 + fb * b2.conjugate(), fa * b2 + fb * a2.conjugate()
+                consumed += 1
                 b = abs(fb)
-                if b > eps_rotation and 1.0 / b <= tol:
+                if b >= b_near and (math.inf if b <= eps_rotation else 1.0 / b) <= tol:
                     break
-                if rest:  # the run broke: go on from the mismatching digit
-                    if end < pstart + len(pending):
-                        rest += pending[end - pstart:]
-                    stream, pending, pstart = chain(rest, base), rest, consumed
-                    break
-                continue
-            state = moves[state][a]
-            if state is None:
-                raise IllegalPrefix(
-                    f"digit {spec.alphabet.symbols[a]!r} at position {consumed} leaves the language"
-                )
-            nxt = rows[sid][a]
-            if nxt is None:
-                table, nxt = spec._pull_edge(table, sid, a)
-                rows = table.rows
-            sid = nxt
-            if sid == 1:  # the empty set
-                raise IllegalPrefix(
-                    f"digit {spec.alphabet.symbols[a]!r} at position {consumed} refines to the empty set"
-                )
-            a2, b2 = fwd[a]
-            fa, fb = fa * a2 + fb * b2.conjugate(), fa * b2 + fb * a2.conjugate()
-            consumed += 1
-            b = abs(fb)
-            if b >= b_near and (math.inf if b <= eps_rotation else 1.0 / b) <= tol:
-                break
+    except TypeError:  # raised for digit a, or by the stream when a is an index
+        try:
+            ok = 0 <= index(a) < n_symbols
+        except TypeError:
+            ok = False
+        if ok:
+            raise
+        raise ValueError(f"digit {a!r} at position {consumed} is not a symbol "
+                         f"index 0..{n_symbols - 1}") from None
     b = abs(fb)
     radius = math.inf if b <= EPS_ROTATION else 1.0 / b
     if b > EPS_ROTATION:
@@ -291,11 +296,9 @@ def decode(spec: NumberSystemSpec, theta: float, n_digits: int, prefix: Word = (
     for _ in range(n_digits):
         chosen = None
         fallback = None
-        viable = []
         for a, nxt in enumerate(moves[state]):
             if nxt is None:
                 continue
-            viable.append(a)
             comp = closures[a].component_containing(x, tol=EPS_ANGLE)
             if comp is None:
                 continue
@@ -313,7 +316,8 @@ def decode(spec: NumberSystemSpec, theta: float, n_digits: int, prefix: Word = (
                 f"no cover arc admits the point at angle {x:.12g}",
                 angle=x,
                 word=tuple(word),
-                candidates=[spec.alphabet.symbols[a] for a in viable],
+                candidates=[spec.alphabet.symbols[a]
+                            for a, nxt in enumerate(moves[state]) if nxt is not None],
             )
         word.append(chosen)
         state = moves[state][chosen]

@@ -30,23 +30,25 @@ EPS_STATE = 1e-7    # state dedup tolerance, far above the pull steps' rounding
 class PullbackAutomaton:
     """Deterministic automaton whose states are pulled-back refined sets.
 
-    States are deduplicated within eps_state (max endpoint deviation):
-    a new state maps to the lowest-index stored state within eps_state,
-    found through build_automaton's state index.  The empty state is a
-    sink and the only non-accepting state.  residual is the largest
-    distance, recorded by the BFS, between a computed pullback step and
-    the stored state it was merged into (0 for a step that became a new
-    state), over the edges of the expanded states.
+    The initial state, 0, is the full circle.  States are deduplicated
+    within eps_state (max endpoint deviation): a new state maps to the
+    lowest-index stored state within eps_state, found through
+    build_automaton's state index.  The empty state is a sink and the only
+    non-accepting state.  residual is the largest distance, recorded by
+    the BFS, between a computed pullback step and the stored state it was
+    merged into (0 for a step that became a new state), over the edges of
+    the expanded states.
     """
 
     states: list[ArcSet]
     transitions: list[list[int]]
-    initial: int
     saturated: bool
     eps_state: float
     growth: list[int] = field(default_factory=list)  # total states after each BFS depth
     expanded: list[bool] = field(default_factory=list)
     residual: float = 0.0
+
+    initial = 0  # a class constant, not a field: the full circle
 
     @property
     def n_states(self) -> int:
@@ -142,7 +144,6 @@ def build_automaton(spec: NumberSystemSpec, state_cap: int = STATE_CAP,
     return PullbackAutomaton(
         states=states,
         transitions=transitions,  # type: ignore[arg-type]
-        initial=0,
         saturated=saturated,
         eps_state=eps_state,
         growth=growth,
@@ -207,11 +208,12 @@ class _StateIndex:
 
 @dataclass
 class SoficReport:
+    """What sofic_verdict adds to the automaton it judges: the verdict, the
+    transition residual, and for a "sofic" verdict the product with the
+    subshift's follower automaton (None otherwise).  Saturation, the state
+    count, the tolerance and the growth per depth are the automaton's."""
+
     verdict: str
-    saturated: bool
-    n_states: int
-    eps_state: float
-    growth: list[int]
     transition_residual: float
     product_states: int | None = None
     product_transitions: list[list[int | None]] | None = None
@@ -231,51 +233,37 @@ def sofic_verdict(spec: NumberSystemSpec, automaton: PullbackAutomaton) -> Sofic
     A saturated search certifies (numerically, up to eps_state) that the
     nonempty-refinement language is regular; its product with the
     subshift's follower automaton, read from spec.subshift.transitions,
-    then recognizes the interval shift.  The
-    verdict is withheld when the transition residual, recorded by the BFS,
-    exceeds eps_state, which is finite, so an infinite residual always does.
+    then recognizes the interval shift.  The verdict is withheld when the
+    search hit its cap, or when the transition residual, recorded by the
+    BFS, exceeds eps_state, which is finite, so an infinite residual
+    always does.  The report holds only what the verdict adds; saturation,
+    states, tolerance and growth are read from the automaton.  Product
+    states are numbered in the order they are met, breadth first from the
+    pair of initial states; a row lists its letters in alphabet order,
+    None where the word leaves the interval shift.
     """
     residual = transition_residual(spec, automaton)
-    report = SoficReport(
-        verdict=f"sofic (numerically, state tolerance {automaton.eps_state:g})",
-        saturated=automaton.saturated,
-        n_states=automaton.n_states,
-        eps_state=automaton.eps_state,
-        growth=automaton.growth,
-        transition_residual=residual,
-    )
+    eps = automaton.eps_state
     if not automaton.saturated:
-        report.verdict = f"not shown sofic within cap (reached {automaton.n_states} states)"
-        return report
-    if not residual <= automaton.eps_state:
-        report.verdict = (f"not shown sofic: transition residual {residual:g} exceeds "
-                          f"state tolerance {automaton.eps_state:g}")
-        return report
-    follower = spec.subshift
-    pairs: dict[tuple[int, int], int] = {}
-    order: list[tuple[int, int]] = []
-
-    def intern(p):
-        if p not in pairs:
-            pairs[p] = len(order)
-            order.append(p)
-        return pairs[p]
-
-    intern((automaton.initial, follower.initial))
+        return SoficReport(f"not shown sofic within cap (reached {automaton.n_states} states)",
+                           residual)
+    if not residual <= eps:
+        return SoficReport(f"not shown sofic: transition residual {residual:g} exceeds "
+                           f"state tolerance {eps:g}", residual)
+    moves = spec.subshift.transitions
+    pairs = [(automaton.initial, spec.subshift.initial)]  # grows as new pairs are met
+    ids = {pairs[0]: 0}
     table: list[list[int | None]] = []
-    i = 0
-    while i < len(order):
-        z, fstate = order[i]
+    for z, f in pairs:
         row: list[int | None] = []
-        for a in range(spec.alphabet.size):
-            nf = follower.transitions[fstate][a]
-            nz = automaton.transitions[z][a]
+        for nz, nf in zip(automaton.transitions[z], moves[f]):
             if nf is None or not automaton.accepting(nz):
                 row.append(None)
-            else:
-                row.append(intern((nz, nf)))
+                continue
+            if (nz, nf) not in ids:
+                ids[nz, nf] = len(pairs)
+                pairs.append((nz, nf))
+            row.append(ids[nz, nf])
         table.append(row)
-        i += 1
-    report.product_states = len(order)
-    report.product_transitions = table
-    return report
+    return SoficReport(f"sofic (numerically, state tolerance {eps:g})", residual,
+                       len(pairs), table)

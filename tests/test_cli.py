@@ -150,6 +150,17 @@ def test_existence_map_pgm(tmp_path, capsys):
     assert report["result"]["resolution"] == [6, 4]
 
 
+def test_existence_map_reports_progress_and_writes_json(tmp_path, capsys):
+    # a grid of 10,000 cells or more reports every tenth of its rows on stderr
+    out = tmp_path / "m.json"
+    code, report, err = run(capsys, "existence-map", "--res", "100x100", "--depth", "1",
+                            "--nmax", "1", "--out", str(out))
+    assert code == 0
+    assert err.splitlines() == [f"existence-map: {k}/100 rows" for k in range(10, 101, 10)]
+    assert json.loads(out.read_text()) == report["result"]
+    assert report["result"]["resolution"] == [100, 100]
+
+
 def test_existence_map_bad_resolution(capsys):
     code, _, err = run(capsys, "existence-map", "--res", "banana")
     assert code == 2 and "res" in err

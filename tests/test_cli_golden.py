@@ -62,6 +62,15 @@ CASES = {
     "sofic": (
         ["sofic", "--builtin", "parabolic3"], 0, "",
         "e0021b27ab3d0b048542ece718f842bd43712cc074e31466b662b36b122115ff", {}),
+    "sofic-binary": (
+        ["sofic", "--builtin", "binary"], 0, "",
+        "306de3834e205a236a187019a9eed82f92bd7ebefac32c972c0375fe9118f3b6", {}),
+    "sofic-cap-3": (
+        ["sofic", "--builtin", "parabolic3", "--cap", "3"], 0, "",
+        "005fb681a6825d2cb911322b2a8828cd70f459dce4c5e64b0418ad55c34ab11e", {}),
+    "sofic-system-file": (
+        ["sofic", "--system", "cf.json"], 0, "",
+        "f4e581d7adf555c57c3e050011f18105b209d6888daf114bba006e37a057dc8c", {}),
     "existence-map-pgm": (
         ["existence-map", "--res", "6x4", "--depth", "5", "--nmax", "5", "--out", "grid.pgm"],
         0, "", "3deaca2c0e63cd18aac4854c2c9dd02f0f5f41772bea8cdf2e35a46ea1294ed2",

@@ -4,6 +4,7 @@ import cmath
 import itertools
 import math
 import random
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -397,6 +398,9 @@ def test_decode_no_legal_digit_on_over_restricted_shift():
     with pytest.raises(NoLegalDigit) as exc:
         decode(starved, 0.05, 30)  # hugs the first vertex, needs digit 'a' twice
     assert exc.value.angle is not None
+    # the candidates are every letter the follower state allows after 'a'
+    assert exc.value.word == (0,)
+    assert exc.value.candidates == ["b"]
 
 
 def test_round_trip_binary_random_points():
@@ -553,8 +557,32 @@ def test_a_stream_of_names_is_rejected_as_no_symbol_index():
         encode(cf, iter(["1", "0"]), 1e-3)
     with pytest.raises(ValueError, match="digit None at position 2"):
         encode(cf, iter([2, 2, None]), 1e-30)
-    # numpy integers are indices
+    # numpy integers and bools are indices
     assert encode(cf, iter(np.array([2, 2, 1])), 1e-3) == encode(cf, (2, 2, 1), 1e-3)
+    assert encode(cf, iter([True, 2]), 1e-3) == encode(cf, (1, 2), 1e-3)
+
+
+@pytest.mark.parametrize("stream, at", [
+    ([2.0, 1.0], 0), ([2, 2.0], 1), ([np.float64(2.0)], 0), ([2, 2, 2.5], 2), ([None], 0),
+])
+def test_a_non_index_digit_in_a_stream_is_rejected(stream, at):
+    # these passed the range check, or skipped it as equal to the digit before,
+    # and then failed indexing the follower table with a TypeError
+    message = f"digit {stream[at]!r} at position {at} is not a symbol index 0..2"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        encode(builtin("cf"), iter(stream), 1e-3)
+
+
+def test_a_type_error_of_the_stream_itself_propagates():
+    cf = builtin("cf")
+
+    def failing(head):
+        yield from head
+        raise TypeError("the stream failed")
+
+    for head in ((), (2,), (2,) * 40):
+        with pytest.raises(TypeError, match="the stream failed"):
+            encode(cf, failing(head), 1e-30)
 
 
 def test_decode_rejects_a_prefix_outside_the_language():

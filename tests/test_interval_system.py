@@ -10,7 +10,7 @@ from moebius_systems.arcs import EPS_ANGLE, ArcSet, expansion_interval, image, m
 from moebius_systems.codec import decode, representable_interval
 from moebius_systems.errors import EmptyRefinedSet
 from moebius_systems.interval_system import _CACHE_DEPTH, NumberSystemSpec
-from moebius_systems.subshift import Subshift
+from moebius_systems.subshift import Alphabet, Subshift
 from moebius_systems.systems import builtin, with_cover
 from moebius_systems.transforms import TAU
 from reference import (
@@ -52,6 +52,32 @@ def _violations(spec, depth):
     """The compatibility violations of the interval-shift levels 0..depth."""
     return [v for level in spec.interval_shift_levels(depth)
             for v in spec.compatibility_violations(level)]
+
+
+def _parts(spec):
+    """The spec's maps and cover arcs by symbol, as NumberSystemSpec takes them."""
+    return (dict(zip(spec.alphabet.symbols, spec.transforms)),
+            dict(zip(spec.alphabet.symbols, spec.cover)))
+
+
+def test_spec_without_a_subshift_forbids_nothing():
+    bi = builtin("binary")
+    spec = NumberSystemSpec(bi.alphabet, *_parts(bi))
+    assert spec.subshift.forbidden == ()
+    assert spec.subshift.alphabet == bi.alphabet
+
+
+def test_spec_arguments_are_checked():
+    bi = builtin("binary")
+    maps, cover = _parts(bi)
+    other = Subshift(Alphabet(("x", "y", "z", "w")), ())
+    with pytest.raises(ValueError, match="subshift alphabet differs from the system alphabet"):
+        NumberSystemSpec(bi.alphabet, maps, cover, other)
+    first = bi.alphabet.symbols[0]
+    with pytest.raises(ValueError, match=f"no transformation for symbol {first!r}"):
+        NumberSystemSpec(bi.alphabet, {s: m for s, m in maps.items() if s != first}, cover)
+    with pytest.raises(ValueError, match=f"no cover arcs for symbol {first!r}"):
+        NumberSystemSpec(bi.alphabet, maps, {s: c for s, c in cover.items() if s != first})
 
 
 # -- refined sets ---------------------------------------------------------------

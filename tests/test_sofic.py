@@ -51,7 +51,7 @@ def test_cap_prevents_saturation():
     assert not auto.saturated
     report = sofic_verdict(p3, auto)
     assert report.verdict.startswith("not shown sofic within cap")
-    assert report.growth  # the per-depth curve is part of the diagnosis
+    assert auto.growth  # the per-depth curve is part of the diagnosis
 
 
 @pytest.mark.parametrize("cap", [0, -3])
@@ -81,7 +81,7 @@ def test_sofic_verdict_product_language():
     p3 = builtin("parabolic3")
     auto = build_automaton(p3)
     report = sofic_verdict(p3, auto)
-    assert report.saturated
+    assert auto.saturated
     assert report.product_states <= 5 * 4
 
     def product_accepts(word):
