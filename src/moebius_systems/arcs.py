@@ -21,7 +21,9 @@ the full circle of each class are shared instances.  image maps each
 arc's start and end inline with exactly the arithmetic of
 DiscMoebius.apply_angle, so its result is bit for bit the one that
 mapping them through apply_angle gives; the midpoint that settles a
-near-full reading goes through apply_angle itself.
+near-full reading goes through apply_angle itself.  codec.decode maps its
+point with the same arithmetic inline: change apply_angle, image and
+decode together.
 """
 
 from __future__ import annotations

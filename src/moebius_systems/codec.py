@@ -27,7 +27,16 @@ The decoder walks the point backwards through inverse letter maps,
 choosing at each step the first legal symbol whose closed cover arc
 contains the current point without sitting at its counterclockwise end
 (points are swept counterclockwise into the arc's interior, so that end
-cannot start a representation).
+cannot start a representation).  It reads the spec's per-state rows
+(NumberSystemSpec._decode_rows, built on the first decode): a row lists
+the letters legal in one follower state, in letter order, each with its
+next state, its closed cover arcs and the entries of its inverse map.
+The digit loop walks the row with the arc tests of
+ClosedArcSet.component_containing and circle_distance written inline,
+and maps the point with the arithmetic of DiscMoebius.apply_angle, so it
+chooses and moves bit for bit as those calls would; change apply_angle,
+image and decode together.  The forced prefix is replayed through the
+same entries.
 """
 
 from __future__ import annotations
@@ -44,7 +53,7 @@ from .errors import EmptyRefinedSet, IllegalPrefix, NoLegalDigit
 from .interval_system import EPS_ONE, NumberSystemSpec
 from .subshift import Word
 from .transforms import (
-    EPS_ROTATION, SpherePoint, TAU, canon_angle, circle_distance,
+    EPS_ROTATION, SpherePoint, TAU, canon_angle,
 )
 
 _NEARLY_FULL = TAU - EPS_ANGLE
@@ -275,53 +284,68 @@ def decode(spec: NumberSystemSpec, theta: float, n_digits: int, prefix: Word = (
     expected to have verified the system; on covers that fail
     compatibility the decoder can run out of candidates, which raises
     NoLegalDigit with the offending point attached.  The prefix is a word,
-    read by Alphabet.word.  A non-finite theta, a negative n_digits or a
-    prefix symbol outside the alphabet raises ValueError.
+    read by Alphabet.word.  A non-finite theta, an n_digits that is no
+    integer or is negative, or a prefix symbol outside the alphabet
+    raises ValueError.
     """
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta!r}")
-    if n_digits < 0:
+    try:
+        n = index(n_digits)
+    except TypeError:
+        raise ValueError(f"n_digits must be an integer, got {n_digits!r}") from None
+    if n < 0:
         raise ValueError(f"n_digits must be >= 0, got {n_digits!r}")
     x = canon_angle(theta)
-    inverses, closures = spec._inverses, spec._closures
-    moves = spec.subshift.transitions  # follower state x letter -> state or None
-    state = spec.subshift.initial
     prefix = spec.alphabet.word(prefix)
-    word = list(prefix)
-    for a in prefix:
-        state = moves[state][a]
-        if state is None:
-            raise IllegalPrefix("forced prefix is not in the language")
-        x = inverses[a].apply_angle(x)
-    for _ in range(n_digits):
-        chosen = None
-        fallback = None
-        for a, nxt in enumerate(moves[state]):
-            if nxt is None:
-                continue
-            comp = closures[a].component_containing(x, tol=EPS_ANGLE)
-            if comp is None:
-                continue
-            s, l = comp
-            at_ccw_end = l < _NEARLY_FULL and circle_distance(x, s + l) <= EPS_ANGLE
-            if not at_ccw_end:
-                chosen = a
+    rows = spec._decode_rows
+    row = rows[spec.subshift.initial]
+    tau, eps, nearly_full = TAU, EPS_ANGLE, _NEARLY_FULL
+    exp, phase = cmath.exp, cmath.phase
+    word = []
+    for forced in chain(prefix, repeat(None, n)):
+        if forced is None:
+            # the first entry whose closed arc holds x, as
+            # ClosedArcSet.component_containing(x, EPS_ANGLE) finds it, with x
+            # not within EPS_ANGLE of that arc's ccw end; else the first at it
+            fallback = None
+            for entry in row:
+                for s, l, reach in entry[2]:
+                    d = (x - s) % tau
+                    if d <= reach or d >= nearly_full:
+                        break
+                else:
+                    continue
+                if l < nearly_full:
+                    d = (x - (s + l)) % tau
+                    if d <= eps or tau - d <= eps:
+                        if fallback is None:
+                            fallback = entry
+                        continue
                 break
-            if fallback is None:
-                fallback = a
-        if chosen is None:
-            chosen = fallback
-        if chosen is None:
-            raise NoLegalDigit(
-                f"no cover arc admits the point at angle {x:.12g}",
-                angle=x,
-                word=tuple(word),
-                candidates=[spec.alphabet.symbols[a]
-                            for a, nxt in enumerate(moves[state]) if nxt is not None],
-            )
-        word.append(chosen)
-        state = moves[state][chosen]
-        x = inverses[chosen].apply_angle(x)
+            else:
+                if fallback is None:
+                    raise NoLegalDigit(
+                        f"no cover arc admits the point at angle {x:.12g}",
+                        angle=x,
+                        word=tuple(word),
+                        candidates=[spec.alphabet.symbols[e[0]] for e in row],
+                    )
+                entry = fallback
+        else:
+            for entry in row:
+                if entry[0] == forced:
+                    break
+            else:
+                raise IllegalPrefix("forced prefix is not in the language")
+        a, nxt, _, alpha, beta, cb, ca = entry
+        word.append(a)
+        row = rows[nxt]
+        # x moves to F_a^-1(x) with the arithmetic of DiscMoebius.apply_angle
+        z = exp(1j * x)
+        x = phase((alpha * z + beta) / (cb * z + ca)) % tau
+        if x == tau:
+            x = 0.0
     return tuple(word)
 
 

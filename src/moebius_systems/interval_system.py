@@ -24,9 +24,10 @@ import cmath
 import math
 import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import transforms
-from .arcs import ArcSet, _least_on, _uncovered, covers_circle, expansion_geometry, image
+from .arcs import EPS_ANGLE, ArcSet, _least_on, _uncovered, covers_circle, expansion_geometry, image
 from .errors import EmptyRefinedSet
 from .subshift import Alphabet, Subshift, Word, last_level, walk
 from .transforms import TAU
@@ -77,8 +78,8 @@ def _extension_bound(lower: list[float], upper: list[float]) -> float:
                for m in range(k + 1, n_max + 1))
 
 
-def _arcs(a: ArcSet) -> tuple[tuple[float, float], ...]:
-    """The arcs of a; the full circle as ((0, 2*pi),)."""
+def _arcs(a) -> tuple[tuple[float, float], ...]:
+    """The arcs of an ArcSet or a ClosedArcSet; the full circle as ((0, 2*pi),)."""
     return ((0.0, TAU),) if a.full else a.arcs
 
 
@@ -137,19 +138,40 @@ class NumberSystemSpec:
         self._cache: dict[Word, tuple[ArcSet, transforms.DiscMoebius]] = {
             (): (ArcSet.full_circle(), transforms.identity())
         }
-        # per-letter tables, built once: F_a^-1 (pull_step, decode), the letter
-        # pullback F_a^-1(C_a) (pull_step), the closed cover arc (decode) and
-        # the scale that makes F_a exactly parabolic, or None (encode's runs)
+        # per-letter tables, built once: F_a^-1 (pull_step) and the letter
+        # pullback F_a^-1(C_a) (pull_step); the tables below the constructor
+        # are each read by one command and built on its first use
         self._inverses = [f.inverse() for f in self.transforms]
         self._letter_pulls = [image(g, c) for g, c in zip(self._inverses, self.cover)]
-        self._closures = [c.closure() for c in self.cover]
-        # per follower state, the points that no legal letter's closed cover
-        # arc holds: the cover gaps of a word in its own coordinates
-        self._gaps = [_uncovered(c for c, nxt in zip(self.cover, row) if nxt is not None)
-                      for row in subshift.transitions]
-        self._parabolic_scales = [transforms.parabolic_scale(f) for f in self.transforms]
         self._pull_table = _PullbackTable(alphabet.size)
         self._pull_lock = threading.Lock()
+
+    @cached_property
+    def _gaps(self) -> list[ArcSet]:
+        """Per follower state, the points that no legal letter's closed cover
+        arc holds: the cover gaps of a word in its own coordinates (verify)."""
+        return [_uncovered(c for c, nxt in zip(self.cover, row) if nxt is not None)
+                for row in self.subshift.transitions]
+
+    @cached_property
+    def _parabolic_scales(self) -> list[float | None]:
+        """Per letter, the scale that makes F_a exactly parabolic, or None
+        (encode's runs)."""
+        return [transforms.parabolic_scale(f) for f in self.transforms]
+
+    @cached_property
+    def _decode_rows(self) -> tuple[tuple[tuple, ...], ...]:
+        """Per follower state, decode's candidates: one entry per legal
+        letter, in letter order, (a, next state, closed arcs, alpha, beta,
+        conj beta, conj alpha).  The arcs are those of cl C_a, each as
+        (start, length, length + EPS_ANGLE), the full circle as the one
+        arc (0, 2*pi), which holds every point; the four numbers are the
+        entries of F_a^-1 and their conjugates."""
+        letters = [(tuple((s, l, l + EPS_ANGLE) for s, l in _arcs(c.closure())),
+                    g.alpha, g.beta, g.beta.conjugate(), g.alpha.conjugate())
+                   for g, c in zip(self._inverses, self.cover)]
+        return tuple(tuple((a, nxt) + letters[a] for a, nxt in enumerate(row) if nxt is not None)
+                     for row in self.subshift.transitions)
 
     # -- refined sets ---------------------------------------------------------
 

@@ -166,7 +166,9 @@ class DiscMoebius:
 
     def apply_angle(self, theta: float) -> float:
         """Image of the circle point e^(i*theta), returned as an angle.
-        arcs.image maps arc endpoints with this arithmetic written inline."""
+        arcs.image maps arc endpoints, and codec.decode its point, with this
+        arithmetic written inline: change apply_angle, image and decode
+        together."""
         z = cmath.exp(1j * theta)
         w = (self.alpha * z + self.beta) / (self.beta.conjugate() * z + self.alpha.conjugate())
         return canon_angle(cmath.phase(w))

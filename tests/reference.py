@@ -3,8 +3,9 @@
 Each model is the slow or direct form of something the package computes
 faster or in other coordinates: derivative moduli, sampled arc-set
 membership, factor-avoidance, forward refinement, the exhaustive level
-minima, the scalar cover sweep, the linear state scan and a frozen copy
-of the arc-set kernel.  The random disc maps and arc sets the tests draw
+minima, the scalar cover sweep, the linear state scan, a frozen copy
+of the arc-set kernel and the first-fit decoder through the arc-set and
+map methods.  The random disc maps and arc sets the tests draw
 are here too, and a system whose language ends after one letter.  None
 of it is package API, and each model is defined here once.
 """
@@ -15,11 +16,12 @@ import math
 import numpy as np
 
 from moebius_systems.arcs import EPS_ANGLE, EPS_NEAR_FULL, ArcSet, _v_arc, expansion_interval, image
+from moebius_systems.errors import IllegalPrefix, NoLegalDigit
 from moebius_systems.existence import EPS_GAP, two_hyperbolic_system
 from moebius_systems.interval_system import NumberSystemSpec
 from moebius_systems.subshift import Alphabet, Subshift
 from moebius_systems.systems import with_cover
-from moebius_systems.transforms import TAU, DiscMoebius, identity
+from moebius_systems.transforms import TAU, DiscMoebius, canon_angle, circle_distance, identity
 
 MIN_RANDOM_BETA = 1e-6  # random maps with |beta| at most this are rotations in all but name
 SAMPLE_ANGLES = np.linspace(0, TAU, 10_000, endpoint=False) + 1e-4  # sampled membership grid
@@ -364,6 +366,49 @@ def mp_product(spec, word):
         a2, b2 = mpmath.mpc(f.alpha), mpmath.mpc(f.beta)
         fa, fb = fa * a2 + fb * mpmath.conj(b2), fa * b2 + fb * mpmath.conj(a2)
     return fa, fb, abs(fa) ** 2 - abs(fb) ** 2
+
+
+def first_fit_decode(spec, theta: float, n_digits: int, prefix=()):
+    """decode's greedy expansion through the methods it inlines: each digit
+    is the first legal letter whose closed cover arc holds x within
+    EPS_ANGLE, by ClosedArcSet.component_containing, with x not within
+    EPS_ANGLE of that component's ccw end, else the first legal letter at
+    it; x moves by DiscMoebius.apply_angle of the letter's inverse."""
+    x = canon_angle(theta)
+    inverses = [f.inverse() for f in spec.transforms]
+    closures = [c.closure() for c in spec.cover]
+    moves = spec.subshift.transitions
+    state = spec.subshift.initial
+    word = list(spec.alphabet.word(prefix))
+    for a in word:
+        state = moves[state][a]
+        if state is None:
+            raise IllegalPrefix("forced prefix is not in the language")
+        x = inverses[a].apply_angle(x)
+    for _ in range(n_digits):
+        chosen = fallback = None
+        for a, nxt in enumerate(moves[state]):
+            comp = None if nxt is None else closures[a].component_containing(x, tol=EPS_ANGLE)
+            if comp is None:
+                continue
+            s, l = comp
+            if l < TAU - EPS_ANGLE and circle_distance(x, s + l) <= EPS_ANGLE:
+                if fallback is None:
+                    fallback = a
+                continue
+            chosen = a
+            break
+        if chosen is None:
+            chosen = fallback
+        if chosen is None:
+            raise NoLegalDigit(
+                f"no cover arc admits the point at angle {x:.12g}", angle=x, word=tuple(word),
+                candidates=[spec.alphabet.symbols[a]
+                            for a, nxt in enumerate(moves[state]) if nxt is not None])
+        word.append(chosen)
+        state = moves[state][chosen]
+        x = inverses[chosen].apply_angle(x)
+    return tuple(word)
 
 
 def global_prefix_check(spec, b_words):

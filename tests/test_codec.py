@@ -23,7 +23,7 @@ from moebius_systems.systems import (
     builtin, cf_digit_stream, classical_cf_terms, parse_config, serialize_config, with_cover,
 )
 from moebius_systems.transforms import TAU, canon_angle, circle_distance, contraction, from_real
-from reference import in_language, turned_cover
+from reference import first_fit_decode, in_language, turned_cover
 
 S8 = 2 * math.sqrt(2)
 
@@ -520,6 +520,42 @@ def test_representable_interval_answers_every_prefix_of_a_decoded_word(name):
         assert representable_interval(spec, word[:k]).contains(1.234, tol=1e-12), k
 
 
+_ENDPOINT_OFFSETS = (0.0, 1e-15, 1e-12, 2e-10, 1e-9, 1e-6, 3e-3)
+
+
+def _decode_outcome(decoder, spec, theta, prefix):
+    """The word decoder gives, or the fields of the error it raises."""
+    try:
+        return decoder(spec, theta, 40, prefix)
+    except NoLegalDigit as exc:
+        return "NoLegalDigit", exc.angle, exc.word, exc.candidates, str(exc)
+
+
+def test_decode_matches_the_first_fit_reference():
+    # the per-state rows inline the arc tests and the map of the methods the
+    # reference calls, so words and strands agree bit for bit; the points sit
+    # at every cover endpoint and just off it, where the arc tests decide
+    rng = random.Random(20)
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    strands = decodes = 0
+    for name in ("parabolic3", "cf", "binary", "hyperbolic4"):
+        for turn in (0.0, 0.23, 0.5, 0.77):
+            spec = turned_cover(builtin(name), turn) if turn else builtin(name)
+            ends = {e for c in spec.cover for s, l in c.arcs for e in (s, s + l)}
+            u = rng.random()
+            thetas = [TAU * ((u + k * golden) % 1.0) for k in range(16)]
+            thetas += sorted({e + sign * off for e in ends for off in _ENDPOINT_OFFSETS
+                              for sign in (1.0, -1.0)})
+            for theta in thetas:
+                for prefix in ((), (rng.randrange(spec.alphabet.size),)):
+                    got = _decode_outcome(decode, spec, theta, prefix)
+                    want = _decode_outcome(first_fit_decode, spec, theta, prefix)
+                    assert got == want, (name, turn, theta, prefix)
+                    strands += got[0] == "NoLegalDigit"
+                    decodes += 1
+    assert decodes > 2000 and strands > 0
+
+
 def test_decode_rejects_non_finite_angles_and_negative_counts():
     cf = builtin("cf")
     for theta in (math.nan, math.inf, -math.inf):
@@ -527,6 +563,9 @@ def test_decode_rejects_non_finite_angles_and_negative_counts():
             decode(cf, theta, 5)
     with pytest.raises(ValueError, match="n_digits must be >= 0"):
         decode(cf, 1.0, -3)
+    for bad in (2.5, "3", None):
+        with pytest.raises(ValueError, match=re.escape(f"n_digits must be an integer, got {bad!r}")):
+            decode(cf, 1.0, bad)
     assert decode(cf, 1.0, 0) == ()
 
 
