@@ -50,7 +50,7 @@ from operator import index, ne
 
 from .arcs import ClosedArcSet, EPS_ANGLE, image
 from .errors import EmptyRefinedSet, IllegalPrefix, NoLegalDigit
-from .interval_system import EPS_ONE, NumberSystemSpec
+from .interval_system import EPS_ONE, NumberSystemSpec, _least_expansion
 from .subshift import Word
 from .transforms import (
     EPS_ROTATION, SpherePoint, TAU, canon_angle,
@@ -108,11 +108,11 @@ def encode(spec: NumberSystemSpec, digits, tol: float, max_digits: int | None = 
         raise ValueError(f"tol must be positive, got {tol!r}")
     if max_digits is not None and max_digits < 0:
         raise ValueError(f"max_digits must be >= 0, got {max_digits!r}")
-    # the loop reads `stream`: the digits a run jump read past its end
-    # (`pending`, from stream position `pstart` on), then the rest of `base`
+    # the loop reads `stream`: the digits a run jump read past its end and
+    # the loop has not taken yet (`pending`), then the rest of `base`
     is_word = isinstance(digits, (str, list, tuple)) or not isinstance(digits, Iterable)
     base = iter(spec.alphabet.word(digits) if is_word else digits)
-    stream, pending, pstart = base, (), 0
+    stream, pending = base, iter(())
     state = spec.subshift.initial
     moves = spec.subshift.transitions  # follower state x letter -> state or None
     fwd = [(f.alpha, f.beta) for f in spec.transforms]
@@ -149,17 +149,17 @@ def encode(spec: NumberSystemSpec, digits, tol: float, max_digits: int | None = 
                     b1 = (fa * b2 + fb * a2.conjugate()) * scale
                     room = math.inf if max_digits is None else max_digits - consumed
                     k = _run_crossing(fb, b1, tol, room)
-                    m, rest, n_read = _read_run(digits_in, a, (room if k is None else k) - 1)
+                    m, rest = _read_run(digits_in, a, (room if k is None else k) - 1)
                     fa, fb = (m + 1) * a1 - m * fa, (m + 1) * b1 - m * fb
-                    end = consumed + 1 + n_read  # stream position after what was read
                     consumed += m + 1
                     b = abs(fb)
                     if b > eps_rotation and 1.0 / b <= tol:
                         break
                     if rest:  # the run broke: go on from the mismatching digit
-                        if end < pstart + len(pending):
-                            rest += pending[end - pstart:]
-                        stream, pending, pstart = chain(rest, base), rest, consumed
+                        # chain drains `pending` first, so what is left of it
+                        # is exactly the read-ahead that was not read again
+                        pending = iter(rest + tuple(pending))
+                        stream = chain(pending, base)
                         break
                     continue
                 state = moves[state][a]
@@ -253,13 +253,13 @@ def _run_crossing(b0: complex, b1: complex, tol: float, cap) -> int | None:
     return hi
 
 
-def _read_run(stream, a: int, need) -> tuple[int, tuple, int]:
+def _read_run(stream, a: int, need) -> tuple[int, tuple]:
     """Read up to `need` digits equal to `a` from the stream, in chunks that
     double in size, comparing each digit at C speed.
 
-    Returns (m, rest, n_read): the m digits of the run that were read,
-    the chunk's digits from the first mismatch on (empty when the run
-    reached `need` or the stream ended) and the count of digits read.
+    Returns (m, rest): the m digits of the run that were read and the
+    chunk's digits from the first mismatch on (empty when the run reached
+    `need` or the stream ended).
     """
     m, size = 0, _RUN_CHUNK_MIN
     while m < need:
@@ -267,12 +267,12 @@ def _read_run(stream, a: int, need) -> tuple[int, tuple, int]:
         chunk = tuple(islice(stream, asked))
         if chunk.count(a) < len(chunk):
             j = next(compress(count(), map(ne, chunk, repeat(a))))
-            return m + j, chunk[j:], m + len(chunk)
+            return m + j, chunk[j:]
         m += len(chunk)
         if len(chunk) < asked:  # the stream ended
             break
         size = min(2 * size, _RUN_CHUNK_MAX)
-    return m, (), m
+    return m, ()
 
 
 def decode(spec: NumberSystemSpec, theta: float, n_digits: int, prefix: Word = ()) -> Word:
@@ -389,30 +389,29 @@ def verify(spec: NumberSystemSpec, mode: str = "auto", n: int | None = None,
         raise ValueError(f"unknown verify mode {mode!r}")
     warnings: list[str] = []
     walk = spec.interval_shift_levels()
-    walked: list[list[Word]] = []  # the words of each level walked so far
+    walked = []  # the levels walked so far, (word, state, (Z_w, F_w)) triples
     violations = []
 
-    def words_at(depth: int) -> list[Word]:
-        """The words of level `depth`, walking on to it; the compatibility
+    def level_at(depth: int) -> list:
+        """Level `depth` of the walk, walking on to it; the compatibility
         violations of each level walked on the way join `violations`."""
         while len(walked) <= depth:
-            pairs = next(walk)
-            violations.extend(spec.compatibility_violations(pairs))
-            walked.append([w for w, _ in pairs])
+            walked.append(next(walk))
+            violations.extend(spec.compatibility_violations(walked[-1]))
         return walked[depth]
 
     q = math.inf
     for level in levels:
-        words = words_at(level)
+        entries = [entry for _, _, entry in level_at(level)]
         if violations:
             return _compat_failure(spec, violations, warnings)
-        if not words:
+        if not entries:
             warnings.append(f"no legal words of length {level}; skipped")
             continue
-        q = min(spec.min_expansion(w) for w in words)
+        q = min(_least_expansion(z, f) for z, f in entries)
         if q > 1.0 + EPS_ONE:
             return Verdict("verified_Qn", {"n": level, "Q_n": q}, warnings)
-        if abs(q - 1.0) <= EPS_ONE and all(not spec.word_transform(w).is_rotation for w in words):
+        if abs(q - 1.0) <= EPS_ONE and all(not f.is_rotation for _, f in entries):
             warnings.append(
                 f"expansion bound at n={level} equals 1; certified because no "
                 f"length-{level} word map is a rotation"
@@ -422,7 +421,7 @@ def verify(spec: NumberSystemSpec, mode: str = "auto", n: int | None = None,
         return Verdict("inconclusive", {"n": n, "Q_n": q}, warnings)
     if prefix_set:
         b_words = [spec.alphabet.word(b) for b in prefix_set]
-        language = words_at(max(len(b) for b in b_words))
+        language = [w for w, _, _ in level_at(max(len(b) for b in b_words))]
         if violations:
             return _compat_failure(spec, violations, warnings)
         check = spec.check_prefix_set(b_words, language)

@@ -4,10 +4,12 @@ A number system candidate is an alphabet of disc maps together with a
 family of open arc sets whose closures fill the circle (a gap no wider
 than EPS_ANGLE counts as covered), and a subshift restricting the
 admissible digit strings.  A word w is held as the pullback state
-Z_w = F_w^-1(R(w)) of its refined set R(w), stepped letter by letter by
-pull_step from the full circle.  Interval-shift membership (Z_w
-nonempty), the expansion minimum and the cover gaps are read from it;
-R(w) = F_w(Z_w) is formed on demand.
+Z_w = F_w^-1(R(w)) of its refined set R(w) together with its word map
+F_w, stepped letter by letter by pull_step and compose from the full
+circle and the identity.  The level walk of the interval shift carries
+each word's (Z_w, F_w) from its parent's, and interval-shift membership
+(Z_w nonempty), the expansion minimum and the cover gaps are read from
+it; R(w) = F_w(Z_w) is formed on demand.
 
 Where each letter's inverse expands on its cover arc (C_a within the
 expansion interval of F_a), F_w^-1 expands on R(w) by the chain rule, so
@@ -36,8 +38,7 @@ EPS_COMPAT = 1e-8   # endpoint tolerance for the cover-extension identity
 EPS_ONE = 1e-9      # band around an expansion bound of exactly 1
 EPS_PRUNE = 1e-9    # slack on q(uv) >= q(u)*Q_|v|; min_expansion is within 3e-12 of a 60-digit product
 _PULL_TABLE_CAP = 4096  # interned pullback states per table before a fresh one starts
-_CACHE_DEPTH = 32       # deepest cached prefix; enumerations stay far shallower
-_CACHE_CAP = 1_000_000  # cached words per spec before a fresh cache starts
+_CACHE_CAP = 1_000_000  # memoised one-word queries per spec before a fresh memo starts
 
 
 @dataclass
@@ -78,6 +79,18 @@ def _extension_bound(lower: list[float], upper: list[float]) -> float:
                for m in range(k + 1, n_max + 1))
 
 
+def _least_expansion(z: ArcSet, f: transforms.DiscMoebius) -> float:
+    """q(w): the least inverse-derivative modulus 1/|F_w'(y)| =
+    |conj(beta) y + conj(alpha)|^2 of the word map f = F_w over the closed
+    pullback state cl Z_w, at an arc endpoint or, nearest F_w's pole, the
+    closed form 1/(|alpha| + |beta|)^2, which does not cancel."""
+    if f.is_rotation:
+        return 1.0
+    ca, cb = f.alpha.conjugate(), f.beta.conjugate()
+    return _least_on(z.closure(), lambda t: abs(cb * cmath.exp(1j * t) + ca) ** 2,
+                     cmath.phase(-ca * f.beta), 1.0 / (abs(f.alpha) + abs(f.beta)) ** 2)
+
+
 def _arcs(a) -> tuple[tuple[float, float], ...]:
     """The arcs of an ArcSet or a ClosedArcSet; the full circle as ((0, 2*pi),)."""
     return ((0.0, TAU),) if a.full else a.arcs
@@ -109,10 +122,10 @@ class _PullbackTable:
 class NumberSystemSpec:
     """Alphabet -> disc map, alphabet -> cover arcs, plus a subshift.
 
-    Each word's pullback state and word map are cached up to _CACHE_DEPTH
-    letters (enumerations share prefixes heavily), and encode's pullback
-    states are interned in a bounded table filled under a lock; values are
-    pure, so concurrent use returns the same results as serial execution.
+    The level walk carries each word's pullback state and word map, a
+    one-word query steps them from the root, and encode's pullback states
+    are interned in a bounded table filled under a lock; values are pure,
+    so concurrent use returns the same results as serial execution.
     """
 
     def __init__(self, alphabet: Alphabet, transforms_by_symbol, cover_by_symbol,
@@ -135,9 +148,8 @@ class NumberSystemSpec:
             self.cover.append(cover_by_symbol[name_])
         if not covers_circle(self.cover):
             raise ValueError("closures of the cover arcs must fill the circle")
-        self._cache: dict[Word, tuple[ArcSet, transforms.DiscMoebius]] = {
-            (): (ArcSet.full_circle(), transforms.identity())
-        }
+        self._root = (ArcSet.full_circle(), transforms.identity())  # (Z, F) of the empty word
+        self._cache: dict[Word, tuple[ArcSet, transforms.DiscMoebius]] = {}
         # per-letter tables, built once: F_a^-1 (pull_step) and the letter
         # pullback F_a^-1(C_a) (pull_step); the tables below the constructor
         # are each read by one command and built on its first use
@@ -176,38 +188,32 @@ class NumberSystemSpec:
     # -- refined sets ---------------------------------------------------------
 
     def _entry(self, word: Word) -> tuple[ArcSet, transforms.DiscMoebius]:
-        """(pullback state Z_w, word map F_w) of the word, stepped on from its
-        longest cached prefix; past _CACHE_CAP entries the cache starts afresh."""
-        cache = self._cache
-        cached = cache.get(word)
-        if cached is not None:
-            return cached
-        if len(cache) > _CACHE_CAP:
-            cache = self._cache = {(): cache[()]}
-        start = 0
-        entry = cache[()]
-        for k in range(min(len(word) - 1, _CACHE_DEPTH), 0, -1):
-            hit = cache.get(word[:k])
-            if hit is not None:
-                entry, start = hit, k
-                break
-        for i in range(start, len(word)):
-            a = word[i]
-            z, f = entry
-            entry = (self.pull_step(z, a), f.compose(self.transforms[a]))
-            if i < _CACHE_DEPTH:
-                cache[word[: i + 1]] = entry
+        """(pullback state Z_w, word map F_w) of one word that a public query
+        asks for (refined_set, word_transform, min_expansion,
+        representable_interval, check_prefix_set's B), stepped from the root
+        and memoised by whole word; past _CACHE_CAP words the memo starts
+        afresh.  The walks carry their own entries and never read it; the
+        memo stays only because the benchmark reads `_cache`."""
+        entry = self._cache.get(word)
+        if entry is None:
+            entry = self._root
+            for a in word:
+                z, f = entry
+                entry = (self.pull_step(z, a), f.compose(self.transforms[a]))
+            if len(self._cache) >= _CACHE_CAP:
+                self._cache = {}
+            self._cache[word] = entry
         return entry
 
     def refined_set(self, word) -> ArcSet:
-        """The set of circle points whose expansions can start with `word`:
-        F_w(Z_w), empty once it is narrower than EPS_ANGLE though Z_w is not."""
+        """The refined set R(w) = C_w1 ∩ F_w1(C_w2) ∩ ... ∩ F_w'(C_wn) of the
+        cover arcs along `word`, formed as F_w(Z_w): for a legal word, the
+        circle points whose expansions can start with it.  It ignores the
+        subshift, so a forbidden word can have a nonempty R(w) (binary's
+        `11-` does); it is empty once narrower than EPS_ANGLE though Z_w is
+        not."""
         z, f = self._entry(self.alphabet.word(word))
         return image(f, z)
-
-    def _member(self, word: Word) -> bool:
-        """Interval-shift test of a legal word, as in encode: Z_w is nonempty."""
-        return not self._entry(word)[0].is_empty
 
     def word_transform(self, word) -> transforms.DiscMoebius:
         """Composition of the letter maps along the word."""
@@ -244,11 +250,21 @@ class NumberSystemSpec:
 
     # -- the interval shift -----------------------------------------------------
 
+    def _walk_step(self, entry, a: int):
+        """(Z_wa, F_wa) from the entry (Z_w, F_w) of w, or None where Z_wa is
+        empty and wa leaves the interval shift."""
+        z, f = entry
+        z = self.pull_step(z, a)
+        return None if z.is_empty else (z, f.compose(self.transforms[a]))
+
     def interval_shift_levels(self, n_max: int | None = None):
         """Yield the levels 0..n_max of the interval shift (every level when
         n_max is None): the legal words with nonempty pullback states, as
-        lexicographic (word, follower state) pairs, one list per level."""
-        return walk(self.subshift, n_max, "interval-shift enumeration", keep=self._member)
+        lexicographic (word, follower state, (Z_w, F_w)) triples, one list
+        per level, each entry stepped from its parent's.  An entry dropped
+        from a level before the next is taken is not extended."""
+        return walk(self.subshift, n_max, "interval-shift enumeration", self._root,
+                    self._walk_step)
 
     def interval_shift_language(self, n: int) -> list[Word]:
         """Legal length-n words whose refined sets are nonempty, lexicographic."""
@@ -261,8 +277,7 @@ class NumberSystemSpec:
         cover arcs of the letters legal after w, carried onto the circle by
         F_w; those no longer than EPS_COMPAT are dropped."""
         violations = []
-        for word, state in level:
-            z, f = self._entry(word)
+        for word, state, (z, f) in level:
             rest = z.intersect(self._gaps[state])
             if rest.is_empty:
                 continue
@@ -275,18 +290,13 @@ class NumberSystemSpec:
 
     def min_expansion(self, word) -> float:
         """Minimum inverse-derivative modulus of the word map over the
-        closed refined set: the least 1/|F_w'(y)| = |conj(beta) y + conj(alpha)|^2
-        over cl Z_w, at an arc endpoint or, nearest F_w's pole, the closed
-        form 1/(|alpha| + |beta|)^2, which does not cancel."""
+        closed refined set, q(w) = min 1/|F_w'(y)| over cl Z_w
+        (_least_expansion)."""
         word = self.alphabet.word(word)
         z, f = self._entry(word)
         if z.is_empty:
             raise EmptyRefinedSet(f"word {word} has an empty refined set")
-        if f.is_rotation:
-            return 1.0
-        ca, cb = f.alpha.conjugate(), f.beta.conjugate()
-        return _least_on(z.closure(), lambda t: abs(cb * cmath.exp(1j * t) + ca) ** 2,
-                         cmath.phase(-ca * f.beta), 1.0 / (abs(f.alpha) + abs(f.beta)) ** 2)
+        return _least_expansion(z, f)
 
     def level_min_expansion(self, n: int) -> float:
         """Minimum of min_expansion over all interval-shift words of length n
@@ -297,52 +307,52 @@ class NumberSystemSpec:
 
     def _dive_bounds(self, n_max: int) -> list[float]:
         """Upper bounds on Q_0..Q_n_max: the q of the words met by descending
-        from the root, each time to the interval-shift child of least q;
-        +inf past a word that has no such child."""
+        from the root, each time to the interval-shift child of least q (the
+        first letter on a tie); +inf past a word that has no such child."""
         upper = [1.0] + [math.inf] * n_max
-        word, state = (), self.subshift.initial
+        entry, state = self._root, self.subshift.initial
         for m in range(1, n_max + 1):
-            children = [(self.min_expansion(w), w, nxt)
+            children = [(_least_expansion(*child), a, nxt, child)
                         for a, nxt in enumerate(self.subshift.transitions[state])
-                        if nxt is not None and self._member(w := word + (a,))]
+                        if nxt is not None
+                        and (child := self._walk_step(entry, a)) is not None]
             if not children:
                 break
-            upper[m], word, state = min(children)
+            upper[m], _, state, entry = min(children)
         return upper
 
     def expansion_rate_bound(self, n_max: int) -> ExpansionRateBound:
         """Best n-th-root lower bound over levels 1..n_max, with diagnostics.
 
-        Q_n is the least q(w) = min_expansion(w) over the interval-shift
-        words of length n.  The chain rule gives F_u^-1(R(uv)) within R(v),
-        so q(uv) >= q(u)*Q_|v|, and the levels are walked by branch and
-        bound on it.  A greedy descent first gives upper bounds U_m >= Q_m.
+        Q_n is the least q(w) = _least_expansion(Z_w, F_w) over the
+        interval-shift words of length n.  The chain rule gives
+        F_u^-1(R(uv)) within R(v), so q(uv) >= q(u)*Q_|v|, and the levels
+        are walked by branch and bound on it.  A greedy descent first gives upper bounds U_m >= Q_m.
         After level k the lower bounds L_j are Q_j for j <= k and
         max_i L_i*L_(j-i) beyond; a word u of level k is not extended when
         q(u)*L_(m-k) > U_m*(1 + EPS_PRUNE) for every m in k+1..n_max.
         The invariant that keeps every Q_n exact: the computed q satisfy
         the chain-rule bound within the relative slack EPS_PRUNE, so no cut
         word has an extension attaining a level's minimum, and that
-        minimum is read from the same min_expansion as in a full walk.
+        minimum is read from the same _least_expansion as in a full walk.
+        Cut words are dropped from their level, so the walk does not
+        extend them.
         """
         if n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {n_max}")
         upper = self._dive_bounds(n_max)
         lower = [1.0]   # exact Q_0..Q_k of the levels walked so far
-        cut: set[Word] = set()   # words of the last level that are not extended
-        levels = walk(self.subshift, n_max, "interval-shift enumeration",
-                      keep=lambda w: w[:-1] not in cut and self._member(w))
+        levels = self.interval_shift_levels(n_max)
         next(levels)  # level 0, the empty word
         table = []
         for n, level in enumerate(levels, 1):
-            qs = [self.min_expansion(w) for w, _ in level]
+            qs = [_least_expansion(z, f) for _, _, (z, f) in level]
             q = min(qs, default=math.inf)
             table.append((n, q))
             lower.append(q)
-            cut.clear()
             if qs and n < n_max:
                 bound = _extension_bound(lower, upper)
-                cut.update(w for (w, _), qw in zip(level, qs) if qw > bound)
+                level[:] = [item for item, qw in zip(level, qs) if not qw > bound]
         best, best_n = -math.inf, 0
         for n, q in table:
             if math.isinf(q):

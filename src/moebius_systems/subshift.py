@@ -121,37 +121,41 @@ class Subshift:
         return last_level(walk(self, n, "language enumeration"))
 
 
-def walk(subshift: Subshift, n_max: int | None, what: str, keep=None):
+def walk(subshift: Subshift, n_max: int | None, what: str, root=(), step=lambda value, a: value):
     """Yield the levels 0..n_max of the subshift's language (every level
     when n_max is None; the caller stops taking them).
 
-    Each level is a list of (word, state) pairs in lexicographic order,
-    state being the follower state after the word, read from
-    subshift.transitions.  A level extends the pairs of the one before it,
-    so a branch is cut for good as soon as the subshift rejects it or
-    keep(word) is false; more than BUDGET words over all levels raise
-    BudgetExceeded, naming the enumeration as `what`.  n_max < 0 raises
-    ValueError (no word has that length).
+    Each level is a list of (word, state, value) triples in lexicographic
+    order, state being the follower state after the word, read from
+    subshift.transitions, and value the empty word's `root` stepped along
+    the word: a child's value is step(parent's value, a), and a None
+    value cuts the branch.  A level extends the triples of the one before
+    it, so a branch is cut for good as soon as the subshift rejects it or
+    its value is None; an entry the caller drops from a level before
+    taking the next is not extended either.  By default every value is
+    `root` and only the subshift cuts.  More than BUDGET words over all
+    levels raise BudgetExceeded, naming the enumeration as `what`.
+    n_max < 0 raises ValueError (no word has that length).
     """
     if n_max is not None and n_max < 0:
         raise ValueError(f"{what} needs a word length n >= 0, got {n_max}")
-    level = [((), subshift.initial)]
+    level = [((), subshift.initial, root)]
     count = 1
     for depth in itertools.count():
         yield level
         if depth == n_max:
             return
         longer = []
-        for word, state in level:
+        for word, state, value in level:
             for a, nxt in enumerate(subshift.transitions[state]):
                 if nxt is None:
                     continue
-                w = word + (a,)
-                if keep is None or keep(w):
+                child = step(value, a)
+                if child is not None:
                     count += 1
                     if count > BUDGET:
                         raise BudgetExceeded(f"{what} exceeded {BUDGET} candidates")
-                    longer.append((w, nxt))
+                    longer.append((word + (a,), nxt, child))
         level = longer
 
 
@@ -159,4 +163,4 @@ def last_level(levels) -> list[Word]:
     """The words of the last level a walk yields."""
     for level in levels:
         pass
-    return [word for word, _ in level]
+    return [word for word, _, _ in level]

@@ -18,6 +18,7 @@ import itertools
 import json
 import math
 import re
+from collections.abc import Mapping
 
 from .arcs import ArcSet
 from .errors import ConfigError, NotDiscPreserving, OrientationReversing, SingularMatrix
@@ -230,7 +231,10 @@ def _section(data: dict, key: str) -> dict:
 
 
 def _listed(value, what: str) -> list:
-    """The items of a JSON array; any iterable passes."""
+    """The items of a JSON array: a string, bytes or an object is no list,
+    though each is iterable."""
+    if isinstance(value, (str, bytes, Mapping)):
+        raise ConfigError(f"{what} needs a list, got {value!r}")
     try:
         return list(value)
     except TypeError:
@@ -241,7 +245,7 @@ def parse_config(data: dict) -> NumberSystemSpec:
     """Build a system from its JSON object form, validating as we go: a
     section of the wrong JSON type raises ConfigError like a missing one."""
     try:
-        symbols = list(data["alphabet"])
+        symbols = _listed(data["alphabet"], "'alphabet'")
     except (KeyError, TypeError):
         raise ConfigError("config needs an 'alphabet' list")
     for name in symbols:

@@ -351,7 +351,7 @@ def exhaustive_table(spec, n_max: int) -> list[tuple[int, float]]:
     walk of expansion_rate_bound must reproduce bit for bit."""
     levels = spec.interval_shift_levels(n_max)
     next(levels)
-    return [(n, min((spec.min_expansion(w) for w, _ in level), default=math.inf))
+    return [(n, min((spec.min_expansion(w) for w, _, _ in level), default=math.inf))
             for n, level in enumerate(levels, 1)]
 
 

@@ -238,11 +238,15 @@ def _cf_config_with(change):
     lambda d: d["transforms"].update({"1": {"real_line": [1, 1, 0]}}),
     lambda d: d["transforms"].update({"1": {}}),
     lambda d: d["cover"].pop("1"),
+    lambda d: d.update(forbidden="00"),
+    lambda d: d.update(forbidden={"00": 1}),
+    lambda d: d.update(alphabet="10"),
 ], ids=["transforms-list", "cover-list", "cover-entry-number", "points-strings",
         "points-one-pair", "disc-strings", "disc-number", "real-line-nested-list",
         "forbidden-number", "forbidden-not-a-list", "alphabet-nested-list", "points-number",
         "real-line-number", "arc-unknown-key", "disc-three-entries", "real-line-three-numbers",
-        "transform-no-key", "symbol-without-cover"])
+        "transform-no-key", "symbol-without-cover", "forbidden-string", "forbidden-object",
+        "alphabet-string"])
 def test_system_file_section_of_wrong_type_exits_2(tmp_path, capsys, change):
     path = tmp_path / "sys.json"
     path.write_text(json.dumps(_cf_config_with(change)))

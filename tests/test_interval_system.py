@@ -7,9 +7,9 @@ import pytest
 
 from moebius_systems import interval_system
 from moebius_systems.arcs import EPS_ANGLE, ArcSet, expansion_interval, image, min_inverse_derivative
-from moebius_systems.codec import decode, representable_interval
+from moebius_systems.codec import decode, representable_interval, verify
 from moebius_systems.errors import EmptyRefinedSet
-from moebius_systems.interval_system import _CACHE_DEPTH, NumberSystemSpec
+from moebius_systems.interval_system import NumberSystemSpec
 from moebius_systems.subshift import Alphabet, Subshift
 from moebius_systems.systems import builtin, with_cover
 from moebius_systems.transforms import TAU
@@ -145,20 +145,21 @@ def test_refined_sets_inside_expansion_intervals():
                 assert leak.length() < 1e-7, (name, u)
 
 
-def test_words_past_the_cache_depth_step_on_from_the_cache():
+def test_long_words_answer_and_add_one_memo_entry():
     cf = builtin("cf")
     w = decode(cf, 1.234, 60)
-    before = len(cf._cache)
     assert not cf.refined_set(w).is_empty
     assert not cf.word_transform(w).is_rotation
     assert 1.0 < cf.min_expansion(w) < math.inf
     assert representable_interval(cf, w).contains(1.234, tol=EPS_ANGLE)
-    assert len(cf._cache) - before <= _CACHE_DEPTH
-    assert all(len(k) <= _CACHE_DEPTH for k in cf._cache)
+    # a one-word query memoises that word alone, however long it is
     fresh = builtin("cf")
     long_word = decode(fresh, 1.234, 2000)
+    before = len(fresh._cache)
     fresh.refined_set(long_word)
-    assert len(fresh._cache) - 1 <= _CACHE_DEPTH
+    assert len(fresh._cache) - before <= 1
+    fresh.word_transform(long_word)
+    assert len(fresh._cache) - before <= 1
 
 
 # -- interval shift language -------------------------------------------------------
@@ -192,8 +193,44 @@ def test_rotated_cover_language_is_constant_words():
 @pytest.mark.parametrize("name", ["parabolic3", "cf", "binary", "hyperbolic4"])
 def test_language_matches_forward_refinement(name, turn):
     spec = builtin(name) if turn is None else turned_cover(builtin(name), turn)
-    walked = [[w for w, _ in level] for level in spec.interval_shift_levels(8)]
+    walked = [[w for w, _, _ in level] for level in spec.interval_shift_levels(8)]
     assert walked == forward_levels(spec, 8)
+
+
+@pytest.mark.parametrize("turn", [None, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
+@pytest.mark.parametrize("name", ["parabolic3", "cf", "binary", "hyperbolic4"])
+def test_walk_carries_each_words_entry_and_follower_state(name, turn):
+    # the (Z_w, F_w) stepped in the walk's frontier is the one a one-word
+    # query steps from the root, bit for bit, and the follower state is the
+    # replay of the word through the subshift's transitions
+    spec = builtin(name) if turn is None else turned_cover(builtin(name), turn)
+    for level in spec.interval_shift_levels(6):
+        for word, state, entry in level:
+            assert entry == spec._entry(word), word
+            replay = spec.subshift.initial
+            for a in word:
+                replay = spec.subshift.transitions[replay][a]
+            assert state == replay, word
+
+
+def test_walk_consumers_ask_for_no_walked_word(monkeypatch):
+    asked = []
+    original = NumberSystemSpec._entry
+    monkeypatch.setattr(NumberSystemSpec, "_entry",
+                        lambda self, word: asked.append(word) or original(self, word))
+    for name in ("parabolic3", "cf", "binary", "hyperbolic4"):
+        for spec in (builtin(name), turned_cover(builtin(name), 0.25)):
+            spec.expansion_rate_bound(6)
+            for level in spec.interval_shift_levels(4):
+                spec.compatibility_violations(level)
+            verify(spec, "auto", n_max=4)
+            verify(spec, "qn", n=3)
+    assert asked == []
+    # check_prefix_set's B words are one-word queries, and nothing else is
+    cf = builtin("cf")
+    b_words = ["01", "01-", "1", "1-"]
+    assert verify(cf, "prefix_set", prefix_set=b_words).status == "verified_prefix_set"
+    assert asked == [cf.alphabet.word(b) for b in b_words]
 
 
 def test_shift_invariance_of_language():
@@ -285,7 +322,7 @@ def test_min_expansion_matches_the_refined_set_minimum(name):
     # float letters where min_expansion is 3e-16 off.
     spec = builtin(name)
     for level in spec.interval_shift_levels(6):
-        for w, _ in level:
+        for w, _, _ in level:
             ref = min_inverse_derivative(spec.word_transform(w), spec.refined_set(w).closure())
             assert abs(spec.min_expansion(w) / ref - 1) <= 1e-11, w
 
@@ -427,9 +464,9 @@ def test_pruned_walk_computes_few_word_minima(monkeypatch):
     # every Q_n of hyperbolic4 is 1, attained on few branches: the bound
     # q(uv) >= q(u)*Q_|v| cuts nearly all of the 118,096 words of levels 1..10
     calls = []
-    original = NumberSystemSpec.min_expansion
-    monkeypatch.setattr(NumberSystemSpec, "min_expansion",
-                        lambda self, word: calls.append(word) or original(self, word))
+    original = interval_system._least_expansion
+    monkeypatch.setattr(interval_system, "_least_expansion",
+                        lambda z, f: calls.append(f) or original(z, f))
     table = builtin("hyperbolic4").expansion_rate_bound(10).table
     assert len(table) == 10 and all(abs(q - 1.0) <= 1e-9 for _, q in table)
     assert len(calls) <= 1000

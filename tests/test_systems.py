@@ -143,10 +143,10 @@ def test_config_with_pi_strings_and_points():
 
 
 def test_config_lenient_forms_still_parse():
-    # a string alphabet splits into one-letter symbols, "real_line" takes
-    # numeric strings and "points" uses its first two pairs
+    # "real_line" takes numeric strings and "points" uses its first two
+    # pairs; a string alphabet is no list and no longer splits into letters
     data = {
-        "alphabet": "rs",
+        "alphabet": ["r", "s"],
         "transforms": {
             "r": {"real_line": ["1", "1", 0, 1]},
             "s": {"real_line": [1, -1, 0, 1]},
@@ -161,6 +161,8 @@ def test_config_lenient_forms_still_parse():
     assert spec.alphabet.symbols == ("r", "s")
     assert spec.transforms[0].approx_eq(from_real_line(1, 1, 0, 1), 0.0)
     assert spec.cover[1].arcs[0] == pytest.approx((math.pi, math.pi))
+    with pytest.raises(ConfigError, match="'alphabet' needs a list"):
+        parse_config(dict(data, alphabet="rs"))
 
 
 def test_config_error_paths():
