@@ -15,8 +15,9 @@ with M its matrix at determinant 1, M^k = k M - (k - 1) I) and the
 follower state and the pullback state are both fixed by a.  The least k
 whose certificate meets tol is solved for and confirmed at k - 1 and k;
 the run's digits are then read in chunks that double in size, and every
-one is compared with a at C speed.  A mismatch ends the jump there and
-the loop goes on with that digit; max_digits still caps the count.
+one is compared with a at C speed, as a byte.  A mismatch, or a digit
+that is no index (a float equal to a too), ends the jump there and the
+loop goes on with that digit; max_digits still caps the count.
 Neither a digit nor a jump renormalizes F (products of disc maps never
 are, see transforms); a jump keeps det F as it was, so the certificate
 of a run carries no rounding drift: on the cf system's rational
@@ -45,8 +46,8 @@ import cmath
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import chain, compress, count, islice, repeat
-from operator import index, ne
+from itertools import chain, islice, repeat
+from operator import index
 
 from .arcs import ClosedArcSet, EPS_ANGLE, image
 from .errors import EmptyRefinedSet, IllegalPrefix, NoLegalDigit
@@ -262,17 +263,43 @@ def _read_run(stream, a: int, need) -> tuple[int, tuple]:
     `need` or the stream ended).
     """
     m, size = 0, _RUN_CHUNK_MIN
+    letter = bytes((a,)) if a < 256 else None
     while m < need:
         asked = min(size, need - m)
         chunk = tuple(islice(stream, asked))
-        if chunk.count(a) < len(chunk):
-            j = next(compress(count(), map(ne, chunk, repeat(a))))
+        j = _run_length(chunk, a, letter)
+        if j < len(chunk):
             return m + j, chunk[j:]
         m += len(chunk)
         if len(chunk) < asked:  # the stream ended
             break
         size = min(2 * size, _RUN_CHUNK_MAX)
     return m, ()
+
+
+def _run_length(chunk: tuple, a: int, letter: bytes | None) -> int:
+    """How many of the chunk's digits, from its first, are the index a,
+    whose byte is `letter` (None past 255).
+
+    A digit that is no index ends the run even where it equals a, as 2.0
+    equals 2, so that the digit loop rejects it.  A chunk of indices below
+    256 converts to a bytearray and is compared there at C speed; the
+    conversion raises for any other digit, and such a chunk is compared
+    digit by digit.
+    """
+    if letter is not None:
+        try:
+            row = bytearray(chunk)
+        except (TypeError, ValueError):  # a digit that is no index below 256
+            pass
+        else:
+            if row == letter * len(row):
+                return len(row)
+            return len(row) - len(row.lstrip(letter))
+    for j, d in enumerate(chunk):
+        if d != a or not hasattr(d, "__index__"):
+            return j
+    return len(chunk)
 
 
 def decode(spec: NumberSystemSpec, theta: float, n_digits: int, prefix: Word = ()) -> Word:

@@ -15,23 +15,27 @@ where both fire indicates a numerical or formula bug and raises.
 Cells certified by neither stay labelled unknown.
 
 The cover search runs on numpy arrays over a batch of cells at once,
-one level of words at a time.  render_grid hands it blocks of
-consecutive cells (sharded over worker processes if asked), and
-cover_search is a batch of one.  The inward test stays per cell.
+one level of words at a time: each level composes the words with both
+generators, generator-major, takes their expansion arcs and sweeps each
+cell's arcs by sorting their starts and their ends apart.  render_grid
+hands it blocks of consecutive cells (sharded over worker processes if
+asked), whose generator entries come from one array formula that
+two_hyperbolic_system reads too, and cover_search is a batch of one.
+The inward test stays per cell, and builds a cell's generator maps
+only where its parameters lie in one of the certificate's rectangles.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import csv
 from dataclasses import dataclass
 from multiprocessing import Pool
 
 import numpy as np
 
-from .errors import ParamOutOfRange
-from .transforms import EPS_ROTATION, TAU, DiscMoebius
+from .errors import NotDiscPreserving, ParamOutOfRange
+from .transforms import EPS_NORM, EPS_ROTATION, TAU, DiscMoebius
 
 EPS_GAP = 1e-10    # gaps between expansion arcs narrower than this count as covered
 
@@ -43,20 +47,49 @@ _LABEL_NAMES = {LABEL_COVER: "cover", LABEL_INWARD: "inward", LABEL_UNKNOWN: "un
 def two_hyperbolic_system(q_a: float, q_b: float) -> tuple[DiscMoebius, DiscMoebius]:
     """The generator pair: F_a fixes 1 (stable, derivative q_a) and -i;
     F_b fixes -1 (stable, derivative q_b) and i."""
+    entries = _generator_entries(np.array([q_a], dtype=float), np.array([q_b], dtype=float))
+    return _pair(*(complex(z[0]) for z in entries))
+
+
+def _pair(alpha_a: complex, beta_a: complex, alpha_b: complex,
+          beta_b: complex) -> tuple[DiscMoebius, DiscMoebius]:
+    """The generator pair with the given normalised entries."""
+    return DiscMoebius._product(alpha_a, beta_a), DiscMoebius._product(alpha_b, beta_b)
+
+
+def _generator_entries(q_a: np.ndarray, q_b: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Entries alpha_a, beta_a, alpha_b, beta_b of the generator pair at each
+    (q_a, q_b): the one formula of the family.
+
+    With s = 2 sqrt(q), F_a is [(1 + q_a) - (1 - q_a) i, (1 - q_a)(1 + i)] / s_a
+    and F_b is [(1 + q_b) - (1 - q_b) i, -(1 - q_b)(1 + i)] / s_b, of
+    determinant 1 in exact arithmetic.  Each entry is then normalised by
+    the DiscMoebius constructor's arithmetic, part by part: the norm
+    |alpha|^2 - |beta|^2 with |z| = hypot(Re z, Im z), as Python's abs
+    computes it, and both entries times 1/sqrt of it.  Re alpha > 0, so
+    the sign is canonical already.  Raises ParamOutOfRange for a q outside
+    (0, 1) and NotDiscPreserving where the norm is not positive, as the
+    constructor would.
+    """
     for q in (q_a, q_b):
-        if not 0.0 < q < 1.0:
-            raise ParamOutOfRange(f"parameters must lie in (0, 1); got {q}")
-    sa = 2.0 * math.sqrt(q_a)
-    fa = DiscMoebius(
-        complex(1.0 + q_a, -(1.0 - q_a)) / sa,
-        complex(1.0 - q_a, 1.0 - q_a) / sa,
-    )
-    sb = 2.0 * math.sqrt(q_b)
-    fb = DiscMoebius(
-        complex(1.0 + q_b, -(1.0 - q_b)) / sb,
-        complex(-(1.0 - q_b), -(1.0 - q_b)) / sb,
-    )
-    return fa, fb
+        bad = ~((0.0 < q) & (q < 1.0))
+        if bad.any():
+            raise ParamOutOfRange(f"parameters must lie in (0, 1); got {float(q[bad][0])}")
+    entries = []
+    for q in (q_a, q_b):
+        s = 2.0 * np.sqrt(q)
+        re, im = (1.0 + q) / s, (1.0 - q) / s   # F_a's alpha = re - im i, beta = im + im i
+        a, b = np.hypot(re, im), np.hypot(im, im)
+        with np.errstate(over="ignore", invalid="ignore"):  # q near 0: NaN, rejected below
+            n2 = a * a - b * b
+        if not (n2 > EPS_NORM).all():
+            raise NotDiscPreserving(f"|alpha|^2 - |beta|^2 = {float(n2[~(n2 > EPS_NORM)][0]):.3g}"
+                                    f" <= 0; not a disc-preserving pair")
+        t = 1.0 / np.sqrt(n2)
+        re, im = re * t, im * t
+        entries += [re - 1j * im, im + 1j * im]
+    alpha_a, beta_a, alpha_b, beta_b = entries
+    return alpha_a, beta_a, alpha_b, -beta_b
 
 
 # Word maps per level that one render block may reach: blocks of 1,024
@@ -84,8 +117,8 @@ def _cover_batch(alpha_a: np.ndarray, beta_a: np.ndarray, alpha_b: np.ndarray,
     if depth <= 0 or n == 0:
         return covered
     cells = np.arange(n)
-    gen_alpha = np.stack((alpha_a, alpha_b), axis=1).astype(complex)[:, None, :]
-    gen_beta = np.stack((beta_a, beta_b), axis=1).astype(complex)[:, None, :]
+    gen_alpha = np.stack((alpha_a, alpha_b), axis=1).astype(complex)[:, :, None]
+    gen_beta = np.stack((beta_a, beta_b), axis=1).astype(complex)[:, :, None]
     alpha = np.ones((n, 1), dtype=complex)
     beta = np.zeros((n, 1), dtype=complex)
     starts = np.full((n, 2 ** (depth + 1) - 2), -np.inf)  # -inf: padding
@@ -115,33 +148,43 @@ def _closed_arcs_cover(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
 
     Starts lie in [0, 2*pi); an entry with start and end -inf is padding
     that never fails the sweep nor extends it, and a row of padding only
-    is not covered.  Over the arcs in start order the reach is the
-    running maximum of the ends, beginning at the coverage the arcs carry
-    past 2*pi, so coverage wrapping around the origin counts.  A row
-    fails where some start lies beyond the reach of the arcs before it.
-    Only maxima, one addition and comparisons enter, so the order of
-    equal starts cannot change a verdict.
+    is not covered.  Gaps narrower than EPS_GAP count as covered, and so
+    does the coverage the arcs carry past 2*pi, which wraps around the
+    origin.  With s the sorted starts, e the sorted fl(end + EPS_GAP),
+    top the greatest end and floor = fl(fl(top - 2*pi) + EPS_GAP), a row
+    is covered iff top >= 2*pi - EPS_GAP, s[0] <= floor and, for every
+    k >= 1, s[k] <= max(e[k-1], floor).
+
+    This is, float for float, the sweep over the arcs in start order that
+    fails where a start s[k] lies beyond fl(max(R, top - 2*pi) + EPS_GAP),
+    R the greatest end of the k arcs before it.  Rounding is monotone, so
+    that bound is max(fl(R + EPS_GAP), floor), and fl(R + EPS_GAP) is the
+    greatest fl(end + EPS_GAP) of those k arcs.  Every arc has
+    fl(end + EPS_GAP) >= end >= start (padding too), so the k-th smallest
+    fl(end + EPS_GAP), e[k-1], lies below s[k] exactly when k arcs end,
+    plus EPS_GAP, below s[k]; those k arcs start below s[k], so they are
+    the k arcs before it, and the sweep fails there.  Only the sorted
+    values enter, so neither the order of the arcs nor which start and
+    end belong together can change a verdict.
     """
-    order = np.argsort(starts, axis=1)
-    starts = np.take_along_axis(starts, order, axis=1)
-    reach = np.take_along_axis(ends, order, axis=1)
-    del order
-    np.maximum.accumulate(reach, axis=1, out=reach)
-    floor = reach[:, -1:] - TAU  # the coverage carried past 2*pi
-    covered = (reach[:, -1] >= TAU - EPS_GAP) & (starts[:, 0] <= floor[:, 0] + EPS_GAP)
-    before = reach[:, :-1]  # the reach before each later arc, in place
-    np.maximum(before, floor, out=before)
-    before += EPS_GAP
-    return covered & (starts[:, 1:] <= before).all(axis=1)
+    top = ends.max(axis=1)
+    floor = (top - TAU) + EPS_GAP
+    s = np.sort(starts, axis=1)
+    e = ends + EPS_GAP
+    e.sort(axis=1)
+    reach = np.maximum(e[:, :-1], floor[:, None], out=e[:, :-1])
+    return (top >= TAU - EPS_GAP) & (s[:, 0] <= floor) & (s[:, 1:] <= reach).all(axis=1)
 
 
 def _children(alpha: np.ndarray, beta: np.ndarray, gen_alpha: np.ndarray,
               gen_beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's word maps composed with the row's two generators (the
-    children of word i are 2i and 2i + 1).  Like DiscMoebius.compose, the
-    products are not renormalised: the generators are, and a product's
-    determinant drifts from 1 by only a few rounding errors per level."""
-    a1, b1 = alpha[:, :, None], beta[:, :, None]
+    """Each row's W word maps composed with the row's two generators,
+    generator-major: with gen_* of shape (n, 2, 1), child j of word i is
+    entry j*W + i, so each product runs over the words in its inner loop.
+    Like DiscMoebius.compose, the products are not renormalised: the
+    generators are, and a product's determinant drifts from 1 by only a
+    few rounding errors per level."""
+    a1, b1 = alpha[:, None, :], beta[:, None, :]
     alpha = a1 * gen_alpha
     alpha += b1 * gen_beta.conj()
     beta = a1 * gen_beta
@@ -151,12 +194,16 @@ def _children(alpha: np.ndarray, beta: np.ndarray, gen_alpha: np.ndarray,
 
 def _v_arcs(alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Expansion arcs [start, end] of the maps with the given entries, the
-    array form of arcs._v_arc; rotations give the padding (-inf, -inf)."""
+    array form of arcs._v_arc; rotations give the padding (-inf, -inf).
+    A batch without rotations skips the masking."""
     b = np.hypot(beta.real, beta.imag)
     arc = b > EPS_ROTATION
     half = np.arccos(b / np.sqrt(1.0 + b * b))
-    center = np.angle(np.divide(alpha, beta.conj(), out=np.zeros_like(alpha), where=arc))
-    starts = np.where(arc, (center - half) % TAU, -np.inf)
+    if arc.all():
+        starts = (np.angle(alpha / beta.conj()) - half) % TAU
+    else:
+        center = np.angle(np.divide(alpha, beta.conj(), out=np.zeros_like(alpha), where=arc))
+        starts = np.where(arc, (center - half) % TAU, -np.inf)
     return starts, starts + 2.0 * half
 
 
@@ -195,28 +242,32 @@ def inward_region_test(q_a: float, q_b: float, n_max: int) -> bool:
     n = 0) combined with open rectangle constraints on (q_a, q_b).  Only
     strips with |n| <= n_max are examined.
     """
-    return _inward(q_a, q_b, two_hyperbolic_system(q_a, q_b), n_max)
+    fa, fb = two_hyperbolic_system(q_a, q_b)
+    words = _certificate_words(q_a, q_b, _strips(n_max))
+    return bool(words) and all(_is_hyperbolic_word(fa, fb, w) for w in words)
 
 
-def _inward(q_a: float, q_b: float, pair: tuple[DiscMoebius, DiscMoebius],
-            n_max: int) -> bool:
-    """inward_region_test on the cell's generator pair, built once by the caller."""
+def _strips(n_max: int) -> list[tuple[int, float, float]]:
+    """(n, 2^(-1/n), 2^(-1/(n + 1))) for the strips n = 1..n_max."""
     if n_max < 0:
         raise ParamOutOfRange("n_max must be >= 0")
-    fa, fb = pair
-    if q_a < 0.5 and q_b < 0.5 and _is_hyperbolic_word(fa, fb, "ab"):
-        return True
-    for n in range(1, n_max + 1):
-        lo, hi = 2.0 ** (-1.0 / n), 2.0 ** (-1.0 / (n + 1))
+    bounds = [2.0 ** (-1.0 / n) for n in range(1, n_max + 2)]
+    return list(zip(range(1, n_max + 1), bounds, bounds[1:]))
+
+
+def _certificate_words(q_a: float, q_b: float,
+                       strips: list[tuple[int, float, float]]) -> tuple[str, ...]:
+    """The words whose hyperbolicity certifies an inward set at (q_a, q_b),
+    none outside every rectangle.  The open rectangles are disjoint, so a
+    cell lies in at most one."""
+    if q_a < 0.5 and q_b < 0.5:
+        return ("ab",)
+    for n, lo, hi in strips:
         if lo < q_a < hi and 0.0 < q_b < 0.5:
-            if _is_hyperbolic_word(fa, fb, "a" * n + "b") and \
-               _is_hyperbolic_word(fa, fb, "a" * (n + 1) + "b"):
-                return True
+            return ("a" * n + "b", "a" * (n + 1) + "b")
         if lo < q_b < hi and 0.0 < q_a < 0.5:
-            if _is_hyperbolic_word(fa, fb, "a" + "b" * n) and \
-               _is_hyperbolic_word(fa, fb, "a" + "b" * (n + 1)):
-                return True
-    return False
+            return ("a" + "b" * n, "a" + "b" * (n + 1))
+    return ()
 
 
 def _cell_centre(rect: tuple[float, float, float, float], width: int, height: int,
@@ -284,31 +335,29 @@ class CoverageGrid:
             fh.write("\n")
 
 
-def _label_cell(qa: float, qb: float, pair: tuple[DiscMoebius, DiscMoebius],
-                covered: bool, n_max: int) -> int:
-    inward = _inward(qa, qb, pair, n_max)
-    if covered and inward:
-        raise RuntimeError(
-            f"cell ({qa}, {qb}) certified both covering and inward; "
-            f"this contradicts their mutual exclusion and indicates a bug"
-        )
-    if covered:
-        return LABEL_COVER
-    if inward:
-        return LABEL_INWARD
-    return LABEL_UNKNOWN
-
-
 def _render_block(args) -> list[int]:
-    """Labels of the cells first..stop-1, numbered row by row."""
+    """Labels of the cells first..stop-1, numbered row by row.  Generator
+    maps are built only for the cells whose inward certificate composes
+    words."""
     first, stop, width, height, depth, n_max, rect = args
-    params = [_cell_centre(rect, width, height, *divmod(cell, width))
-              for cell in range(first, stop)]
-    pairs = [two_hyperbolic_system(qa, qb) for qa, qb in params]
-    entries = np.array([(fa.alpha, fa.beta, fb.alpha, fb.beta) for fa, fb in pairs])
-    covered = _cover_batch(*entries.T, depth)
-    return [_label_cell(qa, qb, pair, c, n_max)
-            for (qa, qb), pair, c in zip(params, pairs, covered)]
+    strips = _strips(n_max)
+    qa, qb = _cell_centre(rect, width, height, *np.divmod(np.arange(first, stop), width))
+    entries = _generator_entries(qa, qb)
+    covered = _cover_batch(*entries, depth)
+    labels = []
+    for i, (q_a, q_b, cover) in enumerate(zip(qa.tolist(), qb.tolist(), covered.tolist())):
+        words = _certificate_words(q_a, q_b, strips)
+        inward = False
+        if words:
+            fa, fb = _pair(*(complex(z[i]) for z in entries))
+            inward = all(_is_hyperbolic_word(fa, fb, w) for w in words)
+        if cover and inward:
+            raise RuntimeError(
+                f"cell ({q_a}, {q_b}) certified both covering and inward; "
+                f"this contradicts their mutual exclusion and indicates a bug"
+            )
+        labels.append(LABEL_COVER if cover else LABEL_INWARD if inward else LABEL_UNKNOWN)
+    return labels
 
 
 def render_grid(width: int, height: int, depth: int, n_max: int,

@@ -273,10 +273,12 @@ def parse_config(data: dict) -> NumberSystemSpec:
                 arcs = arcs.union(ArcSet.arc(s, e))
         cover_map[name] = arcs
     forbidden = _listed(data.get("forbidden", []), "'forbidden'")
+    name = data.get("name", "")
+    if not isinstance(name, str):
+        raise ConfigError(f"'name' needs a string, got {name!r}")
     try:
         return NumberSystemSpec(
-            alphabet, transforms_map, cover_map, Subshift(alphabet, forbidden),
-            name=data.get("name", ""),
+            alphabet, transforms_map, cover_map, Subshift(alphabet, forbidden), name=name,
         )
     except ValueError as exc:
         raise ConfigError(str(exc))

@@ -3,11 +3,11 @@
 Each model is the slow or direct form of something the package computes
 faster or in other coordinates: derivative moduli, sampled arc-set
 membership, factor-avoidance, forward refinement, the exhaustive level
-minima, the scalar cover sweep, the linear state scan, a frozen copy
-of the arc-set kernel and the first-fit decoder through the arc-set and
-map methods.  The random disc maps and arc sets the tests draw
-are here too, and a system whose language ends after one letter.  None
-of it is package API, and each model is defined here once.
+minima, the scalar generator pair and cover sweep, the linear state
+scan, a frozen copy of the arc-set kernel and the first-fit decoder
+through the arc-set and map methods.  The random disc maps and arc sets
+the tests draw are here too, and a system whose language ends after one
+letter.  None of it is package API, and each model is defined here once.
 """
 
 import cmath
@@ -457,6 +457,17 @@ def recomputed_residual(spec, automaton) -> float:
 
 
 # -- the existence map ------------------------------------------------------------------
+
+
+def scalar_two_hyperbolic_system(q_a: float, q_b: float) -> tuple[DiscMoebius, DiscMoebius]:
+    """Reference: the generator pair through the checked DiscMoebius
+    constructor, one Python complex at a time: the scalar form of
+    existence._generator_entries."""
+    sa, sb = 2.0 * math.sqrt(q_a), 2.0 * math.sqrt(q_b)
+    return (DiscMoebius(complex(1.0 + q_a, -(1.0 - q_a)) / sa,
+                        complex(1.0 - q_a, 1.0 - q_a) / sa),
+            DiscMoebius(complex(1.0 + q_b, -(1.0 - q_b)) / sb,
+                        complex(-(1.0 - q_b), -(1.0 - q_b)) / sb))
 
 
 def scalar_cover_search(fa: DiscMoebius, fb: DiscMoebius, depth: int) -> bool:

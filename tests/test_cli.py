@@ -241,18 +241,28 @@ def _cf_config_with(change):
     lambda d: d.update(forbidden="00"),
     lambda d: d.update(forbidden={"00": 1}),
     lambda d: d.update(alphabet="10"),
+    lambda d: d.update(name=["x"]),
+    lambda d: d.update(name={"x": 1}),
+    lambda d: d.update(name=3),
 ], ids=["transforms-list", "cover-list", "cover-entry-number", "points-strings",
         "points-one-pair", "disc-strings", "disc-number", "real-line-nested-list",
         "forbidden-number", "forbidden-not-a-list", "alphabet-nested-list", "points-number",
         "real-line-number", "arc-unknown-key", "disc-three-entries", "real-line-three-numbers",
         "transform-no-key", "symbol-without-cover", "forbidden-string", "forbidden-object",
-        "alphabet-string"])
+        "alphabet-string", "name-list", "name-object", "name-number"])
 def test_system_file_section_of_wrong_type_exits_2(tmp_path, capsys, change):
     path = tmp_path / "sys.json"
     path.write_text(json.dumps(_cf_config_with(change)))
     code, report, err = run(capsys, "verify", "--system", str(path))
     assert code == 2 and report is None
     assert err.startswith("error:")
+
+
+def test_system_file_without_a_name_reports_an_empty_one(tmp_path, capsys):
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(_cf_config_with(lambda d: d.pop("name"))))
+    code, report, _ = run(capsys, "verify", "--system", str(path))
+    assert code == 0 and report["system"] == ""
 
 
 @pytest.mark.parametrize("change,shown", [

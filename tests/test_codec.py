@@ -612,6 +612,25 @@ def test_a_non_index_digit_in_a_stream_is_rejected(stream, at):
         encode(builtin("cf"), iter(stream), 1e-3)
 
 
+def test_a_run_ends_at_its_first_digit_that_is_not_its_index():
+    # a float equal to the letter used to pass for it once the run jumped
+    cf = builtin("cf")
+    for stream, at in (([2] * 20 + [2.0] * 5, 20), ([2] * 10 + [2.0] * 5, 10),
+                       ([2] * 300 + [np.float64(2.0)], 300)):
+        message = f"digit {stream[at]!r} at position {at} is not a symbol index 0..2"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            encode(cf, iter(stream), 1e-30)
+    assert encode(cf, iter(np.array([2] * 40)), 1e-30) == encode(cf, (2,) * 40, 1e-30)
+    for chunk, a, want in [
+        ((), 2, 0), ((2,) * 8, 2, 8), ((2, 2, 1, 2), 2, 2), ((2, 2, 2.0), 2, 2),
+        ((2, np.int64(2), True), 2, 2), ((1, True, np.int64(1)), 1, 3), ((2, -1), 2, 1),
+        ((2, "2"), 2, 1), ((300,) * 4, 300, 4), ((300, 300.0), 300, 1), ((5, 300), 5, 1),
+        ((), 300, 0), ((5, 5), 300, 0),
+    ]:
+        letter = bytes((a,)) if a < 256 else None
+        assert codec._run_length(chunk, a, letter) == want, chunk
+
+
 def test_a_type_error_of_the_stream_itself_propagates():
     cf = builtin("cf")
 

@@ -9,7 +9,11 @@ import pytest
 
 from moebius_systems.errors import ParamOutOfRange
 from moebius_systems.existence import (
+    EPS_GAP,
+    _cell_centre,
+    _closed_arcs_cover,
     _cover_batch,
+    _generator_entries,
     LABEL_COVER,
     LABEL_INWARD,
     LABEL_UNKNOWN,
@@ -19,8 +23,13 @@ from moebius_systems.existence import (
     render_grid,
     two_hyperbolic_system,
 )
-from moebius_systems.transforms import TAU, circle_distance, rotation
-from reference import derivative_modulus, scalar_cover_search
+from moebius_systems.transforms import TAU, DiscMoebius, circle_distance, rotation
+from reference import (
+    derivative_modulus,
+    scalar_arcs_cover,
+    scalar_cover_search,
+    scalar_two_hyperbolic_system,
+)
 
 # the cover-search kernel must stay inside the domains of sqrt and arccos
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -36,6 +45,30 @@ def test_generators_fixed_points_and_derivatives():
     cb = fb.classify()
     assert circle_distance(cb.stable, math.pi) < 1e-12        # -1
     assert circle_distance(cb.unstable, math.pi / 2) < 1e-12  # +i
+
+
+def _entries(pair):
+    return tuple(z for f in pair for z in (f.alpha, f.beta))
+
+
+def test_generator_entries_match_the_checked_constructor():
+    # the array formula, and two_hyperbolic_system that reads it, equal the
+    # pair built through the checked DiscMoebius constructor float for float
+    rng = random.Random(54)
+    params = [(rng.random(), rng.random()) for _ in range(10_000)]
+    params += [(rng.uniform(1e-9, 1e-3), 1.0 - rng.uniform(1e-12, 1e-3)) for _ in range(500)]
+    params += [_cell_centre((0.0, 1.0, 0.0, 1.0), 200, 200, row, col)
+               for row in range(200) for col in range(200)]
+    # render_grid reads the same centres from the array form of _cell_centre
+    rows, cols = np.divmod(np.arange(200 * 200), 200)
+    centres = _cell_centre((0.0, 1.0, 0.0, 1.0), 200, 200, rows, cols)
+    assert list(zip(*(c.tolist() for c in centres))) == params[-200 * 200:]
+    got = _generator_entries(np.array([p[0] for p in params]), np.array([p[1] for p in params]))
+    for i, (qa, qb) in enumerate(params):
+        want = _entries(scalar_two_hyperbolic_system(qa, qb))
+        assert tuple(complex(z[i]) for z in got) == want, (qa, qb)
+        if i % 10 == 0:
+            assert _entries(two_hyperbolic_system(qa, qb)) == want, (qa, qb)
 
 
 def test_parameter_validation():
@@ -115,6 +148,52 @@ def test_batched_kernel_matches_scalar_reference():
     assert 20 < sum(want) < 130
 
 
+_NUDGES = (0.0, EPS_GAP, EPS_GAP * (1 + 1e-6), EPS_GAP * (1 - 1e-6), 1e-16, 2 * EPS_GAP)
+
+
+def _adversarial_row(rng):
+    """(start, length) arcs near the sweep's decision: a chain of arcs
+    around the circle, each starting at the previous end moved by one of
+    _NUDGES: back onto an overlap, except at one junction, which gets a
+    gap; the chain's last arc wraps past 2*pi onto the first start.
+    Short extra arcs and copies with tied starts are mixed in."""
+    k = rng.randint(1, 7)
+    x = rng.choice((0.0, rng.uniform(0.0, TAU)))
+    lengths = [rng.uniform(0.5, 1.5) for _ in range(k)]
+    lengths = [TAU * w / sum(lengths) for w in lengths]
+    loose = rng.randrange(k)
+    arcs = []
+    for i in range(k):
+        nudge = rng.choice(_NUDGES + (1e-9, 0.01)) * (1 if i == loose else -1)
+        s = x if x < TAU else x - TAU
+        if i < k - 1:
+            arcs.append((s, lengths[i]))
+            x = (s + lengths[i]) + nudge + (TAU if x >= TAU else 0.0)
+        else:  # back onto the first start, one turn on
+            arcs.append((s, (arcs[0][0] + TAU - nudge) - s if k > 1 else TAU - nudge))
+    for _ in range(rng.randint(0, 3)):
+        if rng.random() < 0.5:
+            arcs.append((rng.choice(arcs)[0], rng.uniform(0.0, 0.5)))  # a tied start
+        else:
+            arcs.append((rng.uniform(0.0, TAU), rng.uniform(0.0, 0.3)))
+    return [(s, l) for s, l in arcs if 0.0 <= s < TAU and l >= 0.0]
+
+
+def test_sweep_matches_the_scalar_sweep_near_its_decision():
+    rng = random.Random(55)
+    rows = [_adversarial_row(rng) for _ in range(3000)] + [[], []]
+    width = max(map(len, rows)) + 3
+    starts = np.full((len(rows), width), -np.inf)  # the rest is padding
+    ends = starts.copy()
+    for i, arcs in enumerate(rows):
+        at = rng.sample(range(width), len(arcs))
+        starts[i, at] = [s for s, _ in arcs]
+        ends[i, at] = [s + l for s, l in arcs]
+    want = [scalar_arcs_cover(arcs) for arcs in rows]
+    assert _closed_arcs_cover(starts, ends).tolist() == want
+    assert len(rows) / 4 <= sum(want) <= 3 * len(rows) / 4
+
+
 def test_pruned_matches_unpruned_enumerator():
     rng = random.Random(52)
     # the fixed cell's depth-6 intervals cover the circle, but only once
@@ -191,6 +270,19 @@ def test_grid_orientation_and_formats(tmp_path):
     data = json.loads(json_path.read_text())
     assert data["resolution"] == [8, 6]
     assert abs(sum(data["fractions"].values()) - 1.0) < 1e-12
+
+
+def test_grid_builds_maps_only_inside_an_inward_rectangle(monkeypatch):
+    built = []
+    original = DiscMoebius._set_canonical
+    monkeypatch.setattr(DiscMoebius, "_set_canonical",
+                        lambda self, a, b: built.append(a) or original(self, a, b))
+    # both parameters above 1/2: no rectangle of any strip holds a cell
+    grid = render_grid(12, 12, depth=8, n_max=8, rect=(0.55, 0.95, 0.55, 0.95))
+    assert built == []
+    assert (grid.labels != LABEL_INWARD).all()
+    render_grid(4, 4, depth=8, n_max=8, rect=(0.1, 0.4, 0.1, 0.4))
+    assert built
 
 
 def test_grid_deterministic_and_parallel_consistent():
