@@ -121,7 +121,7 @@ def cmd_decode(args, spec):
     else:
         raise ConfigError("decode needs --theta or --real")
     word = decode(spec, theta, args.digits)
-    back = encode(spec, word, tol=_ROUND_TRIP_TOL, max_digits=len(word))
+    back = encode(spec, word, tol=_ROUND_TRIP_TOL)
     result = {
         "angle": theta,
         "word": _fmt(spec, word, args),

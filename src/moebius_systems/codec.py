@@ -17,7 +17,9 @@ whose certificate meets tol is solved for and confirmed at k - 1 and k;
 the run's digits are then read in chunks that double in size, and every
 one is compared with a at C speed, as a byte.  A mismatch, or a digit
 that is no index (a float equal to a too), ends the jump there and the
-loop goes on with that digit; max_digits still caps the count.
+loop goes on with that digit.  A digit step and a jump both end in the
+one exit test of the loop: the certificate met, or max_digits reached,
+so no digit past the cap is read.
 Neither a digit nor a jump renormalizes F (products of disc maps never
 are, see transforms); a jump keeps det F as it was, so the certificate
 of a run carries no rounding drift: on the cf system's rational
@@ -44,6 +46,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
@@ -104,16 +107,26 @@ def encode(spec: NumberSystemSpec, digits, tol: float, max_digits: int | None = 
     other iterable is a stream of symbol indices, checked as it is read.
     A symbol outside the alphabet, a stream digit that is no index (a
     name, a float, None) or a non-iterable raises ValueError.
+
+    On a caller's iterator encode takes exactly digits_consumed digits,
+    with one exception: a run jump reads its run in chunks, and when the
+    run breaks inside a chunk, the chunk's digits from the break on are
+    read already; those that the loop has not reached when the
+    certificate is met are lost to the caller.  That read-ahead is at
+    most _RUN_CHUNK_MAX (4,096) digits, never past max_digits, and only
+    a run that breaks inside a chunk leaves one.
     """
     if not tol > 0:  # NaN too: no radius is ever <= NaN
         raise ValueError(f"tol must be positive, got {tol!r}")
     if max_digits is not None and max_digits < 0:
         raise ValueError(f"max_digits must be >= 0, got {max_digits!r}")
     # the loop reads `stream`: the digits a run jump read past its end and
-    # the loop has not taken yet (`pending`), then the rest of `base`
+    # the loop has not taken yet (`pending`), then the rest of `base`; with
+    # a cap of 0 it reads nothing
     is_word = isinstance(digits, (str, list, tuple)) or not isinstance(digits, Iterable)
     base = iter(spec.alphabet.word(digits) if is_word else digits)
-    stream, pending = base, iter(())
+    cap = sys.maxsize if max_digits is None else max_digits
+    stream, pending, rest = base if cap else None, iter(()), ()
     state = spec.subshift.initial
     moves = spec.subshift.transitions  # follower state x letter -> state or None
     fwd = [(f.alpha, f.beta) for f in spec.transforms]
@@ -134,13 +147,11 @@ def encode(spec: NumberSystemSpec, digits, tol: float, max_digits: int | None = 
         while stream is not None:
             digits_in, stream = stream, None
             for a in digits_in:
-                if max_digits is not None and consumed >= max_digits:
-                    break
                 if a != prev:
                     if not 0 <= a < n_symbols:
                         raise TypeError  # the handler below names the digit
-                    prev, jump_from = a, consumed + run_min
-                elif (consumed >= jump_from and rows[sid][a] == sid
+                    prev, jump_from = a, consumed + run_min  # run_min >= 1: no jump here
+                if (consumed >= jump_from and rows[sid][a] == sid
                         and scales[a] is not None and moves[state][a] == state):
                     # a run of a from here on: state and pullback stay put, and
                     # F A^k = k (F A) - (k - 1) F takes the run in one step
@@ -148,38 +159,36 @@ def encode(spec: NumberSystemSpec, digits, tol: float, max_digits: int | None = 
                     a2, b2 = fwd[a]
                     a1 = (fa * a2 + fb * b2.conjugate()) * scale
                     b1 = (fa * b2 + fb * a2.conjugate()) * scale
-                    room = math.inf if max_digits is None else max_digits - consumed
+                    room = cap - consumed
                     k = _run_crossing(fb, b1, tol, room)
                     m, rest = _read_run(digits_in, a, (room if k is None else k) - 1)
                     fa, fb = (m + 1) * a1 - m * fa, (m + 1) * b1 - m * fb
                     consumed += m + 1
-                    b = abs(fb)
-                    if b > eps_rotation and 1.0 / b <= tol:
-                        break
-                    if rest:  # the run broke: go on from the mismatching digit
-                        # chain drains `pending` first, so what is left of it
-                        # is exactly the read-ahead that was not read again
-                        pending = iter(rest + tuple(pending))
-                        stream = chain(pending, base)
-                        break
-                    continue
-                state = moves[state][a]
-                if state is None:
-                    raise IllegalPrefix(f"digit {spec.alphabet.symbols[a]!r} at position "
-                                        f"{consumed} leaves the language")
-                nxt = rows[sid][a]
-                if nxt is None:
-                    table, nxt = spec._pull_edge(table, sid, a)
-                    rows = table.rows
-                sid = nxt
-                if sid == 1:  # the empty set
-                    raise IllegalPrefix(f"digit {spec.alphabet.symbols[a]!r} at position "
-                                        f"{consumed} refines to the empty set")
-                a2, b2 = fwd[a]
-                fa, fb = fa * a2 + fb * b2.conjugate(), fa * b2 + fb * a2.conjugate()
-                consumed += 1
+                else:
+                    state = moves[state][a]
+                    if state is None:
+                        raise IllegalPrefix(f"digit {spec.alphabet.symbols[a]!r} at position "
+                                            f"{consumed} leaves the language")
+                    nxt = rows[sid][a]
+                    if nxt is None:
+                        table, nxt = spec._pull_edge(table, sid, a)
+                        rows = table.rows
+                    sid = nxt
+                    if sid == 1:  # the empty set
+                        raise IllegalPrefix(f"digit {spec.alphabet.symbols[a]!r} at position "
+                                            f"{consumed} refines to the empty set")
+                    a2, b2 = fwd[a]
+                    fa, fb = fa * a2 + fb * b2.conjugate(), fa * b2 + fb * a2.conjugate()
+                    consumed += 1
                 b = abs(fb)
-                if b >= b_near and (math.inf if b <= eps_rotation else 1.0 / b) <= tol:
+                if (b >= b_near and (math.inf if b <= eps_rotation else 1.0 / b) <= tol
+                        or consumed >= cap):
+                    break
+                if rest:  # a jump's run broke: go on from the mismatching digit
+                    # chain drains `pending` first, so what is left of it
+                    # is exactly the read-ahead that was not read again
+                    pending, rest = iter(rest + tuple(pending)), ()
+                    stream = chain(pending, base)
                     break
     except TypeError:  # raised for digit a, or by the stream when a is an index
         try:
@@ -204,7 +213,7 @@ def encode(spec: NumberSystemSpec, digits, tol: float, max_digits: int | None = 
     )
 
 
-def _run_crossing(b0: complex, b1: complex, tol: float, cap) -> int | None:
+def _run_crossing(b0: complex, b1: complex, tol: float, cap: int) -> int | None:
     """Least k in 1..cap with 1/|beta_k| <= tol, or None when there is none.
 
     beta_k = k b1 - (k - 1) b0 is the beta entry after k digits of a
@@ -226,8 +235,6 @@ def _run_crossing(b0: complex, b1: complex, tol: float, cap) -> int | None:
     root = math.sqrt(qb * qb - qa * qc)
     guess = -qc / (qb + root) if qb > 0 else (root - qb) / qa if qa else math.inf
     if not guess < cap:
-        if cap == math.inf:
-            return None
         guess = cap
     hi = max(1, math.ceil(guess))
     if met(hi):

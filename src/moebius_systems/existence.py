@@ -207,23 +207,24 @@ def _v_arcs(alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return starts, starts + 2.0 * half
 
 
-def cover_search(fa: DiscMoebius, fb: DiscMoebius, depth: int, prune: bool = True) -> bool:
+def cover_search(fa: DiscMoebius, fb: DiscMoebius, depth: int) -> bool:
     """Do the closed expansion intervals of all words of length <= depth
     cover the circle?
 
-    With prune=True the level-by-level coverage test stops the search as
-    soon as the intervals collected so far suffice; the result is
-    identical to the exhaustive scan because deeper levels only add
-    intervals.  Word maps that come out as rotations contribute no
+    The level-by-level coverage test stops the search as soon as the
+    intervals collected so far suffice; the result is identical to the
+    exhaustive scan of cover_search_unpruned because deeper levels only
+    add intervals.  Word maps that come out as rotations contribute no
     interval but their subtrees are still explored.
     """
     entries = np.array([[fa.alpha], [fa.beta], [fb.alpha], [fb.beta]])
-    return bool(_cover_batch(*entries, depth, prune)[0])
+    return bool(_cover_batch(*entries, depth)[0])
 
 
 def cover_search_unpruned(fa: DiscMoebius, fb: DiscMoebius, depth: int) -> bool:
     """Exhaustive reference enumerator: collect every interval, test once."""
-    return cover_search(fa, fb, depth, prune=False)
+    entries = np.array([[fa.alpha], [fa.beta], [fb.alpha], [fb.beta]])
+    return bool(_cover_batch(*entries, depth, prune=False)[0])
 
 
 def _is_hyperbolic_word(fa: DiscMoebius, fb: DiscMoebius, word: str) -> bool:

@@ -92,6 +92,22 @@ def test_encode_respects_max_digits():
     bi = builtin("binary")
     res = encode(bi, "0" * 100, tol=1e-30, max_digits=10)
     assert res.digits_consumed == 10 and not res.converged
+    # on an iterator encode takes exactly the digits it counts: none past a
+    # cap met by a digit step or inside a run jump, none at a cap of 0, and
+    # none after the digit step or run jump that meets tol
+    cf = builtin("cf")
+    word = decode(bi, 1.0, 60)
+    for system, digits, tol, max_digits, want in [
+        (cf, [2] * 50, 1e-30, 10, 10),
+        (cf, [2] * 50, 1e-30, 0, 0),
+        (cf, [2] * 3000, 1e-30, 2500, 2500),
+        (bi, word, 1e-6, None, 43),
+        (cf, list(itertools.islice(cf_digit_stream(333, 1000), 10_000)), 1e-6, None, 2237),
+    ]:
+        it = iter(digits)
+        res = encode(system, it, tol, max_digits=max_digits)
+        assert res.digits_consumed == want
+        assert len(list(it)) == len(digits) - want, (system.name, max_digits)
     # a NaN tol would never be met and a negative cap would return nothing
     with pytest.raises(ValueError, match="tol must be positive"):
         encode(bi, itertools.repeat(1), tol=math.nan)
@@ -270,6 +286,32 @@ def test_run_jump_checks_every_digit(monkeypatch):
     assert res.digits_consumed == 2500 and not res.converged
     assert res == encode(cf, "1" * 2500, tol=1e-30)
     assert res == encode(cf, "1" * 3000, tol=1e-30, max_digits=2500)
+
+
+def test_a_run_jump_reads_ahead_at_most_one_chunk():
+    # a run that breaks inside a chunk has read the rest of that chunk; the
+    # digits of it not yet encoded when tol is met are lost to the caller
+    cf = builtin("cf")
+    word = [1] + [0] * 100 + [1] + [2] * 300
+    it = iter(word)
+    res = encode(cf, it, 1e-2)
+    assert res.digits_consumed == 104 and len(list(it)) == 264
+    word = [1] + [0] * 5000 + [1] + [2] * 6000
+    lost = []
+    for e in range(1, 13):
+        it = iter(word)
+        res = encode(cf, it, 10.0 ** -e)
+        lost.append(len(word) - res.digits_consumed - len(list(it)))
+    assert 0 < max(lost) <= codec._RUN_CHUNK_MAX
+    # runs too short to jump read nothing ahead
+    rng = random.Random(5)
+    word = [1]
+    for i in range(200):
+        word += [(0, 2)[i % 2]] * rng.randint(1, codec._RUN_MIN - 1) + [1]
+    for tol in (1e-2, 1e-4, 1e-8, 1e-12, 1e-300):
+        it = iter(word)
+        res = encode(cf, it, tol)
+        assert len(list(it)) == len(word) - res.digits_consumed, tol
 
 
 def test_encode_certificate_covers_longer_expansions():

@@ -4,9 +4,12 @@ A float literal with 0 < |x| < 1e-3 is a tolerance.  It may appear only
 as the value of a module-level constant (where it gets its name and a
 one-line reason), as a parameter default, or as an argparse default;
 anywhere else it is a bare tolerance that the next reader cannot find.
+A module-level EPS_* constant carries its reason as a trailing comment.
 """
 
 import ast
+import io
+import tokenize
 from pathlib import Path
 
 import moebius_systems
@@ -64,5 +67,47 @@ def test_no_bare_tolerance_literals_in_src():
         path.name: hits
         for path in sorted(SRC.glob("*.py"))
         if (hits := bare_tolerances(path.read_text()))
+    }
+    assert found == {}
+
+
+def uncommented_tolerances(source: str) -> list[str]:
+    """Names of the module-level EPS_* constants whose assignment has no
+    trailing comment."""
+    commented = {tok.start[0] for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+                 if tok.type == tokenize.COMMENT}
+    found = []
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, ast.Assign):
+            targets = stmt.targets
+        elif isinstance(stmt, ast.AnnAssign):
+            targets = [stmt.target]
+        else:
+            continue
+        found += [t.id for t in targets if isinstance(t, ast.Name)
+                  and t.id.startswith("EPS_") and stmt.end_lineno not in commented]
+    return found
+
+
+def test_checker_flags_tolerances_without_a_reason():
+    source = (
+        "EPS_A = 1e-9  # endpoint slack\n"
+        "EPS_B = 1e-9\n"
+        "# a comment above is not trailing\n"
+        "EPS_C: float = 1e-6\n"
+        "EPS_D = (\n"
+        "    1e-6)  # a reason on the last line\n"
+        "OTHER = 1\n"
+        "def f():\n"
+        "    EPS_E = 1e-9\n"
+    )
+    assert uncommented_tolerances(source) == ["EPS_B", "EPS_C"]
+
+
+def test_every_tolerance_constant_gives_its_reason():
+    found = {
+        path.name: names
+        for path in sorted(SRC.glob("*.py"))
+        if (names := uncommented_tolerances(path.read_text()))
     }
     assert found == {}
