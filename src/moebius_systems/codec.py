@@ -106,7 +106,8 @@ def encode(spec: NumberSystemSpec, digits, tol: float, max_digits: int | None = 
     is met.  A str, list or tuple is a word, read by Alphabet.word; any
     other iterable is a stream of symbol indices, checked as it is read.
     A symbol outside the alphabet, a stream digit that is no index (a
-    name, a float, None) or a non-iterable raises ValueError.
+    name, a float, None), a non-iterable, or a max_digits that is no
+    integer or is negative raises ValueError.
 
     On a caller's iterator encode takes exactly digits_consumed digits,
     with one exception: a run jump reads its run in chunks, and when the
@@ -118,14 +119,19 @@ def encode(spec: NumberSystemSpec, digits, tol: float, max_digits: int | None = 
     """
     if not tol > 0:  # NaN too: no radius is ever <= NaN
         raise ValueError(f"tol must be positive, got {tol!r}")
-    if max_digits is not None and max_digits < 0:
-        raise ValueError(f"max_digits must be >= 0, got {max_digits!r}")
+    cap = sys.maxsize
+    if max_digits is not None:
+        try:
+            cap = index(max_digits)
+        except TypeError:
+            raise ValueError(f"max_digits must be an integer, got {max_digits!r}") from None
+        if cap < 0:
+            raise ValueError(f"max_digits must be >= 0, got {max_digits!r}")
     # the loop reads `stream`: the digits a run jump read past its end and
     # the loop has not taken yet (`pending`), then the rest of `base`; with
     # a cap of 0 it reads nothing
     is_word = isinstance(digits, (str, list, tuple)) or not isinstance(digits, Iterable)
     base = iter(spec.alphabet.word(digits) if is_word else digits)
-    cap = sys.maxsize if max_digits is None else max_digits
     stream, pending, rest = base if cap else None, iter(()), ()
     state = spec.subshift.initial
     moves = spec.subshift.transitions  # follower state x letter -> state or None
@@ -403,7 +409,9 @@ def verify(spec: NumberSystemSpec, mode: str = "auto", n: int | None = None,
     modes read one walk of the interval shift up to the deepest level
     they need: each level's words are checked for cover compatibility
     and give Q_n and the prefix set's language there; a compatibility
-    failure is disqualifying evidence.
+    failure is disqualifying evidence.  Mode 'auto' reports Q_n only for
+    a level that certifies, so it stops scoring a level at its first word
+    with q < 1 - EPS_ONE; mode 'qn' scores every word of its level.
     """
     if mode == "qn":
         if n is None:
@@ -434,6 +442,7 @@ def verify(spec: NumberSystemSpec, mode: str = "auto", n: int | None = None,
             violations.extend(spec.compatibility_violations(walked[-1]))
         return walked[depth]
 
+    cut = 1.0 - EPS_ONE if mode == "auto" else -math.inf
     q = math.inf
     for level in levels:
         entries = [entry for _, _, entry in level_at(level)]
@@ -442,7 +451,13 @@ def verify(spec: NumberSystemSpec, mode: str = "auto", n: int | None = None,
         if not entries:
             warnings.append(f"no legal words of length {level}; skipped")
             continue
-        q = min(_least_expansion(z, f) for z, f in entries)
+        q = None
+        for z, f in entries:
+            word_q = _least_expansion(z, f)
+            if q is None or word_q < q:  # min()'s rule: a first NaN stays, a later one is passed
+                q = word_q
+                if q < cut:
+                    break
         if q > 1.0 + EPS_ONE:
             return Verdict("verified_Qn", {"n": level, "Q_n": q}, warnings)
         if abs(q - 1.0) <= EPS_ONE and all(not f.is_rotation for _, f in entries):

@@ -23,6 +23,10 @@ asked), whose generator entries come from one array formula that
 two_hyperbolic_system reads too, and cover_search is a batch of one.
 The inward test stays per cell, and builds a cell's generator maps
 only where its parameters lie in one of the certificate's rectangles.
+
+numpy is imported on first use of the kernel, inside each function that
+calls it, and multiprocessing only by a render with workers > 1: the
+package and every `moebius` command but existence-map load neither.
 """
 
 from __future__ import annotations
@@ -30,9 +34,6 @@ from __future__ import annotations
 import json
 import csv
 from dataclasses import dataclass
-from multiprocessing import Pool
-
-import numpy as np
 
 from .errors import NotDiscPreserving, ParamOutOfRange
 from .transforms import EPS_NORM, EPS_ROTATION, TAU, DiscMoebius
@@ -47,6 +48,7 @@ _LABEL_NAMES = {LABEL_COVER: "cover", LABEL_INWARD: "inward", LABEL_UNKNOWN: "un
 def two_hyperbolic_system(q_a: float, q_b: float) -> tuple[DiscMoebius, DiscMoebius]:
     """The generator pair: F_a fixes 1 (stable, derivative q_a) and -i;
     F_b fixes -1 (stable, derivative q_b) and i."""
+    import numpy as np
     entries = _generator_entries(np.array([q_a], dtype=float), np.array([q_b], dtype=float))
     return _pair(*(complex(z[0]) for z in entries))
 
@@ -71,6 +73,7 @@ def _generator_entries(q_a: np.ndarray, q_b: np.ndarray) -> tuple[np.ndarray, ..
     (0, 1) and NotDiscPreserving where the norm is not positive, as the
     constructor would.
     """
+    import numpy as np
     for q in (q_a, q_b):
         bad = ~((0.0 < q) & (q < 1.0))
         if bad.any():
@@ -108,6 +111,7 @@ def _cover_batch(alpha_a: np.ndarray, beta_a: np.ndarray, alpha_b: np.ndarray,
     it finds covered.  Rotations (|beta| <= EPS_ROTATION) leave padding in
     place of an arc, and their subtrees are still explored.
     """
+    import numpy as np
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
     if depth > 16:
@@ -167,6 +171,7 @@ def _closed_arcs_cover(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     values enter, so neither the order of the arcs nor which start and
     end belong together can change a verdict.
     """
+    import numpy as np
     top = ends.max(axis=1)
     floor = (top - TAU) + EPS_GAP
     s = np.sort(starts, axis=1)
@@ -196,6 +201,7 @@ def _v_arcs(alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """Expansion arcs [start, end] of the maps with the given entries, the
     array form of arcs._v_arc; rotations give the padding (-inf, -inf).
     A batch without rotations skips the masking."""
+    import numpy as np
     b = np.hypot(beta.real, beta.imag)
     arc = b > EPS_ROTATION
     half = np.arccos(b / np.sqrt(1.0 + b * b))
@@ -217,12 +223,14 @@ def cover_search(fa: DiscMoebius, fb: DiscMoebius, depth: int) -> bool:
     add intervals.  Word maps that come out as rotations contribute no
     interval but their subtrees are still explored.
     """
+    import numpy as np
     entries = np.array([[fa.alpha], [fa.beta], [fb.alpha], [fb.beta]])
     return bool(_cover_batch(*entries, depth)[0])
 
 
 def cover_search_unpruned(fa: DiscMoebius, fb: DiscMoebius, depth: int) -> bool:
     """Exhaustive reference enumerator: collect every interval, test once."""
+    import numpy as np
     entries = np.array([[fa.alpha], [fa.beta], [fb.alpha], [fb.beta]])
     return bool(_cover_batch(*entries, depth, prune=False)[0])
 
@@ -299,6 +307,7 @@ class CoverageGrid:
         return _cell_centre(self.rect, self.width, self.height, row, col)
 
     def fractions(self) -> dict[str, float]:
+        import numpy as np
         total = self.labels.size
         return {
             name: float(np.count_nonzero(self.labels == code)) / total
@@ -340,6 +349,7 @@ def _render_block(args) -> list[int]:
     """Labels of the cells first..stop-1, numbered row by row.  Generator
     maps are built only for the cells whose inward certificate composes
     words."""
+    import numpy as np
     first, stop, width, height, depth, n_max, rect = args
     strips = _strips(n_max)
     qa, qb = _cell_centre(rect, width, height, *np.divmod(np.arange(first, stop), width))
@@ -371,6 +381,7 @@ def render_grid(width: int, height: int, depth: int, n_max: int,
     process pool.  on_progress, if given, is called as
     on_progress(rows_done, height) once per finished row, in order.
     """
+    import numpy as np
     if width < 1 or height < 1:
         raise ValueError(f"grid size must be at least 1x1, got {width}x{height}")
     if workers < 1:
@@ -393,6 +404,7 @@ def render_grid(width: int, height: int, depth: int, n_max: int,
                     on_progress(row + 1, height)
 
     if workers > 1:
+        from multiprocessing import Pool
         with Pool(workers) as pool:
             collect(pool.imap(_render_block, jobs))
     else:

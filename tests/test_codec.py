@@ -113,6 +113,10 @@ def test_encode_respects_max_digits():
         encode(bi, itertools.repeat(1), tol=math.nan)
     with pytest.raises(ValueError, match="max_digits must be >= 0"):
         encode(bi, "0" * 100, tol=1e-30, max_digits=-1)
+    # a cap that is no integer is rejected, not rounded up or left to fail later
+    for max_digits in (2.5, "3"):
+        with pytest.raises(ValueError, match="max_digits must be an integer"):
+            encode(bi, "0" * 100, tol=1e-30, max_digits=max_digits)
 
 
 # -- runs of one letter ----------------------------------------------------------
@@ -845,6 +849,40 @@ def test_verify_binary_level_five_certifies_strictly():
     v = verify(builtin("binary"), mode="qn", n=5)
     assert v.status == "verified_Qn" and v.warnings == []
     assert v.evidence == {"n": 5, "Q_n": 1.250000000000001}
+
+
+def test_verify_auto_stops_scoring_a_level_it_rules_out(monkeypatch):
+    real, scored = codec._least_expansion, []
+    monkeypatch.setattr(codec, "_least_expansion",
+                        lambda z, f: scored.append(1) or real(z, f))
+    # each level of these turned covers is ruled out by its first word, so
+    # auto mode scores one word a level (153 and 144 words before)
+    for name, turn in [("binary", 0.3), ("hyperbolic4", 0.2)]:
+        spec = turned_cover(builtin(name), turn)
+        scored.clear()
+        assert verify(spec, mode="auto").evidence == {"n_max": codec.AUTO_N_MAX}
+        assert len(scored) == codec.AUTO_N_MAX
+        # mode qn still scores every word and reports the level's minimum
+        level = list(spec.interval_shift_levels(3))[3]
+        scored.clear()
+        q = verify(spec, mode="qn", n=3).evidence["Q_n"]
+        assert len(scored) == len(level)
+        assert q == min(real(z, f) for _, _, (z, f) in level) < 1.0
+
+
+def test_verify_reads_a_nan_q_as_min_does(monkeypatch):
+    # min() keeps a NaN that comes first in a level and passes over a later one
+    spec, real = builtin("binary"), codec._least_expansion
+    levels = list(spec.interval_shift_levels(4))
+    for nan_at, status in [(0, "inconclusive"), (1, "verified_Qn")]:
+        poisoned = {(f.alpha, f.beta) for level in levels[1:]
+                    for _, _, (_, f) in level[nan_at:nan_at + 1]}
+        monkeypatch.setattr(codec, "_least_expansion", lambda z, f: (
+            math.nan if (f.alpha, f.beta) in poisoned else real(z, f)))
+        want = min(codec._least_expansion(z, f) for _, _, (z, f) in levels[4])
+        assert verify(spec, mode="auto", n_max=4).status == status
+        got = verify(spec, mode="qn", n=4).evidence["Q_n"]
+        assert got == want or math.isnan(got) and math.isnan(want)
 
 
 @pytest.mark.parametrize("query", [

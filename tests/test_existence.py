@@ -1,12 +1,18 @@
 """The two-hyperbolic-generator parameter experiment."""
 
 import hashlib
+import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import moebius_systems
 from moebius_systems.errors import ParamOutOfRange
 from moebius_systems.existence import (
     EPS_GAP,
@@ -315,3 +321,38 @@ def test_no_cell_is_dual_labelled():
     # therefore evidence of disjointness
     grid = render_grid(25, 25, depth=6, n_max=6)
     assert grid.labels.shape == (25, 25)
+
+
+# run in a fresh interpreter: importing the package and its CLI loads neither
+# numpy nor multiprocessing, and the kernel imports them on its first call
+_FRESH_IMPORT = """
+import json, sys
+import moebius_systems, moebius_systems.cli
+loaded = sorted({"numpy", "multiprocessing"} & set(sys.modules))
+from moebius_systems import cover_search, render_grid, two_hyperbolic_system
+fa, fb = two_hyperbolic_system(0.3, 0.6)
+print(json.dumps({
+    "loaded": loaded,
+    "pair": [repr(z) for z in (fa.alpha, fa.beta, fb.alpha, fb.beta)],
+    "cover": [cover_search(*two_hyperbolic_system(qa, qb), depth)
+              for qa, qb, depth in ((0.3, 0.6, 3), (0.3, 0.6, 4), (0.45, 0.45, 1), (0.45, 0.45, 2))],
+    "grids": [render_grid(8, 6, 8, 4, workers=workers).labels.tolist() for workers in (1, 2)],
+}))
+"""
+
+
+def test_package_import_defers_numpy_and_multiprocessing():
+    src = str(Path(moebius_systems.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", _FRESH_IMPORT], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["loaded"] == []
+    assert got["pair"] == ["(1.1867322079278597-0.6390096504226936j)",
+                           "(0.6390096504226936+0.6390096504226936j)",
+                           "(1.0327955589886446-0.25819888974716115j)",
+                           "(-0.25819888974716115-0.25819888974716115j)"]
+    assert got["cover"] == [False, True, False, True]
+    labels = [[0, 0, 0, 0, 1, 1, 1, 1], [0, 1, 1, 1, 1, 1, 1, 1], [0, 1, 1, 1, 1, 1, 1, 1],
+              [0, 1, 1, 1, 1, 1, 1, 0], [2, 1, 1, 1, 1, 1, 1, 0], [2, 2, 1, 1, 1, 1, 0, 0]]
+    assert got["grids"] == [labels, labels]
