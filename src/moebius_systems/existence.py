@@ -21,8 +21,10 @@ cell's arcs by sorting their starts and their ends apart.  render_grid
 hands it blocks of consecutive cells (sharded over worker processes if
 asked), whose generator entries come from one array formula that
 two_hyperbolic_system reads too, and cover_search is a batch of one.
-The inward test stays per cell, and builds a cell's generator maps
-only where its parameters lie in one of the certificate's rectangles.
+The inward test stays per cell and builds no map objects: only where a
+cell's parameters lie in one of the certificate's rectangles does it
+fold the certificate's words over the generator entries, as Python
+complexes read from the block's arrays.
 
 numpy is imported on first use of the kernel, inside each function that
 calls it, and multiprocessing only by a render with workers > 1: the
@@ -50,12 +52,7 @@ def two_hyperbolic_system(q_a: float, q_b: float) -> tuple[DiscMoebius, DiscMoeb
     F_b fixes -1 (stable, derivative q_b) and i."""
     import numpy as np
     entries = _generator_entries(np.array([q_a], dtype=float), np.array([q_b], dtype=float))
-    return _pair(*(complex(z[0]) for z in entries))
-
-
-def _pair(alpha_a: complex, beta_a: complex, alpha_b: complex,
-          beta_b: complex) -> tuple[DiscMoebius, DiscMoebius]:
-    """The generator pair with the given normalised entries."""
+    alpha_a, beta_a, alpha_b, beta_b = (complex(z[0]) for z in entries)
     return DiscMoebius._product(alpha_a, beta_a), DiscMoebius._product(alpha_b, beta_b)
 
 
@@ -200,16 +197,20 @@ def _children(alpha: np.ndarray, beta: np.ndarray, gen_alpha: np.ndarray,
 def _v_arcs(alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Expansion arcs [start, end] of the maps with the given entries, the
     array form of arcs._v_arc; rotations give the padding (-inf, -inf).
-    A batch without rotations skips the masking."""
+
+    The start is (center - half) % TAU, float for float, wrapped without
+    the remainder: center lies in [-pi, pi] and half in [0, pi/2], so
+    x = center - half lies in (-2*pi, 2*pi), where fmod(x, TAU) is x and
+    x % TAU is fl(x + TAU) for x < 0 and x + 0.0 otherwise (+0.0 for -0.0).
+    """
     import numpy as np
     b = np.hypot(beta.real, beta.imag)
-    arc = b > EPS_ROTATION
     half = np.arccos(b / np.sqrt(1.0 + b * b))
-    if arc.all():
-        starts = (np.angle(alpha / beta.conj()) - half) % TAU
-    else:
-        center = np.angle(np.divide(alpha, beta.conj(), out=np.zeros_like(alpha), where=arc))
-        starts = np.where(arc, (center - half) % TAU, -np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):  # rotations: padding below
+        ratio = alpha / beta.conj()
+    starts = np.arctan2(ratio.imag, ratio.real) - half
+    starts += np.where(starts < 0.0, TAU, 0.0)
+    starts[~(b > EPS_ROTATION)] = -np.inf
     return starts, starts + 2.0 * half
 
 
@@ -235,14 +236,6 @@ def cover_search_unpruned(fa: DiscMoebius, fb: DiscMoebius, depth: int) -> bool:
     return bool(_cover_batch(*entries, depth, prune=False)[0])
 
 
-def _is_hyperbolic_word(fa: DiscMoebius, fb: DiscMoebius, word: str) -> bool:
-    f = None
-    for ch in word:
-        g = fa if ch == "a" else fb
-        f = g if f is None else f.compose(g)
-    return f.trace_squared > 4.0
-
-
 def inward_region_test(q_a: float, q_b: float, n_max: int) -> bool:
     """Certificate that the generator pair has a nontrivial inward set.
 
@@ -253,7 +246,29 @@ def inward_region_test(q_a: float, q_b: float, n_max: int) -> bool:
     """
     fa, fb = two_hyperbolic_system(q_a, q_b)
     words = _certificate_words(q_a, q_b, _strips(n_max))
-    return bool(words) and all(_is_hyperbolic_word(fa, fb, w) for w in words)
+    return bool(words) and _hyperbolic_words(fa.alpha, fa.beta, fb.alpha, fb.beta, words)
+
+
+def _hyperbolic_words(alpha_a: complex, beta_a: complex, alpha_b: complex, beta_b: complex,
+                      words: tuple[str, ...]) -> bool:
+    """Is the map of every word hyperbolic, t*t > 4 with t = 2 Re alpha,
+    for the generators with the given entries?
+
+    Each word map is the left fold of its letters' maps with exactly
+    DiscMoebius.compose's products.  compose's canonical sign is left out:
+    it negates both entries, which negates every later product exactly (a
+    zero part may change sign, and no product or sum passes that on to a
+    nonzero part), so t*t is the same."""
+    maps = {"a": (alpha_a, beta_a), "b": (alpha_b, beta_b)}
+    for word in words:
+        alpha, beta = maps[word[0]]
+        for ch in word[1:]:
+            a2, b2 = maps[ch]
+            alpha, beta = alpha * a2 + beta * b2.conjugate(), alpha * b2 + beta * a2.conjugate()
+        t = 2.0 * alpha.real
+        if not t * t > 4.0:
+            return False
+    return True
 
 
 def _strips(n_max: int) -> list[tuple[int, float, float]]:
@@ -346,9 +361,8 @@ class CoverageGrid:
 
 
 def _render_block(args) -> list[int]:
-    """Labels of the cells first..stop-1, numbered row by row.  Generator
-    maps are built only for the cells whose inward certificate composes
-    words."""
+    """Labels of the cells first..stop-1, numbered row by row.  Only the
+    cells inside a rectangle of the inward certificate fold its words."""
     import numpy as np
     first, stop, width, height, depth, n_max, rect = args
     strips = _strips(n_max)
@@ -356,12 +370,9 @@ def _render_block(args) -> list[int]:
     entries = _generator_entries(qa, qb)
     covered = _cover_batch(*entries, depth)
     labels = []
-    for i, (q_a, q_b, cover) in enumerate(zip(qa.tolist(), qb.tolist(), covered.tolist())):
+    for q_a, q_b, cover, *pair in zip(*(x.tolist() for x in (qa, qb, covered, *entries))):
         words = _certificate_words(q_a, q_b, strips)
-        inward = False
-        if words:
-            fa, fb = _pair(*(complex(z[i]) for z in entries))
-            inward = all(_is_hyperbolic_word(fa, fb, w) for w in words)
+        inward = bool(words) and _hyperbolic_words(*pair, words)
         if cover and inward:
             raise RuntimeError(
                 f"cell ({q_a}, {q_b}) certified both covering and inward; "

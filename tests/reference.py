@@ -3,11 +3,12 @@
 Each model is the slow or direct form of something the package computes
 faster or in other coordinates: derivative moduli, sampled arc-set
 membership, factor-avoidance, forward refinement, the exhaustive level
-minima, the scalar generator pair and cover sweep, the linear state
-scan, a frozen copy of the arc-set kernel and the first-fit decoder
-through the arc-set and map methods.  The random disc maps and arc sets
-the tests draw are here too, and a system whose language ends after one
-letter.  None of it is package API, and each model is defined here once.
+minima, the scalar generator pair, expansion arcs, cover sweep and
+inward certificate, the linear state scan, a frozen copy of the arc-set
+kernel and the first-fit decoder through the arc-set and map methods.
+The random disc maps and arc sets the tests draw are here too, and a
+system whose language ends after one letter.  None of it is package
+API, and each model is defined here once.
 """
 
 import cmath
@@ -21,7 +22,9 @@ from moebius_systems.existence import EPS_GAP, two_hyperbolic_system
 from moebius_systems.interval_system import NumberSystemSpec
 from moebius_systems.subshift import Alphabet, Subshift
 from moebius_systems.systems import with_cover
-from moebius_systems.transforms import TAU, DiscMoebius, canon_angle, circle_distance, identity
+from moebius_systems.transforms import (
+    EPS_ROTATION, TAU, DiscMoebius, canon_angle, circle_distance, identity,
+)
 
 MIN_RANDOM_BETA = 1e-6  # random maps with |beta| at most this are rotations in all but name
 SAMPLE_ANGLES = np.linspace(0, TAU, 10_000, endpoint=False) + 1e-4  # sampled membership grid
@@ -485,3 +488,39 @@ def scalar_cover_search(fa: DiscMoebius, fb: DiscMoebius, depth: int) -> bool:
                     arcs.append(arc)
         level = nxt
     return scalar_arcs_cover(arcs)
+
+
+def remainder_v_arcs(alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reference: existence._v_arcs with its start wrapped by numpy's
+    remainder, (center - half) % TAU, through np.angle and one masked path."""
+    b = np.hypot(beta.real, beta.imag)
+    arc = b > EPS_ROTATION
+    half = np.arccos(b / np.sqrt(1.0 + b * b))
+    center = np.angle(np.divide(alpha, beta.conj(), out=np.zeros_like(alpha), where=arc))
+    starts = np.where(arc, (center - half) % TAU, -np.inf)
+    return starts, starts + 2.0 * half
+
+
+def scalar_inward_region_test(fa: DiscMoebius, fb: DiscMoebius, q_a: float, q_b: float,
+                              n_max: int) -> bool:
+    """Reference: existence.inward_region_test on the generator pair
+    (fa, fb) of (q_a, q_b), with its own copy of the certificate's words
+    and each word map built by DiscMoebius.compose, letter by letter."""
+    bounds = [2.0 ** (-1.0 / n) for n in range(1, n_max + 2)]
+    words = ()
+    if q_a < 0.5 and q_b < 0.5:
+        words = ("ab",)
+    for n, lo, hi in zip(range(1, n_max + 1), bounds, bounds[1:]):
+        if lo < q_a < hi and 0.0 < q_b < 0.5:
+            words = ("a" * n + "b", "a" * (n + 1) + "b")
+        if lo < q_b < hi and 0.0 < q_a < 0.5:
+            words = ("a" + "b" * n, "a" + "b" * (n + 1))
+    return bool(words) and all(_is_hyperbolic_word(fa, fb, w) for w in words)
+
+
+def _is_hyperbolic_word(fa: DiscMoebius, fb: DiscMoebius, word: str) -> bool:
+    f = None
+    for ch in word:
+        g = fa if ch == "a" else fb
+        f = g if f is None else f.compose(g)
+    return f.trace_squared > 4.0

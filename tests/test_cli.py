@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import pytest
 
@@ -349,7 +350,7 @@ def test_module_entry_point():
 
     proc = subprocess.run(
         [_sys.executable, "-m", "moebius_systems", "classify", "--builtin", "cf", "0"],
-        capture_output=True, text=True, env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": "src"},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["class"] == "elliptic"

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import moebius_systems
+from moebius_systems import existence
 from moebius_systems.errors import ParamOutOfRange
 from moebius_systems.existence import (
     EPS_GAP,
@@ -20,6 +21,7 @@ from moebius_systems.existence import (
     _closed_arcs_cover,
     _cover_batch,
     _generator_entries,
+    _v_arcs,
     LABEL_COVER,
     LABEL_INWARD,
     LABEL_UNKNOWN,
@@ -29,11 +31,13 @@ from moebius_systems.existence import (
     render_grid,
     two_hyperbolic_system,
 )
-from moebius_systems.transforms import TAU, DiscMoebius, circle_distance, rotation
+from moebius_systems.transforms import TAU, circle_distance, rotation
 from reference import (
     derivative_modulus,
+    remainder_v_arcs,
     scalar_arcs_cover,
     scalar_cover_search,
+    scalar_inward_region_test,
     scalar_two_hyperbolic_system,
 )
 
@@ -279,16 +283,75 @@ def test_grid_orientation_and_formats(tmp_path):
 
 
 def test_grid_builds_maps_only_inside_an_inward_rectangle(monkeypatch):
-    built = []
-    original = DiscMoebius._set_canonical
-    monkeypatch.setattr(DiscMoebius, "_set_canonical",
-                        lambda self, a, b: built.append(a) or original(self, a, b))
+    folded = []
+    original = existence._hyperbolic_words
+    monkeypatch.setattr(existence, "_hyperbolic_words",
+                        lambda *args: folded.append(args[4]) or original(*args))
     # both parameters above 1/2: no rectangle of any strip holds a cell
     grid = render_grid(12, 12, depth=8, n_max=8, rect=(0.55, 0.95, 0.55, 0.95))
-    assert built == []
+    assert folded == []
     assert (grid.labels != LABEL_INWARD).all()
     render_grid(4, 4, depth=8, n_max=8, rect=(0.1, 0.4, 0.1, 0.4))
-    assert built
+    assert folded == [("ab",)] * 16
+
+
+def test_inward_fold_matches_the_compose_chain():
+    # depth 0 certifies no cover, so each label of the 200 x 200 grid is the
+    # inward test alone; cells on the strip bounds 2^(-1/n) and one ulp
+    # either side of them go through inward_region_test
+    rect = (0.0, 1.0, 0.0, 1.0)
+    rows, cols = np.divmod(np.arange(200 * 200), 200)
+    cells = list(zip(*(c.tolist() for c in _cell_centre(rect, 200, 200, rows, cols))))
+    edges = [x for n in range(1, 14) for b in [2.0 ** (-1.0 / n)]
+             for x in (math.nextafter(b, 0.0), b, math.nextafter(b, 1.0))]
+    edge_cells = [cell for x in edges for q in (1e-9, 0.1, 0.3, 0.49) for cell in ((x, q), (q, x))]
+    pairs = [scalar_two_hyperbolic_system(*cell) for cell in cells + edge_cells]
+    for n_max in (0, 3, 8, 12):
+        want = [scalar_inward_region_test(*pair, *cell, n_max)
+                for pair, cell in zip(pairs, cells + edge_cells)]
+        labels = render_grid(200, 200, depth=0, n_max=n_max, rect=rect).labels.ravel()
+        assert (labels == LABEL_INWARD).tolist() == want[:len(cells)], n_max
+        assert (labels != LABEL_COVER).all()
+        assert [inward_region_test(*cell, n_max) for cell in edge_cells] == want[len(cells):]
+        assert sum(want) > 2500
+
+
+def _same_bits(x, y):
+    """Equal float for float, sign of zero included; NaN equals NaN."""
+    nan = np.isnan(x) & np.isnan(y)
+    return np.array_equal(np.where(nan, 0, x.view(np.int64)), np.where(nan, 0, y.view(np.int64)))
+
+
+def test_v_arcs_wrap_is_the_remainder_bit_for_bit():
+    rng = np.random.default_rng(56)
+    shape = (64, 256)
+    r = 10.0 ** rng.uniform(-11.0, 9.0, shape)
+    beta = r * np.exp(1j * rng.uniform(-np.pi, np.pi, shape))
+    alpha = np.sqrt(1.0 + r * r) * np.exp(1j * rng.uniform(-np.pi, np.pi, shape))
+    # row 0: a real beta and center = half - d for a tiny d, so the start
+    # falls just below 0 and often wraps to exactly TAU; row 1: one start of
+    # -0.0 (center -0.0, and half 0.0 at |beta| = 1e9) and one of -1e-309
+    r0 = 10.0 ** rng.uniform(-3.0, 3.0, shape[1])
+    half = np.arccos(r0 / np.sqrt(1.0 + r0 * r0))
+    d = 10.0 ** rng.uniform(-18.0, -14.0, shape[1])
+    alpha[0], beta[0] = np.sqrt(1.0 + r0 * r0) * np.exp(1j * (half - d)), r0
+    alpha[1, :2] = complex(1e9, -0.0), complex(1e9, -1e-300)
+    beta[1, :2] = complex(1e9, -0.0), complex(1e9, 0.0)
+    # rotations take the masked path: exact, below EPS_ROTATION, and NaN
+    masked_alpha, masked_beta = alpha.copy(), beta.copy()
+    spin = rng.random(shape) < 0.2
+    spin[:3] = False
+    masked_beta[spin] = np.where(rng.random(spin.sum()) < 0.5, 0.0, 1e-13)
+    masked_alpha[spin] = np.exp(1j * rng.uniform(-np.pi, np.pi, spin.sum()))
+    masked_beta[2, 0] = complex(np.nan, 0.0)
+    for entries in ((alpha, beta), (masked_alpha, masked_beta)):
+        want = remainder_v_arcs(*entries)
+        got = _v_arcs(*entries)
+        assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+        assert (want[0] == TAU).sum() > 10
+        assert want[0][1, 0] == 0.0 and not np.signbit(want[0][1, 0])
+        assert want[0][1, 1] == TAU
+    assert (want[0] == -np.inf).sum() == spin.sum() + 1
 
 
 def test_grid_deterministic_and_parallel_consistent():
