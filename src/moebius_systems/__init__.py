@@ -15,7 +15,6 @@ from .arcs import (
     ExpansionGeometry,
     covers_circle,
     expansion_geometry,
-    expansion_interval,
     image,
     min_inverse_derivative,
 )
@@ -52,7 +51,7 @@ from .transforms import (
 
 __all__ = [
     "ArcSet", "ClosedArcSet", "ExpansionGeometry", "covers_circle",
-    "expansion_geometry", "expansion_interval", "image", "min_inverse_derivative",
+    "expansion_geometry", "image", "min_inverse_derivative",
     "EncodeResult", "Verdict", "decode", "encode", "representable_interval", "verify",
     "MoebiusError",
     "CoverageGrid", "cover_search", "inward_region_test",

@@ -1,11 +1,14 @@
 """Finite unions of circular arcs and the expansion geometry of a map.
 
 Open arcs are the stored primitive; closures are a query-time view
-(ClosedArcSet).  An arc is a pair (start, length) with the start angle
-canonical in [0, 2*pi) and the length in (0, 2*pi]; length exactly 2*pi
-is the circle minus the start point, while the genuinely full circle is
-a separate flag.  Arcs shorter than EPS_ANGLE are treated as numerical
-noise and dropped, which is also what "empty" means throughout.
+(ClosedArcSet).  Both kinds keep one stored form, their shared base
+_Arcs, and differ only in what their arcs mean: the set algebra is the
+open kind's, membership of a closed arc the closed kind's.  An arc is a
+pair (start, length) with the start angle canonical in [0, 2*pi) and
+the length in (0, 2*pi]; length exactly 2*pi is the circle minus the
+start point, while the genuinely full circle is a separate flag.  Arcs
+shorter than EPS_ANGLE are treated as numerical noise and dropped, which
+is also what "empty" means throughout.
 
 Only raw input is merged: from_arcs (and so union) and closure sort and
 merge their arcs.  intersect, complement and image get disjoint pieces
@@ -104,21 +107,34 @@ def _built(cls, arcs: tuple):
 
 
 @dataclass(frozen=True, slots=True)
-class ArcSet:
-    """Canonical finite union of disjoint open arcs (or the full circle)."""
+class _Arcs:
+    """The stored form of both kinds of arc set: sorted (start, length)
+    pairs, or the full circle as a flag with no arcs."""
 
     arcs: tuple[tuple[float, float], ...] = ()
     full: bool = False
 
-    # -- constructors -------------------------------------------------------
-
     @classmethod
-    def empty(cls) -> "ArcSet":
+    def empty(cls):
         return _EMPTY[cls]
 
     @classmethod
-    def full_circle(cls) -> "ArcSet":
+    def full_circle(cls):
         return _FULL[cls]
+
+    @property
+    def is_empty(self) -> bool:
+        return not self.full and not self.arcs
+
+    def length(self) -> float:
+        return TAU if self.full else sum(l for _, l in self.arcs)
+
+
+@dataclass(frozen=True, slots=True)
+class ArcSet(_Arcs):
+    """Canonical finite union of disjoint open arcs (or the full circle)."""
+
+    # -- constructors -------------------------------------------------------
 
     @classmethod
     def from_arcs(cls, items) -> "ArcSet":
@@ -142,15 +158,6 @@ class ArcSet:
         return cls.from_arcs([(start, length)])
 
     # -- queries ------------------------------------------------------------
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.full and not self.arcs
-
-    def length(self) -> float:
-        if self.full:
-            return TAU
-        return sum(l for _, l in self.arcs)
 
     def contains(self, theta: float) -> bool:
         if self.full:
@@ -208,14 +215,7 @@ class ArcSet:
         """Closed view; arcs sharing an endpoint merge."""
         if self.full:
             return _FULL[ClosedArcSet]
-        arcs = self.arcs
-        if len(arcs) == 1:
-            # one arc has nothing to merge with: its canonical piece
-            merged = _canonical_pieces(arcs)
-        elif arcs:
-            merged = _merged(arcs, True)
-        else:
-            return _EMPTY[ClosedArcSet]
+        merged = _merged(self.arcs, True)
         if len(merged) == 1 and merged[0][1] >= TAU - EPS_ANGLE:
             return _FULL[ClosedArcSet]
         return _built(ClosedArcSet, tuple([(s, TAU if TAU < l else l) for s, l in merged]))
@@ -262,30 +262,12 @@ class ArcSet:
 
 
 @dataclass(frozen=True, slots=True)
-class ClosedArcSet:
+class ClosedArcSet(_Arcs):
     """Closed arcs for membership/length/extremum queries.
 
     Arc lengths may be 0 (a single point), which never arises from
     closure() but can from image() or be constructed directly.
     """
-
-    arcs: tuple[tuple[float, float], ...] = ()
-    full: bool = False
-
-    @classmethod
-    def empty(cls) -> "ClosedArcSet":
-        return _EMPTY[cls]
-
-    @classmethod
-    def full_circle(cls) -> "ClosedArcSet":
-        return _FULL[cls]
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.full and not self.arcs
-
-    def length(self) -> float:
-        return TAU if self.full else sum(l for _, l in self.arcs)
 
     def contains(self, theta: float, tol: float = 0.0) -> bool:
         return self.component_containing(theta, tol) is not None
@@ -359,13 +341,6 @@ def expansion_geometry(f: DiscMoebius) -> ExpansionGeometry:
         v_interval=ArcSet.from_arcs([v_arc]),
         u_interval=ArcSet.from_arcs([(u_center - half_u, 2.0 * half_u)]),
     )
-
-
-def expansion_interval(f: DiscMoebius) -> ArcSet:
-    """Arc where the inverse of f expands; empty for rotations."""
-    if f.is_rotation:
-        return ArcSet.empty()
-    return expansion_geometry(f).v_interval
 
 
 def image(f: DiscMoebius, a):

@@ -119,14 +119,7 @@ def encode(spec: NumberSystemSpec, digits, tol: float, max_digits: int | None = 
     """
     if not tol > 0:  # NaN too: no radius is ever <= NaN
         raise ValueError(f"tol must be positive, got {tol!r}")
-    cap = sys.maxsize
-    if max_digits is not None:
-        try:
-            cap = index(max_digits)
-        except TypeError:
-            raise ValueError(f"max_digits must be an integer, got {max_digits!r}") from None
-        if cap < 0:
-            raise ValueError(f"max_digits must be >= 0, got {max_digits!r}")
+    cap = sys.maxsize if max_digits is None else _count(max_digits, "max_digits")
     # the loop reads `stream`: the digits a run jump read past its end and
     # the loop has not taken yet (`pending`), then the rest of `base`; with
     # a cap of 0 it reads nothing
@@ -217,6 +210,18 @@ def encode(spec: NumberSystemSpec, digits, tol: float, max_digits: int | None = 
         digits_consumed=consumed,
         converged=radius <= tol,
     )
+
+
+def _count(value, name: str) -> int:
+    """value, the digit count passed as `name`, as an int; ValueError
+    naming `name` unless it is an integer >= 0."""
+    try:
+        n = index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if n < 0:
+        raise ValueError(f"{name} must be >= 0, got {value!r}")
+    return n
 
 
 def _run_crossing(b0: complex, b1: complex, tol: float, cap: int) -> int | None:
@@ -320,7 +325,11 @@ def decode(spec: NumberSystemSpec, theta: float, n_digits: int, prefix: Word = (
 
     Emits n_digits symbols (after the optional forced prefix, whose
     inverse maps are applied to the point first).  Each digit is chosen
-    among the letters spec.subshift.transitions allows.  The caller is
+    among the letters spec.subshift.transitions allows: the first whose
+    closed cover arc holds the point more than EPS_ANGLE inside its ends,
+    else the one whose arc holds it deepest within EPS_ANGLE.  So a point
+    near an endpoint takes the arc it lies in, not one it lies just
+    outside, whose inverse map would carry it further out.  The caller is
     expected to have verified the system; on covers that fail
     compatibility the decoder can run out of candidates, which raises
     NoLegalDigit with the offending point attached.  The prefix is a word,
@@ -330,12 +339,7 @@ def decode(spec: NumberSystemSpec, theta: float, n_digits: int, prefix: Word = (
     """
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta!r}")
-    try:
-        n = index(n_digits)
-    except TypeError:
-        raise ValueError(f"n_digits must be an integer, got {n_digits!r}") from None
-    if n < 0:
-        raise ValueError(f"n_digits must be >= 0, got {n_digits!r}")
+    n = _count(n_digits, "n_digits")
     x = canon_angle(theta)
     prefix = spec.alphabet.word(prefix)
     rows = spec._decode_rows
@@ -346,9 +350,11 @@ def decode(spec: NumberSystemSpec, theta: float, n_digits: int, prefix: Word = (
     for forced in chain(prefix, repeat(None, n)):
         if forced is None:
             # the first entry whose closed arc holds x, as
-            # ClosedArcSet.component_containing(x, EPS_ANGLE) finds it, with x
-            # not within EPS_ANGLE of that arc's ccw end; else the first at it
-            fallback = None
+            # ClosedArcSet.component_containing(x, EPS_ANGLE) finds it, more
+            # than EPS_ANGLE inside both its ends; else the entry whose arc
+            # holds x deepest (the signed distance to its nearer end, negative
+            # outside it), the first on ties
+            fallback, depth = None, -tau
             for entry in row:
                 for s, l, reach in entry[2]:
                     d = (x - s) % tau
@@ -357,10 +363,10 @@ def decode(spec: NumberSystemSpec, theta: float, n_digits: int, prefix: Word = (
                 else:
                     continue
                 if l < nearly_full:
-                    d = (x - (s + l)) % tau
-                    if d <= eps or tau - d <= eps:
-                        if fallback is None:
-                            fallback = entry
+                    m = d - tau if d > reach else (d if d < l - d else l - d)
+                    if m <= eps:
+                        if m > depth:
+                            fallback, depth = entry, m
                         continue
                 break
             else:

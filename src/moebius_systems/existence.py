@@ -252,23 +252,28 @@ def inward_region_test(q_a: float, q_b: float, n_max: int) -> bool:
 def _hyperbolic_words(alpha_a: complex, beta_a: complex, alpha_b: complex, beta_b: complex,
                       words: tuple[str, ...]) -> bool:
     """Is the map of every word hyperbolic, t*t > 4 with t = 2 Re alpha,
-    for the generators with the given entries?
-
-    Each word map is the left fold of its letters' maps with exactly
-    DiscMoebius.compose's products.  compose's canonical sign is left out:
-    it negates both entries, which negates every later product exactly (a
-    zero part may change sign, and no product or sum passes that on to a
-    nonzero part), so t*t is the same."""
+    for the generators with the given entries?  Each word map is read by
+    _word_entries."""
     maps = {"a": (alpha_a, beta_a), "b": (alpha_b, beta_b)}
     for word in words:
-        alpha, beta = maps[word[0]]
-        for ch in word[1:]:
-            a2, b2 = maps[ch]
-            alpha, beta = alpha * a2 + beta * b2.conjugate(), alpha * b2 + beta * a2.conjugate()
-        t = 2.0 * alpha.real
+        t = 2.0 * _word_entries(maps, word)[0].real
         if not t * t > 4.0:
             return False
     return True
+
+
+def _word_entries(maps: dict, word: str) -> tuple[complex, complex]:
+    """The entries (alpha, beta) of the map of word, given each letter's
+    entries in maps: the left fold of its letters' maps with exactly
+    DiscMoebius.compose's products.  compose's canonical sign is left out:
+    it negates both entries, which negates every later product exactly (a
+    zero part may change sign, and no product or sum passes that on to a
+    nonzero part), so the entries are compose's up to their common sign."""
+    alpha, beta = maps[word[0]]
+    for ch in word[1:]:
+        a2, b2 = maps[ch]
+        alpha, beta = alpha * a2 + beta * b2.conjugate(), alpha * b2 + beta * a2.conjugate()
+    return alpha, beta
 
 
 def _strips(n_max: int) -> list[tuple[int, float, float]]:

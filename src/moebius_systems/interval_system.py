@@ -9,7 +9,8 @@ F_w, stepped letter by letter by pull_step and compose from the full
 circle and the identity.  The level walk of the interval shift carries
 each word's (Z_w, F_w) from its parent's, and interval-shift membership
 (Z_w nonempty), the expansion minimum and the cover gaps are read from
-it; R(w) = F_w(Z_w) is formed on demand.
+it.  No query forms the open R(w) = F_w(Z_w): the points a word can
+represent are codec.representable_interval, the closed F_w(cl Z_w).
 
 Where each letter's inverse expands on its cover arc (C_a within the
 expansion interval of F_a), F_w^-1 expands on R(w) by the chain rule, so
@@ -189,8 +190,8 @@ class NumberSystemSpec:
 
     def _entry(self, word: Word) -> tuple[ArcSet, transforms.DiscMoebius]:
         """(pullback state Z_w, word map F_w) of one word that a public query
-        asks for (refined_set, word_transform, min_expansion,
-        representable_interval, check_prefix_set's B), stepped from the root
+        asks for (word_transform, min_expansion, representable_interval,
+        check_prefix_set's B), stepped from the root
         and memoised by whole word; past _CACHE_CAP words the memo starts
         afresh.  The walks carry their own entries and never read it; the
         memo stays only because the benchmark reads `_cache`."""
@@ -204,16 +205,6 @@ class NumberSystemSpec:
                 self._cache = {}
             self._cache[word] = entry
         return entry
-
-    def refined_set(self, word) -> ArcSet:
-        """The refined set R(w) = C_w1 ∩ F_w1(C_w2) ∩ ... ∩ F_w'(C_wn) of the
-        cover arcs along `word`, formed as F_w(Z_w): for a legal word, the
-        circle points whose expansions can start with it.  It ignores the
-        subshift, so a forbidden word can have a nonempty R(w) (binary's
-        `11-` does); it is empty once narrower than EPS_ANGLE though Z_w is
-        not."""
-        z, f = self._entry(self.alphabet.word(word))
-        return image(f, z)
 
     def word_transform(self, word) -> transforms.DiscMoebius:
         """Composition of the letter maps along the word."""

@@ -2,7 +2,8 @@
 
 Each model is the slow or direct form of something the package computes
 faster or in other coordinates: derivative moduli, sampled arc-set
-membership, factor-avoidance, forward refinement, the exhaustive level
+membership, the expansion interval of a map, factor-avoidance, the open
+refined set R(w) and its forward refinement, the exhaustive level
 minima, the scalar generator pair, expansion arcs, cover sweep and
 inward certificate, the linear state scan, a frozen copy of the arc-set
 kernel and the first-fit decoder through the arc-set and map methods.
@@ -16,14 +17,16 @@ import math
 
 import numpy as np
 
-from moebius_systems.arcs import EPS_ANGLE, EPS_NEAR_FULL, ArcSet, _v_arc, expansion_interval, image
+from moebius_systems.arcs import (
+    EPS_ANGLE, EPS_NEAR_FULL, ArcSet, _v_arc, expansion_geometry, image,
+)
 from moebius_systems.errors import IllegalPrefix, NoLegalDigit
 from moebius_systems.existence import EPS_GAP, two_hyperbolic_system
 from moebius_systems.interval_system import NumberSystemSpec
 from moebius_systems.subshift import Alphabet, Subshift
 from moebius_systems.systems import with_cover
 from moebius_systems.transforms import (
-    EPS_ROTATION, TAU, DiscMoebius, canon_angle, circle_distance, identity,
+    EPS_ROTATION, TAU, DiscMoebius, canon_angle, identity,
 )
 
 MIN_RANDOM_BETA = 1e-6  # random maps with |beta| at most this are rotations in all but name
@@ -58,6 +61,14 @@ def random_arcset(rng, max_arcs: int = 3) -> ArcSet:
     for _ in range(rng.randint(0, max_arcs)):
         arcs.append((rng.uniform(0, TAU), rng.uniform(1e-3, TAU * 0.8)))
     return ArcSet.from_arcs(arcs)
+
+
+def expansion_interval(f: DiscMoebius) -> ArcSet:
+    """The arc where the inverse of f expands, V(F) =
+    expansion_geometry(f).v_interval; empty for a rotation."""
+    if f.is_rotation:
+        return ArcSet.empty()
+    return expansion_geometry(f).v_interval
 
 
 def contains_many(a: ArcSet, thetas: np.ndarray) -> np.ndarray:
@@ -321,6 +332,16 @@ def forward_step(spec, refined: ArcSet, f: DiscMoebius, a: int):
     return refined.intersect(image(f, spec.cover[a])), f.compose(spec.transforms[a])
 
 
+def refined_set(spec, word) -> ArcSet:
+    """The refined set R(w) = C_w1 ∩ F_w1(C_w2) ∩ ... ∩ F_w'(C_wn) of the
+    cover arcs along `word`, formed as F_w(Z_w) from the package's
+    one-word entry.  It ignores the subshift, so a forbidden word can have
+    a nonempty R(w) (binary's `11-` does); it is empty once narrower than
+    EPS_ANGLE though Z_w is not."""
+    z, f = spec._entry(spec.alphabet.word(word))
+    return image(f, z)
+
+
 def forward_refined_set(spec, word) -> ArcSet:
     """R(w) by forward refinement from the full circle, with no pullback
     state and no cache."""
@@ -374,9 +395,11 @@ def mp_product(spec, word):
 def first_fit_decode(spec, theta: float, n_digits: int, prefix=()):
     """decode's greedy expansion through the methods it inlines: each digit
     is the first legal letter whose closed cover arc holds x within
-    EPS_ANGLE, by ClosedArcSet.component_containing, with x not within
-    EPS_ANGLE of that component's ccw end, else the first legal letter at
-    it; x moves by DiscMoebius.apply_angle of the letter's inverse."""
+    EPS_ANGLE, by ClosedArcSet.component_containing, with x more than
+    EPS_ANGLE inside both ends of that component, else the legal letter
+    whose component holds x deepest (the signed distance to its nearer
+    end), the first on ties; x moves by DiscMoebius.apply_angle of the
+    letter's inverse."""
     x = canon_angle(theta)
     inverses = [f.inverse() for f in spec.transforms]
     closures = [c.closure() for c in spec.cover]
@@ -390,15 +413,19 @@ def first_fit_decode(spec, theta: float, n_digits: int, prefix=()):
         x = inverses[a].apply_angle(x)
     for _ in range(n_digits):
         chosen = fallback = None
+        depth = -TAU
         for a, nxt in enumerate(moves[state]):
             comp = None if nxt is None else closures[a].component_containing(x, tol=EPS_ANGLE)
             if comp is None:
                 continue
             s, l = comp
-            if l < TAU - EPS_ANGLE and circle_distance(x, s + l) <= EPS_ANGLE:
-                if fallback is None:
-                    fallback = a
-                continue
+            if l < TAU - EPS_ANGLE:
+                d = (x - s) % TAU
+                m = d - TAU if d > l + EPS_ANGLE else min(d, l - d)
+                if m <= EPS_ANGLE:
+                    if m > depth:
+                        fallback, depth = a, m
+                    continue
             chosen = a
             break
         if chosen is None:
@@ -420,7 +447,7 @@ def global_prefix_check(spec, b_words):
     refined_set, as the package read it before it read Z_b within U(F_b)."""
     language = spec.interval_shift_language(max(len(b) for b in b_words))
     missing = [w for w in language if not any(w[: len(b)] == b for b in b_words)]
-    leaking = [b for b in b_words if not spec.refined_set(b).intersect(
+    leaking = [b for b in b_words if not refined_set(spec, b).intersect(
         expansion_interval(spec.word_transform(b)).complement()).is_empty]
     return not missing and not leaking, missing, leaking
 

@@ -37,6 +37,7 @@ from reference import (
     derivative_modulus,
     random_arcset,
     random_disc_moebius,
+    refined_set,
 )
 
 
@@ -251,7 +252,7 @@ def test_criterion_08_sofic_automaton():
     mismatch = 0
     for n in range(0, 9):
         for v in itertools.product(range(3), repeat=n):
-            if auto.accepts(v) != (not p3.refined_set(v).is_empty):
+            if auto.accepts(v) != (not refined_set(p3, v).is_empty):
                 mismatch += 1
     elapsed = time.perf_counter() - t0
     ok = auto.saturated and auto.n_states <= 5 and mismatch == 0 and elapsed < 10.0

@@ -21,7 +21,6 @@ from moebius_systems.arcs import (
     ClosedArcSet,
     covers_circle,
     expansion_geometry,
-    expansion_interval,
     image,
     min_inverse_derivative,
 )
@@ -217,7 +216,6 @@ def test_contraction_geometry_values():
 def test_rotation_has_no_geometry():
     with pytest.raises(IsRotation):
         expansion_geometry(rotation(1.0))
-    assert expansion_interval(rotation(1.0)).is_empty
 
 
 def test_geometry_invariants_random():

@@ -20,10 +20,11 @@ from moebius_systems.transforms import DiscMoebius
 from moebius_systems.interval_system import _PULL_TABLE_CAP, NumberSystemSpec
 from moebius_systems.subshift import Subshift
 from moebius_systems.systems import (
-    builtin, cf_digit_stream, classical_cf_terms, parse_config, serialize_config, with_cover,
+    BUILTIN_NAMES, builtin, cf_digit_stream, classical_cf_terms, parse_config, serialize_config,
+    with_cover,
 )
 from moebius_systems.transforms import TAU, canon_angle, circle_distance, contraction, from_real
-from reference import first_fit_decode, in_language, turned_cover
+from reference import first_fit_decode, in_language, refined_set, turned_cover
 
 S8 = 2 * math.sqrt(2)
 
@@ -430,7 +431,7 @@ def test_decode_with_forced_prefix_nests():
             w = decode(spec, x, 20, prefix=v)
             assert w[: len(v)] == v
             for k in range(len(v), len(w) + 1, 5):
-                assert spec.refined_set(w[:k]).closure().contains(x, tol=1e-7)
+                assert refined_set(spec, w[:k]).closure().contains(x, tol=1e-7)
 
 
 def test_decode_no_legal_digit_on_over_restricted_shift():
@@ -602,6 +603,22 @@ def test_decode_matches_the_first_fit_reference():
     assert decodes > 2000 and strands > 0
 
 
+def test_decode_does_not_strand_a_point_near_a_cover_endpoint():
+    assert len(decode(builtin("cf"), 1e-9, 4)) == 4
+    # 50 seeded offsets of 1e-15 to 1e-3, and EPS_ANGLE itself, either side of
+    # every cover endpoint of a builtin; the first fit that took a letter whose
+    # arc held x only within EPS_ANGLE stranded 38 of these 2,040 points and
+    # left others up to EPS_ANGLE outside their words' refined sets
+    rng = random.Random(15)
+    offsets = [10.0 ** rng.uniform(-15.0, -3.0) for _ in range(50)] + [EPS_ANGLE]
+    for name in BUILTIN_NAMES:
+        spec = builtin(name)
+        ends = {e for c in spec.cover for s, l in c.arcs for e in (s, s + l)}
+        for theta in sorted(e + sign * off for e in ends for off in offsets for sign in (1.0, -1.0)):
+            word = decode(spec, theta, 60)
+            assert representable_interval(spec, word[:20]).contains(theta, tol=1e-12), theta
+
+
 def test_decode_rejects_non_finite_angles_and_negative_counts():
     cf = builtin("cf")
     for theta in (math.nan, math.inf, -math.inf):
@@ -625,7 +642,7 @@ def test_symbol_indices_outside_the_alphabet_are_rejected():
             lambda: cf.word_transform([bad]),
             lambda: encode(cf, iter(decode(cf, 1.234, 3) + (bad, 1)), tol=1e-30),
             lambda: decode(cf, 1.0, 2, prefix=(bad,)),
-            lambda: cf.refined_set((bad,)),
+            lambda: refined_set(cf, (bad,)),
             lambda: cf.min_expansion((1, bad)),
             lambda: verify(cf, mode="prefix_set", prefix_set=[(bad,)]),
         ]
@@ -710,7 +727,7 @@ def test_a_list_of_symbol_indices_reads_like_a_tuple():
         assert encode(spec, list(word), tol=1e-9) == encode(spec, word, tol=1e-9) \
             == encode(spec, iter(word), tol=1e-9)
         assert spec.min_expansion(list(word)) == spec.min_expansion(word)
-        assert spec.refined_set(list(word)) == spec.refined_set(word)
+        assert refined_set(spec, list(word)) == refined_set(spec, word)
     # strings and lists of names still parse through the alphabet
     assert encode(cf, ["1", "0"], 1e-3) == encode(cf, "10", 1e-3) == encode(cf, (2, 1), 1e-3)
     with pytest.raises(ValueError):
@@ -732,7 +749,6 @@ _WORD_FORMS = {
 }
 # each reads the word w, or the words b of the prefix set, all in one form
 _WORD_ENTRY_POINTS = {
-    "refined_set": lambda cf, w, b: cf.refined_set(w),
     "word_transform": lambda cf, w, b: cf.word_transform(w),
     "min_expansion": lambda cf, w, b: cf.min_expansion(w),
     "representable_interval": lambda cf, w, b: representable_interval(cf, w),
@@ -1121,9 +1137,3 @@ def _hyperbolic4_with_contraction(r):
 def test_verify_does_not_certify_a_letter_that_contracts_on_its_arc(r):
     assert not verify(_hyperbolic4_with_contraction(r), mode="auto").verified
 
-
-@pytest.mark.xfail(strict=True, raises=NoLegalDigit,
-                   reason="ROADMAP direction 7: decode strands points near cover "
-                          "endpoints on verified builtins")
-def test_decode_does_not_strand_a_point_near_a_cover_endpoint():
-    assert len(decode(builtin("cf"), 1e-9, 4)) == 4

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -18,10 +19,13 @@ from moebius_systems.errors import ParamOutOfRange
 from moebius_systems.existence import (
     EPS_GAP,
     _cell_centre,
+    _certificate_words,
     _closed_arcs_cover,
     _cover_batch,
     _generator_entries,
+    _strips,
     _v_arcs,
+    _word_entries,
     LABEL_COVER,
     LABEL_INWARD,
     LABEL_UNKNOWN,
@@ -31,7 +35,7 @@ from moebius_systems.existence import (
     render_grid,
     two_hyperbolic_system,
 )
-from moebius_systems.transforms import TAU, circle_distance, rotation
+from moebius_systems.transforms import TAU, DiscMoebius, circle_distance, rotation
 from reference import (
     derivative_modulus,
     remainder_v_arcs,
@@ -314,6 +318,26 @@ def test_inward_fold_matches_the_compose_chain():
         assert (labels != LABEL_COVER).all()
         assert [inward_region_test(*cell, n_max) for cell in edge_cells] == want[len(cells):]
         assert sum(want) > 2500
+
+
+def test_inward_fold_entries_are_the_compose_chain():
+    # every certificate word is a^n b, a b^n or ab, and its reverse is a
+    # rotation of it, so a fold composing on the left reads the same trace
+    # up to rounding; the word maps' entries tell the two orders apart
+    rng = np.random.default_rng(26)
+    qa, qb = rng.uniform(0.0, 1.0, (2, 400))
+    strips = _strips(12)
+    words = set()
+    for q_a, q_b, *entries in zip(*(x.tolist() for x in (qa, qb, *_generator_entries(qa, qb)))):
+        maps = {"a": tuple(entries[:2]), "b": tuple(entries[2:])}
+        letters = {ch: DiscMoebius._product(*m) for ch, m in maps.items()}
+        for word in _certificate_words(q_a, q_b, strips):
+            chain = reduce(DiscMoebius.compose, [letters[ch] for ch in word])
+            fold = DiscMoebius._product(*_word_entries(maps, word))
+            # equal entries, the sign of a zero part aside
+            assert (fold.alpha, fold.beta) == (chain.alpha, chain.beta), (q_a, q_b, word)
+            words.add(word)
+    assert words == {"ab"} | {w for n in range(2, 14) for w in ("a" * n + "b", "a" + "b" * n)}
 
 
 def _same_bits(x, y):

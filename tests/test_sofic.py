@@ -12,7 +12,7 @@ from moebius_systems.sofic import build_automaton, sofic_verdict, transition_res
 from moebius_systems.subshift import Alphabet, Subshift
 from moebius_systems.systems import BUILTIN_NAMES, builtin
 from moebius_systems.transforms import TAU, rotation
-from reference import LinearScan, recomputed_residual, turned_cover
+from reference import LinearScan, recomputed_residual, refined_set, turned_cover
 
 
 def test_parabolic3_saturates_with_five_states():
@@ -33,7 +33,7 @@ def test_acceptance_matches_refined_emptiness():
     auto = build_automaton(p3)
     for n in range(0, 9):
         for v in itertools.product(range(3), repeat=n):
-            assert auto.accepts(v) == (not p3.refined_set(v).is_empty)
+            assert auto.accepts(v) == (not refined_set(p3, v).is_empty)
 
 
 def test_rotation_full_cover_two_states():
@@ -106,7 +106,7 @@ def test_hyperbolic4_saturates():
     assert auto.n_states <= 6
     for n in range(0, 7):
         for v in itertools.product(range(4), repeat=n):
-            assert auto.accepts(v) == (not h4.refined_set(v).is_empty)
+            assert auto.accepts(v) == (not refined_set(h4, v).is_empty)
 
 
 def test_unused_letter_with_empty_cover_feeds_the_sink():
@@ -128,7 +128,7 @@ def test_unused_letter_with_empty_cover_feeds_the_sink():
     assert all(row[z] == sinks[0] for row in auto.transitions)
     for n in range(0, 5):
         for v in itertools.product(range(3), repeat=n):
-            assert auto.accepts(v) == (not p3.refined_set(v).is_empty)
+            assert auto.accepts(v) == (not refined_set(p3, v).is_empty)
 
 
 def test_exports_render():

