@@ -198,7 +198,9 @@ def cmd_existence_map(args, spec):
     return inputs, grid.summary(), []
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused after it."""
     parser = argparse.ArgumentParser(
         prog="moebius",
         description="Moebius number systems: classify, verify, encode/decode, "
@@ -264,14 +266,8 @@ def _strict_json(value):
     return value
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first main() call and reused after it."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     # looked up at call time, so a replaced cmd_* function takes effect
     command = globals()["cmd_" + args.cmd.replace("-", "_")]
     try:

@@ -397,10 +397,18 @@ def decode(spec: NumberSystemSpec, theta: float, n_digits: int, prefix: Word = (
 
 def representable_interval(spec: NumberSystemSpec, word) -> ClosedArcSet:
     """Closed set of points expressible with the given digit prefix:
-    F_w(cl Z_w), which keeps the interval of a long word however narrow."""
-    z, f = spec._entry(spec.alphabet.word(word))
+    F_w(cl Z_w), which keeps the interval of a long word however narrow.
+    A prefix with an empty refined set raises EmptyRefinedSet, and one
+    that leaves the subshift's language raises IllegalPrefix, as in encode."""
+    w = spec.alphabet.word(word)
+    z, f = spec._entry(w)
     if z.is_empty:
         raise EmptyRefinedSet(f"no point is representable with prefix {word!r}")
+    state = spec.subshift.initial
+    for i, a in enumerate(w):
+        if (state := spec.subshift.transitions[state][a]) is None:
+            raise IllegalPrefix(f"digit {spec.alphabet.symbols[a]!r} at position {i} "
+                                f"leaves the language")
     return image(f, z.closure())
 
 

@@ -39,7 +39,6 @@ EPS_COMPAT = 1e-8   # endpoint tolerance for the cover-extension identity
 EPS_ONE = 1e-9      # band around an expansion bound of exactly 1
 EPS_PRUNE = 1e-9    # slack on q(uv) >= q(u)*Q_|v|; min_expansion is within 3e-12 of a 60-digit product
 _PULL_TABLE_CAP = 4096  # interned pullback states per table before a fresh one starts
-_CACHE_CAP = 1_000_000  # memoised one-word queries per spec before a fresh memo starts
 
 
 @dataclass
@@ -150,7 +149,7 @@ class NumberSystemSpec:
         if not covers_circle(self.cover):
             raise ValueError("closures of the cover arcs must fill the circle")
         self._root = (ArcSet.full_circle(), transforms.identity())  # (Z, F) of the empty word
-        self._cache: dict[Word, tuple[ArcSet, transforms.DiscMoebius]] = {}
+        self._cache: dict = {}  # never written: bench/run.py reads its len (ROADMAP direction 8)
         # per-letter tables, built once: F_a^-1 (pull_step) and the letter
         # pullback F_a^-1(C_a) (pull_step); the tables below the constructor
         # are each read by one command and built on its first use
@@ -191,19 +190,12 @@ class NumberSystemSpec:
     def _entry(self, word: Word) -> tuple[ArcSet, transforms.DiscMoebius]:
         """(pullback state Z_w, word map F_w) of one word that a public query
         asks for (word_transform, min_expansion, representable_interval,
-        check_prefix_set's B), stepped from the root
-        and memoised by whole word; past _CACHE_CAP words the memo starts
-        afresh.  The walks carry their own entries and never read it; the
-        memo stays only because the benchmark reads `_cache`."""
-        entry = self._cache.get(word)
-        if entry is None:
-            entry = self._root
-            for a in word:
-                z, f = entry
-                entry = (self.pull_step(z, a), f.compose(self.transforms[a]))
-            if len(self._cache) >= _CACHE_CAP:
-                self._cache = {}
-            self._cache[word] = entry
+        check_prefix_set's B), stepped from the root and stored nowhere.
+        The walks carry their own entries and never call it."""
+        entry = self._root
+        for a in word:
+            z, f = entry
+            entry = (self.pull_step(z, a), f.compose(self.transforms[a]))
         return entry
 
     def word_transform(self, word) -> transforms.DiscMoebius:

@@ -251,7 +251,6 @@ def parse_config(data: dict) -> NumberSystemSpec:
     for name in symbols:
         if not isinstance(name, str):
             raise ConfigError(f"alphabet symbols need to be strings, got {name!r}")
-    alphabet = Alphabet(tuple(symbols))
     transforms_in = _section(data, "transforms")
     cover_in = _section(data, "cover")
     transforms_map = {}
@@ -277,6 +276,7 @@ def parse_config(data: dict) -> NumberSystemSpec:
     if not isinstance(name, str):
         raise ConfigError(f"'name' needs a string, got {name!r}")
     try:
+        alphabet = Alphabet(tuple(symbols))
         return NumberSystemSpec(
             alphabet, transforms_map, cover_map, Subshift(alphabet, forbidden), name=name,
         )

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from moebius_systems import codec, interval_system, subshift
-from moebius_systems.arcs import EPS_ANGLE, ArcSet
+from moebius_systems.arcs import EPS_ANGLE, ArcSet, image
 from moebius_systems.codec import decode, encode, representable_interval, verify
 from moebius_systems.errors import ConfigError, EmptyRefinedSet, IllegalPrefix, NoLegalDigit
 from moebius_systems.transforms import DiscMoebius
@@ -544,8 +544,28 @@ def test_representable_interval_examples():
         representable_interval(builtin("parabolic3"), "ac")
 
 
+@pytest.mark.parametrize("word", ["20", "02", "12", "1-2", "11-", "1-1"])
+def test_representable_interval_rejects_a_forbidden_prefix_as_encode_does(word):
+    # each refined set is nonempty; the subshift forbids the word
+    bi = builtin("binary")
+    assert not refined_set(bi, word).is_empty
+    with pytest.raises(IllegalPrefix) as want:
+        encode(bi, word, tol=1e-30)
+    with pytest.raises(IllegalPrefix) as got:
+        representable_interval(bi, word)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("name", ["parabolic3", "cf", "binary", "hyperbolic4"])
+def test_representable_interval_of_a_walked_word_is_its_entrys_image(name):
+    spec = builtin(name)
+    for level in spec.interval_shift_levels(4):
+        for word, _, (z, f) in level:
+            assert representable_interval(spec, word) == image(f, z.closure()), word
+
+
 def test_representable_interval_of_a_long_word_sits_in_the_encode_disc():
-    # 60 digits reach past the refined-set cache depth
+    # a 60-digit word, whose interval is a few nanoradians wide
     cf = builtin("cf")
     w = decode(cf, 1.234, 60)
     got = representable_interval(cf, w)

@@ -7,9 +7,10 @@ import pytest
 
 from moebius_systems import interval_system
 from moebius_systems.arcs import EPS_ANGLE, ArcSet, image, min_inverse_derivative
-from moebius_systems.codec import decode, representable_interval, verify
+from moebius_systems.codec import decode, encode, representable_interval, verify
 from moebius_systems.errors import EmptyRefinedSet
 from moebius_systems.interval_system import NumberSystemSpec
+from moebius_systems.sofic import build_automaton
 from moebius_systems.subshift import Alphabet, Subshift
 from moebius_systems.systems import builtin, with_cover
 from moebius_systems.transforms import TAU
@@ -147,21 +148,37 @@ def test_refined_sets_inside_expansion_intervals():
                 assert leak.length() < 1e-7, (name, u)
 
 
-def test_long_words_answer_and_add_one_memo_entry():
+def test_long_words_answer_and_store_nothing():
     cf = builtin("cf")
     w = decode(cf, 1.234, 60)
     assert not refined_set(cf, w).is_empty
     assert not cf.word_transform(w).is_rotation
     assert 1.0 < cf.min_expansion(w) < math.inf
     assert representable_interval(cf, w).contains(1.234, tol=EPS_ANGLE)
-    # a one-word query memoises that word alone, however long it is
+    # a one-word query steps from the root and stores nothing, however
+    # long the word is
     fresh = builtin("cf")
     long_word = decode(fresh, 1.234, 2000)
-    before = len(fresh._cache)
     refined_set(fresh, long_word)
-    assert len(fresh._cache) - before <= 1
     fresh.word_transform(long_word)
-    assert len(fresh._cache) - before <= 1
+    assert fresh._cache == {}
+
+
+def test_no_command_or_query_stores_a_word():
+    cf = builtin("cf")
+    b = ["01", "01-", "1", "1-"]
+    verify(cf, "auto", n_max=4)
+    verify(cf, "qn", n=3)
+    verify(cf, "prefix_set", prefix_set=b)
+    cf.expansion_rate_bound(5)
+    build_automaton(cf)
+    w = decode(cf, 1.234, 30)
+    encode(cf, w, 1e-6)
+    cf.word_transform(w)
+    cf.min_expansion(w)
+    representable_interval(cf, w)
+    cf.check_prefix_set(b)
+    assert cf._cache == {}
 
 
 # -- interval shift language -------------------------------------------------------
@@ -561,16 +578,6 @@ def test_concurrent_refinement_matches_serial():
         results = list(pool.map(lambda w: refined_set(fresh, w), words))
     for w, got in zip(words, results):
         assert got.distance(serial[w]) < 1e-12
-
-
-def test_cache_eviction_keeps_results_consistent(monkeypatch):
-    cf = builtin("cf")
-    reference = {w: refined_set(cf, w) for w in cf.interval_shift_language(4)}
-    small = builtin("cf")
-    monkeypatch.setattr(interval_system, "_CACHE_CAP", 16)
-    for w, expect in reference.items():
-        assert refined_set(small, w).distance(expect) < 1e-12
-    assert len(small._cache) <= 64
 
 
 def test_rate_within_eps_one_of_one_is_reported_as_one():

@@ -1,4 +1,5 @@
-"""Every small tolerance in the package is named once.
+"""Every small tolerance in the package is named once, and every module
+parses at the declared Python floor.
 
 A float literal with 0 < |x| < 1e-3 is a tolerance.  It may appear only
 as the value of a module-level constant (where it gets its name and a
@@ -9,13 +10,17 @@ A module-level EPS_* constant carries its reason as a trailing comment.
 
 import ast
 import io
+import re
 import tokenize
 from pathlib import Path
+
+import pytest
 
 import moebius_systems
 
 SRC = Path(moebius_systems.__file__).parent
 SMALL = 1e-3
+FLOOR = (3, 10)  # pyproject.toml's requires-python
 
 
 def _allowed_nodes(tree: ast.Module) -> set[int]:
@@ -111,3 +116,19 @@ def test_every_tolerance_constant_gives_its_reason():
         if (names := uncommented_tolerances(path.read_text()))
     }
     assert found == {}
+
+
+def test_floor_is_pyprojects_requires_python():
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    declared = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', pyproject, re.M)
+    assert tuple(map(int, declared.groups())) == FLOOR
+
+
+def test_floor_check_rejects_newer_syntax():
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=FLOOR)
+
+
+def test_every_module_parses_at_the_python_floor():
+    for path in sorted(SRC.glob("*.py")):
+        ast.parse(path.read_text(), filename=path.name, feature_version=FLOOR)

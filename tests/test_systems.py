@@ -188,6 +188,9 @@ def test_config_error_paths():
     not_cover["cover"]["0"] = [[0.1, 0.2]]
     with pytest.raises(ConfigError):
         parse_config(not_cover)
+    for symbols in ([], ["0", "0", "1"]):
+        with pytest.raises(ConfigError):
+            parse_config({**base, "alphabet": symbols})
 
 
 def test_load_config_file(tmp_path):
