@@ -16,8 +16,9 @@ Cells certified by neither stay labelled unknown.
 
 The cover search runs on numpy arrays over a batch of cells at once,
 one level of words at a time: each level composes the words with both
-generators, generator-major, takes their expansion arcs and sweeps each
-cell's arcs by sorting their starts and their ends apart.  render_grid
+generators, generator-major, and takes their expansion arcs; from level
+5 on, and at the last level, it sweeps each cell's arcs by sorting their
+starts and their ends apart and drops the cells found covered.  render_grid
 hands it blocks of consecutive cells (sharded over worker processes if
 asked), whose generator entries come from one array formula that
 two_hyperbolic_system reads too, and cover_search is a batch of one.
@@ -27,8 +28,9 @@ fold the certificate's words over the generator entries, as Python
 complexes read from the block's arrays.
 
 numpy is imported on first use of the kernel, inside each function that
-calls it, and multiprocessing only by a render with workers > 1: the
-package and every `moebius` command but existence-map load neither.
+calls it, and multiprocessing only by a render of more than one block
+with workers > 1: the package and every `moebius` command but
+existence-map load neither.
 """
 
 from __future__ import annotations
@@ -65,7 +67,9 @@ def _generator_entries(q_a: np.ndarray, q_b: np.ndarray) -> tuple[np.ndarray, ..
     determinant 1 in exact arithmetic.  Each entry is then normalised by
     the DiscMoebius constructor's arithmetic, part by part: the norm
     |alpha|^2 - |beta|^2 with |z| = hypot(Re z, Im z), as Python's abs
-    computes it, and both entries times 1/sqrt of it.  Re alpha > 0, so
+    computes it, and both entries times 1/sqrt of it; np.abs would differ
+    from abs in the last ulp, and two_hyperbolic_system reads these
+    entries as the constructor's.  Re alpha > 0, so
     the sign is canonical already.  Raises ParamOutOfRange for a q outside
     (0, 1) and NotDiscPreserving where the norm is not positive, as the
     constructor would.
@@ -95,6 +99,10 @@ def _generator_entries(q_a: np.ndarray, q_b: np.ndarray) -> tuple[np.ndarray, ..
 # Word maps per level that one render block may reach: blocks of 1,024
 # cells at depth <= 8, proportionally fewer cells deeper.
 _BLOCK_WORDS = 1 << 18
+# The first level the pruned cover search sweeps: an early sweep costs about
+# as much as a whole early level, and a cell covered before level 5 costs at
+# most 60 more word maps by waiting for the level-5 sweep.
+_FIRST_SWEEP = 5
 
 
 def _cover_batch(alpha_a: np.ndarray, beta_a: np.ndarray, alpha_b: np.ndarray,
@@ -103,10 +111,13 @@ def _cover_batch(alpha_a: np.ndarray, beta_a: np.ndarray, alpha_b: np.ndarray,
 
     Level-synchronous: level k holds the 2^k word maps of each active cell
     as a row of complex arrays.  Each level composes every word map with
-    both generators, writes the children's expansion arcs into the cell's
-    row of arcs and, with prune=True, sweeps each row and drops the cells
-    it finds covered.  Rotations (|beta| <= EPS_ROTATION) leave padding in
-    place of an arc, and their subtrees are still explored.
+    both generators and writes the children's expansion arcs into the
+    cell's row of arcs.  The last level sweeps every row; with prune=True,
+    so does each level from _FIRST_SWEEP on, dropping the cells it finds
+    covered.  Which levels in between are swept moves no label: arcs only
+    accumulate, so a row covered at one level is covered at the last.
+    Rotations (|beta| <= EPS_ROTATION) leave padding in place of an arc,
+    and their subtrees are still explored.
     """
     import numpy as np
     if depth < 0:
@@ -118,27 +129,26 @@ def _cover_batch(alpha_a: np.ndarray, beta_a: np.ndarray, alpha_b: np.ndarray,
     if depth <= 0 or n == 0:
         return covered
     cells = np.arange(n)
-    gen_alpha = np.stack((alpha_a, alpha_b), axis=1).astype(complex)[:, :, None]
-    gen_beta = np.stack((beta_a, beta_b), axis=1).astype(complex)[:, :, None]
+    gens = np.stack((alpha_a, alpha_b, beta_a, beta_b), axis=1).astype(complex)
+    gens = np.concatenate((gens, gens[:, [2, 3, 0, 1]].conj()), axis=1)[:, :, None]
     alpha = np.ones((n, 1), dtype=complex)
     beta = np.zeros((n, 1), dtype=complex)
     starts = np.full((n, 2 ** (depth + 1) - 2), -np.inf)  # -inf: padding
     ends = starts.copy()
     filled = 0
     for level in range(1, depth + 1):
-        alpha, beta = _children(alpha, beta, gen_alpha, gen_beta)
+        alpha, beta = _children(alpha, beta, gens)
         new = slice(filled, filled + alpha.shape[1])
         filled = new.stop
         starts[:, new], ends[:, new] = _v_arcs(alpha, beta)
-        if prune or level == depth:
+        if prune and level >= _FIRST_SWEEP or level == depth:
             done = _closed_arcs_cover(starts[:, :filled], ends[:, :filled])
             covered[cells[done]] = True
             if level == depth or done.all():
                 break
             if done.any():
                 keep = ~done
-                cells, alpha, beta = cells[keep], alpha[keep], beta[keep]
-                gen_alpha, gen_beta = gen_alpha[keep], gen_beta[keep]
+                cells, alpha, beta, gens = cells[keep], alpha[keep], beta[keep], gens[keep]
                 starts, ends = starts[keep], ends[keep]
     return covered
 
@@ -178,19 +188,23 @@ def _closed_arcs_cover(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     return (top >= TAU - EPS_GAP) & (s[:, 0] <= floor) & (s[:, 1:] <= reach).all(axis=1)
 
 
-def _children(alpha: np.ndarray, beta: np.ndarray, gen_alpha: np.ndarray,
-              gen_beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _children(alpha: np.ndarray, beta: np.ndarray,
+              gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row's W word maps composed with the row's two generators,
-    generator-major: with gen_* of shape (n, 2, 1), child j of word i is
-    entry j*W + i, so each product runs over the words in its inner loop.
+    generator-major: child j of word i is entry j*W + i, so each product
+    runs over the words in its inner loop.  gens, of shape (n, 8, 1),
+    holds each row's alpha_a, alpha_b, beta_a, beta_b and then the
+    conjugates of beta_a, beta_b, alpha_a, alpha_b, taken once per batch.
     Like DiscMoebius.compose, the products are not renormalised: the
     generators are, and a product's determinant drifts from 1 by only a
     few rounding errors per level."""
+    import numpy as np
     a1, b1 = alpha[:, None, :], beta[:, None, :]
-    alpha = a1 * gen_alpha
-    alpha += b1 * gen_beta.conj()
-    beta = a1 * gen_beta
-    beta += b1 * gen_alpha.conj()
+    alpha = a1 * gens[:, 0:2]
+    t = b1 * gens[:, 4:6]
+    alpha += t
+    beta = a1 * gens[:, 2:4]
+    beta += np.multiply(b1, gens[:, 6:8], out=t)
     return alpha.reshape(len(alpha), -1), beta.reshape(len(beta), -1)
 
 
@@ -202,9 +216,15 @@ def _v_arcs(alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray
     the remainder: center lies in [-pi, pi] and half in [0, pi/2], so
     x = center - half lies in (-2*pi, 2*pi), where fmod(x, TAU) is x and
     x % TAU is fl(x + TAU) for x < 0 and x + 0.0 otherwise (+0.0 for -0.0).
+
+    |beta| is np.abs(beta), several times cheaper than np.hypot on the real
+    and imaginary parts and sometimes an ulp away from it, as the arccos
+    and the complex divide are from their scalar forms: only the labels
+    are held equal.  _generator_entries keeps np.hypot, whose entries must
+    be the DiscMoebius constructor's bit for bit.
     """
     import numpy as np
-    b = np.hypot(beta.real, beta.imag)
+    b = np.abs(beta)
     half = np.arccos(b / np.sqrt(1.0 + b * b))
     with np.errstate(divide="ignore", invalid="ignore"):  # rotations: padding below
         ratio = alpha / beta.conj()
@@ -218,11 +238,12 @@ def cover_search(fa: DiscMoebius, fb: DiscMoebius, depth: int) -> bool:
     """Do the closed expansion intervals of all words of length <= depth
     cover the circle?
 
-    The level-by-level coverage test stops the search as soon as the
-    intervals collected so far suffice; the result is identical to the
-    exhaustive scan of cover_search_unpruned because deeper levels only
-    add intervals.  Word maps that come out as rotations contribute no
-    interval but their subtrees are still explored.
+    The coverage test, run on every level from the fifth on, stops the
+    search as soon as the intervals collected so far suffice; the result
+    is identical to the exhaustive scan of cover_search_unpruned because
+    deeper levels only add intervals.  Word maps that come out as
+    rotations contribute no interval but their subtrees are still
+    explored.
     """
     import numpy as np
     entries = np.array([[fa.alpha], [fa.beta], [fb.alpha], [fb.beta]])
@@ -360,8 +381,11 @@ class CoverageGrid:
                                      _LABEL_NAMES[int(self.labels[row, col])]])
 
     def write_json(self, path) -> None:
+        """The summary, what each label code means and the labels, one list
+        per row from the top, on one line."""
+        data = {**self.summary(), "label_codes": _LABEL_NAMES, "labels": self.labels.tolist()}
         with open(path, "w") as fh:
-            json.dump(self.summary(), fh, indent=2)
+            json.dump(data, fh)
             fh.write("\n")
 
 
@@ -394,8 +418,9 @@ def render_grid(width: int, height: int, depth: int, n_max: int,
 
     The cells, numbered row by row, go to the cover-search kernel in
     blocks of consecutive cells; workers > 1 spreads the blocks over a
-    process pool.  on_progress, if given, is called as
-    on_progress(rows_done, height) once per finished row, in order.
+    pool of at most one process per block.  on_progress, if given, is
+    called as on_progress(rows_done, height) once per finished row, in
+    order.
     """
     import numpy as np
     if width < 1 or height < 1:
@@ -419,9 +444,10 @@ def render_grid(width: int, height: int, depth: int, n_max: int,
                 for row in range(first // width, stop // width):
                     on_progress(row + 1, height)
 
-    if workers > 1:
+    processes = min(workers, len(jobs))
+    if processes > 1:
         from multiprocessing import Pool
-        with Pool(workers) as pool:
+        with Pool(processes) as pool:
             collect(pool.imap(_render_block, jobs))
     else:
         collect(map(_render_block, jobs))

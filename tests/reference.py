@@ -519,8 +519,9 @@ def scalar_cover_search(fa: DiscMoebius, fb: DiscMoebius, depth: int) -> bool:
 
 def remainder_v_arcs(alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reference: existence._v_arcs with its start wrapped by numpy's
-    remainder, (center - half) % TAU, through np.angle and one masked path."""
-    b = np.hypot(beta.real, beta.imag)
+    remainder, (center - half) % TAU, through np.angle and one masked path;
+    |beta| is np.abs(beta), as the kernel reads it."""
+    b = np.abs(beta)
     arc = b > EPS_ROTATION
     half = np.arccos(b / np.sqrt(1.0 + b * b))
     center = np.angle(np.divide(alpha, beta.conj(), out=np.zeros_like(alpha), where=arc))

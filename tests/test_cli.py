@@ -158,8 +158,10 @@ def test_existence_map_reports_progress_and_writes_json(tmp_path, capsys):
                             "--nmax", "1", "--out", str(out))
     assert code == 0
     assert err.splitlines() == [f"existence-map: {k}/100 rows" for k in range(10, 101, 10)]
-    assert json.loads(out.read_text()) == report["result"]
+    data = json.loads(out.read_text())
+    assert {key: data[key] for key in report["result"]} == report["result"]
     assert report["result"]["resolution"] == [100, 100]
+    assert len(data["labels"]) == 100 and {len(row) for row in data["labels"]} == {100}
 
 
 def test_existence_map_bad_resolution(capsys):

@@ -20,6 +20,7 @@ from moebius_systems.existence import (
     EPS_GAP,
     _cell_centre,
     _certificate_words,
+    _FIRST_SWEEP,
     _closed_arcs_cover,
     _cover_batch,
     _generator_entries,
@@ -155,11 +156,17 @@ def test_batched_kernel_matches_scalar_reference():
     gens = [two_hyperbolic_system(rng.uniform(0.02, 0.98), rng.uniform(0.02, 0.98))
             for _ in range(150)]
     entries = np.array([(fa.alpha, fa.beta, fb.alpha, fb.beta) for fa, fb in gens]).T
-    for depth in range(8):
+    first = [None] * len(gens)
+    for depth in range(10):
         want = [scalar_cover_search(fa, fb, depth) for fa, fb in gens]
         assert _cover_batch(*entries, depth).tolist() == want, depth
         assert _cover_batch(*entries, depth, prune=False).tolist() == want, depth
+        first = [depth if f is None and w else f for f, w in zip(first, want)]
     assert 20 < sum(want) < 130
+    # the pruned search sweeps no level below _FIRST_SWEEP: the batch holds
+    # cells first covered on both sides of it
+    covered = [f for f in first if f is not None]
+    assert min(covered) < _FIRST_SWEEP <= max(covered)
 
 
 _NUDGES = (0.0, EPS_GAP, EPS_GAP * (1 + 1e-6), EPS_GAP * (1 - 1e-6), 1e-16, 2 * EPS_GAP)
@@ -284,6 +291,9 @@ def test_grid_orientation_and_formats(tmp_path):
     data = json.loads(json_path.read_text())
     assert data["resolution"] == [8, 6]
     assert abs(sum(data["fractions"].values()) - 1.0) < 1e-12
+    assert np.array_equal(np.array(data["labels"], dtype=np.uint8), grid.labels)
+    assert data["label_codes"] == {str(LABEL_UNKNOWN): "unknown", str(LABEL_COVER): "cover",
+                                   str(LABEL_INWARD): "inward"}
 
 
 def test_grid_builds_maps_only_inside_an_inward_rectangle(monkeypatch):
@@ -379,9 +389,36 @@ def test_v_arcs_wrap_is_the_remainder_bit_for_bit():
 
 
 def test_grid_deterministic_and_parallel_consistent():
-    a = render_grid(10, 10, depth=6, n_max=6)
-    b = render_grid(10, 10, depth=6, n_max=6, workers=2)
+    # 1,600 cells at depth 6 make two blocks, so the pool really runs
+    a = render_grid(40, 40, depth=6, n_max=6)
+    b = render_grid(40, 40, depth=6, n_max=6, workers=2)
     assert np.array_equal(a.labels, b.labels)
+
+
+def test_grid_starts_at_most_one_process_per_block(monkeypatch):
+    import multiprocessing
+    opened = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            opened.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, func, jobs):
+            return map(func, jobs)
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    one = render_grid(10, 10, depth=3, n_max=3, workers=4)
+    assert opened == []
+    two = render_grid(50, 30, depth=3, n_max=3, workers=8)
+    assert opened == [2]
+    assert np.array_equal(one.labels, render_grid(10, 10, depth=3, n_max=3).labels)
+    assert np.array_equal(two.labels, render_grid(50, 30, depth=3, n_max=3).labels)
 
 
 def test_grid_golden_labels():
@@ -411,7 +448,8 @@ def test_no_cell_is_dual_labelled():
 
 
 # run in a fresh interpreter: importing the package and its CLI loads neither
-# numpy nor multiprocessing, and the kernel imports them on its first call
+# numpy nor multiprocessing, the kernel imports numpy on its first call, and
+# only a render of more than one block with workers > 1 imports multiprocessing
 _FRESH_IMPORT = """
 import json, sys
 import moebius_systems, moebius_systems.cli
@@ -424,6 +462,9 @@ print(json.dumps({
     "cover": [cover_search(*two_hyperbolic_system(qa, qb), depth)
               for qa, qb, depth in ((0.3, 0.6, 3), (0.3, 0.6, 4), (0.45, 0.45, 1), (0.45, 0.45, 2))],
     "grids": [render_grid(8, 6, 8, 4, workers=workers).labels.tolist() for workers in (1, 2)],
+    "pool_after_one_block": "multiprocessing" in sys.modules,
+    "two_blocks": [render_grid(40, 30, 3, 2, workers=workers).labels.tolist() for workers in (1, 2)],
+    "pool_after_two_blocks": "multiprocessing" in sys.modules,
 }))
 """
 
@@ -443,3 +484,5 @@ def test_package_import_defers_numpy_and_multiprocessing():
     labels = [[0, 0, 0, 0, 1, 1, 1, 1], [0, 1, 1, 1, 1, 1, 1, 1], [0, 1, 1, 1, 1, 1, 1, 1],
               [0, 1, 1, 1, 1, 1, 1, 0], [2, 1, 1, 1, 1, 1, 1, 0], [2, 2, 1, 1, 1, 1, 0, 0]]
     assert got["grids"] == [labels, labels]
+    assert not got["pool_after_one_block"] and got["pool_after_two_blocks"]
+    assert got["two_blocks"][0] == got["two_blocks"][1]
