@@ -16,8 +16,7 @@ from moebius_systems.systems import with_cover
 bi = builtin("binary")
 print("signed binary, bundled cover:")
 print(f"  {'n':>2} {'Q_n':>12} {'Q_n^(1/n)':>12}")
-for n in range(1, 7):
-    q = bi.level_min_expansion(n)
+for n, q in bi.expansion_rate_bound(6).table:
     print(f"  {n:>2} {q:>12.6f} {q ** (1 / n):>12.6f}")
 print("  the level-4 bound reaches 1 with no rotation words: certified there.")
 

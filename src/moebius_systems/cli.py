@@ -23,7 +23,7 @@ import time
 from . import __version__
 from .codec import AUTO_N_MAX, decode, encode, verify
 from .errors import MoebiusError, ConfigError, ParamOutOfRange
-from .existence import render_grid
+from .existence import CoverageGrid, render_grid
 from .sofic import EPS_STATE, STATE_CAP, build_automaton, sofic_verdict
 from .systems import BUILTIN_NAMES, builtin, load_config
 from .transforms import canon_angle, from_real, stereographic
@@ -173,8 +173,13 @@ def cmd_existence_map(args, spec):
         w, h = (int(v) for v in args.res.lower().split("x"))
     except ValueError:
         raise ConfigError(f"--res must look like 200x200, got {args.res!r}")
-    if args.out and not args.out.lower().endswith((".pgm", ".csv", ".json")):
-        raise ConfigError("--out must end in .pgm, .csv or .json")
+    writers = {".pgm": CoverageGrid.write_pgm, ".csv": CoverageGrid.write_csv,
+               ".json": CoverageGrid.write_json}
+    out = (args.out or "").lower()
+    suffix = next((s for s in writers if out.endswith(s)), None)
+    if args.out and suffix is None:
+        *rest, last = writers
+        raise ConfigError(f"--out must end in {', '.join(rest)} or {last}")
 
     progress = None
     if w * h >= 10_000:
@@ -187,13 +192,7 @@ def cmd_existence_map(args, spec):
     grid = render_grid(w, h, depth=args.depth, n_max=args.nmax, workers=args.workers,
                        on_progress=progress)
     if args.out:
-        lower = args.out.lower()
-        if lower.endswith(".pgm"):
-            grid.write_pgm(args.out)
-        elif lower.endswith(".csv"):
-            grid.write_csv(args.out)
-        else:
-            grid.write_json(args.out)
+        writers[suffix](grid, args.out)
     inputs = {"res": args.res, "depth": args.depth, "nmax": args.nmax, "out": args.out}
     return inputs, grid.summary(), []
 
@@ -291,7 +290,7 @@ def main(argv=None) -> int:
         else:
             print(text)
         return code[0] if code else 0
-    except (ConfigError, FileNotFoundError, ParamOutOfRange, ValueError) as exc:
+    except (ConfigError, OSError, ParamOutOfRange, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MoebiusError as exc:

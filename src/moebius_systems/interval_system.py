@@ -249,10 +249,6 @@ class NumberSystemSpec:
         return walk(self.subshift, n_max, "interval-shift enumeration", self._root,
                     self._walk_step)
 
-    def interval_shift_language(self, n: int) -> list[Word]:
-        """Legal length-n words whose refined sets are nonempty, lexicographic."""
-        return last_level(self.interval_shift_levels(n))
-
     def compatibility_violations(self, level) -> list[tuple[Word, tuple[tuple[float, float], ...]]]:
         """Words of one walked level whose refined closure is not the union
         of their legal one-letter extensions', each paired with the gap arcs
@@ -280,13 +276,6 @@ class NumberSystemSpec:
         if z.is_empty:
             raise EmptyRefinedSet(f"word {word} has an empty refined set")
         return _least_expansion(z, f)
-
-    def level_min_expansion(self, n: int) -> float:
-        """Minimum of min_expansion over all interval-shift words of length n
-        (1.0 at n = 0, the empty word); +inf when that level is empty."""
-        if n < 0:
-            raise ValueError(f"level n must be >= 0, got {n}")
-        return self.expansion_rate_bound(n).table[-1][1] if n else 1.0
 
     def _dive_bounds(self, n_max: int) -> list[float]:
         """Upper bounds on Q_0..Q_n_max: the q of the words met by descending
@@ -373,7 +362,7 @@ class NumberSystemSpec:
             raise ValueError("prefix set must be nonempty")
         verdict = PrefixSetVerdict(passed=True)
         if language is None:
-            language = self.interval_shift_language(max(len(b) for b in b_words))
+            language = last_level(self.interval_shift_levels(max(len(b) for b in b_words)))
         for w in language:
             if not any(w[: len(b)] == b for b in b_words):
                 verdict.missing_prefix.append(w)

@@ -37,7 +37,9 @@ class PullbackAutomaton:
     non-accepting state.  residual is the largest distance, recorded by
     the BFS, between a computed pullback step and the stored state it was
     merged into (0 for a step that became a new state), over the edges of
-    the expanded states.
+    the expanded states.  Those are the states numbered below growth[-2]
+    (below 1 when one depth ran); the rest, met in the depth where the cap
+    stopped the search, self-loop on every letter.
     """
 
     states: list[ArcSet]
@@ -45,7 +47,6 @@ class PullbackAutomaton:
     saturated: bool
     eps_state: float
     growth: list[int] = field(default_factory=list)  # total states after each BFS depth
-    expanded: list[bool] = field(default_factory=list)
     residual: float = 0.0
 
     initial = 0  # a class constant, not a field: the full circle
@@ -137,7 +138,6 @@ def build_automaton(spec: NumberSystemSpec, state_cap: int = STATE_CAP,
             break
         frontier = next_frontier
     # unexpanded states (cap hit mid-search) self-loop so the table is total
-    expanded = [row is not None for row in transitions]
     for i, row in enumerate(transitions):
         if row is None:
             transitions[i] = [i] * spec.alphabet.size
@@ -147,7 +147,6 @@ def build_automaton(spec: NumberSystemSpec, state_cap: int = STATE_CAP,
         saturated=saturated,
         eps_state=eps_state,
         growth=growth,
-        expanded=expanded,
         residual=residual,
     )
 

@@ -163,6 +163,8 @@ def parse_angle(value) -> float:
         if m:
             sign = -1.0 if m.group(1) else 1.0
             angle = sign * math.pi * float(m.group(2) or 1.0) / float(m.group(3) or 1.0)
+        elif isinstance(text, bool):
+            angle = math.nan  # JSON true and false are no angles, though float() reads them
         else:
             angle = float(text)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
@@ -173,17 +175,20 @@ def parse_angle(value) -> float:
 
 
 def _pairs(vals, what: str) -> list[complex]:
-    """Complex numbers from a list of [re, im] pairs."""
+    """Complex numbers from a list of [re, im] pairs; JSON true and false
+    are no numbers, though complex() reads them."""
     try:
-        return [complex(re_, im_) for re_, im_ in vals]
+        if not any(isinstance(x, bool) for pair in vals for x in pair):
+            return [complex(re_, im_) for re_, im_ in vals]
     except (TypeError, ValueError):
-        raise ConfigError(f"{what} needs [re, im] pairs of numbers, got {vals!r}")
+        pass
+    raise ConfigError(f"{what} needs [re, im] pairs of numbers, got {vals!r}")
 
 
 def _parse_arc(entry) -> tuple[float, float]:
     if isinstance(entry, dict) and "points" in entry:
         zs = _pairs(entry["points"], "'points'")
-        if len(zs) < 2:
+        if len(zs) != 2:
             raise ConfigError(f"'points' needs two [re, im] pairs, got {entry['points']!r}")
         angles = []
         for z in zs:
@@ -202,6 +207,8 @@ def _whole_turn(s: float, e: float) -> bool:
 
 
 def _parse_transform(entry) -> DiscMoebius:
+    if isinstance(entry, dict) and "disc" in entry and "real_line" in entry:
+        raise ConfigError(f"transform must give one of 'disc' and 'real_line', got {entry!r}")
     try:
         if isinstance(entry, dict) and "disc" in entry:
             zs = _pairs(entry["disc"], "'disc'")
@@ -211,6 +218,8 @@ def _parse_transform(entry) -> DiscMoebius:
         if isinstance(entry, dict) and "real_line" in entry:
             vals = entry["real_line"]
             try:
+                if any(isinstance(v, bool) for v in vals):
+                    raise TypeError("JSON true and false are no numbers")
                 nums = [float(v) for v in vals]
             except (TypeError, ValueError):
                 raise ConfigError(f"'real_line' needs [a, b, c, d] numbers, got {vals!r}")
@@ -272,6 +281,9 @@ def parse_config(data: dict) -> NumberSystemSpec:
                 arcs = arcs.union(ArcSet.arc(s, e))
         cover_map[name] = arcs
     forbidden = _listed(data.get("forbidden", []), "'forbidden'")
+    for word in forbidden:
+        if isinstance(word, (list, tuple)) and any(isinstance(a, bool) for a in word):
+            raise ConfigError(f"forbidden word {word!r} holds true or false, not a symbol")
     name = data.get("name", "")
     if not isinstance(name, str):
         raise ConfigError(f"'name' needs a string, got {name!r}")

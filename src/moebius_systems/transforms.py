@@ -67,9 +67,6 @@ class SpherePoint:
     def is_infinity(self) -> bool:
         return self.value is None
 
-    def __abs__(self) -> float:
-        return math.inf if self.value is None else abs(self.value)
-
     def __repr__(self):
         return "SpherePoint(inf)" if self.value is None else f"SpherePoint({self.value!r})"
 
@@ -221,19 +218,6 @@ class DiscMoebius:
         z1 = (lam - self.alpha.conjugate()) / bc
         z2 = (lam.conjugate() - self.alpha.conjugate()) / bc
         return MoebiusClass("elliptic", t2, interior=z1 if abs(z1) < 1.0 else z2)
-
-    def fixed_points(self) -> list[SpherePoint]:
-        """Fixed points on the sphere, stable first for hyperbolic maps."""
-        c = self.classify()
-        if c.kind == "identity":
-            return []
-        if c.kind == "parabolic":
-            return [SpherePoint(cmath.exp(1j * c.fixed))]
-        if c.kind == "hyperbolic":
-            return [SpherePoint(cmath.exp(1j * c.stable)), SpherePoint(cmath.exp(1j * c.unstable))]
-        inner = c.interior
-        outer = INFINITY if inner == 0 else SpherePoint(1.0 / inner.conjugate())
-        return [SpherePoint(inner), outer]
 
     def decompose(self) -> KAKDecomposition:
         """Factor as rotation . contraction . rotation.

@@ -7,9 +7,10 @@ refined set R(w) and its forward refinement, the exhaustive level
 minima, the scalar generator pair, expansion arcs, cover sweep and
 inward certificate, the linear state scan, a frozen copy of the arc-set
 kernel and the first-fit decoder through the arc-set and map methods.
-The random disc maps and arc sets the tests draw are here too, and a
-system whose language ends after one letter.  None of it is package
-API, and each model is defined here once.
+The random disc maps and arc sets the tests draw are here too, a
+system whose language ends after one letter, the words of one level of
+the interval shift and the count of states a sofic search expanded.
+None of it is package API, and each model is defined here once.
 """
 
 import cmath
@@ -23,7 +24,7 @@ from moebius_systems.arcs import (
 from moebius_systems.errors import IllegalPrefix, NoLegalDigit
 from moebius_systems.existence import EPS_GAP, two_hyperbolic_system
 from moebius_systems.interval_system import NumberSystemSpec
-from moebius_systems.subshift import Alphabet, Subshift
+from moebius_systems.subshift import Alphabet, Subshift, last_level
 from moebius_systems.systems import with_cover
 from moebius_systems.transforms import (
     EPS_ROTATION, TAU, DiscMoebius, canon_angle, identity,
@@ -317,6 +318,12 @@ def turned_cover(spec, turn: float):
     })
 
 
+def interval_shift_words(spec, n: int) -> list[tuple[int, ...]]:
+    """The interval-shift words of length n, lexicographic: the last level
+    of the package's walk."""
+    return last_level(spec.interval_shift_levels(n))
+
+
 def dead_end_pair():
     """Two hyperbolic letters over the whole circle with every two-letter
     word forbidden: the language has its two letters and nothing longer."""
@@ -445,7 +452,7 @@ def global_prefix_check(spec, b_words):
     """(passed, missing prefixes, words not contained) of the prefix set by
     the global form: R(b) within V(F_b) on the circle, formed through
     refined_set, as the package read it before it read Z_b within U(F_b)."""
-    language = spec.interval_shift_language(max(len(b) for b in b_words))
+    language = interval_shift_words(spec, max(len(b) for b in b_words))
     missing = [w for w in language if not any(w[: len(b)] == b for b in b_words)]
     leaking = [b for b in b_words if not refined_set(spec, b).intersect(
         expansion_interval(spec.word_transform(b)).complement()).is_empty]
@@ -469,14 +476,18 @@ class LinearScan:
         return range(self.n)
 
 
+def expanded_count(automaton) -> int:
+    """How many states the state search expanded: those numbered below
+    growth[-2], or the initial state alone when one depth ran."""
+    return automaton.growth[-2] if len(automaton.growth) > 1 else 1
+
+
 def recomputed_residual(spec, automaton) -> float:
     """Reference residual: pull_step recomputed on every edge of every
     expanded state, which is what the residual recorded by the BFS must
     equal."""
     worst = 0.0
-    for si, row in enumerate(automaton.transitions):
-        if not automaton.expanded[si]:
-            continue
+    for si, row in enumerate(automaton.transitions[:expanded_count(automaton)]):
         z = automaton.states[si]
         for a, ti in enumerate(row):
             d = automaton.states[ti].distance(spec.pull_step(z, a))

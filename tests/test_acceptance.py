@@ -200,8 +200,7 @@ def test_criterion_06_expansion_tables():
     t0 = time.perf_counter()
     bi = builtin("binary")
     trivial = with_cover(bi, {s: ArcSet.full_circle() for s in bi.alphabet.symbols})
-    bound_ok = all(trivial.level_min_expansion(n) <= 2.0 ** (-n) + 1e-9
-                   for n in range(1, 11))
+    bound_ok = all(q <= 2.0 ** (-n) + 1e-9 for n, q in trivial.expansion_rate_bound(10).table)
 
     p3 = builtin("parabolic3")
     third = TAU / 3
@@ -214,8 +213,7 @@ def test_criterion_06_expansion_tables():
     )
     roots = []
     rotated_ok = True
-    for n in range(1, 13):
-        q = rotated.level_min_expansion(n)
+    for n, q in rotated.expansion_rate_bound(12).table:
         rotated_ok &= q < 1.0
         roots.append(q ** (1.0 / n))
     rotated_ok &= all(b > a - 1e-12 for a, b in zip(roots, roots[1:]))
@@ -233,7 +231,7 @@ def test_criterion_07_superadditivity():
     worst = 0.0
     for name in ("parabolic3", "cf", "binary", "hyperbolic4"):
         spec = builtin(name)
-        q = {n: spec.level_min_expansion(n) for n in range(1, 9)}
+        q = dict(spec.expansion_rate_bound(8).table)
         for n in range(1, 8):
             for m in range(1, 9 - n):
                 gap = math.log(q[n]) + math.log(q[m]) - math.log(q[n + m])

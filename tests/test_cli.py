@@ -299,6 +299,20 @@ def test_report_written_to_file(tmp_path, capsys):
     assert data["command"] == "classify" and data["report_version"] == 1
 
 
+@pytest.mark.parametrize("argv", [
+    lambda d: ["classify", "--builtin", "cf", "1", "--out", str(d)],
+    lambda d: ["existence-map", "--res", "2x2", "--depth", "3", "--nmax", "3",
+               "--out", str(d / "grid.pgm")],
+    lambda d: ["classify", "--system", str(d), "0"],
+], ids=["classify-out-directory", "existence-map-out-directory", "system-directory"])
+def test_a_directory_given_as_a_file_exits_2(tmp_path, capsys, argv):
+    # any file error, not only a missing file, is an input error
+    (tmp_path / "grid.pgm").mkdir()
+    code, report, err = run(capsys, *argv(tmp_path))
+    assert code == 2 and report is None
+    assert err.startswith("error:") and "Is a directory" in err
+
+
 def test_reports_deterministic_modulo_timing(capsys):
     runs = []
     for _ in range(2):

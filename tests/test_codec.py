@@ -24,7 +24,13 @@ from moebius_systems.systems import (
     with_cover,
 )
 from moebius_systems.transforms import TAU, canon_angle, circle_distance, contraction, from_real
-from reference import first_fit_decode, in_language, refined_set, turned_cover
+from reference import (
+    first_fit_decode,
+    in_language,
+    interval_shift_words,
+    refined_set,
+    turned_cover,
+)
 
 S8 = 2 * math.sqrt(2)
 
@@ -422,7 +428,7 @@ def test_decode_with_forced_prefix_nests():
     rng = random.Random(32)
     for name in ("binary", "cf"):
         spec = builtin(name)
-        words = spec.interval_shift_language(5)
+        words = interval_shift_words(spec, 5)
         for _ in range(20):
             v = rng.choice(words)
             closed = representable_interval(spec, v)

@@ -21,6 +21,7 @@ from reference import (
     forward_levels,
     forward_refined_set,
     global_prefix_check,
+    interval_shift_words,
     mp_product,
     refined_set,
     turned_cover,
@@ -100,7 +101,7 @@ def test_parabolic3_refined_sets_are_pushed_last_letter_covers():
     # legal words u satisfy W_u = F_(all but last)(W_(last letter))
     p3 = builtin("parabolic3")
     for n in range(1, 6):
-        for u in p3.interval_shift_language(n):
+        for u in interval_shift_words(p3, n):
             expect = image(p3.word_transform(u[:-1]), p3.cover[u[-1]])
             assert refined_set(p3, u).distance(expect) < 1e-9
 
@@ -112,14 +113,14 @@ def test_refined_set_matches_direct_definition(name):
     # words reach past the cached depth
     spec = builtin(name)
     decoded = [decode(spec, 1.234, n) for n in (33, 48, 60)]
-    for w in spec.interval_shift_language(5) + decoded:
+    for w in interval_shift_words(spec, 5) + decoded:
         assert forward_refined_set(spec, w).distance(refined_set(spec, w)) < 1e-9
 
 
 def test_refined_set_recursion_identity():
     rng = random.Random(20)
     cf = builtin("cf")
-    words = cf.interval_shift_language(6)
+    words = interval_shift_words(cf, 6)
     for _ in range(100):
         v = rng.choice(words)
         k = rng.randint(0, len(v))
@@ -130,7 +131,7 @@ def test_refined_set_recursion_identity():
 
 def test_refined_set_monotone():
     bi = builtin("binary")
-    for v in bi.interval_shift_language(4):
+    for v in interval_shift_words(bi, 4):
         outer = refined_set(bi, v[:-1])
         inner = refined_set(bi, v)
         assert inner.intersect(outer).distance(inner) < 1e-9
@@ -142,7 +143,7 @@ def test_refined_sets_inside_expansion_intervals():
     for name in ("parabolic3", "hyperbolic4"):
         spec = builtin(name)
         for n in range(1, 7):
-            for u in spec.interval_shift_language(n):
+            for u in interval_shift_words(spec, n):
                 v = expansion_interval(spec.word_transform(u))
                 leak = refined_set(spec, u).intersect(v.complement())
                 assert leak.length() < 1e-7, (name, u)
@@ -186,8 +187,8 @@ def test_no_command_or_query_stores_a_word():
 
 def test_interval_shift_language_basics():
     bi = builtin("binary")
-    assert bi.interval_shift_language(0) == [()]
-    words = {bi.alphabet.format(w) for w in bi.interval_shift_language(2)}
+    assert interval_shift_words(bi, 0) == [()]
+    words = {bi.alphabet.format(w) for w in interval_shift_words(bi, 2)}
     assert "11-" not in words and "1-1" not in words
     # note: the exclusion comes from the subshift; the refinements of these
     # two words are small but nonempty arcs (reals (1/4,3/8) and its mirror)
@@ -197,14 +198,14 @@ def test_interval_shift_language_basics():
 
 def test_parabolic3_level_two_language():
     p3 = builtin("parabolic3")
-    words = [p3.alphabet.format(w) for w in p3.interval_shift_language(2)]
+    words = [p3.alphabet.format(w) for w in interval_shift_words(p3, 2)]
     assert words == ["aa", "ab", "bb", "bc", "ca", "cc"]
 
 
 def test_rotated_cover_language_is_constant_words():
     spec = rotated_parabolic3()
     for n in (1, 3, 6):
-        words = {spec.alphabet.format(w) for w in spec.interval_shift_language(n)}
+        words = {spec.alphabet.format(w) for w in interval_shift_words(spec, n)}
         assert words == {"a" * n, "b" * n, "c" * n}
 
 
@@ -255,8 +256,8 @@ def test_walk_consumers_ask_for_no_walked_word(monkeypatch):
 def test_shift_invariance_of_language():
     cf = builtin("cf")
     for n in (2, 4, 6):
-        shorter = set(cf.interval_shift_language(n - 1))
-        for v in cf.interval_shift_language(n):
+        shorter = set(interval_shift_words(cf, n - 1))
+        for v in interval_shift_words(cf, n):
             assert v[1:] in shorter
 
 
@@ -325,7 +326,7 @@ def test_min_expansion_matches_a_high_precision_product():
     cases = [(builtin("hyperbolic4"), "00000000"), (builtin("hyperbolic4"), "33322222")]
     for name in ("binary", "cf", "hyperbolic4", "parabolic3"):
         spec = builtin(name)
-        cases += [(spec, w) for w in spec.interval_shift_language(6)]
+        cases += [(spec, w) for w in interval_shift_words(spec, 6)]
     with mpmath.workdps(60):
         for spec, word in cases:
             word = spec.alphabet.word(word)
@@ -382,18 +383,16 @@ def test_trivial_binary_zero_run_expansion():
 
 
 def test_trivial_binary_level_bound():
-    spec = trivial_binary()
-    assert spec.level_min_expansion(0) == 1.0
-    for n in range(1, 11):
-        assert spec.level_min_expansion(n) <= 0.5**n + 1e-9
+    for n, q in trivial_binary().expansion_rate_bound(10).table:
+        assert q <= 0.5**n + 1e-9
 
 
 def test_rotated_parabolic_roots_increase_to_one():
     spec = rotated_parabolic3()
     prev = 0.0
     roots = []
-    for n in range(1, 13):
-        q = spec.level_min_expansion(n)
+    table = spec.expansion_rate_bound(12).table
+    for n, q in table:
         assert q < 1.0
         root = q ** (1.0 / n)
         assert root > prev - 1e-12
@@ -401,7 +400,7 @@ def test_rotated_parabolic_roots_increase_to_one():
         roots.append(root)
     # the levels decay only polynomially, so the n-th roots creep to 1:
     # root(n) = poly(n)^(-1/n); check the closed form's prediction at n=12
-    q12 = spec.level_min_expansion(12)
+    q12 = table[-1][1]
     assert roots[-1] == pytest.approx(q12 ** (1 / 12))
     assert roots[-1] > roots[0] and 1.0 - roots[-1] < 1.0 - roots[0]
 
@@ -421,7 +420,7 @@ def test_rotated_parabolic_inverse_quadratic_law():
 def test_superadditivity_on_builtins():
     for name in ("parabolic3", "cf", "binary", "hyperbolic4"):
         spec = builtin(name)
-        q = {n: spec.level_min_expansion(n) for n in range(1, 9)}
+        q = dict(spec.expansion_rate_bound(8).table)
         for n in range(1, 8):
             for m in range(1, 9 - n):
                 assert math.log(q[n + m]) >= math.log(q[n]) + math.log(q[m]) - 1e-9
@@ -430,7 +429,7 @@ def test_superadditivity_on_builtins():
 def test_expansion_rate_bound_dominates_level_one():
     cf = builtin("cf")
     est = cf.expansion_rate_bound(4)
-    assert est.lower_bound >= cf.level_min_expansion(1) - 1e-12
+    assert est.lower_bound >= est.table[0][1] - 1e-12
     assert est.n_achieving >= 1
     # no level to bound: an empty range used to give -inf as a "bound"
     for n_max in (0, -1):
@@ -440,7 +439,7 @@ def test_expansion_rate_bound_dominates_level_one():
 
 def test_empty_levels_are_inf_and_skipped_by_the_rate_bound():
     spec = dead_end_pair()
-    q1 = spec.level_min_expansion(1)
+    [(_, q1)] = exhaustive_table(spec, 1)
     assert 0.0 < q1 < 1.0
     # the greedy descent ends at the first level with no child
     assert spec._dive_bounds(3) == [1.0, q1, math.inf, math.inf]
@@ -448,13 +447,12 @@ def test_empty_levels_are_inf_and_skipped_by_the_rate_bound():
     assert est.table == [(1, q1), (2, math.inf), (3, math.inf)]
     assert est.lower_bound == q1 and est.n_achieving == 1
     assert "some language levels are empty; their entries were ignored" in est.warnings
-    assert spec.level_min_expansion(2) == math.inf
 
 
 def test_level_and_prefix_set_arguments_are_checked():
     cf = builtin("cf")
-    with pytest.raises(ValueError, match="level n must be >= 0"):
-        cf.level_min_expansion(-1)
+    with pytest.raises(ValueError, match="n_max must be >= 1"):
+        cf.expansion_rate_bound(-1)
     with pytest.raises(ValueError, match="prefix set must be nonempty"):
         cf.check_prefix_set([])
 
@@ -566,7 +564,7 @@ def test_concurrent_refinement_matches_serial():
     from concurrent.futures import ThreadPoolExecutor
 
     cf = builtin("cf")
-    words = cf.interval_shift_language(6)
+    words = interval_shift_words(cf, 6)
     serial = {w: refined_set(cf, w) for w in words}
     fresh = NumberSystemSpec(
         cf.alphabet,

@@ -12,7 +12,14 @@ from moebius_systems.sofic import build_automaton, sofic_verdict, transition_res
 from moebius_systems.subshift import Alphabet, Subshift
 from moebius_systems.systems import BUILTIN_NAMES, builtin
 from moebius_systems.transforms import TAU, rotation
-from reference import LinearScan, recomputed_residual, refined_set, turned_cover
+from reference import (
+    LinearScan,
+    expanded_count,
+    interval_shift_words,
+    recomputed_residual,
+    refined_set,
+    turned_cover,
+)
 
 
 def test_parabolic3_saturates_with_five_states():
@@ -94,7 +101,7 @@ def test_sofic_verdict_product_language():
 
     # the product recognizes exactly the interval-shift language
     for n in range(0, 9):
-        legal = set(p3.interval_shift_language(n))
+        legal = set(interval_shift_words(p3, n))
         for v in itertools.product(range(3), repeat=n):
             assert product_accepts(v) == (v in legal)
 
@@ -163,7 +170,6 @@ def _assert_same_automaton(spec, cap, eps, monkeypatch):
         [(s.full, s.arcs) for s in linear.states]
     assert indexed.transitions == linear.transitions
     assert indexed.growth == linear.growth
-    assert indexed.expanded == linear.expanded
     assert indexed.saturated == linear.saturated
     return indexed
 
@@ -215,6 +221,23 @@ def test_recorded_residual_matches_recomputation(name, turn, eps):
     spec = builtin(name) if turn is None else turned_cover(builtin(name), turn)
     auto = build_automaton(spec, state_cap=120, eps_state=eps)
     assert transition_residual(spec, auto) == recomputed_residual(spec, auto)
+
+
+@pytest.mark.parametrize("cap", [1, 5, 20])
+@pytest.mark.parametrize("turn", [None, 0.2, 0.5, 0.8])
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_states_met_in_the_last_depth_are_the_unexpanded_ones(name, turn, cap):
+    # the search expands the states numbered below growth[-2] (the initial
+    # state alone after one depth); the states met in the depth where the
+    # cap stopped it self-loop on every letter, and the residual the BFS
+    # records is the one recomputed over the expanded states' edges
+    spec = builtin(name) if turn is None else turned_cover(builtin(name), turn)
+    auto = build_automaton(spec, state_cap=cap)
+    expanded = expanded_count(auto)
+    assert auto.saturated == (expanded == auto.n_states)
+    for si in range(expanded, auto.n_states):
+        assert auto.transitions[si] == [si] * spec.alphabet.size
+    assert auto.residual == recomputed_residual(spec, auto)
 
 
 def test_verdict_takes_no_pullback_step(monkeypatch):

@@ -144,8 +144,8 @@ def test_config_with_pi_strings_and_points():
 
 
 def test_config_lenient_forms_still_parse():
-    # "real_line" takes numeric strings and "points" uses its first two
-    # pairs; a string alphabet is no list and no longer splits into letters
+    # "real_line" takes numeric strings and a cover arc angle strings; a
+    # string alphabet is no list and no longer splits into letters
     data = {
         "alphabet": ["r", "s"],
         "transforms": {
@@ -154,7 +154,7 @@ def test_config_lenient_forms_still_parse():
         },
         "cover": {
             "r": [["pi*0", "pi"]],
-            "s": [{"points": [[-1, 0], [1, 0], [0, 1]]}],
+            "s": [{"points": [[-1, 0], [1, 0]]}],
         },
         "forbidden": [],
     }
@@ -191,6 +191,21 @@ def test_config_error_paths():
     for symbols in ([], ["0", "0", "1"]):
         with pytest.raises(ConfigError):
             parse_config({**base, "alphabet": symbols})
+    # each of these reads as cf itself where JSON true and false count as
+    # the numbers 1 and 0 and extra endpoints or keys are ignored
+    one_disc = [[True, 0.5], [0.5, 0.0], [0.5, -0.0], [True, -0.5]]
+    for section, value in [
+        ("cover", [[False, math.pi / 2]]),
+        ("cover", [{"points": [[1, False], [0, 1]]}]),
+        ("cover", [{"points": [[1, 0], [0, 1], [-1, 0]]}]),
+        ("transforms", {"disc": one_disc}),
+        ("transforms", {"real_line": [True, True, False, True]}),
+        ("transforms", {"disc": base["transforms"]["1"]["disc"], "real_line": [1, 1, 0, 1]}),
+    ]:
+        with pytest.raises(ConfigError):
+            parse_config({**base, section: {**base[section], "1": value}})
+    with pytest.raises(ConfigError):
+        parse_config({**base, "forbidden": base["forbidden"] + [[True, True]]})
 
 
 def test_load_config_file(tmp_path):

@@ -251,15 +251,30 @@ def test_classify_invariant_under_conjugation():
 
 
 def test_fixed_points_are_fixed():
+    # the fixed points classify reports, which classify on the CLI prints:
+    # the stable and unstable angles, the parabolic angle, and the elliptic
+    # interior point with its reflection 1/conj(z) in the circle
     rng = random.Random(6)
-    for _ in range(200):
-        f = random_disc_moebius(rng)
-        for p in f.fixed_points():
+    maps = [random_disc_moebius(rng) for _ in range(200)]
+    maps += [parabolic_map(fix, fix + 1.0, fix + 2.0) for fix in (0.0, 0.7, 2.5, 4.0)]
+    maps.append(rotation(1.0))
+    kinds = set()
+    for f in maps:
+        c = f.classify()
+        kinds.add(c.kind)
+        if c.kind == "elliptic":
+            points = [SpherePoint(c.interior),
+                      INFINITY if c.interior == 0 else SpherePoint(1.0 / c.interior.conjugate())]
+        else:
+            angles = [c.stable, c.unstable] if c.kind == "hyperbolic" else [c.fixed]
+            points = [SpherePoint(cmath.exp(1j * t)) for t in angles]
+        for p in points:
             q = f.apply(p)
             if p.is_infinity:
                 assert q.is_infinity
             else:
                 assert abs(q.value - p.value) < 1e-8
+    assert kinds == {"elliptic", "parabolic", "hyperbolic"}
 
 
 def test_hyperbolic_derivative_product_is_one():
