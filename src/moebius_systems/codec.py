@@ -53,7 +53,7 @@ from itertools import chain, islice, repeat
 from operator import index
 
 from .arcs import ClosedArcSet, EPS_ANGLE, image
-from .errors import EmptyRefinedSet, IllegalPrefix, NoLegalDigit
+from .errors import IllegalPrefix, NoLegalDigit
 from .interval_system import EPS_ONE, NumberSystemSpec, _least_expansion
 from .subshift import Word
 from .transforms import (
@@ -117,8 +117,8 @@ def encode(spec: NumberSystemSpec, digits, tol: float, max_digits: int | None = 
     most _RUN_CHUNK_MAX (4,096) digits, never past max_digits, and only
     a run that breaks inside a chunk leaves one.
     """
-    if not tol > 0:  # NaN too: no radius is ever <= NaN
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    if not 0 < tol < math.inf:  # no radius is <= NaN, and every one is <= inf
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     cap = sys.maxsize if max_digits is None else _count(max_digits, "max_digits")
     # the loop reads `stream`: the digits a run jump read past its end and
     # the loop has not taken yet (`pending`), then the rest of `base`; with
@@ -132,9 +132,10 @@ def encode(spec: NumberSystemSpec, digits, tol: float, max_digits: int | None = 
     n_symbols = len(fwd)
     scales = spec._parabolic_scales
     eps_rotation = EPS_ROTATION
-    # the pullback state is an id in the spec's table of interned pullback
-    # sets (0 the full circle, 1 the empty set); on sofic systems it cycles
-    # through a few of them, so nearly every step is a table lookup
+    # the pullback state is an id in the spec's table of interned nonempty
+    # pullback sets (0 the full circle); on sofic systems it cycles through
+    # a few of them, so nearly every step is a table lookup, and a step into
+    # the empty set is met only where a step is first taken (_pull_edge)
     table = spec._pull_table
     rows = table.rows
     sid = 0
@@ -170,12 +171,12 @@ def encode(spec: NumberSystemSpec, digits, tol: float, max_digits: int | None = 
                                             f"{consumed} leaves the language")
                     nxt = rows[sid][a]
                     if nxt is None:
-                        table, nxt = spec._pull_edge(table, sid, a)
+                        if (edge := spec._pull_edge(table, sid, a)) is None:
+                            raise IllegalPrefix(f"digit {spec.alphabet.symbols[a]!r} at position "
+                                                f"{consumed} refines to the empty set")
+                        table, nxt = edge
                         rows = table.rows
                     sid = nxt
-                    if sid == 1:  # the empty set
-                        raise IllegalPrefix(f"digit {spec.alphabet.symbols[a]!r} at position "
-                                            f"{consumed} refines to the empty set")
                     a2, b2 = fwd[a]
                     fa, fb = fa * a2 + fb * b2.conjugate(), fa * b2 + fb * a2.conjugate()
                     consumed += 1
@@ -399,16 +400,9 @@ def representable_interval(spec: NumberSystemSpec, word) -> ClosedArcSet:
     """Closed set of points expressible with the given digit prefix:
     F_w(cl Z_w), which keeps the interval of a long word however narrow.
     A prefix with an empty refined set raises EmptyRefinedSet, and one
-    that leaves the subshift's language raises IllegalPrefix, as in encode."""
-    w = spec.alphabet.word(word)
-    z, f = spec._entry(w)
-    if z.is_empty:
-        raise EmptyRefinedSet(f"no point is representable with prefix {word!r}")
-    state = spec.subshift.initial
-    for i, a in enumerate(w):
-        if (state := spec.subshift.transitions[state][a]) is None:
-            raise IllegalPrefix(f"digit {spec.alphabet.symbols[a]!r} at position {i} "
-                                f"leaves the language")
+    that leaves the subshift's language raises IllegalPrefix, as in encode
+    (NumberSystemSpec._shift_entry)."""
+    z, f = spec._shift_entry(word)
     return image(f, z.closure())
 
 

@@ -27,11 +27,11 @@ import cmath
 import math
 import threading
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 from . import transforms
 from .arcs import EPS_ANGLE, ArcSet, _least_on, _uncovered, covers_circle, expansion_geometry, image
-from .errors import EmptyRefinedSet
+from .errors import EmptyRefinedSet, IllegalPrefix
 from .subshift import Alphabet, Subshift, Word, last_level, walk
 from .transforms import TAU
 
@@ -97,16 +97,17 @@ def _arcs(a) -> tuple[tuple[float, float], ...]:
 
 
 class _PullbackTable:
-    """Pullback states interned by exact equality, with transitions filled
-    lazily: rows[sid][a] stays None until that step is first taken.
-    State 0 is the full circle and state 1 the empty set."""
+    """Nonempty pullback states interned by exact equality, with
+    transitions filled lazily: rows[sid][a] stays None until that step is
+    first taken, and for good when the step empties the set, which is
+    never stored.  State 0 is the full circle."""
 
     __slots__ = ("states", "index", "rows")
 
     def __init__(self, size: int):
-        self.states = [ArcSet.full_circle(), ArcSet.empty()]
-        self.index = {z: i for i, z in enumerate(self.states)}
-        self.rows: list[list[int | None]] = [[None] * size, [1] * size]
+        self.states = [ArcSet.full_circle()]
+        self.index = {self.states[0]: 0}
+        self.rows: list[list[int | None]] = [[None] * size]
 
     def intern(self, z: ArcSet) -> int | None:
         """Id of z, added if new; None when z is new and the table is full."""
@@ -189,18 +190,35 @@ class NumberSystemSpec:
 
     def _entry(self, word: Word) -> tuple[ArcSet, transforms.DiscMoebius]:
         """(pullback state Z_w, word map F_w) of one word that a public query
-        asks for (word_transform, min_expansion, representable_interval,
-        check_prefix_set's B), stepped from the root and stored nowhere.
-        The walks carry their own entries and never call it."""
+        asks for (min_expansion and representable_interval, through
+        _shift_entry, and check_prefix_set's B), stepped from the root and
+        stored nowhere.  The walks carry their own entries and never call it."""
         entry = self._root
         for a in word:
             z, f = entry
             entry = (self.pull_step(z, a), f.compose(self.transforms[a]))
         return entry
 
+    def _shift_entry(self, word) -> tuple[ArcSet, transforms.DiscMoebius]:
+        """_entry of a word that must lie in the interval shift, read by
+        Alphabet.word.  An empty Z_w raises EmptyRefinedSet; else a word
+        the subshift forbids raises IllegalPrefix with encode's message."""
+        word = self.alphabet.word(word)
+        z, f = self._entry(word)
+        if z.is_empty:
+            raise EmptyRefinedSet(f"word {self.alphabet.format(word)!r} has an empty refined set")
+        state = self.subshift.initial
+        for i, a in enumerate(word):
+            if (state := self.subshift.transitions[state][a]) is None:
+                raise IllegalPrefix(f"digit {self.alphabet.symbols[a]!r} at position {i} "
+                                    f"leaves the language")
+        return z, f
+
     def word_transform(self, word) -> transforms.DiscMoebius:
-        """Composition of the letter maps along the word."""
-        return self._entry(self.alphabet.word(word))[1]
+        """Composition of the letter maps along the word, in the order
+        _entry composes them; any word has one, in the interval shift or not."""
+        maps = (self.transforms[a] for a in self.alphabet.word(word))
+        return reduce(transforms.DiscMoebius.compose, maps, self._root[1])
 
     # -- the pullback step ------------------------------------------------------
 
@@ -213,23 +231,24 @@ class NumberSystemSpec:
         """
         return image(self._inverses[a], z).intersect(self._letter_pulls[a])
 
-    def _pull_edge(self, table: _PullbackTable, sid: int, a: int) -> tuple[_PullbackTable, int]:
+    def _pull_edge(self, table: _PullbackTable, sid: int, a: int) -> tuple[_PullbackTable, int] | None:
         """Take the step from state sid of `table` along a by pull_step.
 
-        Returns the table to go on in and the target state's id there:
-        `table` itself with the edge filled in, or, once `table` is full,
-        the spec's current table (a fresh one if need be).
+        Returns None when the step empties the set, and stores nothing
+        then.  Else returns the table to go on in and the target state's
+        id there: `table` itself with the edge filled in, or, once `table`
+        is full, a fresh table that becomes the spec's.
         """
         z = self.pull_step(table.states[sid], a)
+        if z.is_empty:
+            return None
         with self._pull_lock:
             nid = table.intern(z)
-            if nid is not None:
-                table.rows[sid][a] = nid
-                return table, nid
-            fresh = self._pull_table
-            if fresh is table or len(fresh.states) >= _PULL_TABLE_CAP:
-                fresh = self._pull_table = _PullbackTable(self.alphabet.size)
-            return fresh, fresh.intern(z)
+            if nid is None:
+                table = self._pull_table = _PullbackTable(self.alphabet.size)
+                return table, table.intern(z)
+            table.rows[sid][a] = nid
+            return table, nid
 
     # -- the interval shift -----------------------------------------------------
 
@@ -270,12 +289,9 @@ class NumberSystemSpec:
     def min_expansion(self, word) -> float:
         """Minimum inverse-derivative modulus of the word map over the
         closed refined set, q(w) = min 1/|F_w'(y)| over cl Z_w
-        (_least_expansion)."""
-        word = self.alphabet.word(word)
-        z, f = self._entry(word)
-        if z.is_empty:
-            raise EmptyRefinedSet(f"word {word} has an empty refined set")
-        return _least_expansion(z, f)
+        (_least_expansion), for a word of the interval shift: a word
+        outside it raises as in _shift_entry."""
+        return _least_expansion(*self._shift_entry(word))
 
     def _dive_bounds(self, n_max: int) -> list[float]:
         """Upper bounds on Q_0..Q_n_max: the q of the words met by descending

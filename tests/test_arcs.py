@@ -93,6 +93,12 @@ def test_complement_of_empty_is_full():
     assert ArcSet.full_circle().complement().is_empty
 
 
+def test_full_closed_circle_is_its_own_component():
+    full = ClosedArcSet.full_circle()
+    for theta in (0.0, 1.0, math.pi, TAU - 1e-12):
+        assert full.component_containing(theta) == (0.0, TAU)
+
+
 def test_closure_includes_endpoint_and_merges():
     c = ArcSet.arc(0, math.pi).closure()
     assert c.contains(math.pi) and c.contains(0.0)

@@ -8,6 +8,7 @@ import pytest
 
 from moebius_systems import cli
 from moebius_systems.cli import main
+from moebius_systems.interval_system import NumberSystemSpec
 from moebius_systems.systems import builtin, serialize_config
 from reference import dead_end_pair
 
@@ -358,6 +359,23 @@ def test_sofic_invalid_state_tolerance_exits_2(capsys, eps):
     code, report, err = run(capsys, "sofic", "--builtin", "cf", "--eps", eps)
     assert code == 2 and report is None
     assert "eps_state" in err
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "0"])
+def test_encode_invalid_tolerance_exits_2(capsys, tol):
+    # an infinite tol is met by any radius, so it would certify after one digit
+    code, report, err = run(capsys, "encode", "--builtin", "cf", "0101", "--tol", tol)
+    assert code == 2 and report is None
+    assert "tol must be positive and finite" in err
+
+
+def test_classify_answers_a_forbidden_word_with_no_pull_step(capsys, monkeypatch):
+    def refuse(self, z, a):
+        raise AssertionError("classify took a pull step")
+
+    monkeypatch.setattr(NumberSystemSpec, "pull_step", refuse)
+    code, report, _ = run(capsys, "classify", "--builtin", "binary", "20")  # binary forbids 20
+    assert code == 0 and report["result"]["word"] == "20"
 
 
 def test_module_entry_point():

@@ -95,7 +95,7 @@ CASES = {
         "error: mode 'qn' needs a level n >= 0, got -1\n", None, {}),
     "encode-tol-nan": (
         ["encode", "--builtin", "cf", "1", "--tol", "nan"], 2,
-        "error: tol must be positive, got nan\n", None, {}),
+        "error: tol must be positive and finite, got nan\n", None, {}),
     "encode-negative-digits": (
         ["encode", "--builtin", "cf", "1", "--digits", "-1"], 2,
         "error: max_digits must be >= 0, got -1\n", None, {}),

@@ -91,8 +91,11 @@ def test_encode_rejects_illegal_prefixes():
          "c": ArcSet.arc(TAU / 3, 2 * TAU / 3)},
         Subshift(p3.alphabet, ()),
     )
-    with pytest.raises(IllegalPrefix):
-        encode(rotated, "ab", tol=1e-6)  # legal factor, empty refinement
+    for _ in range(2):  # the emptying step is stored nowhere, so it is taken again
+        with pytest.raises(IllegalPrefix, match="'b' at position 1 refines to the empty set"):
+            encode(rotated, "ab", tol=1e-6)  # legal factor, empty refinement
+    assert not any(z.is_empty for z in rotated._pull_table.states)
+    _assert_table_consistent(rotated)
 
 
 def test_encode_respects_max_digits():
@@ -115,9 +118,11 @@ def test_encode_respects_max_digits():
         res = encode(system, it, tol, max_digits=max_digits)
         assert res.digits_consumed == want
         assert len(list(it)) == len(digits) - want, (system.name, max_digits)
-    # a NaN tol would never be met and a negative cap would return nothing
-    with pytest.raises(ValueError, match="tol must be positive"):
-        encode(bi, itertools.repeat(1), tol=math.nan)
+    # a NaN tol would never be met, an infinite one is met by any radius,
+    # even a rotation's, and a negative cap would return nothing
+    for tol in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            encode(bi, itertools.repeat(1), tol=tol)
     with pytest.raises(ValueError, match="max_digits must be >= 0"):
         encode(bi, "0" * 100, tol=1e-30, max_digits=-1)
     # a cap that is no integer is rejected, not rounded up or left to fail later
@@ -501,6 +506,12 @@ def test_shift_equivariance_on_binary():
 # -- classical continued fractions cross-check -----------------------------------
 
 
+@pytest.mark.parametrize("p, q", [(0, 5), (5, 5), (7, 5), (-1, 5)])
+def test_classical_cf_terms_needs_a_fraction_in_the_unit_interval(p, q):
+    with pytest.raises(ValueError, match="need 0 < p < q"):
+        classical_cf_terms(p, q)
+
+
 def test_classical_cf_terms():
     from fractions import Fraction
 
@@ -552,14 +563,16 @@ def test_representable_interval_examples():
 
 @pytest.mark.parametrize("word", ["20", "02", "12", "1-2", "11-", "1-1"])
 def test_representable_interval_rejects_a_forbidden_prefix_as_encode_does(word):
-    # each refined set is nonempty; the subshift forbids the word
+    # each refined set is nonempty; the subshift forbids the word, and
+    # min_expansion, which reads the same check, rejects it too
     bi = builtin("binary")
     assert not refined_set(bi, word).is_empty
     with pytest.raises(IllegalPrefix) as want:
         encode(bi, word, tol=1e-30)
-    with pytest.raises(IllegalPrefix) as got:
-        representable_interval(bi, word)
-    assert str(got.value) == str(want.value)
+    for query in (lambda w: representable_interval(bi, w), bi.min_expansion):
+        with pytest.raises(IllegalPrefix) as got:
+            query(word)
+        assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("name", ["parabolic3", "cf", "binary", "hyperbolic4"])

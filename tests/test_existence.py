@@ -15,7 +15,7 @@ import pytest
 
 import moebius_systems
 from moebius_systems import existence
-from moebius_systems.errors import ParamOutOfRange
+from moebius_systems.errors import NotDiscPreserving, ParamOutOfRange
 from moebius_systems.existence import (
     EPS_GAP,
     _cell_centre,
@@ -90,6 +90,13 @@ def test_parameter_validation():
     for bad in ((0.0, 0.5), (1.0, 0.5), (0.5, -0.1), (0.5, 1.5)):
         with pytest.raises(ParamOutOfRange):
             two_hyperbolic_system(*bad)
+
+
+@pytest.mark.parametrize("pair", [(1e-300, 0.5), (0.5, 1e-300)])
+def test_parameter_near_zero_is_no_disc_map(pair):
+    # inside (0, 1), but |alpha|^2 - |beta|^2 rounds to 0
+    with pytest.raises(NotDiscPreserving, match="not a disc-preserving pair"):
+        two_hyperbolic_system(*pair)
 
 
 def test_swap_symmetry_is_conjugation_by_half_turn():
@@ -248,6 +255,12 @@ def test_inward_open_rectangle_boundary():
 def test_grid_rejects_sizes_below_one(size):
     with pytest.raises(ValueError, match="at least 1x1"):
         render_grid(*size, depth=4, n_max=4)
+
+
+def test_grid_refuses_a_grid_over_the_render_budget():
+    # 2^41 word maps in the worst case: refused before any cell is searched
+    with pytest.raises(ValueError, match="1x1 cells at depth 40 exceeds the render budget"):
+        render_grid(1, 1, depth=40, n_max=4)
 
 
 @pytest.mark.parametrize("workers", [0, -2])

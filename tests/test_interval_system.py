@@ -300,8 +300,30 @@ def test_min_expansion_of_empty_word():
 
 
 def test_min_expansion_requires_nonempty():
-    with pytest.raises(EmptyRefinedSet):
-        builtin("parabolic3").min_expansion("ac")
+    # 'ac' is forbidden too; the empty refined set is reported first, with
+    # the message representable_interval gives
+    p3 = builtin("parabolic3")
+    for query in (p3.min_expansion, lambda w: representable_interval(p3, w)):
+        with pytest.raises(EmptyRefinedSet, match="^word 'ac' has an empty refined set$"):
+            query("ac")
+
+
+@pytest.mark.parametrize("name", ["parabolic3", "cf", "binary", "hyperbolic4"])
+def test_word_transform_folds_the_letter_maps_and_takes_no_pull_step(name, monkeypatch):
+    # any word has a map, one the subshift forbids or with an empty refined
+    # set too, and it is the map _entry composes, bit for bit
+    spec = builtin(name)
+    rng = random.Random(30)
+    words = [tuple(rng.randrange(spec.alphabet.size) for _ in range(n))
+             for n in (0, 1, 2, 3, 5, 8, 40) for _ in range(4)]
+    want = [spec._entry(w)[1] for w in words]
+
+    def refuse(z, a):
+        raise AssertionError("word_transform took a pull step")
+
+    monkeypatch.setattr(spec, "pull_step", refuse)
+    got = [spec.word_transform(w) for w in words]
+    assert [(f.alpha, f.beta) for f in got] == [(f.alpha, f.beta) for f in want]
 
 
 def test_min_expansion_matches_a_high_precision_product():

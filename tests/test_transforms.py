@@ -88,6 +88,12 @@ def test_constructor_normalizes_or_rejects():
         DiscMoebius(1, 2)
 
 
+@pytest.mark.parametrize("r", [0.0, -2.0])
+def test_contraction_needs_a_positive_parameter(r):
+    with pytest.raises(ValueError, match="contraction parameter must be positive"):
+        contraction(r)
+
+
 def test_contraction_is_built_from_its_formula():
     # (r + 1/r)/2 and (r - 1/r)/2 round to the same float here, so a
     # checked difference of squares would be 0
