@@ -240,8 +240,14 @@ class ArcSet(_Arcs):
                 s1, l1 = mine[i]
                 s2, l2 = theirs[(i + k) % n]
                 # the larger of worst, the circle distance of the starts and
-                # the length difference; the earlier one on ties
-                d = (s1 - s2) % TAU
+                # the length difference; the earlier one on ties.  |s1 - s2|,
+                # since (s1 - s2) % TAU rounds a tiny negative to 2*pi; only
+                # a directly built set can hold starts a turn apart
+                d = s1 - s2
+                if d < 0.0:
+                    d = -d
+                if d >= TAU:
+                    d %= TAU
                 if TAU - d < d:
                     d = TAU - d
                 if d > worst:

@@ -16,9 +16,11 @@ Cells certified by neither stay labelled unknown.
 
 The cover search runs on numpy arrays over a batch of cells at once,
 one level of words at a time: each level composes the words with both
-generators, generator-major, and takes their expansion arcs; from level
-5 on, and at the last level, it sweeps each cell's arcs by sorting their
-starts and their ends apart and drops the cells found covered.  render_grid
+generators, generator-major, and takes their expansion arcs, the
+half-width as arctan(1/|beta|) and the centre as arg(alpha*beta); from
+level 5 on, and at the last level, it sweeps each cell's arcs by sorting
+their starts and their ends apart and drops the cells found covered,
+compacting the other cells' arcs in place.  render_grid
 hands it blocks of consecutive cells (sharded over worker processes if
 asked), whose generator entries come from one array formula that
 two_hyperbolic_system reads too, and cover_search is a batch of one.
@@ -118,6 +120,13 @@ def _cover_batch(alpha_a: np.ndarray, beta_a: np.ndarray, alpha_b: np.ndarray,
     accumulate, so a row covered at one level is covered at the last.
     Rotations (|beta| <= EPS_ROTATION) leave padding in place of an arc,
     and their subtrees are still explored.
+
+    starts and ends hold one row per active cell and a column per word of
+    every level, 2^(depth+1) - 2 in all; the first `filled` columns hold
+    the levels taken so far.  Dropping covered cells moves the kept rows'
+    filled columns up in place, within the arrays the batch allocated,
+    and leaves their later columns stale: every level writes its columns
+    before a sweep reads them.
     """
     import numpy as np
     if depth < 0:
@@ -149,7 +158,10 @@ def _cover_batch(alpha_a: np.ndarray, beta_a: np.ndarray, alpha_b: np.ndarray,
             if done.any():
                 keep = ~done
                 cells, alpha, beta, gens = cells[keep], alpha[keep], beta[keep], gens[keep]
-                starts, ends = starts[keep], ends[keep]
+                m = len(cells)
+                starts[:m, :filled] = starts[keep, :filled]
+                ends[:m, :filled] = ends[keep, :filled]
+                starts, ends = starts[:m], ends[:m]
     return covered
 
 
@@ -210,7 +222,27 @@ def _children(alpha: np.ndarray, beta: np.ndarray,
 
 def _v_arcs(alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Expansion arcs [start, end] of the maps with the given entries, the
-    array form of arcs._v_arc; rotations give the padding (-inf, -inf).
+    array form of arcs._v_arc; rotations (and NaN entries) give the
+    padding (-inf, -inf).
+
+    The arc is arcs._v_arc's, read through two exact identities that are
+    cheaper and, for the half-width, more accurate:
+      * half = arctan(1/|beta|), which is acos(|beta|/sqrt(1 + |beta|^2))
+        for |alpha|^2 - |beta|^2 = 1.  The acos form loses the angle where
+        its argument nears 1: it is 1.2e-12 off at |beta| = 1e4 and 1e-8
+        at 1e8, where the arc collapses to a point; arctan(1/|beta|) stays
+        within 1e-16 relative of a 50-digit half-width.  |beta| = 0 gives
+        arctan(inf) = pi/2 with the divide warning silenced; the padding
+        overwrites it.
+      * center = arg(alpha*beta), which is arg(alpha/conj(beta)), since
+        dividing by conj(beta) and multiplying by beta turn by the same
+        angle.  alpha*beta cannot overflow: constructible generators have
+        entries below about 1e8 and depth is at most 16, so
+        |alpha*beta| <= (2e8)^32, about 4e265.
+    So the array form differs from arcs._v_arc in formula, not only in the
+    last ulp; _v_arc keeps acos and phase so that the certify outputs do
+    not move, and test_batched_kernel_matches_scalar_reference holds the
+    two to the same labels.
 
     The start is (center - half) % TAU, float for float, wrapped without
     the remainder: center lies in [-pi, pi] and half in [0, pi/2], so
@@ -218,20 +250,22 @@ def _v_arcs(alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray
     x % TAU is fl(x + TAU) for x < 0 and x + 0.0 otherwise (+0.0 for -0.0).
 
     |beta| is np.abs(beta), several times cheaper than np.hypot on the real
-    and imaginary parts and sometimes an ulp away from it, as the arccos
-    and the complex divide are from their scalar forms: only the labels
-    are held equal.  _generator_entries keeps np.hypot, whose entries must
-    be the DiscMoebius constructor's bit for bit.
+    and imaginary parts and sometimes an ulp away from it.
+    _generator_entries keeps np.hypot, whose entries must be the
+    DiscMoebius constructor's bit for bit.
     """
     import numpy as np
     b = np.abs(beta)
-    half = np.arccos(b / np.sqrt(1.0 + b * b))
-    with np.errstate(divide="ignore", invalid="ignore"):  # rotations: padding below
-        ratio = alpha / beta.conj()
-    starts = np.arctan2(ratio.imag, ratio.real) - half
+    with np.errstate(divide="ignore"):  # rotations: padding below
+        half = np.arctan(1.0 / b)
+    p = alpha * beta
+    starts = np.arctan2(p.imag, p.real) - half
     starts += np.where(starts < 0.0, TAU, 0.0)
-    starts[~(b > EPS_ROTATION)] = -np.inf
-    return starts, starts + 2.0 * half
+    pad = ~(b > EPS_ROTATION)
+    starts[pad] = -np.inf
+    ends = starts + 2.0 * half
+    ends[pad] = -np.inf  # a NaN half would leave a NaN end
+    return starts, ends
 
 
 def cover_search(fa: DiscMoebius, fb: DiscMoebius, depth: int) -> bool:

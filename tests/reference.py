@@ -199,7 +199,11 @@ def ref_closure(a):
 
 
 def ref_circle_distance(a, b):
-    d = (a - b) % TAU
+    """ArcSet.distance's circle distance of two starts: |a - b|, not
+    (a - b) % TAU, which reads 1e-17 one way and 0.0 the other across 0."""
+    d = abs(a - b)
+    if d >= TAU:
+        d %= TAU
     return min(d, TAU - d)
 
 
@@ -530,13 +534,14 @@ def scalar_cover_search(fa: DiscMoebius, fb: DiscMoebius, depth: int) -> bool:
 
 def remainder_v_arcs(alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reference: existence._v_arcs with its start wrapped by numpy's
-    remainder, (center - half) % TAU, through np.angle and one masked path;
-    |beta| is np.abs(beta), as the kernel reads it."""
+    remainder, (center - half) % TAU, and one masked path; the kernel's
+    identities give half = arctan(1/|beta|) and center = arg(alpha*beta),
+    with |beta| as np.abs(beta)."""
     b = np.abs(beta)
     arc = b > EPS_ROTATION
-    half = np.arccos(b / np.sqrt(1.0 + b * b))
-    center = np.angle(np.divide(alpha, beta.conj(), out=np.zeros_like(alpha), where=arc))
-    starts = np.where(arc, (center - half) % TAU, -np.inf)
+    half = np.arctan(np.divide(1.0, b, out=np.zeros_like(b), where=arc))
+    p = np.multiply(alpha, beta, out=np.zeros_like(alpha), where=arc)
+    starts = np.where(arc, (np.arctan2(p.imag, p.real) - half) % TAU, -np.inf)
     return starts, starts + 2.0 * half
 
 

@@ -141,6 +141,18 @@ def test_distance_alignment_across_zero():
     assert a.distance(b) < 1e-7
 
 
+def test_distance_is_symmetric_across_zero():
+    # (0.0 - 1e-17) % TAU rounds to 2*pi, which read 0.0 one way; so
+    # build_automaton(eps_state=0), which merges at distance <= 0, merged
+    # more than exact repeats
+    a, b = ArcSet.arc(0.0, 1.0), ArcSet.arc(1e-17, 1.0)
+    assert a.distance(b) == b.distance(a) == 1e-17
+    assert not a.approx_eq(b, tol=0.0) and not b.approx_eq(a, tol=0.0)
+    # a directly built set may hold a start a turn off [0, 2*pi)
+    x, y = ArcSet(((TAU + 0.5, 1.0),)), ArcSet(((0.5, 1.0),))
+    assert 0.0 <= x.distance(y) == y.distance(x) < 1e-15
+
+
 # -- image -----------------------------------------------------------------------
 
 

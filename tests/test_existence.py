@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from functools import reduce
 from pathlib import Path
 
@@ -46,7 +47,7 @@ from reference import (
     scalar_two_hyperbolic_system,
 )
 
-# the cover-search kernel must stay inside the domains of sqrt and arccos
+# no floating-point warning may escape the cover-search kernel's np.errstate
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
@@ -377,13 +378,14 @@ def test_v_arcs_wrap_is_the_remainder_bit_for_bit():
     alpha = np.sqrt(1.0 + r * r) * np.exp(1j * rng.uniform(-np.pi, np.pi, shape))
     # row 0: a real beta and center = half - d for a tiny d, so the start
     # falls just below 0 and often wraps to exactly TAU; row 1: one start of
-    # -0.0 (center -0.0, and half 0.0 at |beta| = 1e9) and one of -1e-309
+    # -0.0 (center -0.0, and half 0.0 where np.abs(beta) overflows to inf)
+    # and one of -1e-309 (half 2^-1023 at |beta| = 2^1023, center just below)
     r0 = 10.0 ** rng.uniform(-3.0, 3.0, shape[1])
-    half = np.arccos(r0 / np.sqrt(1.0 + r0 * r0))
+    half = np.arctan(1.0 / r0)
     d = 10.0 ** rng.uniform(-18.0, -14.0, shape[1])
     alpha[0], beta[0] = np.sqrt(1.0 + r0 * r0) * np.exp(1j * (half - d)), r0
-    alpha[1, :2] = complex(1e9, -0.0), complex(1e9, -1e-300)
-    beta[1, :2] = complex(1e9, -0.0), complex(1e9, 0.0)
+    alpha[1, :2] = complex(-0.0, -0.0), complex(1.0, 2.0 ** -1023 - 1e-309)
+    beta[1, :2] = complex(1.5e308, 1.5e308), complex(2.0 ** 1023, 0.0)
     # rotations take the masked path: exact, below EPS_ROTATION, and NaN
     masked_alpha, masked_beta = alpha.copy(), beta.copy()
     spin = rng.random(shape) < 0.2
@@ -399,6 +401,36 @@ def test_v_arcs_wrap_is_the_remainder_bit_for_bit():
         assert want[0][1, 0] == 0.0 and not np.signbit(want[0][1, 0])
         assert want[0][1, 1] == TAU
     assert (want[0] == -np.inf).sum() == spin.sum() + 1
+
+
+def test_v_arcs_match_a_50_digit_expansion_arc():
+    # arcs._v_arc's formula, acos(|beta| / sqrt(1 + |beta|^2)) and
+    # arg(alpha / conj(beta)), on the same float entries in 50 digits; the
+    # arccos form of the half-width is 1.2e-12 off at |beta| = 1e4
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(31)
+    r = np.logspace(-3.0, 8.0, 221)
+    beta = r * np.exp(1j * rng.uniform(-np.pi, np.pi, r.size))
+    alpha = np.sqrt(1.0 + r * r) * np.exp(1j * rng.uniform(-np.pi, np.pi, r.size))
+    starts, ends = _v_arcs(alpha, beta)
+    with mpmath.workdps(50):
+        tau = 2 * mpmath.pi
+        for a, b, s, e in zip(alpha.tolist(), beta.tolist(), starts.tolist(), ends.tolist()):
+            a, b = mpmath.mpc(a), mpmath.mpc(b)
+            half = mpmath.acos(abs(b) / mpmath.sqrt(1 + abs(b) ** 2))
+            center = mpmath.arg(a / mpmath.conj(b))
+            for got, want in ((s, center - half), (e, center + half)):
+                d = (got - want) % tau
+                assert min(d, tau - d) <= 1e-14, (abs(b), got, want)
+    # rotations, exact and below EPS_ROTATION, and a NaN entry: padding, and
+    # no floating-point warning escapes the kernel
+    beta = np.array([0.0, complex(-0.0, 0.0), 1e-13, complex(3e-13, -4e-13),
+                     complex(np.nan, 0.0), complex(0.0, np.nan)])
+    alpha = np.exp(1j * np.linspace(-3.0, 3.0, beta.size))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        starts, ends = _v_arcs(alpha, beta)
+    assert (starts == -np.inf).all() and (ends == -np.inf).all()
 
 
 def test_grid_deterministic_and_parallel_consistent():
