@@ -325,21 +325,34 @@ class ExpansionGeometry:
 
 def _v_arc(alpha: complex, beta: complex):
     """Expansion interval of the map with entries (alpha, beta) as a raw
-    (start, length) pair, start in [0, 2*pi); None for rotations."""
+    (start, length) pair, start in [0, 2*pi); None for rotations.
+
+    The arc is centred at arg(alpha/conj(beta)) with half-width
+    acos(|beta|/sqrt(1 + |beta|^2)), read through two exact identities
+    (for |alpha|^2 - |beta|^2 = 1): the half-width is arctan(1/|beta|),
+    which keeps its relative accuracy where the acos form loses it as its
+    argument nears 1 (1.2e-12 rad off at |beta| = 1e4, 1e-8 at 1e8), and
+    the centre is arg(alpha*beta), since dividing by conj(beta) and
+    multiplying by beta turn by the same angle; alpha*beta overflows only
+    past |beta| of about 1e154, far beyond the 1e8 at which float entries
+    stop holding the determinant.  existence._v_arcs is the array form of
+    the same formula."""
     b = abs(beta)
     if b <= EPS_ROTATION:
         return None
-    half = math.acos(b / math.sqrt(1.0 + b * b))
-    center = cmath.phase(alpha / beta.conjugate())
-    return ((center - half) % TAU, 2.0 * half)
+    half = math.atan(1.0 / b)
+    return ((cmath.phase(alpha * beta) - half) % TAU, 2.0 * half)
 
 
 def expansion_geometry(f: DiscMoebius) -> ExpansionGeometry:
+    """The expansion geometry of f; a rotation raises IsRotation.  V is
+    _v_arc's arc, and U the complementary arc centred at
+    arg(conj(alpha)*beta), which is arg(conj(alpha)/conj(beta))."""
     v_arc = _v_arc(f.alpha, f.beta)
     if v_arc is None:
         raise IsRotation("rotations have no expansion interval")
     b = abs(f.beta)
-    u_center = cmath.phase(f.alpha.conjugate() / f.beta.conjugate())
+    u_center = cmath.phase(f.alpha.conjugate() * f.beta)
     half_u = math.pi - 0.5 * v_arc[1]
     return ExpansionGeometry(
         center=f.alpha / f.beta.conjugate(),

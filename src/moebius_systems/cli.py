@@ -161,7 +161,6 @@ def cmd_sofic(args, spec):
         "growth_per_depth": automaton.growth,
         "transition_residual": report.transition_residual,
         "transition_table": automaton.transition_table(spec.alphabet),
-        "graph": automaton.graph_description(spec.alphabet),
     }
     if report.product_states is not None:
         result["product_states"] = report.product_states
@@ -229,8 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decode", help="circle point -> digit word")
     _add_system_args(p)
-    p.add_argument("--theta", type=float, help="point as an angle in radians")
-    p.add_argument("--real", type=float, help="point as an extended-real coordinate")
+    point = p.add_mutually_exclusive_group()
+    point.add_argument("--theta", type=float, help="point as an angle in radians")
+    point.add_argument("--real", type=float, help="point as an extended-real coordinate")
     p.add_argument("--digits", type=int, default=40, help="number of digits to emit")
 
     p = sub.add_parser("qn", help="table of level expansion bounds")

@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
 from operator import index
 
-from .arcs import ClosedArcSet, EPS_ANGLE, image
+from .arcs import ArcSet, ClosedArcSet, EPS_ANGLE, expansion_geometry, image
 from .errors import IllegalPrefix, NoLegalDigit
 from .interval_system import EPS_ONE, NumberSystemSpec, _least_expansion
 from .subshift import Word
@@ -481,16 +481,16 @@ def verify(spec: NumberSystemSpec, mode: str = "auto", n: int | None = None,
         language = [w for w, _, _ in level_at(max(len(b) for b in b_words))]
         if violations:
             return _compat_failure(spec, violations, warnings)
-        check = spec.check_prefix_set(b_words, language)
-        if check.passed:
+        missing, not_contained = _prefix_set_failures(spec, b_words, language)
+        if not missing and not not_contained:
             return Verdict("verified_prefix_set",
                            {"B": [spec.alphabet.format(b) for b in b_words]}, warnings)
         if mode == "prefix_set":
             return Verdict(
                 "inconclusive",
                 {
-                    "missing_prefix": [spec.alphabet.format(w) for w in check.missing_prefix],
-                    "not_contained": [spec.alphabet.format(b) for b in check.not_contained],
+                    "missing_prefix": [spec.alphabet.format(w) for w in missing],
+                    "not_contained": [spec.alphabet.format(b) for b in not_contained],
                 },
                 warnings,
             )
@@ -499,6 +499,23 @@ def verify(spec: NumberSystemSpec, mode: str = "auto", n: int | None = None,
         f"(mode='prefix_set') to certify this system"
     )
     return Verdict("inconclusive", {"n_max": n_max}, warnings)
+
+
+def _prefix_set_failures(spec: NumberSystemSpec, b_words: list[Word],
+                         language: list[Word]) -> tuple[list[Word], list[Word]]:
+    """(words of `language` that start with no b, words b not contained)
+    for a prefix set B, where `language` is the level max|b| that verify
+    has walked.  Each b's refined set must sit inside the expansion
+    interval V(F_b) of its word map, read as Z_b within U(F_b), which F_b
+    carries onto V(F_b); a rotation's U is empty."""
+    missing = [w for w in language if not any(w[: len(b)] == b for b in b_words)]
+    not_contained = []
+    for b in b_words:
+        z, f = spec._entry(b)
+        u = ArcSet.empty() if f.is_rotation else expansion_geometry(f).u_interval
+        if not z.intersect(u.complement()).is_empty:
+            not_contained.append(b)
+    return missing, not_contained
 
 
 def _compat_failure(spec, violations, warnings) -> Verdict:

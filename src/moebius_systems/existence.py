@@ -225,24 +225,14 @@ def _v_arcs(alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray
     array form of arcs._v_arc; rotations (and NaN entries) give the
     padding (-inf, -inf).
 
-    The arc is arcs._v_arc's, read through two exact identities that are
-    cheaper and, for the half-width, more accurate:
-      * half = arctan(1/|beta|), which is acos(|beta|/sqrt(1 + |beta|^2))
-        for |alpha|^2 - |beta|^2 = 1.  The acos form loses the angle where
-        its argument nears 1: it is 1.2e-12 off at |beta| = 1e4 and 1e-8
-        at 1e8, where the arc collapses to a point; arctan(1/|beta|) stays
-        within 1e-16 relative of a 50-digit half-width.  |beta| = 0 gives
-        arctan(inf) = pi/2 with the divide warning silenced; the padding
-        overwrites it.
-      * center = arg(alpha*beta), which is arg(alpha/conj(beta)), since
-        dividing by conj(beta) and multiplying by beta turn by the same
-        angle.  alpha*beta cannot overflow: constructible generators have
-        entries below about 1e8 and depth is at most 16, so
-        |alpha*beta| <= (2e8)^32, about 4e265.
-    So the array form differs from arcs._v_arc in formula, not only in the
-    last ulp; _v_arc keeps acos and phase so that the certify outputs do
-    not move, and test_batched_kernel_matches_scalar_reference holds the
-    two to the same labels.
+    The formula is arcs._v_arc's, half = arctan(1/|beta|) and
+    center = arg(alpha*beta); the two forms differ only where numpy's
+    arctan, arctan2 and complex multiply differ from math's and cmath's in
+    the last ulp, and test_batched_kernel_matches_scalar_reference holds
+    them to the same labels.  |beta| = 0 gives arctan(inf) = pi/2 with the
+    divide warning silenced; the padding overwrites it.  alpha*beta cannot
+    overflow: constructible generators have entries below about 1e8 and
+    depth is at most 16, so |alpha*beta| <= (2e8)^32, about 4e265.
 
     The start is (center - half) % TAU, float for float, wrapped without
     the remainder: center lies in [-pi, pi] and half in [0, pi/2], so

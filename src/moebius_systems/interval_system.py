@@ -30,24 +30,15 @@ from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
 from . import transforms
-from .arcs import EPS_ANGLE, ArcSet, _least_on, _uncovered, covers_circle, expansion_geometry, image
+from .arcs import EPS_ANGLE, ArcSet, _least_on, _uncovered, covers_circle, image
 from .errors import EmptyRefinedSet, IllegalPrefix
-from .subshift import Alphabet, Subshift, Word, last_level, walk
+from .subshift import Alphabet, Subshift, Word, walk
 from .transforms import TAU
 
 EPS_COMPAT = 1e-8   # endpoint tolerance for the cover-extension identity
 EPS_ONE = 1e-9      # band around an expansion bound of exactly 1
 EPS_PRUNE = 1e-9    # slack on q(uv) >= q(u)*Q_|v|; min_expansion is within 3e-12 of a 60-digit product
 _PULL_TABLE_CAP = 4096  # interned pullback states per table before a fresh one starts
-
-
-@dataclass
-class PrefixSetVerdict:
-    """Outcome of checking a candidate prefix set B."""
-
-    passed: bool
-    missing_prefix: list[Word] = field(default_factory=list)
-    not_contained: list[Word] = field(default_factory=list)
 
 
 @dataclass
@@ -191,8 +182,9 @@ class NumberSystemSpec:
     def _entry(self, word: Word) -> tuple[ArcSet, transforms.DiscMoebius]:
         """(pullback state Z_w, word map F_w) of one word that a public query
         asks for (min_expansion and representable_interval, through
-        _shift_entry, and check_prefix_set's B), stepped from the root and
-        stored nowhere.  The walks carry their own entries and never call it."""
+        _shift_entry, and the prefix set B of codec.verify), stepped from
+        the root and stored nowhere.  The walks carry their own entries and
+        never call it."""
         entry = self._root
         for a in word:
             z, f = entry
@@ -364,28 +356,3 @@ class NumberSystemSpec:
             )
         return ExpansionRateBound(lower_bound=best, n_achieving=best_n, table=table,
                                   warnings=warnings)
-
-    # -- prefix sets -----------------------------------------------------------------
-
-    def check_prefix_set(self, words_b, language=None) -> PrefixSetVerdict:
-        """Check a candidate prefix set B: every interval-shift word of
-        length max|b| must start with some b, and each b's refined set must
-        sit inside the expansion interval V(F_b) of its word map, read as
-        Z_b within U(F_b), which F_b carries onto V(F_b).  `language`, the
-        interval-shift words of length max|b|, is enumerated when not given."""
-        b_words = [self.alphabet.word(b) for b in words_b]
-        if not b_words:
-            raise ValueError("prefix set must be nonempty")
-        verdict = PrefixSetVerdict(passed=True)
-        if language is None:
-            language = last_level(self.interval_shift_levels(max(len(b) for b in b_words)))
-        for w in language:
-            if not any(w[: len(b)] == b for b in b_words):
-                verdict.missing_prefix.append(w)
-        for b in b_words:
-            z, f = self._entry(b)
-            u = ArcSet.empty() if f.is_rotation else expansion_geometry(f).u_interval
-            if not z.intersect(u.complement()).is_empty:
-                verdict.not_contained.append(b)
-        verdict.passed = not verdict.missing_prefix and not verdict.not_contained
-        return verdict

@@ -72,19 +72,6 @@ class PullbackAutomaton:
             lines.append(f"{i:>5}  {cells}  {'yes' if self.accepting(i) else 'no'}")
         return "\n".join(lines)
 
-    def graph_description(self, alphabet) -> str:
-        """Graph form: one node per state, labelled edges (DOT syntax)."""
-        lines = ["digraph pullback {"]
-        for i in range(self.n_states):
-            shape = "doublecircle" if self.accepting(i) else "circle"
-            mark = " (start)" if i == self.initial else ""
-            lines.append(f'  s{i} [shape={shape}, label="s{i}{mark}"];')
-        for i, row in enumerate(self.transitions):
-            for a, t in enumerate(row):
-                lines.append(f'  s{i} -> s{t} [label="{alphabet.symbols[a]}"];')
-        lines.append("}")
-        return "\n".join(lines)
-
 
 def build_automaton(spec: NumberSystemSpec, state_cap: int = STATE_CAP,
                     eps_state: float = EPS_STATE) -> PullbackAutomaton:

@@ -93,6 +93,14 @@ def test_encode_decode_round_trip(capsys):
     assert abs(real["re"] - 0.5) < 1e-6 and abs(real["im"]) < 1e-6
 
 
+def test_decode_point_options_exclude_each_other(capsys):
+    # one point per decode: beside --theta, --real would be dropped silently
+    with pytest.raises(SystemExit) as exc:
+        main(["decode", "--builtin", "cf", "--theta", "1.0", "--real", "0.5"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_decode_theta_on_parabolic3(capsys):
     code, report, _ = run(capsys, "decode", "--builtin", "parabolic3",
                           "--theta", "0", "--digits", "12")
@@ -137,7 +145,9 @@ def test_sofic_report(capsys):
     assert result["saturated"] and result["states"] == 5
     assert result["transition_residual"] <= 1e-7
     assert "state" in result["transition_table"]
-    assert result["graph"].startswith("digraph")
+    # the automaton is rendered once, as its table: a header and one row per state
+    assert "graph" not in result
+    assert len(result["transition_table"].splitlines()) == 1 + result["states"]
     code, report, _ = run(capsys, "sofic", "--builtin", "parabolic3", "--cap", "3")
     assert report["result"]["saturated"] is False
 

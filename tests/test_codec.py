@@ -791,7 +791,6 @@ _WORD_ENTRY_POINTS = {
     "word_transform": lambda cf, w, b: cf.word_transform(w),
     "min_expansion": lambda cf, w, b: cf.min_expansion(w),
     "representable_interval": lambda cf, w, b: representable_interval(cf, w),
-    "check_prefix_set": lambda cf, w, b: cf.check_prefix_set(b),
     "verify": lambda cf, w, b: verify(cf, "prefix_set", prefix_set=b),
     "decode": lambda cf, w, b: decode(cf, 4.0, 3, prefix=w),
     "encode": lambda cf, w, b: encode(cf, w, 1e-3),

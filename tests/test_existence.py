@@ -16,6 +16,7 @@ import pytest
 
 import moebius_systems
 from moebius_systems import existence
+from moebius_systems.arcs import _v_arc
 from moebius_systems.errors import NotDiscPreserving, ParamOutOfRange
 from moebius_systems.existence import (
     EPS_GAP,
@@ -403,25 +404,36 @@ def test_v_arcs_wrap_is_the_remainder_bit_for_bit():
     assert (want[0] == -np.inf).sum() == spin.sum() + 1
 
 
-def test_v_arcs_match_a_50_digit_expansion_arc():
-    # arcs._v_arc's formula, acos(|beta| / sqrt(1 + |beta|^2)) and
-    # arg(alpha / conj(beta)), on the same float entries in 50 digits; the
-    # arccos form of the half-width is 1.2e-12 off at |beta| = 1e4
-    mpmath = pytest.importorskip("mpmath")
+def _wide_range_entries():
+    """Entries of 221 disc maps with |beta| from 1e-3 to 1e8."""
     rng = np.random.default_rng(31)
     r = np.logspace(-3.0, 8.0, 221)
     beta = r * np.exp(1j * rng.uniform(-np.pi, np.pi, r.size))
     alpha = np.sqrt(1.0 + r * r) * np.exp(1j * rng.uniform(-np.pi, np.pi, r.size))
-    starts, ends = _v_arcs(alpha, beta)
+    return alpha, beta
+
+
+def _assert_50_digit_arcs(alpha, beta, starts, ends):
+    """Each [start, end] lies within 1e-14 rad of the expansion arc by its
+    defining formula, acos(|beta| / sqrt(1 + |beta|^2)) about
+    arg(alpha / conj(beta)), on the same float entries in 50 digits."""
+    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(50):
         tau = 2 * mpmath.pi
-        for a, b, s, e in zip(alpha.tolist(), beta.tolist(), starts.tolist(), ends.tolist()):
+        for a, b, s, e in zip(alpha.tolist(), beta.tolist(), starts, ends):
             a, b = mpmath.mpc(a), mpmath.mpc(b)
             half = mpmath.acos(abs(b) / mpmath.sqrt(1 + abs(b) ** 2))
             center = mpmath.arg(a / mpmath.conj(b))
             for got, want in ((s, center - half), (e, center + half)):
                 d = (got - want) % tau
                 assert min(d, tau - d) <= 1e-14, (abs(b), got, want)
+
+
+def test_v_arcs_match_a_50_digit_expansion_arc():
+    # the arccos form of the half-width is 1.2e-12 off at |beta| = 1e4
+    alpha, beta = _wide_range_entries()
+    starts, ends = _v_arcs(alpha, beta)
+    _assert_50_digit_arcs(alpha, beta, starts.tolist(), ends.tolist())
     # rotations, exact and below EPS_ROTATION, and a NaN entry: padding, and
     # no floating-point warning escapes the kernel
     beta = np.array([0.0, complex(-0.0, 0.0), 1e-13, complex(3e-13, -4e-13),
@@ -431,6 +443,14 @@ def test_v_arcs_match_a_50_digit_expansion_arc():
         warnings.simplefilter("error")
         starts, ends = _v_arcs(alpha, beta)
     assert (starts == -np.inf).all() and (ends == -np.inf).all()
+
+
+def test_scalar_v_arc_matches_a_50_digit_expansion_arc():
+    # the scalar arc shares the array form's formula; the acos form of the
+    # half-width misses 1e-14 from |beta| of about 158 on, by 1.1e-8 at 8.9e7
+    alpha, beta = _wide_range_entries()
+    arcs = [_v_arc(a, b) for a, b in zip(alpha.tolist(), beta.tolist())]
+    _assert_50_digit_arcs(alpha, beta, [s for s, _ in arcs], [s + l for s, l in arcs])
 
 
 def test_grid_deterministic_and_parallel_consistent():
