@@ -65,11 +65,12 @@ class PullbackAutomaton:
         return self.accepting(state)
 
     def transition_table(self, alphabet) -> str:
-        """Plain-text transition table (one row per state)."""
-        lines = ["state  " + "  ".join(f"{s:>4}" for s in alphabet.symbols) + "  accepting"]
+        """Plain-text transition table (one row per state), each letter's
+        column as wide as its name and at least 4."""
+        cells = "  ".join(f"{{:>{max(4, len(s))}}}" for s in alphabet.symbols)
+        lines = [f"state  {cells.format(*alphabet.symbols)}  accepting"]
         for i, row in enumerate(self.transitions):
-            cells = "  ".join(f"{t:>4}" for t in row)
-            lines.append(f"{i:>5}  {cells}  {'yes' if self.accepting(i) else 'no'}")
+            lines.append(f"{i:>5}  {cells.format(*row)}  {'yes' if self.accepting(i) else 'no'}")
         return "\n".join(lines)
 
 

@@ -7,9 +7,10 @@ refined set R(w) and its forward refinement, the exhaustive level
 minima, the scalar generator pair, expansion arcs, cover sweep and
 inward certificate, the linear state scan, a frozen copy of the arc-set
 kernel and the first-fit decoder through the arc-set and map methods.
-The random disc maps and arc sets the tests draw are here too, a
-system whose language ends after one letter, the words of one level of
-the interval shift and the count of states a sofic search expanded.
+The random disc maps, arc sets and candidate systems the tests draw
+are here too, the perturbed builtins, a system whose language ends
+after one letter, the words of one level of the interval shift and the
+count of states a sofic search expanded.
 None of it is package API, and each model is defined here once.
 """
 
@@ -27,7 +28,7 @@ from moebius_systems.interval_system import NumberSystemSpec
 from moebius_systems.subshift import Alphabet, Subshift, last_level
 from moebius_systems.systems import with_cover
 from moebius_systems.transforms import (
-    EPS_ROTATION, TAU, DiscMoebius, canon_angle, identity,
+    EPS_ROTATION, TAU, DiscMoebius, canon_angle, contraction, identity, rotation,
 )
 
 MIN_RANDOM_BETA = 1e-6  # random maps with |beta| at most this are rotations in all but name
@@ -320,6 +321,39 @@ def turned_cover(spec, turn: float):
         sym: c if c.full else ArcSet.from_arcs([(s + TAU * turn, l) for s, l in c.arcs])
         for sym, c in zip(spec.alphabet.symbols, spec.cover)
     })
+
+
+def perturbed_builtin(spec, r: float):
+    """The spec with each letter swapped for the conjugate of contraction(r)
+    that repels from the centre of the letter's longest cover arc, so its
+    inverse expands there by r^2: the family on which a certificate can be
+    false (ROADMAP direction 2).  Every cover arc must be a proper arc."""
+    maps = {}
+    for sym, c in zip(spec.alphabet.symbols, spec.cover):
+        s, l = max(c.arcs, key=lambda arc: arc[1])
+        turn = rotation(s + 0.5 * l - math.pi)  # contraction(r) repels from pi
+        maps[sym] = turn.compose(contraction(r)).compose(turn.inverse())
+    return NumberSystemSpec(spec.alphabet, maps, dict(zip(spec.alphabet.symbols, spec.cover)),
+                            spec.subshift, name=f"{spec.name}-perturbed-{r:g}")
+
+
+def random_system(rng):
+    """A random candidate system by ROADMAP direction 2's recipe: 2-4
+    letters from random_disc_moebius at beta scale 0.5, 2 or 10; one cover
+    arc per letter, between random cut points and widened by 0-0.3 rad at
+    each end; one forbidden two-letter word on half of them."""
+    k = rng.randint(2, 4)
+    scale = rng.choice((0.5, 2.0, 10.0))
+    alph = Alphabet(tuple(str(i) for i in range(k)))
+    cuts = sorted(rng.uniform(0.0, TAU) for _ in range(k))
+    cover, maps = {}, {}
+    for i, sym in enumerate(alph.symbols):
+        start, end = cuts[i], cuts[i + 1] if i + 1 < k else cuts[0] + TAU
+        lo, hi = rng.uniform(0.0, 0.3), rng.uniform(0.0, 0.3)
+        cover[sym] = ArcSet.from_arcs([(start - lo, end - start + lo + hi)])
+        maps[sym] = random_disc_moebius(rng, scale)
+    forbidden = [(rng.randrange(k), rng.randrange(k))] if rng.random() < 0.5 else []
+    return NumberSystemSpec(alph, maps, cover, Subshift(alph, forbidden), name="random")
 
 
 def interval_shift_words(spec, n: int) -> list[tuple[int, ...]]:

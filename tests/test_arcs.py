@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from moebius_systems import interval_system
 from moebius_systems.arcs import (
     EPS_ANGLE,
     EPS_NEAR_FULL,
@@ -41,8 +42,10 @@ from reference import (
     SAMPLE_ANGLES,
     contains_many,
     derivative_modulus,
+    perturbed_builtin,
     random_arcset,
     random_disc_moebius,
+    random_system,
     ref_canon,
     ref_canonical_pieces,
     ref_closure,
@@ -476,23 +479,54 @@ def test_closure_of_one_directly_built_arc_is_canonical():
     assert ArcSet(((3.0, TAU + 1.0),)).closure().full
 
 
-@pytest.mark.parametrize("name", ["parabolic3", "cf", "binary", "hyperbolic4"])
-def test_kernel_matches_frozen_reference_on_pull_steps(name):
+BUILTINS = ["parabolic3", "cf", "binary", "hyperbolic4"]
+
+
+def _recorded_pull_steps(spec, n_max: int, state_cap: int) -> list:
+    """Every (z, a) that spec.pull_step is given by the interval-shift walk
+    through level n_max and a sofic state search capped at state_cap."""
+    seen = []
+    step = spec.pull_step
+
+    def recording(z, a):
+        seen.append((z, a))
+        return step(z, a)
+
+    spec.pull_step = recording
+    try:
+        list(spec.interval_shift_levels(n_max))
+        build_automaton(spec, state_cap=state_cap)
+    finally:
+        del spec.pull_step
+    assert seen
+    return seen
+
+
+def _early_exits(spec, seen, monkeypatch) -> int:
+    """Assert that pull_step equals image(F_a^-1, z).intersect(F_a^-1(C_a))
+    bit for bit on every recorded input; return how many of the steps
+    mapped nothing, by counting pull_step's calls of image."""
+    calls = []
+    early = 0
+    with monkeypatch.context() as m:
+        m.setattr(interval_system, "image", lambda g, z: calls.append(z) or image(g, z))
+        for z, a in seen:
+            before = len(calls)
+            got = spec.pull_step(z, a)
+            early += len(calls) == before
+            _assert_same(_pair(got),
+                         _pair(image(spec._inverses[a], z).intersect(spec._letter_pulls[a])))
+    return early
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_kernel_matches_frozen_reference_on_pull_steps(name, monkeypatch):
     # every pull_step input of the interval-shift walk and the sofic state
-    # search, on the builtin and on its cover turned 0.2 to 0.8 of a turn
+    # search, on the builtin and on its cover turned 0.2 to 0.8 of a turn;
+    # pull_step itself, early exit or not, equals the mapped step
     base = builtin(name)
     for spec in [base] + [turned_cover(base, t) for t in (0.2, 0.35, 0.5, 0.65, 0.8)]:
-        seen = []
-        step = spec.pull_step
-
-        def recording(z, a, seen=seen, step=step):
-            seen.append((z, a))
-            return step(z, a)
-
-        spec.pull_step = recording
-        list(spec.interval_shift_levels(5))
-        build_automaton(spec, state_cap=40)
-        assert seen
+        seen = _recorded_pull_steps(spec, 5, 40)
         for z, a in seen:
             g, pulled = spec._inverses[a], spec._letter_pulls[a]
             mapped = image(g, z)
@@ -501,3 +535,19 @@ def test_kernel_matches_frozen_reference_on_pull_steps(name):
                          ref_intersect(_pair(mapped), _pair(pulled)))
             _assert_same(_pair(z.closure()), ref_closure(_pair(z)))
             _assert_same(z.distance(pulled), ref_distance(_pair(z), _pair(pulled)))
+        _early_exits(spec, seen, monkeypatch)
+
+
+def test_pull_step_early_exit_agrees_on_perturbed_builtins_and_random_systems(monkeypatch):
+    # the family that certifies falsely and direction 2's random candidates:
+    # letters that expand by up to r^2 = 1e8, or at random beta scales
+    rng = random.Random(7)
+    specs = [perturbed_builtin(builtin(name), r)
+             for name in BUILTINS for r in (3.0, 10.0, 1e2, 1e3, 1e4)]
+    specs += [random_system(rng) for _ in range(40)]
+    steps = early = 0
+    for spec in specs:
+        seen = _recorded_pull_steps(spec, 6, 120)
+        steps += len(seen)
+        early += _early_exits(spec, seen, monkeypatch)
+    assert 0 < early < steps

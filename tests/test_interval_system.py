@@ -15,7 +15,7 @@ from moebius_systems.interval_system import NumberSystemSpec
 from moebius_systems.sofic import build_automaton
 from moebius_systems.subshift import Alphabet, Subshift
 from moebius_systems.systems import builtin, with_cover
-from moebius_systems.transforms import TAU
+from moebius_systems.transforms import TAU, contraction, rotation
 from reference import (
     dead_end_pair,
     exhaustive_table,
@@ -325,6 +325,30 @@ def test_word_transform_folds_the_letter_maps_and_takes_no_pull_step(name, monke
     monkeypatch.setattr(spec, "pull_step", refuse)
     got = [spec.word_transform(w) for w in words]
     assert [(f.alpha, f.beta) for f in got] == [(f.alpha, f.beta) for f in want]
+
+
+def test_pull_step_maps_nothing_where_z_misses_the_closed_cover_arc(monkeypatch):
+    # cover arcs with float-exact ends: p's is [1, 3], q's [2.5, 1.5] round
+    # through 0, r's the full circle; touching closed arcs meet, and a full
+    # z or a full cover always maps
+    alph = Alphabet(("p", "q", "r"))
+    spec = NumberSystemSpec(alph, {"p": contraction(2.0), "q": rotation(0.5), "r": rotation(1.0)},
+                            {"p": ArcSet.from_arcs([(1.0, 2.0)]),
+                             "q": ArcSet.from_arcs([(2.5, TAU - 1.0)]),
+                             "r": ArcSet.full_circle()})
+
+    def refuse(g, z):
+        raise AssertionError("pull_step mapped z")
+
+    monkeypatch.setattr(interval_system, "image", refuse)
+    disjoint = [([(3.5, 2.0)], 0), ([(5.0, 1.0), (3.25, 0.5)], 0), ([(6.0, 0.9)], 0),
+                ([(1.75, 0.5)], 1), ([], 0)]
+    for arcs, a in disjoint:
+        assert spec.pull_step(ArcSet.from_arcs(arcs), a) is ArcSet.empty()
+    mapped = [([(3.0, 1.0)], 0), ([(0.5, 0.5)], 0), ([(5.0, TAU - 4.0)], 0), ([(3.5, 2.0)], 2)]
+    for z, a in [(ArcSet.from_arcs(arcs), a) for arcs, a in mapped] + [(ArcSet.full_circle(), 0)]:
+        with pytest.raises(AssertionError, match="pull_step mapped z"):
+            spec.pull_step(z, a)
 
 
 def test_min_expansion_matches_a_high_precision_product():

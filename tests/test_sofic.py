@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import pytest
 
@@ -143,6 +144,25 @@ def test_exports_render():
     auto = build_automaton(p3)
     table = auto.transition_table(p3.alphabet)
     assert "state" in table and str(auto.n_states - 1) in table
+
+
+def test_transition_table_columns_fit_long_symbol_names():
+    # cf relabelled: each row's cells end where the header's names end
+    cf = builtin("cf")
+    names = {"1-": "minus", "0": "inversion", "1": "plus"}
+    alph = Alphabet(tuple(names[s] for s in cf.alphabet.symbols))
+    spec = NumberSystemSpec(alph, dict(zip(alph.symbols, cf.transforms)),
+                            dict(zip(alph.symbols, cf.cover)), Subshift(alph, cf.subshift.forbidden))
+    auto = build_automaton(spec)
+    header, *rows = auto.transition_table(alph).splitlines()
+    assert header.split()[1:-1] == list(alph.symbols) and len(rows) == auto.n_states == 7
+
+    def ends(line):  # where each field but the last ends
+        return [m.end() for m in re.finditer(r"\S+", line)][:-1]
+
+    assert all(ends(row) == ends(header) for row in rows)
+    assert [row.split() for row in rows] == \
+        [row.split() for row in build_automaton(cf).transition_table(cf.alphabet).splitlines()[1:]]
 
 
 def _wrap_spec():
