@@ -46,6 +46,12 @@ def _add_system_args(parser):
     parser.add_argument("--system", metavar="PATH.json",
                         help="load a system definition file")
     parser.add_argument("--out", metavar="PATH", help="write the JSON report here")
+
+
+def _add_word_system_args(parser):
+    """The system arguments, and --unicode for a command that reports
+    words through _fmt."""
+    _add_system_args(parser)
     parser.add_argument("--unicode", action="store_true",
                         help="render trailing '-' in symbol names as combining macrons")
 
@@ -207,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("classify", help="classify the map of a word")
-    _add_system_args(p)
+    _add_word_system_args(p)
     p.add_argument("word", help="symbol or word over the system's alphabet")
 
     p = sub.add_parser("verify", help="certify that the system represents every point")
@@ -221,13 +227,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exit 1 when the verdict is not verified")
 
     p = sub.add_parser("encode", help="digit word -> circle point with certificate")
-    _add_system_args(p)
+    _add_word_system_args(p)
     p.add_argument("word")
     p.add_argument("--digits", type=int, default=None, help="consume at most this many")
     p.add_argument("--tol", type=float, default=1e-6, help="target error radius")
 
     p = sub.add_parser("decode", help="circle point -> digit word")
-    _add_system_args(p)
+    _add_word_system_args(p)
     point = p.add_mutually_exclusive_group()
     point.add_argument("--theta", type=float, help="point as an angle in radians")
     point.add_argument("--real", type=float, help="point as an extended-real coordinate")

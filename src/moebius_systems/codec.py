@@ -4,15 +4,19 @@ The encoder composes the digit maps and reports the expansion-disc
 center as the point estimate; the disc radius 1/|beta| is a hard error
 certificate whenever the digits stay inside the interval shift, because
 the discs of successive prefixes nest down to the represented point.
-It checks that they do as it goes: the prefix's refined set, pulled back
-through the prefix map, is stepped by NumberSystemSpec.pull_step, whose
-results the spec interns in a bounded table so that repeated states cost
-a lookup.
+It checks that they do as it goes: the prefix's follower state and its
+refined set pulled back through the prefix map, the pair that decides
+whether the prefix extends, are stepped by the subshift's transitions and
+NumberSystemSpec.pull_step, and the spec interns the pairs in a bounded
+table, so that a repeated step costs one lookup.  A step missing from
+the table is taken by NumberSystemSpec._pull_edge; where it returns None,
+the pair's follower state names the cause: the subshift forbids the
+digit there ("leaves the language"), or else the refined set is empty.
 
 A run of one letter a is taken in closed form once _RUN_MIN digits of it
 went one by one, when a is exactly parabolic (transforms.parabolic_scale:
 with M its matrix at determinant 1, M^k = k M - (k - 1) I) and the
-follower state and the pullback state are both fixed by a.  The least k
+pair of follower state and pullback state is fixed by a.  The least k
 whose certificate meets tol is solved for and confirmed at k - 1 and k;
 the run's digits are then read in chunks that double in size, and every
 one is compared with a at C speed, as a byte.  A mismatch, or a digit
@@ -126,16 +130,15 @@ def encode(spec: NumberSystemSpec, digits, tol: float, max_digits: int | None = 
     is_word = isinstance(digits, (str, list, tuple)) or not isinstance(digits, Iterable)
     base = iter(spec.alphabet.word(digits) if is_word else digits)
     stream, pending, rest = base if cap else None, iter(()), ()
-    state = spec.subshift.initial
-    moves = spec.subshift.transitions  # follower state x letter -> state or None
     fwd = [(f.alpha, f.beta) for f in spec.transforms]
     n_symbols = len(fwd)
     scales = spec._parabolic_scales
     eps_rotation = EPS_ROTATION
-    # the pullback state is an id in the spec's table of interned nonempty
-    # pullback sets (0 the full circle); on sofic systems it cycles through
-    # a few of them, so nearly every step is a table lookup, and a step into
-    # the empty set is met only where a step is first taken (_pull_edge)
+    # the word's state is an id in the spec's table of interned (follower
+    # state, nonempty pullback set) pairs (0 the initial state and the full
+    # circle); on sofic systems it cycles through a few of them, so nearly
+    # every digit is one table lookup, and a step that leaves the language
+    # or empties the set is met only where a step is first taken (_pull_edge)
     table = spec._pull_table
     rows = table.rows
     sid = 0
@@ -151,9 +154,8 @@ def encode(spec: NumberSystemSpec, digits, tol: float, max_digits: int | None = 
                     if not 0 <= a < n_symbols:
                         raise TypeError  # the handler below names the digit
                     prev, jump_from = a, consumed + run_min  # run_min >= 1: no jump here
-                if (consumed >= jump_from and rows[sid][a] == sid
-                        and scales[a] is not None and moves[state][a] == state):
-                    # a run of a from here on: state and pullback stay put, and
+                if consumed >= jump_from and rows[sid][a] == sid and scales[a] is not None:
+                    # a run of a from here on: the pair stays put, and
                     # F A^k = k (F A) - (k - 1) F takes the run in one step
                     scale = scales[a]
                     a2, b2 = fwd[a]
@@ -165,15 +167,13 @@ def encode(spec: NumberSystemSpec, digits, tol: float, max_digits: int | None = 
                     fa, fb = (m + 1) * a1 - m * fa, (m + 1) * b1 - m * fb
                     consumed += m + 1
                 else:
-                    state = moves[state][a]
-                    if state is None:
-                        raise IllegalPrefix(f"digit {spec.alphabet.symbols[a]!r} at position "
-                                            f"{consumed} leaves the language")
                     nxt = rows[sid][a]
                     if nxt is None:
                         if (edge := spec._pull_edge(table, sid, a)) is None:
+                            forbidden = spec.subshift.transitions[table.states[sid][0]][a] is None
+                            cause = "leaves the language" if forbidden else "refines to the empty set"
                             raise IllegalPrefix(f"digit {spec.alphabet.symbols[a]!r} at position "
-                                                f"{consumed} refines to the empty set")
+                                                f"{consumed} {cause}")
                         table, nxt = edge
                         rows = table.rows
                     sid = nxt
@@ -416,8 +416,9 @@ def verify(spec: NumberSystemSpec, mode: str = "auto", n: int | None = None,
     bounds for n = 1..n_max, then B when given (parsed only then).  All
     modes read one walk of the interval shift up to the deepest level
     they need: each level's words are checked for cover compatibility
-    and give Q_n and the prefix set's language there; a compatibility
-    failure is disqualifying evidence.  Mode 'auto' reports Q_n only for
+    and give Q_n, and the prefix set's language and the entries
+    (Z_b, F_b) of its words b; a compatibility failure is disqualifying
+    evidence.  Mode 'auto' reports Q_n only for
     a level that certifies, so it stops scoring a level at its first word
     with q < 1 - EPS_ONE; mode 'qn' scores every word of its level.
     """
@@ -478,10 +479,11 @@ def verify(spec: NumberSystemSpec, mode: str = "auto", n: int | None = None,
         return Verdict("inconclusive", {"n": n, "Q_n": q}, warnings)
     if prefix_set:
         b_words = [spec.alphabet.word(b) for b in prefix_set]
-        language = [w for w, _, _ in level_at(max(len(b) for b in b_words))]
+        depth = max(len(b) for b in b_words)
+        level_at(depth)
         if violations:
             return _compat_failure(spec, violations, warnings)
-        missing, not_contained = _prefix_set_failures(spec, b_words, language)
+        missing, not_contained = _prefix_set_failures(b_words, walked[: depth + 1])
         if not missing and not not_contained:
             return Verdict("verified_prefix_set",
                            {"B": [spec.alphabet.format(b) for b in b_words]}, warnings)
@@ -501,20 +503,23 @@ def verify(spec: NumberSystemSpec, mode: str = "auto", n: int | None = None,
     return Verdict("inconclusive", {"n_max": n_max}, warnings)
 
 
-def _prefix_set_failures(spec: NumberSystemSpec, b_words: list[Word],
-                         language: list[Word]) -> tuple[list[Word], list[Word]]:
-    """(words of `language` that start with no b, words b not contained)
-    for a prefix set B, where `language` is the level max|b| that verify
-    has walked.  Each b's refined set must sit inside the expansion
-    interval V(F_b) of its word map, read as Z_b within U(F_b), which F_b
-    carries onto V(F_b); a rotation's U is empty."""
-    missing = [w for w in language if not any(w[: len(b)] == b for b in b_words)]
+def _prefix_set_failures(b_words: list[Word], levels: list) -> tuple[list[Word], list[Word]]:
+    """(words of the last level that start with no b, words b not
+    contained) for a prefix set B, where `levels` are the levels 0..max|b|
+    of the interval shift that verify has walked.  Each b's refined set
+    must sit inside the expansion interval V(F_b) of its word map, read
+    as Z_b within U(F_b), which F_b carries onto V(F_b); a rotation's U is
+    empty.  A b outside the interval shift represents no point and
+    passes, as an empty Z_b would."""
+    missing = [w for w, _, _ in levels[-1] if not any(w[: len(b)] == b for b in b_words)]
+    entries = {w: entry for level in levels for w, _, entry in level}
     not_contained = []
     for b in b_words:
-        z, f = spec._entry(b)
-        u = ArcSet.empty() if f.is_rotation else expansion_geometry(f).u_interval
-        if not z.intersect(u.complement()).is_empty:
-            not_contained.append(b)
+        if b in entries:
+            z, f = entries[b]
+            u = ArcSet.empty() if f.is_rotation else expansion_geometry(f).u_interval
+            if not z.intersect(u.complement()).is_empty:
+                not_contained.append(b)
     return missing, not_contained
 
 

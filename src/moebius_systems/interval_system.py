@@ -48,7 +48,7 @@ from .transforms import TAU
 EPS_COMPAT = 1e-8   # endpoint tolerance for the cover-extension identity
 EPS_ONE = 1e-9      # band around an expansion bound of exactly 1
 EPS_PRUNE = 1e-9    # slack on q(uv) >= q(u)*Q_|v|; min_expansion is within 3e-12 of a 60-digit product
-_PULL_TABLE_CAP = 4096  # interned pullback states per table before a fresh one starts
+_PULL_TABLE_CAP = 4096  # interned pairs per table before a fresh one starts
 
 
 @dataclass
@@ -111,26 +111,28 @@ def _meets(first, second) -> bool:
 
 
 class _PullbackTable:
-    """Nonempty pullback states interned by exact equality, with
-    transitions filled lazily: rows[sid][a] stays None until that step is
-    first taken, and for good when the step empties the set, which is
-    never stored.  State 0 is the full circle."""
+    """Pairs (follower state, nonempty pullback state) interned by exact
+    equality, with transitions filled lazily: rows[sid][a] stays None
+    until that step is first taken, and for good when the letter leaves
+    the language or the step empties the set, neither of which is
+    stored.  State 0 is (Subshift.initial, the full circle)."""
 
     __slots__ = ("states", "index", "rows")
 
     def __init__(self, size: int):
-        self.states = [ArcSet.full_circle()]
+        self.states = [(Subshift.initial, ArcSet.full_circle())]
         self.index = {self.states[0]: 0}
         self.rows: list[list[int | None]] = [[None] * size]
 
-    def intern(self, z: ArcSet) -> int | None:
-        """Id of z, added if new; None when z is new and the table is full."""
-        sid = self.index.get(z)
+    def intern(self, pair: tuple[int, ArcSet]) -> int | None:
+        """Id of the pair, added if new; None when it is new and the table
+        is full."""
+        sid = self.index.get(pair)
         if sid is None and len(self.states) < _PULL_TABLE_CAP:
             sid = len(self.states)
-            self.states.append(z)
+            self.states.append(pair)
             self.rows.append([None] * len(self.rows[0]))
-            self.index[z] = sid
+            self.index[pair] = sid
         return sid
 
 
@@ -138,9 +140,10 @@ class NumberSystemSpec:
     """Alphabet -> disc map, alphabet -> cover arcs, plus a subshift.
 
     The level walk carries each word's pullback state and word map, a
-    one-word query steps them from the root, and encode's pullback states
-    are interned in a bounded table filled under a lock; values are pure,
-    so concurrent use returns the same results as serial execution.
+    one-word query steps them from the root, and encode's (follower
+    state, pullback state) pairs are interned in a bounded table filled
+    under a lock; values are pure, so concurrent use returns the same
+    results as serial execution.
     """
 
     def __init__(self, alphabet: Alphabet, transforms_by_symbol, cover_by_symbol,
@@ -205,9 +208,9 @@ class NumberSystemSpec:
     def _entry(self, word: Word) -> tuple[ArcSet, transforms.DiscMoebius]:
         """(pullback state Z_w, word map F_w) of one word that a public query
         asks for (min_expansion and representable_interval, through
-        _shift_entry, and the prefix set B of codec.verify), stepped from
-        the root and stored nowhere.  The walks carry their own entries and
-        never call it."""
+        _shift_entry), stepped from the root and stored nowhere.  The walks
+        carry their own entries, and verify reads its prefix set's from
+        them, so neither calls it."""
         entry = self._root
         for a in word:
             z, f = entry
@@ -267,21 +270,24 @@ class NumberSystemSpec:
         return image(self._inverses[a], z).intersect(self._letter_pulls[a])
 
     def _pull_edge(self, table: _PullbackTable, sid: int, a: int) -> tuple[_PullbackTable, int] | None:
-        """Take the step from state sid of `table` along a by pull_step.
+        """Take the step from pair sid of `table` along a: the follower
+        move, then pull_step.
 
-        Returns None when the step empties the set, and stores nothing
-        then.  Else returns the table to go on in and the target state's
-        id there: `table` itself with the edge filled in, or, once `table`
-        is full, a fresh table that becomes the spec's.
+        Returns None when the subshift forbids a there or the step empties
+        the set, and stores nothing then.  Else returns the table to go on
+        in and the target pair's id there: `table` itself with the edge
+        filled in, or, once `table` is full, a fresh table that becomes the
+        spec's.
         """
-        z = self.pull_step(table.states[sid], a)
-        if z.is_empty:
+        state, z = table.states[sid]
+        state = self.subshift.transitions[state][a]
+        if state is None or (z := self.pull_step(z, a)).is_empty:
             return None
         with self._pull_lock:
-            nid = table.intern(z)
+            nid = table.intern((state, z))
             if nid is None:
                 table = self._pull_table = _PullbackTable(self.alphabet.size)
-                return table, table.intern(z)
+                return table, table.intern((state, z))
             table.rows[sid][a] = nid
             return table, nid
 

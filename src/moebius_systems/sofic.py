@@ -80,6 +80,8 @@ def build_automaton(spec: NumberSystemSpec, state_cap: int = STATE_CAP,
     full circle.  Stops when no new state appears (saturated) or when the
     cap is hit (reported in the result, not raised).
 
+    The states list is the search's queue: it is expanded in order as it
+    grows, and a depth ends with the last state the depth before it met.
     A new state is the lowest-index stored state within eps_state by
     ArcSet.distance, else a state of its own.  The candidates come from a
     _StateIndex rather than a scan of every stored state; the rule, and so
@@ -90,48 +92,39 @@ def build_automaton(spec: NumberSystemSpec, state_cap: int = STATE_CAP,
         raise ValueError(f"state_cap must be >= 1, got {state_cap}")
     if not 0.0 <= eps_state < math.inf:
         raise ValueError(f"eps_state must be finite and >= 0, got {eps_state}")
-    states: list[ArcSet] = [ArcSet.full_circle()]
+    size = spec.alphabet.size
+    states = [ArcSet.full_circle()]  # grows as new states are met, breadth first
     index = _StateIndex(eps_state)
     index.add(states[0], 0)
-    transitions: list[list[int] | None] = [None]
+    transitions: list[list[int]] = []
     growth: list[int] = []
     residual = 0.0
-    frontier = [0]
     saturated = True
-    while frontier:
-        next_frontier: list[int] = []
-        for si in frontier:
-            z = states[si]
-            row: list[int] = []
-            for a in range(spec.alphabet.size):
-                nz = spec.pull_step(z, a)
-                found = None
-                for j in index.candidates(nz):
-                    d = states[j].distance(nz)
-                    if d <= eps_state:
-                        found = j
-                        residual = max(residual, d)
-                        break
-                if found is None:
-                    found = len(states)
-                    states.append(nz)
-                    index.add(nz, found)
-                    transitions.append(None)
-                    next_frontier.append(found)
-                row.append(found)
-            transitions[si] = row
-        growth.append(len(states))
-        if len(states) > state_cap:
-            saturated = False
-            break
-        frontier = next_frontier
+    for z in states:
+        row: list[int] = []
+        for a in range(size):
+            nz = spec.pull_step(z, a)
+            for j in index.candidates(nz):
+                d = states[j].distance(nz)
+                if d <= eps_state:
+                    residual = max(residual, d)
+                    break
+            else:
+                j = len(states)
+                states.append(nz)
+                index.add(nz, j)
+            row.append(j)
+        transitions.append(row)
+        if len(transitions) == (growth[-1] if growth else 1):  # a depth ends
+            growth.append(len(states))
+            if len(states) > state_cap:
+                saturated = False
+                break
     # unexpanded states (cap hit mid-search) self-loop so the table is total
-    for i, row in enumerate(transitions):
-        if row is None:
-            transitions[i] = [i] * spec.alphabet.size
+    transitions += ([i] * size for i in range(len(transitions), len(states)))
     return PullbackAutomaton(
         states=states,
-        transitions=transitions,  # type: ignore[arg-type]
+        transitions=transitions,
         saturated=saturated,
         eps_state=eps_state,
         growth=growth,

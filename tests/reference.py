@@ -6,9 +6,11 @@ membership, the expansion interval of a map, factor-avoidance, the open
 refined set R(w) and its forward refinement, the exhaustive level
 minima, the scalar generator pair, expansion arcs, cover sweep and
 inward certificate, the linear state scan, a frozen copy of the arc-set
-kernel and the first-fit decoder through the arc-set and map methods.
+kernel, the first-fit decoder through the arc-set and map methods, and
+the decode -> encode audit of a certificate.
 The random disc maps, arc sets and candidate systems the tests draw
-are here too, the perturbed builtins, a system whose language ends
+are here too, the perturbed builtins and builtins with one letter
+perturbed, a system whose language ends
 after one letter, the words of one level of the interval shift and the
 count of states a sofic search expanded.
 None of it is package API, and each model is defined here once.
@@ -16,12 +18,14 @@ None of it is package API, and each model is defined here once.
 
 import cmath
 import math
+import random
 
 import numpy as np
 
 from moebius_systems.arcs import (
     EPS_ANGLE, EPS_NEAR_FULL, ArcSet, _v_arc, expansion_geometry, image,
 )
+from moebius_systems.codec import decode, encode
 from moebius_systems.errors import IllegalPrefix, NoLegalDigit
 from moebius_systems.existence import EPS_GAP, two_hyperbolic_system
 from moebius_systems.interval_system import NumberSystemSpec
@@ -323,18 +327,33 @@ def turned_cover(spec, turn: float):
     })
 
 
+def _repelling_contraction(cover: ArcSet, r: float):
+    """The conjugate of contraction(r) that repels from the centre of the
+    longest arc of `cover`, so its inverse expands there by r^2."""
+    s, l = max(cover.arcs, key=lambda arc: arc[1])
+    turn = rotation(s + 0.5 * l - math.pi)  # contraction(r) repels from pi
+    return turn.compose(contraction(r)).compose(turn.inverse())
+
+
 def perturbed_builtin(spec, r: float):
     """The spec with each letter swapped for the conjugate of contraction(r)
-    that repels from the centre of the letter's longest cover arc, so its
-    inverse expands there by r^2: the family on which a certificate can be
-    false (ROADMAP direction 2).  Every cover arc must be a proper arc."""
-    maps = {}
-    for sym, c in zip(spec.alphabet.symbols, spec.cover):
-        s, l = max(c.arcs, key=lambda arc: arc[1])
-        turn = rotation(s + 0.5 * l - math.pi)  # contraction(r) repels from pi
-        maps[sym] = turn.compose(contraction(r)).compose(turn.inverse())
+    that repels from the centre of the letter's longest cover arc: the
+    family on which a certificate can be false (ROADMAP direction 2).
+    Every cover arc must be a proper arc."""
+    maps = {sym: _repelling_contraction(c, r) for sym, c in zip(spec.alphabet.symbols, spec.cover)}
     return NumberSystemSpec(spec.alphabet, maps, dict(zip(spec.alphabet.symbols, spec.cover)),
                             spec.subshift, name=f"{spec.name}-perturbed-{r:g}")
+
+
+def perturbed_letter(spec, k: int, r: float):
+    """The spec with letter k alone swapped as in perturbed_builtin, the
+    scan of ROADMAP direction 13, on which verify certifies systems that
+    are no number systems."""
+    symbols = spec.alphabet.symbols
+    maps = dict(zip(symbols, spec.transforms))
+    maps[symbols[k]] = _repelling_contraction(spec.cover[k], r)
+    return NumberSystemSpec(spec.alphabet, maps, dict(zip(symbols, spec.cover)),
+                            spec.subshift, name=f"{spec.name}-{symbols[k]}-perturbed-{r:g}")
 
 
 def random_system(rng):
@@ -486,14 +505,36 @@ def first_fit_decode(spec, theta: float, n_digits: int, prefix=()):
     return tuple(word)
 
 
+def codec_contradiction(spec, seed: int = 0):
+    """The first point at which the package's codec contradicts a
+    certificate, as (angle, the error's message), or None: ROADMAP
+    direction 13's audit.  Of 48 points drawn from the seed and the
+    centres of the cover arcs, each is decoded to 30 digits and the word
+    encoded back with `encode(spec, w, 1e-300, max_digits=30)`.  On a
+    number system every point has a word that decode finds and encode
+    accepts, so a decode that runs out of letters or an encode that
+    rejects the word is a contradiction."""
+    rng = random.Random(seed)
+    points = [rng.uniform(0.0, TAU) for _ in range(48)]
+    points += [s + 0.5 * l for c in spec.cover for s, l in c.arcs]
+    for x in points:
+        try:
+            encode(spec, decode(spec, x, 30), 1e-300, max_digits=30)
+        except (IllegalPrefix, NoLegalDigit) as exc:
+            return x, str(exc)
+    return None
+
+
 def global_prefix_check(spec, b_words):
     """(passed, missing prefixes, words not contained) of the prefix set by
     the global form: R(b) within V(F_b) on the circle, formed through
-    refined_set, as the package read it before it read Z_b within U(F_b)."""
+    refined_set, as the package read it before it read Z_b within U(F_b).
+    A b outside the interval shift represents no point and passes."""
     language = interval_shift_words(spec, max(len(b) for b in b_words))
     missing = [w for w in language if not any(w[: len(b)] == b for b in b_words)]
-    leaking = [b for b in b_words if not refined_set(spec, b).intersect(
-        expansion_interval(spec.word_transform(b)).complement()).is_empty]
+    leaking = [b for b in b_words if b in interval_shift_words(spec, len(b))
+               and not refined_set(spec, b).intersect(
+                   expansion_interval(spec.word_transform(b)).complement()).is_empty]
     return not missing and not leaking, missing, leaking
 
 

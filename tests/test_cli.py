@@ -115,6 +115,16 @@ def test_encode_unicode_display(capsys):
     assert report["result"]["word"] == "1̄1̄"
 
 
+@pytest.mark.parametrize("command", ["verify", "qn", "sofic"])
+def test_unicode_is_only_for_commands_that_report_words(capsys, command):
+    # verify, qn and sofic report no word through the rendering, so the
+    # flag would be dropped silently
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--builtin", "cf", "--unicode"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --unicode" in capsys.readouterr().err
+
+
 def test_qn_table(capsys):
     code, report, _ = run(capsys, "qn", "--builtin", "binary", "--max-n", "4")
     assert code == 0

@@ -25,9 +25,11 @@ from moebius_systems.systems import (
 )
 from moebius_systems.transforms import TAU, canon_angle, circle_distance, contraction, from_real
 from reference import (
+    codec_contradiction,
     first_fit_decode,
     in_language,
     interval_shift_words,
+    perturbed_letter,
     refined_set,
     turned_cover,
 )
@@ -94,8 +96,24 @@ def test_encode_rejects_illegal_prefixes():
     for _ in range(2):  # the emptying step is stored nowhere, so it is taken again
         with pytest.raises(IllegalPrefix, match="'b' at position 1 refines to the empty set"):
             encode(rotated, "ab", tol=1e-6)  # legal factor, empty refinement
-    assert not any(z.is_empty for z in rotated._pull_table.states)
+    assert not any(z.is_empty for _, z in rotated._pull_table.states)
     _assert_table_consistent(rotated)
+
+
+@pytest.mark.parametrize("name, word, digit, empty", [("binary", "20", "0", False),
+                                                      ("parabolic3", "ba", "a", True)])
+def test_encode_names_a_forbidden_digit_from_its_follower_state(name, word, digit, empty):
+    # the table stores no step that leaves the language, so the miss is met
+    # cold and again warm, and its cause is read from the pair's follower
+    # state: binary's Z_20 is nonempty, and parabolic3's Z_ba is empty, where
+    # the language is named first, as it always was
+    spec = builtin(name)
+    z, _ = spec._entry(spec.alphabet.word(word))
+    assert z.is_empty == empty
+    for _ in range(2):
+        with pytest.raises(IllegalPrefix, match=f"digit '{digit}' at position 1 leaves the language"):
+            encode(spec, word, tol=1e-6)
+    _assert_table_consistent(spec)
 
 
 def test_encode_respects_max_digits():
@@ -354,14 +372,17 @@ def test_encode_certificate_covers_longer_expansions():
 
 
 def _assert_table_consistent(spec):
-    # ids are unique, and every filled edge leads to the pulled-back state
+    # ids are unique, state 0 is the initial pair, and every filled edge
+    # leads to the follower move paired with the pulled-back state
     table = spec._pull_table
     assert len(table.states) == len(table.rows) <= _PULL_TABLE_CAP
-    assert all(table.index[z] == i for i, z in enumerate(table.states))
-    for i, row in enumerate(table.rows):
+    assert all(table.index[pair] == i for i, pair in enumerate(table.states))
+    assert table.states[0] == (spec.subshift.initial, ArcSet.full_circle())
+    for (state, z), row in zip(table.states, table.rows):
         for a, j in enumerate(row):
             if j is not None:
-                assert table.states[j] == spec.pull_step(table.states[i], a)
+                assert table.states[j] == (spec.subshift.transitions[state][a],
+                                           spec.pull_step(z, a))
 
 
 def test_encode_pullback_table_stays_bounded():
@@ -1175,3 +1196,26 @@ def _hyperbolic4_with_contraction(r):
 def test_verify_does_not_certify_a_letter_that_contracts_on_its_arc(r):
     assert not verify(_hyperbolic4_with_contraction(r), mode="auto").verified
 
+
+# ROADMAP direction 13's scan: one letter of a builtin swapped for a map that
+# repels from the centre of its cover arc, at 9 strengths: 126 systems
+PERTURBED_LETTERS = [(name, k, r) for name in ("parabolic3", "cf", "binary", "hyperbolic4")
+                     for k in range(builtin(name).alphabet.size)
+                     for r in [3.0] + [10.0 ** e for e in range(1, 9)]]
+
+
+def test_the_codec_does_not_contradict_the_builtins():
+    for name in ("parabolic3", "cf", "binary", "hyperbolic4"):
+        assert codec_contradiction(builtin(name)) is None, name
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP direction 1: certified systems whose decoded words "
+                          "encode rejects, or whose points decode cannot expand")
+def test_no_certified_perturbed_letter_fails_the_codec_audit():
+    assert len(PERTURBED_LETTERS) == 126
+    certified = [(name, k, r, spec) for name, k, r in PERTURBED_LETTERS
+                 if verify(spec := perturbed_letter(builtin(name), k, r), mode="auto").verified]
+    assert certified  # the family certifies, so a false certificate can show
+    failing = [(name, k, r) for name, k, r, spec in certified if codec_contradiction(spec)]
+    assert failing == []

@@ -246,12 +246,11 @@ def test_walk_consumers_ask_for_no_walked_word(monkeypatch):
                 spec.compatibility_violations(level)
             verify(spec, "auto", n_max=4)
             verify(spec, "qn", n=3)
-    assert asked == []
-    # the prefix set's B words are one-word queries, and nothing else is
+    # the prefix set's B words are read from the walk too
     cf = builtin("cf")
-    b_words = ["01", "01-", "1", "1-"]
-    assert verify(cf, "prefix_set", prefix_set=b_words).status == "verified_prefix_set"
-    assert asked == [cf.alphabet.word(b) for b in b_words]
+    assert verify(cf, "prefix_set", prefix_set=["01", "01-", "1", "1-"]).status == \
+        "verified_prefix_set"
+    assert asked == []
 
 
 def test_shift_invariance_of_language():
@@ -562,6 +561,21 @@ def test_binary_prefix_set_is_rejected_at_22():
     assert bi.min_expansion("22") < 0.5  # quantitative witness (8/17)
 
 
+def test_a_prefix_set_word_outside_the_interval_shift_passes():
+    # binary's level-4 interval-shift words are a prefix set that certifies;
+    # the forbidden word 02 represents no point, so adding it moves nothing,
+    # though the subshift-blind Z_02 is nonempty and F_02 is the identity,
+    # whose U is empty
+    bi = builtin("binary")
+    b_words = [bi.alphabet.format(w) for w in interval_shift_words(bi, 4)]
+    assert verify(bi, "prefix_set", prefix_set=b_words).status == "verified_prefix_set"
+    z, f = bi._entry(bi.alphabet.word("02"))
+    assert not z.is_empty and f.is_rotation
+    check = verify(bi, "prefix_set", prefix_set=b_words + ["02"])
+    assert check.status == "verified_prefix_set"
+    assert check.evidence["B"] == b_words + ["02"]
+
+
 # prefix sets beyond the letters and the two-letter words: the benchmark's
 # for cf and the one rejected at 22 for binary
 PREFIX_SETS = {"cf": "01,01-,1,1-", "binary": "0,1,1-,21,21-,22"}
@@ -583,8 +597,8 @@ def test_prefix_check_matches_the_global_form_on_turned_covers(name):
         if name in PREFIX_SETS:
             candidates.append([spec.alphabet.word(b) for b in PREFIX_SETS[name].split(",")])
         for b_words in candidates:
-            language = interval_shift_words(spec, max(len(b) for b in b_words))
-            missing, not_contained = _prefix_set_failures(spec, b_words, language)
+            levels = list(spec.interval_shift_levels(max(len(b) for b in b_words)))
+            missing, not_contained = _prefix_set_failures(b_words, levels)
             got = (not missing and not not_contained, missing, not_contained)
             assert got == global_prefix_check(spec, b_words), (k, b_words)
             outside += len(not_contained)
