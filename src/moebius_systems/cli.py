@@ -41,9 +41,10 @@ def _load_system(args):
 
 
 def _add_system_args(parser):
-    parser.add_argument("--builtin", choices=BUILTIN_NAMES,
+    source = parser.add_mutually_exclusive_group()
+    source.add_argument("--builtin", choices=BUILTIN_NAMES,
                         help="use a bundled example system")
-    parser.add_argument("--system", metavar="PATH.json",
+    source.add_argument("--system", metavar="PATH.json",
                         help="load a system definition file")
     parser.add_argument("--out", metavar="PATH", help="write the JSON report here")
 
@@ -96,7 +97,9 @@ def cmd_verify(args, spec):
     elif args.prefix_set:
         mode, options = "prefix_set", {"prefix_set": [s for s in args.prefix_set.split(",") if s]}
     else:
-        mode, options = "auto", {"n_max": args.nmax}
+        mode, options = "auto", {"n_max": AUTO_N_MAX if args.nmax is None else args.nmax}
+    if mode != "auto" and args.nmax is not None:
+        raise ConfigError(f"--nmax is the level cap of auto mode; mode {mode!r} takes none")
     verdict = verify(spec, mode=mode, **options)
     result = {"status": verdict.status, "evidence": verdict.evidence}
     return {"mode": mode}, result, verdict.warnings, int(args.strict and not verdict.verified)
@@ -120,16 +123,16 @@ def cmd_encode(args, spec):
 
 def cmd_decode(args, spec):
     if args.theta is not None:
-        theta = canon_angle(args.theta)
+        theta = args.theta
     elif args.real is not None:
         p = from_real(args.real)
-        theta = canon_angle(math.atan2(p.value.imag, p.value.real))
+        theta = math.atan2(p.value.imag, p.value.real)
     else:
         raise ConfigError("decode needs --theta or --real")
     word = decode(spec, theta, args.digits)
     back = encode(spec, word, tol=_ROUND_TRIP_TOL)
     result = {
-        "angle": theta,
+        "angle": canon_angle(theta),
         "word": _fmt(spec, word, args),
         "round_trip": {
             "point": _sphere_json(back.point),
@@ -222,7 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--qn", type=int, metavar="N", help="use the level-N expansion bound")
     mode.add_argument("--prefix-set", metavar="B1,B2,...", help="use this prefix set")
     mode.add_argument("--auto", action="store_true", help="try levels 1..nmax (default)")
-    p.add_argument("--nmax", type=int, default=AUTO_N_MAX, help="auto mode level cap")
+    p.add_argument("--nmax", type=int,
+                   help=f"auto mode level cap (default {AUTO_N_MAX}); no other mode takes it")
     p.add_argument("--strict", action="store_true",
                    help="exit 1 when the verdict is not verified")
 

@@ -9,9 +9,9 @@ refined set pulled back through the prefix map, the pair that decides
 whether the prefix extends, are stepped by the subshift's transitions and
 NumberSystemSpec.pull_step, and the spec interns the pairs in a bounded
 table, so that a repeated step costs one lookup.  A step missing from
-the table is taken by NumberSystemSpec._pull_edge; where it returns None,
-the pair's follower state names the cause: the subshift forbids the
-digit there ("leaves the language"), or else the refined set is empty.
+the table is taken by NumberSystemSpec._pull_edge; where it returns None
+the digit leaves the interval shift, and encode raises the error of
+NumberSystemSpec._leaves, as the one-word queries do.
 
 A run of one letter a is taken in closed form once _RUN_MIN digits of it
 went one by one, when a is exactly parabolic (transforms.parabolic_scale:
@@ -42,8 +42,7 @@ The digit loop walks the row with the arc tests of
 ClosedArcSet.component_containing and circle_distance written inline,
 and maps the point with the arithmetic of DiscMoebius.apply_angle, so it
 chooses and moves bit for bit as those calls would; change apply_angle,
-image and decode together.  The forced prefix is replayed through the
-same entries.
+image and decode together.
 """
 
 from __future__ import annotations
@@ -53,11 +52,11 @@ import math
 import sys
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from operator import index
 
 from .arcs import ArcSet, ClosedArcSet, EPS_ANGLE, expansion_geometry, image
-from .errors import IllegalPrefix, NoLegalDigit
+from .errors import NoLegalDigit
 from .interval_system import EPS_ONE, NumberSystemSpec, _least_expansion
 from .subshift import Word
 from .transforms import (
@@ -99,11 +98,12 @@ class Verdict:
 def encode(spec: NumberSystemSpec, digits, tol: float, max_digits: int | None = None) -> EncodeResult:
     """Consume digits until the error certificate drops below tol.
 
-    `digits` may be a finite word or any iterable digit stream; prefix
-    legality (subshift language and nonempty refinement) is checked
-    incrementally, so arbitrarily long streams run at constant cost per
-    digit, and a run of one letter costs about as much as one digit (see
-    the module docstring).  If the digits run out above tol the best
+    `digits` may be a finite word or any iterable digit stream.  The
+    first digit that leaves the interval shift raises IllegalPrefix, or
+    its subclass EmptyRefinedSet, as the one-word queries do
+    (NumberSystemSpec._leaves).  The check is incremental, so arbitrarily
+    long streams run at constant cost per digit, and a run of one letter
+    costs about as much as one digit (see the module docstring).  If the digits run out above tol the best
     estimate is still returned with converged=False.  Pass max_digits
     when feeding an infinite stream that might not reach tol (e.g. on
     unverified systems); without it the loop runs until the certificate
@@ -170,10 +170,7 @@ def encode(spec: NumberSystemSpec, digits, tol: float, max_digits: int | None = 
                     nxt = rows[sid][a]
                     if nxt is None:
                         if (edge := spec._pull_edge(table, sid, a)) is None:
-                            forbidden = spec.subshift.transitions[table.states[sid][0]][a] is None
-                            cause = "leaves the language" if forbidden else "refines to the empty set"
-                            raise IllegalPrefix(f"digit {spec.alphabet.symbols[a]!r} at position "
-                                                f"{consumed} {cause}")
+                            raise spec._leaves(table.states[sid][0], a, consumed)
                         table, nxt = edge
                         rows = table.rows
                     sid = nxt
@@ -321,70 +318,60 @@ def _run_length(chunk: tuple, a: int, letter: bytes | None) -> int:
     return len(chunk)
 
 
-def decode(spec: NumberSystemSpec, theta: float, n_digits: int, prefix: Word = ()) -> Word:
-    """Greedy expansion of the circle point at angle theta.
+def decode(spec: NumberSystemSpec, theta: float, n_digits: int) -> Word:
+    """Greedy expansion of the circle point at angle theta into n_digits
+    symbols.
 
-    Emits n_digits symbols (after the optional forced prefix, whose
-    inverse maps are applied to the point first).  Each digit is chosen
-    among the letters spec.subshift.transitions allows: the first whose
-    closed cover arc holds the point more than EPS_ANGLE inside its ends,
-    else the one whose arc holds it deepest within EPS_ANGLE.  So a point
-    near an endpoint takes the arc it lies in, not one it lies just
-    outside, whose inverse map would carry it further out.  The caller is
-    expected to have verified the system; on covers that fail
-    compatibility the decoder can run out of candidates, which raises
-    NoLegalDigit with the offending point attached.  The prefix is a word,
-    read by Alphabet.word.  A non-finite theta, an n_digits that is no
-    integer or is negative, or a prefix symbol outside the alphabet
+    Each digit is chosen among the letters spec.subshift.transitions
+    allows: the first whose closed cover arc holds the point more than
+    EPS_ANGLE inside its ends, else the one whose arc holds it deepest
+    within EPS_ANGLE.  So a point near an endpoint takes the arc it lies
+    in, not one it lies just outside, whose inverse map would carry it
+    further out.  The caller is expected to have verified the system; on
+    covers that fail compatibility the decoder can run out of candidates,
+    which raises NoLegalDigit with the offending point attached.  A
+    non-finite theta, or an n_digits that is no integer or is negative,
     raises ValueError.
     """
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta!r}")
     n = _count(n_digits, "n_digits")
     x = canon_angle(theta)
-    prefix = spec.alphabet.word(prefix)
     rows = spec._decode_rows
     row = rows[spec.subshift.initial]
     tau, eps, nearly_full = TAU, EPS_ANGLE, _NEARLY_FULL
     exp, phase = cmath.exp, cmath.phase
     word = []
-    for forced in chain(prefix, repeat(None, n)):
-        if forced is None:
-            # the first entry whose closed arc holds x, as
-            # ClosedArcSet.component_containing(x, EPS_ANGLE) finds it, more
-            # than EPS_ANGLE inside both its ends; else the entry whose arc
-            # holds x deepest (the signed distance to its nearer end, negative
-            # outside it), the first on ties
-            fallback, depth = None, -tau
-            for entry in row:
-                for s, l, reach in entry[2]:
-                    d = (x - s) % tau
-                    if d <= reach or d >= nearly_full:
-                        break
-                else:
-                    continue
-                if l < nearly_full:
-                    m = d - tau if d > reach else (d if d < l - d else l - d)
-                    if m <= eps:
-                        if m > depth:
-                            fallback, depth = entry, m
-                        continue
-                break
-            else:
-                if fallback is None:
-                    raise NoLegalDigit(
-                        f"no cover arc admits the point at angle {x:.12g}",
-                        angle=x,
-                        word=tuple(word),
-                        candidates=[spec.alphabet.symbols[e[0]] for e in row],
-                    )
-                entry = fallback
-        else:
-            for entry in row:
-                if entry[0] == forced:
+    for _ in range(n):
+        # the first entry whose closed arc holds x, as
+        # ClosedArcSet.component_containing(x, EPS_ANGLE) finds it, more
+        # than EPS_ANGLE inside both its ends; else the entry whose arc
+        # holds x deepest (the signed distance to its nearer end, negative
+        # outside it), the first on ties
+        fallback, depth = None, -tau
+        for entry in row:
+            for s, l, reach in entry[2]:
+                d = (x - s) % tau
+                if d <= reach or d >= nearly_full:
                     break
             else:
-                raise IllegalPrefix("forced prefix is not in the language")
+                continue
+            if l < nearly_full:
+                m = d - tau if d > reach else (d if d < l - d else l - d)
+                if m <= eps:
+                    if m > depth:
+                        fallback, depth = entry, m
+                    continue
+            break
+        else:
+            if fallback is None:
+                raise NoLegalDigit(
+                    f"no cover arc admits the point at angle {x:.12g}",
+                    angle=x,
+                    word=tuple(word),
+                    candidates=[spec.alphabet.symbols[e[0]] for e in row],
+                )
+            entry = fallback
         a, nxt, _, alpha, beta, cb, ca = entry
         word.append(a)
         row = rows[nxt]
@@ -399,9 +386,8 @@ def decode(spec: NumberSystemSpec, theta: float, n_digits: int, prefix: Word = (
 def representable_interval(spec: NumberSystemSpec, word) -> ClosedArcSet:
     """Closed set of points expressible with the given digit prefix:
     F_w(cl Z_w), which keeps the interval of a long word however narrow.
-    A prefix with an empty refined set raises EmptyRefinedSet, and one
-    that leaves the subshift's language raises IllegalPrefix, as in encode
-    (NumberSystemSpec._shift_entry)."""
+    A prefix that leaves the interval shift raises at its first digit
+    that leaves, as encode does (NumberSystemSpec._shift_entry)."""
     z, f = spec._shift_entry(word)
     return image(f, z.closure())
 

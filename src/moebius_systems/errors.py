@@ -29,12 +29,14 @@ class BudgetExceeded(MoebiusError):
     """Enumeration exceeded its candidate budget."""
 
 
-class EmptyRefinedSet(MoebiusError):
-    """The word refines to the empty set; no value is defined."""
-
-
 class IllegalPrefix(MoebiusError):
-    """Digit stream left the language of the system."""
+    """A word left the interval shift at a digit that the subshift forbids
+    there; its subclass EmptyRefinedSet is the other way out."""
+
+
+class EmptyRefinedSet(IllegalPrefix):
+    """A word left the interval shift at a digit whose step empties its
+    refined set."""
 
 
 class NoLegalDigit(MoebiusError):

@@ -324,7 +324,7 @@ def _word_entries(maps: dict, word: str) -> tuple[complex, complex]:
 def _strips(n_max: int) -> list[tuple[int, float, float]]:
     """(n, 2^(-1/n), 2^(-1/(n + 1))) for the strips n = 1..n_max."""
     if n_max < 0:
-        raise ParamOutOfRange("n_max must be >= 0")
+        raise ParamOutOfRange(f"n_max must be >= 0, got {n_max}")
     bounds = [2.0 ** (-1.0 / n) for n in range(1, n_max + 2)]
     return list(zip(range(1, n_max + 1), bounds, bounds[1:]))
 

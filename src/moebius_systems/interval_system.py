@@ -12,15 +12,15 @@ each word's (Z_w, F_w) from its parent's, and interval-shift membership
 it.  No query forms the open R(w) = F_w(Z_w): the points a word can
 represent are codec.representable_interval, the closed F_w(cl Z_w).
 
+A word leaves the interval shift at its first digit that the subshift
+forbids there or whose step empties Z_w.  The walk cuts the branch
+there, and encode and the one-word queries raise the one error that
+NumberSystemSpec._leaves builds for it, which names the subshift first.
+
 Since Z_wa = F_a^-1(Z_w ∩ C_a), a step is empty exactly when Z_w misses
-C_a.  pull_step reads that in forward coordinates first: where no arc of
-Z_w meets an arc of C_a, both taken closed, it returns the empty set
-without mapping (about half the steps of a certify pass).  That test
-errs by the rounding of one angle difference, about 1e-15 rad, which
-F_a^-1 stretches by at most (|alpha| + |beta|)^2.  Any piece the mapped
-path could form there is that narrow: far below EPS_ANGLE for letters
-with |beta| up to about 100, and dropped, so both paths give the same
-empty set (pull_step's docstring has the argument).
+C_a.  pull_step reads that in forward coordinates first, without mapping
+(about half the steps of a certify pass); its docstring bounds the error
+of that test.
 
 Where each letter's inverse expands on its cover arc (C_a within the
 expansion interval of F_a), F_w^-1 expands on R(w) by the chain rule, so
@@ -205,36 +205,36 @@ class NumberSystemSpec:
 
     # -- refined sets ---------------------------------------------------------
 
-    def _entry(self, word: Word) -> tuple[ArcSet, transforms.DiscMoebius]:
-        """(pullback state Z_w, word map F_w) of one word that a public query
-        asks for (min_expansion and representable_interval, through
-        _shift_entry), stepped from the root and stored nowhere.  The walks
-        carry their own entries, and verify reads its prefix set's from
-        them, so neither calls it."""
-        entry = self._root
-        for a in word:
-            z, f = entry
-            entry = (self.pull_step(z, a), f.compose(self.transforms[a]))
-        return entry
+    def _leaves(self, state: int, a: int, i: int) -> IllegalPrefix:
+        """The error for digit a at position i of a word, after a prefix of
+        the interval shift with follower state `state`: IllegalPrefix where
+        the subshift forbids a there, else EmptyRefinedSet, the step having
+        emptied the pullback state.  Every reader of a word raises it."""
+        digit = f"digit {self.alphabet.symbols[a]!r} at position {i}"
+        if self.subshift.transitions[state][a] is None:
+            return IllegalPrefix(f"{digit} leaves the language")
+        return EmptyRefinedSet(f"{digit} refines to the empty set")
 
     def _shift_entry(self, word) -> tuple[ArcSet, transforms.DiscMoebius]:
-        """_entry of a word that must lie in the interval shift, read by
-        Alphabet.word.  An empty Z_w raises EmptyRefinedSet; else a word
-        the subshift forbids raises IllegalPrefix with encode's message."""
-        word = self.alphabet.word(word)
-        z, f = self._entry(word)
-        if z.is_empty:
-            raise EmptyRefinedSet(f"word {self.alphabet.format(word)!r} has an empty refined set")
-        state = self.subshift.initial
-        for i, a in enumerate(word):
-            if (state := self.subshift.transitions[state][a]) is None:
-                raise IllegalPrefix(f"digit {self.alphabet.symbols[a]!r} at position {i} "
-                                    f"leaves the language")
-        return z, f
+        """(pullback state Z_w, word map F_w) of one word of the interval
+        shift that a public query asks for (min_expansion and
+        representable_interval), read by Alphabet.word, stepped from the
+        root as the walk steps it (the follower move, then _walk_step) and
+        stored nowhere.  The first digit that leaves the shift raises
+        _leaves' error.  The walks carry their own entries, and verify
+        reads its prefix set's from them, so neither calls it."""
+        entry, state = self._root, self.subshift.initial
+        for i, a in enumerate(self.alphabet.word(word)):
+            nxt = self.subshift.transitions[state][a]
+            if nxt is None or (entry := self._walk_step(entry, a)) is None:
+                raise self._leaves(state, a, i)
+            state = nxt
+        return entry
 
     def word_transform(self, word) -> transforms.DiscMoebius:
         """Composition of the letter maps along the word, in the order
-        _entry composes them; any word has one, in the interval shift or not."""
+        _walk_step composes them; any word has one, in the interval shift
+        or not."""
         maps = (self.transforms[a] for a in self.alphabet.word(word))
         return reduce(transforms.DiscMoebius.compose, maps, self._root[1])
 

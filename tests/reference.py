@@ -2,16 +2,17 @@
 
 Each model is the slow or direct form of something the package computes
 faster or in other coordinates: derivative moduli, sampled arc-set
-membership, the expansion interval of a map, factor-avoidance, the open
-refined set R(w) and its forward refinement, the exhaustive level
-minima, the scalar generator pair, expansion arcs, cover sweep and
-inward certificate, the linear state scan, a frozen copy of the arc-set
-kernel, the first-fit decoder through the arc-set and map methods, and
-the decode -> encode audit of a certificate.
+membership, the expansion interval of a map, factor-avoidance, the
+subshift-blind pullback fold of a word, the open refined set R(w) and
+its forward refinement, the exhaustive level minima, the scalar
+generator pair, expansion arcs, cover sweep and inward certificate,
+the linear state scan, a frozen copy of the arc-set kernel, the
+first-fit decoder through the arc-set and map methods, and the
+decode -> encode audit of a certificate.
 The random disc maps, arc sets and candidate systems the tests draw
 are here too, the perturbed builtins and builtins with one letter
-perturbed, a system whose language ends
-after one letter, the words of one level of the interval shift and the
+perturbed, parabolic3 with its cover rotated, a system whose language
+ends after one letter, the words of one level of the interval shift and the
 count of states a sofic search expanded.
 None of it is package API, and each model is defined here once.
 """
@@ -30,7 +31,7 @@ from moebius_systems.errors import IllegalPrefix, NoLegalDigit
 from moebius_systems.existence import EPS_GAP, two_hyperbolic_system
 from moebius_systems.interval_system import NumberSystemSpec
 from moebius_systems.subshift import Alphabet, Subshift, last_level
-from moebius_systems.systems import with_cover
+from moebius_systems.systems import builtin, with_cover
 from moebius_systems.transforms import (
     EPS_ROTATION, TAU, DiscMoebius, canon_angle, contraction, identity, rotation,
 )
@@ -327,6 +328,26 @@ def turned_cover(spec, turn: float):
     })
 
 
+def rotated_parabolic3():
+    """The three parabolic maps with the cover rotated one vertex back and
+    no subshift restriction; only constant words survive refinement, so
+    ab is legal and Z_ab is empty."""
+    p3 = builtin("parabolic3")
+    third = TAU / 3
+    cover = {
+        "a": ArcSet.arc(2 * third, TAU),   # (C, A)
+        "b": ArcSet.arc(0, third),         # (A, B)
+        "c": ArcSet.arc(third, 2 * third), # (B, C)
+    }
+    return NumberSystemSpec(
+        p3.alphabet,
+        dict(zip(p3.alphabet.symbols, p3.transforms)),
+        cover,
+        Subshift(p3.alphabet, ()),
+        name="parabolic3-rotated",
+    )
+
+
 def _repelling_contraction(cover: ArcSet, r: float):
     """The conjugate of contraction(r) that repels from the centre of the
     longest arc of `cover`, so its inverse expands there by r^2."""
@@ -396,13 +417,23 @@ def forward_step(spec, refined: ArcSet, f: DiscMoebius, a: int):
     return refined.intersect(image(f, spec.cover[a])), f.compose(spec.transforms[a])
 
 
+def pullback_entry(spec, word) -> tuple[ArcSet, DiscMoebius]:
+    """(Z_w, F_w) of any word, read by Alphabet.word: the fold of
+    spec.pull_step and compose from the full circle and the identity,
+    blind to the subshift and going on past an empty Z_w."""
+    z, f = ArcSet.full_circle(), identity()
+    for a in spec.alphabet.word(word):
+        z, f = spec.pull_step(z, a), f.compose(spec.transforms[a])
+    return z, f
+
+
 def refined_set(spec, word) -> ArcSet:
     """The refined set R(w) = C_w1 ∩ F_w1(C_w2) ∩ ... ∩ F_w'(C_wn) of the
-    cover arcs along `word`, formed as F_w(Z_w) from the package's
-    one-word entry.  It ignores the subshift, so a forbidden word can have
-    a nonempty R(w) (binary's `11-` does); it is empty once narrower than
-    EPS_ANGLE though Z_w is not."""
-    z, f = spec._entry(spec.alphabet.word(word))
+    cover arcs along `word`, formed as F_w(Z_w) from pullback_entry.  It
+    ignores the subshift, so a forbidden word can have a nonempty R(w)
+    (binary's `11-` does); it is empty once narrower than EPS_ANGLE though
+    Z_w is not."""
+    z, f = pullback_entry(spec, word)
     return image(f, z)
 
 
@@ -456,7 +487,7 @@ def mp_product(spec, word):
     return fa, fb, abs(fa) ** 2 - abs(fb) ** 2
 
 
-def first_fit_decode(spec, theta: float, n_digits: int, prefix=()):
+def first_fit_decode(spec, theta: float, n_digits: int):
     """decode's greedy expansion through the methods it inlines: each digit
     is the first legal letter whose closed cover arc holds x within
     EPS_ANGLE, by ClosedArcSet.component_containing, with x more than
@@ -469,12 +500,7 @@ def first_fit_decode(spec, theta: float, n_digits: int, prefix=()):
     closures = [c.closure() for c in spec.cover]
     moves = spec.subshift.transitions
     state = spec.subshift.initial
-    word = list(spec.alphabet.word(prefix))
-    for a in word:
-        state = moves[state][a]
-        if state is None:
-            raise IllegalPrefix("forced prefix is not in the language")
-        x = inverses[a].apply_angle(x)
+    word = []
     for _ in range(n_digits):
         chosen = fallback = None
         depth = -TAU

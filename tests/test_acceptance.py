@@ -145,7 +145,7 @@ def test_criterion_04_round_trip_codec(name):
         # a 60-digit word can fit an arc wider than 1e-6; extend the same
         # greedy expansion, doubling its length, until encode certifies tol
         while not res.converged and len(w) < ROUND_TRIP_DIGIT_CAP:
-            w = decode(spec, theta, len(w), prefix=w)
+            w = decode(spec, theta, 2 * len(w))
             res = encode(spec, w, tol=1e-8)
         if not res.converged:
             unconverged.append((theta, len(w), res.error_radius))

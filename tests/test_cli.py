@@ -74,6 +74,16 @@ def test_verify_modes_exclude_each_other(capsys, modes):
     assert "not allowed with argument" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", [("--qn", "2"), ("--prefix-set", "01,01-,1,1-")])
+def test_verify_nmax_is_for_auto_mode_only(capsys, mode):
+    # beside --qn or --prefix-set, --nmax was dropped silently
+    code, report, err = run(capsys, "verify", "--builtin", "cf", *mode, "--nmax", "0")
+    assert code == 2 and report is None
+    assert err.startswith("error: --nmax is the level cap of auto mode")
+    code, report, _ = run(capsys, "verify", "--builtin", "cf", "--auto", "--nmax", "1")
+    assert code == 0 and report["result"]["evidence"] == {"n_max": 1}
+
+
 def test_verify_negative_level_exits_2(capsys):
     code, report, err = run(capsys, "verify", "--builtin", "cf", "--qn", "-1")
     assert code == 2 and report is None
@@ -91,6 +101,14 @@ def test_encode_decode_round_trip(capsys):
     assert code == 0
     real = report2["result"]["real"]
     assert abs(real["re"] - 0.5) < 1e-6 and abs(real["im"]) < 1e-6
+
+
+def test_builtin_and_system_exclude_each_other(capsys):
+    # beside --builtin, --system was dropped silently, missing file and all
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--builtin", "cf", "--system", "missing.json"])
+    assert exc.value.code == 2
+    assert "argument --system: not allowed with argument --builtin" in capsys.readouterr().err
 
 
 def test_decode_point_options_exclude_each_other(capsys):

@@ -124,6 +124,9 @@ CASES = {
     "decode-theta-nan": (
         ["decode", "--builtin", "cf", "--theta", "nan"], 2,
         "error: theta must be finite, got nan\n", None, {}),
+    "decode-theta-inf": (
+        ["decode", "--builtin", "cf", "--theta", "inf"], 2,
+        "error: theta must be finite, got inf\n", None, {}),
     "decode-negative-digits": (
         ["decode", "--builtin", "cf", "--theta", "1", "--digits", "-3"], 2,
         "error: n_digits must be >= 0, got -3\n", None, {}),
@@ -135,7 +138,7 @@ CASES = {
         "error: grid size must be at least 1x1, got 0x3\n", None, {}),
     "existence-map-negative-nmax": (
         ["existence-map", "--res", "2x2", "--depth", "3", "--nmax", "-1"], 2,
-        "error: n_max must be >= 0\n", None, {}),
+        "error: n_max must be >= 0, got -1\n", None, {}),
     "sofic-cap-0": (
         ["sofic", "--builtin", "cf", "--cap", "0"], 2,
         "error: state_cap must be >= 1, got 0\n", None, {}),

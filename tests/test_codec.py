@@ -28,9 +28,10 @@ from reference import (
     codec_contradiction,
     first_fit_decode,
     in_language,
-    interval_shift_words,
     perturbed_letter,
+    pullback_entry,
     refined_set,
+    rotated_parabolic3,
     turned_cover,
 )
 
@@ -83,18 +84,11 @@ def test_encode_cf_negative_run_matches_matrix_oracle():
 
 
 def test_encode_rejects_illegal_prefixes():
-    p3 = builtin("parabolic3")
     with pytest.raises(IllegalPrefix):
-        encode(p3, "ba", tol=1e-6)  # forbidden factor
-    rotated = NumberSystemSpec(
-        p3.alphabet,
-        dict(zip(p3.alphabet.symbols, p3.transforms)),
-        {"a": ArcSet.arc(2 * TAU / 3, TAU), "b": ArcSet.arc(0, TAU / 3),
-         "c": ArcSet.arc(TAU / 3, 2 * TAU / 3)},
-        Subshift(p3.alphabet, ()),
-    )
+        encode(builtin("parabolic3"), "ba", tol=1e-6)  # forbidden factor
+    rotated = rotated_parabolic3()
     for _ in range(2):  # the emptying step is stored nowhere, so it is taken again
-        with pytest.raises(IllegalPrefix, match="'b' at position 1 refines to the empty set"):
+        with pytest.raises(EmptyRefinedSet, match="'b' at position 1 refines to the empty set"):
             encode(rotated, "ab", tol=1e-6)  # legal factor, empty refinement
     assert not any(z.is_empty for _, z in rotated._pull_table.states)
     _assert_table_consistent(rotated)
@@ -108,7 +102,7 @@ def test_encode_names_a_forbidden_digit_from_its_follower_state(name, word, digi
     # state: binary's Z_20 is nonempty, and parabolic3's Z_ba is empty, where
     # the language is named first, as it always was
     spec = builtin(name)
-    z, _ = spec._entry(spec.alphabet.word(word))
+    z, _ = pullback_entry(spec, word)
     assert z.is_empty == empty
     for _ in range(2):
         with pytest.raises(IllegalPrefix, match=f"digit '{digit}' at position 1 leaves the language"):
@@ -450,22 +444,6 @@ def test_decode_parabolic3_vertex():
     assert circle_distance(res.angle, 0.0) <= 1.5 * res.error_radius
 
 
-def test_decode_with_forced_prefix_nests():
-    rng = random.Random(32)
-    for name in ("binary", "cf"):
-        spec = builtin(name)
-        words = interval_shift_words(spec, 5)
-        for _ in range(20):
-            v = rng.choice(words)
-            closed = representable_interval(spec, v)
-            s, l = closed.arcs[0]
-            x = s + rng.uniform(0.2, 0.8) * l
-            w = decode(spec, x, 20, prefix=v)
-            assert w[: len(v)] == v
-            for k in range(len(v), len(w) + 1, 5):
-                assert refined_set(spec, w[:k]).closure().contains(x, tol=1e-7)
-
-
 def test_decode_no_legal_digit_on_over_restricted_shift():
     p3 = builtin("parabolic3")
     starved = NumberSystemSpec(
@@ -578,8 +556,10 @@ def test_representable_interval_examples():
     h_plus = math.atan2(-3, 4) % TAU
     assert got.arcs[0][0] == pytest.approx(h_minus)
     assert (got.arcs[0][0] + got.arcs[0][1]) % TAU == pytest.approx(h_plus)
-    with pytest.raises(EmptyRefinedSet):
+    with pytest.raises(IllegalPrefix, match="^digit 'c' at position 1 leaves the language$"):
         representable_interval(builtin("parabolic3"), "ac")
+    with pytest.raises(EmptyRefinedSet, match="^digit 'b' at position 1 refines to the empty set$"):
+        representable_interval(rotated_parabolic3(), "ab")
 
 
 @pytest.mark.parametrize("word", ["20", "02", "12", "1-2", "11-", "1-1"])
@@ -594,6 +574,37 @@ def test_representable_interval_rejects_a_forbidden_prefix_as_encode_does(word):
         with pytest.raises(IllegalPrefix) as got:
             query(word)
         assert str(got.value) == str(want.value)
+
+
+def _outcome(call):
+    """The class and message of the error call() raises, or None."""
+    try:
+        call()
+    except IllegalPrefix as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("name", [*BUILTIN_NAMES, "parabolic3-rotated"])
+def test_every_reader_of_a_word_stops_at_the_same_digit_alike(name):
+    # every word of length <= 4, legal or not: the one-word queries and
+    # encode raise the same class with the same message, or none raises
+    spec = rotated_parabolic3() if name == "parabolic3-rotated" else builtin(name)
+    seen = set()
+    for n in range(5):
+        for word in itertools.product(range(spec.alphabet.size), repeat=n):
+            want = _outcome(lambda: encode(spec, word, tol=1e-300))
+            for query in (lambda: representable_interval(spec, word),
+                          lambda: spec.min_expansion(word)):
+                assert _outcome(query) == want, word
+            if want is not None:
+                cls, message = want
+                assert (cls is EmptyRefinedSet) == message.endswith("refines to the empty set")
+                seen.add(cls)
+    # a builtin's words leave through the subshift (where the pullback empties
+    # too, the subshift is named), and the rotated cover's, which has no
+    # forbidden word, through an empty pullback
+    assert seen == ({EmptyRefinedSet} if name == "parabolic3-rotated" else {IllegalPrefix})
 
 
 @pytest.mark.parametrize("name", ["parabolic3", "cf", "binary", "hyperbolic4"])
@@ -630,10 +641,10 @@ def test_representable_interval_answers_every_prefix_of_a_decoded_word(name):
 _ENDPOINT_OFFSETS = (0.0, 1e-15, 1e-12, 2e-10, 1e-9, 1e-6, 3e-3)
 
 
-def _decode_outcome(decoder, spec, theta, prefix):
+def _decode_outcome(decoder, spec, theta):
     """The word decoder gives, or the fields of the error it raises."""
     try:
-        return decoder(spec, theta, 40, prefix)
+        return decoder(spec, theta, 40)
     except NoLegalDigit as exc:
         return "NoLegalDigit", exc.angle, exc.word, exc.candidates, str(exc)
 
@@ -650,16 +661,15 @@ def test_decode_matches_the_first_fit_reference():
             spec = turned_cover(builtin(name), turn) if turn else builtin(name)
             ends = {e for c in spec.cover for s, l in c.arcs for e in (s, s + l)}
             u = rng.random()
-            thetas = [TAU * ((u + k * golden) % 1.0) for k in range(16)]
+            thetas = [TAU * ((u + k * golden) % 1.0) for k in range(64)]
             thetas += sorted({e + sign * off for e in ends for off in _ENDPOINT_OFFSETS
                               for sign in (1.0, -1.0)})
             for theta in thetas:
-                for prefix in ((), (rng.randrange(spec.alphabet.size),)):
-                    got = _decode_outcome(decode, spec, theta, prefix)
-                    want = _decode_outcome(first_fit_decode, spec, theta, prefix)
-                    assert got == want, (name, turn, theta, prefix)
-                    strands += got[0] == "NoLegalDigit"
-                    decodes += 1
+                got = _decode_outcome(decode, spec, theta)
+                want = _decode_outcome(first_fit_decode, spec, theta)
+                assert got == want, (name, turn, theta)
+                strands += got[0] == "NoLegalDigit"
+                decodes += 1
     assert decodes > 2000 and strands > 0
 
 
@@ -701,7 +711,6 @@ def test_symbol_indices_outside_the_alphabet_are_rejected():
             lambda: encode(cf, [1, bad], tol=1e-6),
             lambda: cf.word_transform([bad]),
             lambda: encode(cf, iter(decode(cf, 1.234, 3) + (bad, 1)), tol=1e-30),
-            lambda: decode(cf, 1.0, 2, prefix=(bad,)),
             lambda: refined_set(cf, (bad,)),
             lambda: cf.min_expansion((1, bad)),
             lambda: verify(cf, mode="prefix_set", prefix_set=[(bad,)]),
@@ -766,11 +775,6 @@ def test_a_type_error_of_the_stream_itself_propagates():
             encode(cf, failing(head), 1e-30)
 
 
-def test_decode_rejects_a_prefix_outside_the_language():
-    with pytest.raises(IllegalPrefix, match="forced prefix"):
-        decode(builtin("cf"), 1.0, 3, prefix="00")
-
-
 def test_a_list_of_symbol_indices_reads_like_a_tuple():
     # a list of ints used to be parsed as symbol names, and failed with
     # "tuple.index(x): x not in tuple"
@@ -778,9 +782,6 @@ def test_a_list_of_symbol_indices_reads_like_a_tuple():
     assert encode(cf, [1, 2, 2], 1e-3) == encode(cf, (1, 2, 2), 1e-3) \
         == encode(cf, iter([1, 2, 2]), 1e-3)
     assert cf.word_transform([1, 2]) == cf.word_transform((1, 2))
-    # a decode prefix is read the same way; a string prefix used to raise TypeError
-    for prefix in ([2], (2,), iter([2]), "1", ["1"]):
-        assert decode(cf, 1.0, 3, prefix=prefix) == (2, 2, 2, 1)
     for name in ("parabolic3", "binary"):
         spec = builtin(name)
         word = decode(spec, 1.234, 40)
@@ -813,7 +814,6 @@ _WORD_ENTRY_POINTS = {
     "min_expansion": lambda cf, w, b: cf.min_expansion(w),
     "representable_interval": lambda cf, w, b: representable_interval(cf, w),
     "verify": lambda cf, w, b: verify(cf, "prefix_set", prefix_set=b),
-    "decode": lambda cf, w, b: decode(cf, 4.0, 3, prefix=w),
     "encode": lambda cf, w, b: encode(cf, w, 1e-3),
     "Subshift": lambda cf, w, b: Subshift(cf.alphabet, b).forbidden,
     "parse_config": lambda cf, w, b: parse_config(
@@ -1169,7 +1169,7 @@ def test_decode_builds_no_map_per_digit(monkeypatch):
     spec.transforms[0].compose(spec.transforms[1])
     assert built == [1]  # a product is counted
     built.clear()
-    word = decode(spec, 1.234, 60, prefix=spec.alphabet.word("1"))
+    word = decode(spec, 1.234, 61)
     assert len(word) == 61 and not built
 
 

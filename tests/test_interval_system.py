@@ -10,7 +10,7 @@ from moebius_systems.arcs import EPS_ANGLE, ArcSet, image, min_inverse_derivativ
 from moebius_systems.codec import (
     _prefix_set_failures, decode, encode, representable_interval, verify,
 )
-from moebius_systems.errors import EmptyRefinedSet
+from moebius_systems.errors import EmptyRefinedSet, IllegalPrefix
 from moebius_systems.interval_system import NumberSystemSpec
 from moebius_systems.sofic import build_automaton
 from moebius_systems.subshift import Alphabet, Subshift
@@ -25,28 +25,11 @@ from reference import (
     global_prefix_check,
     interval_shift_words,
     mp_product,
+    pullback_entry,
     refined_set,
+    rotated_parabolic3,
     turned_cover,
 )
-
-
-def rotated_parabolic3():
-    """The three parabolic maps with the cover rotated one vertex back and
-    no subshift restriction; only constant words survive refinement."""
-    p3 = builtin("parabolic3")
-    third = TAU / 3
-    cover = {
-        "a": ArcSet.arc(2 * third, TAU),   # (C, A)
-        "b": ArcSet.arc(0, third),         # (A, B)
-        "c": ArcSet.arc(third, 2 * third), # (B, C)
-    }
-    return NumberSystemSpec(
-        p3.alphabet,
-        dict(zip(p3.alphabet.symbols, p3.transforms)),
-        cover,
-        Subshift(p3.alphabet, ()),
-        name="parabolic3-rotated",
-    )
 
 
 def trivial_binary():
@@ -227,7 +210,7 @@ def test_walk_carries_each_words_entry_and_follower_state(name, turn):
     spec = builtin(name) if turn is None else turned_cover(builtin(name), turn)
     for level in spec.interval_shift_levels(6):
         for word, state, entry in level:
-            assert entry == spec._entry(word), word
+            assert entry == pullback_entry(spec, word), word
             replay = spec.subshift.initial
             for a in word:
                 replay = spec.subshift.transitions[replay][a]
@@ -236,8 +219,8 @@ def test_walk_carries_each_words_entry_and_follower_state(name, turn):
 
 def test_walk_consumers_ask_for_no_walked_word(monkeypatch):
     asked = []
-    original = NumberSystemSpec._entry
-    monkeypatch.setattr(NumberSystemSpec, "_entry",
+    original = NumberSystemSpec._shift_entry
+    monkeypatch.setattr(NumberSystemSpec, "_shift_entry",
                         lambda self, word: asked.append(word) or original(self, word))
     for name in ("parabolic3", "cf", "binary", "hyperbolic4"):
         for spec in (builtin(name), turned_cover(builtin(name), 0.25)):
@@ -300,23 +283,27 @@ def test_min_expansion_of_empty_word():
 
 
 def test_min_expansion_requires_nonempty():
-    # 'ac' is forbidden too; the empty refined set is reported first, with
-    # the message representable_interval gives
-    p3 = builtin("parabolic3")
+    # parabolic3's 'ac' is forbidden, and Z_ac is empty too: the subshift is
+    # named first, as encode names it; the rotated cover's 'ab' is legal
+    # with an empty Z_ab
+    p3, rotated = builtin("parabolic3"), rotated_parabolic3()
     for query in (p3.min_expansion, lambda w: representable_interval(p3, w)):
-        with pytest.raises(EmptyRefinedSet, match="^word 'ac' has an empty refined set$"):
+        with pytest.raises(IllegalPrefix, match="^digit 'c' at position 1 leaves the language$"):
             query("ac")
+    for query in (rotated.min_expansion, lambda w: representable_interval(rotated, w)):
+        with pytest.raises(EmptyRefinedSet, match="^digit 'b' at position 1 refines to the empty set$"):
+            query("ab")
 
 
 @pytest.mark.parametrize("name", ["parabolic3", "cf", "binary", "hyperbolic4"])
 def test_word_transform_folds_the_letter_maps_and_takes_no_pull_step(name, monkeypatch):
     # any word has a map, one the subshift forbids or with an empty refined
-    # set too, and it is the map _entry composes, bit for bit
+    # set too, and it is the map the subshift-blind fold composes, bit for bit
     spec = builtin(name)
     rng = random.Random(30)
     words = [tuple(rng.randrange(spec.alphabet.size) for _ in range(n))
              for n in (0, 1, 2, 3, 5, 8, 40) for _ in range(4)]
-    want = [spec._entry(w)[1] for w in words]
+    want = [pullback_entry(spec, w)[1] for w in words]
 
     def refuse(z, a):
         raise AssertionError("word_transform took a pull step")
@@ -569,7 +556,7 @@ def test_a_prefix_set_word_outside_the_interval_shift_passes():
     bi = builtin("binary")
     b_words = [bi.alphabet.format(w) for w in interval_shift_words(bi, 4)]
     assert verify(bi, "prefix_set", prefix_set=b_words).status == "verified_prefix_set"
-    z, f = bi._entry(bi.alphabet.word("02"))
+    z, f = pullback_entry(bi, "02")
     assert not z.is_empty and f.is_rotation
     check = verify(bi, "prefix_set", prefix_set=b_words + ["02"])
     assert check.status == "verified_prefix_set"
