@@ -94,7 +94,7 @@ def cmd_classify(args, spec):
 def cmd_verify(args, spec):
     if args.qn is not None:
         mode, options = "qn", {"n": args.qn}
-    elif args.prefix_set:
+    elif args.prefix_set is not None:
         mode, options = "prefix_set", {"prefix_set": [s for s in args.prefix_set.split(",") if s]}
     else:
         mode, options = "auto", {"n_max": AUTO_N_MAX if args.nmax is None else args.nmax}

@@ -34,15 +34,19 @@ The decoder walks the point backwards through inverse letter maps,
 choosing at each step the first legal symbol whose closed cover arc
 contains the current point without sitting at its counterclockwise end
 (points are swept counterclockwise into the arc's interior, so that end
-cannot start a representation).  It reads the spec's per-state rows
-(NumberSystemSpec._decode_rows, built on the first decode): a row lists
-the letters legal in one follower state, in letter order, each with its
-next state, its closed cover arcs and the entries of its inverse map.
-The digit loop walks the row with the arc tests of
-ClosedArcSet.component_containing and circle_distance written inline,
-and maps the point with the arithmetic of DiscMoebius.apply_angle, so it
-chooses and moves bit for bit as those calls would; change apply_angle,
-image and decode together.
+cannot start a representation).  It reads the spec's per-state tables
+(NumberSystemSpec._decode_rows, built on the first decode).  A table's
+row lists the letters legal in one follower state, in letter order, each
+with its next state, its closed cover arcs and the entries of its
+inverse map.  Its cuts, the points 2*EPS_ANGLE either side of each arc
+end, split the circle into intervals on which that choice is fixed, and
+its picks give the choice per interval, so a digit costs one bisect.
+Within 2*EPS_ANGLE of an arc end, and where no legal arc holds the
+point, the pick is None and the digit loop walks the row with the arc
+tests of ClosedArcSet.component_containing and circle_distance written
+inline.  Either way it maps the point with the arithmetic of
+DiscMoebius.apply_angle, so it chooses and moves bit for bit as those
+calls would; change apply_angle, image and decode together.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from bisect import bisect_right
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import chain, islice
@@ -338,43 +343,45 @@ def decode(spec: NumberSystemSpec, theta: float, n_digits: int) -> Word:
     n = _count(n_digits, "n_digits")
     x = canon_angle(theta)
     rows = spec._decode_rows
-    row = rows[spec.subshift.initial]
+    cuts, picks, row = rows[spec.subshift.initial]
     tau, eps, nearly_full = TAU, EPS_ANGLE, _NEARLY_FULL
     exp, phase = cmath.exp, cmath.phase
     word = []
     for _ in range(n):
-        # the first entry whose closed arc holds x, as
-        # ClosedArcSet.component_containing(x, EPS_ANGLE) finds it, more
-        # than EPS_ANGLE inside both its ends; else the entry whose arc
-        # holds x deepest (the signed distance to its nearer end, negative
-        # outside it), the first on ties
-        fallback, depth = None, -tau
-        for entry in row:
-            for s, l, reach in entry[2]:
-                d = (x - s) % tau
-                if d <= reach or d >= nearly_full:
-                    break
-            else:
-                continue
-            if l < nearly_full:
-                m = d - tau if d > reach else (d if d < l - d else l - d)
-                if m <= eps:
-                    if m > depth:
-                        fallback, depth = entry, m
+        entry = picks[bisect_right(cuts, x)]
+        if entry is None:
+            # near an arc end: the first entry whose closed arc holds x, as
+            # ClosedArcSet.component_containing(x, EPS_ANGLE) finds it, more
+            # than EPS_ANGLE inside both its ends; else the entry whose arc
+            # holds x deepest (the signed distance to its nearer end,
+            # negative outside it), the first on ties
+            fallback, depth = None, -tau
+            for entry in row:
+                for s, l, reach in entry[2]:
+                    d = (x - s) % tau
+                    if d <= reach or d >= nearly_full:
+                        break
+                else:
                     continue
-            break
-        else:
-            if fallback is None:
-                raise NoLegalDigit(
-                    f"no cover arc admits the point at angle {x:.12g}",
-                    angle=x,
-                    word=tuple(word),
-                    candidates=[spec.alphabet.symbols[e[0]] for e in row],
-                )
-            entry = fallback
+                if l < nearly_full:
+                    m = d - tau if d > reach else (d if d < l - d else l - d)
+                    if m <= eps:
+                        if m > depth:
+                            fallback, depth = entry, m
+                        continue
+                break
+            else:
+                if fallback is None:
+                    raise NoLegalDigit(
+                        f"no cover arc admits the point at angle {x:.12g}",
+                        angle=x,
+                        word=tuple(word),
+                        candidates=[spec.alphabet.symbols[e[0]] for e in row],
+                    )
+                entry = fallback
         a, nxt, _, alpha, beta, cb, ca = entry
         word.append(a)
-        row = rows[nxt]
+        cuts, picks, row = rows[nxt]
         # x moves to F_a^-1(x) with the arithmetic of DiscMoebius.apply_angle
         z = exp(1j * x)
         x = phase((alpha * z + beta) / (cb * z + ca)) % tau

@@ -49,6 +49,7 @@ EPS_COMPAT = 1e-8   # endpoint tolerance for the cover-extension identity
 EPS_ONE = 1e-9      # band around an expansion bound of exactly 1
 EPS_PRUNE = 1e-9    # slack on q(uv) >= q(u)*Q_|v|; min_expansion is within 3e-12 of a 60-digit product
 _PULL_TABLE_CAP = 4096  # interned pairs per table before a fresh one starts
+_DECODE_BAND = 2 * EPS_ANGLE  # decode's guard band either side of a cover-arc end
 
 
 @dataclass
@@ -108,6 +109,43 @@ def _meets(first, second) -> bool:
             if d <= l2 or d + l1 >= TAU:
                 return True
     return False
+
+
+def _decode_cuts(row: tuple[tuple, ...]) -> tuple[list[float], list]:
+    """(cuts, picks) of one decode row: the sorted points s +- _DECODE_BAND
+    and s + l +- _DECODE_BAND, mod 2*pi, of every arc (s, l) of the row
+    but a full circle's, and per interval between cuts (the first and the
+    last are one, across 0) the entry that holds it.
+
+    An entry holds an interval where each arc of the earlier entries, and
+    each earlier arc of its own, lies more than _DECODE_BAND from it, and
+    one arc of its own is the full circle or holds it more than
+    _DECODE_BAND inside both ends; else the pick is None.  Between cuts
+    that holds throughout or nowhere, and is read at the midpoint.  The
+    row walk's tests (d <= l + EPS_ANGLE, d >= 2*pi - EPS_ANGLE and
+    min(d, l - d) > EPS_ANGLE, on d = (x - s) % 2*pi) carry rounding of
+    about 1e-15 rad, far below the EPS_ANGLE that the band leaves, so on
+    such an interval the walk chooses the picked entry.
+    """
+    cuts = sorted({(e + off) % TAU for entry in row for s, l, _ in entry[2] if l < TAU
+                   for e in (s, s + l) for off in (-_DECODE_BAND, _DECODE_BAND)})
+
+    def holder(x):
+        for entry in row:
+            for s, l, _ in entry[2]:
+                if l >= TAU:
+                    return entry
+                d = (x - s) % TAU
+                if _DECODE_BAND < d < l - _DECODE_BAND:
+                    return entry
+                if not l + _DECODE_BAND < d < TAU - _DECODE_BAND:
+                    return None
+        return None
+
+    if not cuts:
+        return cuts, [holder(0.0)]
+    edges = [cuts[-1] - TAU] + cuts + [cuts[0] + TAU]
+    return cuts, [holder((lo + hi) / 2 % TAU) for lo, hi in zip(edges, edges[1:])]
 
 
 class _PullbackTable:
@@ -190,18 +228,25 @@ class NumberSystemSpec:
         return [transforms.parabolic_scale(f) for f in self.transforms]
 
     @cached_property
-    def _decode_rows(self) -> tuple[tuple[tuple, ...], ...]:
-        """Per follower state, decode's candidates: one entry per legal
-        letter, in letter order, (a, next state, closed arcs, alpha, beta,
-        conj beta, conj alpha).  The arcs are those of cl C_a, each as
-        (start, length, length + EPS_ANGLE), the full circle as the one
-        arc (0, 2*pi), which holds every point; the four numbers are the
-        entries of F_a^-1 and their conjugates."""
+    def _decode_rows(self) -> tuple[tuple[list[float], list, tuple[tuple, ...]], ...]:
+        """Per follower state, decode's table (cuts, picks, row).
+
+        The row lists the state's candidates: one entry per legal letter,
+        in letter order, (a, next state, closed arcs, alpha, beta, conj
+        beta, conj alpha).  The arcs are those of cl C_a, each as (start,
+        length, length + EPS_ANGLE), the full circle as the one arc
+        (0, 2*pi), which holds every point; the four numbers are the
+        entries of F_a^-1 and their conjugates.  The sorted cuts and the
+        picks, one more than the cuts, are _decode_cuts' of the row: a
+        point x in [0, 2*pi) takes picks[bisect_right(cuts, x)], the entry
+        decode's walk of the row chooses there, or None near an arc end.
+        """
         letters = [(tuple((s, l, l + EPS_ANGLE) for s, l in _arcs(c.closure())),
                     g.alpha, g.beta, g.beta.conjugate(), g.alpha.conjugate())
                    for g, c in zip(self._inverses, self.cover)]
-        return tuple(tuple((a, nxt) + letters[a] for a, nxt in enumerate(row) if nxt is not None)
-                     for row in self.subshift.transitions)
+        rows = (tuple((a, nxt) + letters[a] for a, nxt in enumerate(row) if nxt is not None)
+                for row in self.subshift.transitions)
+        return tuple((*_decode_cuts(row), row) for row in rows)
 
     # -- refined sets ---------------------------------------------------------
 

@@ -84,6 +84,14 @@ def test_verify_nmax_is_for_auto_mode_only(capsys, mode):
     assert code == 0 and report["result"]["evidence"] == {"n_max": 1}
 
 
+@pytest.mark.parametrize("prefix_set", ["", ","])
+def test_verify_empty_prefix_set_exits_2(capsys, prefix_set):
+    # an empty --prefix-set ran auto mode and exited 0
+    code, report, err = run(capsys, "verify", "--builtin", "cf", "--prefix-set", prefix_set)
+    assert code == 2 and report is None
+    assert "mode 'prefix_set' needs a nonempty set B" in err
+
+
 def test_verify_negative_level_exits_2(capsys):
     code, report, err = run(capsys, "verify", "--builtin", "cf", "--qn", "-1")
     assert code == 2 and report is None

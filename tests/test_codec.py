@@ -638,7 +638,11 @@ def test_representable_interval_answers_every_prefix_of_a_decoded_word(name):
         assert representable_interval(spec, word[:k]).contains(1.234, tol=1e-12), k
 
 
-_ENDPOINT_OFFSETS = (0.0, 1e-15, 1e-12, 2e-10, 1e-9, 1e-6, 3e-3)
+# the last five sit on and either side of the guard band of the decode table
+# (interval_system._DECODE_BAND), where the table hands over to the row walk
+_ENDPOINT_OFFSETS = (0.0, 1e-15, 1e-12, 2e-10, 1e-9, 1e-6, 3e-3,
+                     2 * EPS_ANGLE, 2 * EPS_ANGLE - 1e-15, 2 * EPS_ANGLE + 1e-15,
+                     2 * EPS_ANGLE - 1e-12, 2 * EPS_ANGLE + 1e-12)
 
 
 def _decode_outcome(decoder, spec, theta):
@@ -650,27 +654,34 @@ def _decode_outcome(decoder, spec, theta):
 
 
 def test_decode_matches_the_first_fit_reference():
-    # the per-state rows inline the arc tests and the map of the methods the
-    # reference calls, so words and strands agree bit for bit; the points sit
-    # at every cover endpoint and just off it, where the arc tests decide
+    # decode picks a digit from its per-state table of cover-arc cuts, and
+    # walks the row, inlining the arc tests and the map of the methods the
+    # reference calls, near an arc end; words and strands agree bit for bit
+    # with the reference's.  The points sit at every cover endpoint and just
+    # off it, where the arc tests decide, and at either edge of the table's
+    # guard band; the last spec's letter c is the full circle
     rng = random.Random(20)
     golden = (math.sqrt(5.0) - 1.0) / 2.0
+    p3 = builtin("parabolic3")
+    specs = [turned_cover(builtin(name), turn) if turn else builtin(name)
+             for name in ("parabolic3", "cf", "binary", "hyperbolic4")
+             for turn in (0.0, 0.23, 0.5, 0.77)]
+    specs.append(with_cover(p3, {**dict(zip(p3.alphabet.symbols, p3.cover)),
+                                 "c": ArcSet.full_circle()}))
     strands = decodes = 0
-    for name in ("parabolic3", "cf", "binary", "hyperbolic4"):
-        for turn in (0.0, 0.23, 0.5, 0.77):
-            spec = turned_cover(builtin(name), turn) if turn else builtin(name)
-            ends = {e for c in spec.cover for s, l in c.arcs for e in (s, s + l)}
-            u = rng.random()
-            thetas = [TAU * ((u + k * golden) % 1.0) for k in range(64)]
-            thetas += sorted({e + sign * off for e in ends for off in _ENDPOINT_OFFSETS
-                              for sign in (1.0, -1.0)})
-            for theta in thetas:
-                got = _decode_outcome(decode, spec, theta)
-                want = _decode_outcome(first_fit_decode, spec, theta)
-                assert got == want, (name, turn, theta)
-                strands += got[0] == "NoLegalDigit"
-                decodes += 1
-    assert decodes > 2000 and strands > 0
+    for spec in specs:
+        ends = {e for c in spec.cover for s, l in c.arcs for e in (s, s + l)}
+        u = rng.random()
+        thetas = [TAU * ((u + k * golden) % 1.0) for k in range(64)]
+        thetas += sorted({e + sign * off for e in ends for off in _ENDPOINT_OFFSETS
+                          for sign in (1.0, -1.0)})
+        for theta in thetas:
+            got = _decode_outcome(decode, spec, theta)
+            want = _decode_outcome(first_fit_decode, spec, theta)
+            assert got == want, (spec.name, spec.cover, theta)
+            strands += got[0] == "NoLegalDigit"
+            decodes += 1
+    assert decodes > 3000 and strands > 0
 
 
 def test_decode_does_not_strand_a_point_near_a_cover_endpoint():

@@ -2,6 +2,7 @@
 
 import math
 import random
+from functools import reduce
 
 import pytest
 
@@ -335,6 +336,31 @@ def test_pull_step_maps_nothing_where_z_misses_the_closed_cover_arc(monkeypatch)
     for z, a in [(ArcSet.from_arcs(arcs), a) for arcs, a in mapped] + [(ArcSet.full_circle(), 0)]:
         with pytest.raises(AssertionError, match="pull_step mapped z"):
             spec.pull_step(z, a)
+
+
+def _inside(lo, hi, arcs):
+    """How much of [lo, hi], lo in [0, 2*pi) and hi - lo < 2*pi, the closed
+    (start, length) arcs hold."""
+    return sum(max(0.0, min(hi, s + k + l) - max(lo, s + k))
+               for s, l in arcs for k in (-TAU, 0.0, TAU))
+
+
+@pytest.mark.parametrize("turn", [0.0, 0.23, 0.5, 0.77])
+@pytest.mark.parametrize("name", ["parabolic3", "cf", "binary", "hyperbolic4"])
+def test_decode_table_leaves_undecided_only_the_guard_bands(name, turn):
+    # decode walks its row only where the table's pick is None; inside the
+    # legal closed arcs that is at most the guard band, 4 EPS_ANGLE wide,
+    # round each arc end (the builtins' arcs abut, so two ends share one)
+    spec = turned_cover(builtin(name), turn) if turn else builtin(name)
+    for cuts, picks, row in spec._decode_rows:
+        assert len(picks) == len(cuts) + 1 and picks[0] is picks[-1]
+        legal = reduce(ArcSet.union, (spec.cover[entry[0]] for entry in row), ArcSet.empty())
+        arcs = interval_system._arcs(legal.closure())
+        ends = sum(2 for entry in row for s, l, _ in entry[2] if l < TAU)
+        bounds = zip(cuts, cuts[1:] + cuts[:1])
+        undecided = sum(_inside(lo, hi if hi > lo else hi + TAU, arcs)
+                        for (lo, hi), pick in zip(bounds, picks[1:]) if pick is None)
+        assert ends and undecided <= 4 * EPS_ANGLE * ends, (undecided, ends)
 
 
 def test_min_expansion_matches_a_high_precision_product():
