@@ -11,12 +11,15 @@ shorter than EPS_ANGLE are treated as numerical noise and dropped, which
 is also what "empty" means throughout.
 
 Only raw input is merged: from_arcs (and so union) and closure sort and
-merge their arcs.  intersect, complement and image get disjoint pieces
-from canonical sets, so they build their result from those pieces under
-the same rules (_canonical_pieces) with no merge.
+merge their arcs, but for the closure of one arc already in stored form,
+which cannot close up and is returned as it is.  intersect, complement
+and image get disjoint pieces from canonical sets, so they build their
+result from those pieces under the same rules (_canonical_pieces) with
+no merge.
 
 The set algebra builds its results through _built, which skips the
-dataclass __init__.  Its invariant: it is given only arcs in stored form,
+dataclass __init__ and sets the two fields through their slot
+descriptors.  Its invariant: it is given only arcs in stored form,
 sorted (start, length) pairs with canonical starts and lengths at most
 2*pi as _canonical_pieces, a merge or image makes them, never raw input;
 for no arcs it returns the class's shared empty set.  The empty set and
@@ -41,9 +44,6 @@ from .transforms import EPS_ROTATION, DiscMoebius, TAU
 
 EPS_ANGLE = 1e-9   # endpoint tolerance for canonicalization and equality
 EPS_NEAR_FULL = 1e-6  # image arcs this close to a full turn are re-measured via the midpoint
-
-_new = object.__new__
-_setattr = object.__setattr__
 
 
 def _canonical_pieces(items) -> list[tuple[float, float]]:
@@ -101,8 +101,8 @@ def _built(cls, arcs: tuple):
     if not arcs:
         return _EMPTY[cls]
     x = _new(cls)
-    _setattr(x, "arcs", arcs)
-    _setattr(x, "full", False)
+    _set_arcs(x, arcs)
+    _set_full(x, False)
     return x
 
 
@@ -212,10 +212,19 @@ class ArcSet(_Arcs):
         return _built(ArcSet, tuple(_canonical_pieces(out)))
 
     def closure(self) -> "ClosedArcSet":
-        """Closed view; arcs sharing an endpoint merge."""
+        """Closed view; arcs sharing an endpoint merge.
+
+        One arc already in stored form, a float start in (0, 2*pi) and
+        EPS_ANGLE < length < 2*pi - EPS_ANGLE, is its own closure: the
+        merge would keep it as it is and not close it up."""
         if self.full:
             return _FULL[ClosedArcSet]
-        merged = _merged(self.arcs, True)
+        arcs = self.arcs
+        if len(arcs) == 1:
+            (s, l), = arcs
+            if 0.0 < s < TAU and EPS_ANGLE < l < TAU - EPS_ANGLE and type(s) is float:
+                return _built(ClosedArcSet, arcs)
+        merged = _merged(arcs, True)
         if len(merged) == 1 and merged[0][1] >= TAU - EPS_ANGLE:
             return _FULL[ClosedArcSet]
         return _built(ClosedArcSet, tuple([(s, TAU if TAU < l else l) for s, l in merged]))
@@ -289,6 +298,9 @@ class ClosedArcSet(_Arcs):
         return None
 
 
+_new = object.__new__
+_set_arcs = _Arcs.arcs.__set__  # the slot descriptors, past the frozen __setattr__
+_set_full = _Arcs.full.__set__
 _EMPTY = {ArcSet: ArcSet(), ClosedArcSet: ClosedArcSet()}
 _FULL = {ArcSet: ArcSet((), True), ClosedArcSet: ClosedArcSet((), True)}
 

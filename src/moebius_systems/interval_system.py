@@ -379,21 +379,30 @@ class NumberSystemSpec:
         outside it raises as in _shift_entry."""
         return _least_expansion(*self._shift_entry(word))
 
-    def _dive_bounds(self, n_max: int) -> list[float]:
+    def _dive_bounds(self, n_max: int) -> tuple[list[float], dict[int, list]]:
         """Upper bounds on Q_0..Q_n_max: the q of the words met by descending
         from the root, each time to the interval-shift child of least q (the
-        first letter on a tie); +inf past a word that has no such child."""
+        first letter on a tie); +inf past a word that has no such child.
+
+        Also returns the steps the descent took, for the level walk to reuse:
+        keyed by the id of each entry it stepped from, that entry's children,
+        one per letter, None where the subshift forbids the letter or the
+        step empties the set.  Every such entry is the root or a stored
+        child, so it stays alive with the dict and its id names it alone."""
         upper = [1.0] + [math.inf] * n_max
+        stepped: dict[int, list] = {}
         entry, state = self._root, self.subshift.initial
         for m in range(1, n_max + 1):
-            children = [(_least_expansion(*child), a, nxt, child)
-                        for a, nxt in enumerate(self.subshift.transitions[state])
-                        if nxt is not None
-                        and (child := self._walk_step(entry, a)) is not None]
-            if not children:
+            row = self.subshift.transitions[state]
+            children = stepped[id(entry)] = [None if nxt is None else self._walk_step(entry, a)
+                                             for a, nxt in enumerate(row)]
+            best = min(((_least_expansion(*child), a, child)
+                        for a, child in enumerate(children) if child is not None), default=None)
+            if best is None:
                 break
-            upper[m], _, state, entry = min(children)
-        return upper
+            upper[m], a, entry = best
+            state = row[a]
+        return upper, stepped
 
     def expansion_rate_bound(self, n_max: int) -> ExpansionRateBound:
         """Best n-th-root lower bound over levels 1..n_max, with diagnostics.
@@ -401,7 +410,9 @@ class NumberSystemSpec:
         Q_n is the least q(w) = _least_expansion(Z_w, F_w) over the
         interval-shift words of length n.  The chain rule gives
         F_u^-1(R(uv)) within R(v), so q(uv) >= q(u)*Q_|v|, and the levels
-        are walked by branch and bound on it.  A greedy descent first gives upper bounds U_m >= Q_m.
+        are walked by branch and bound on it.  A greedy descent first gives
+        upper bounds U_m >= Q_m, and the walk takes the descent's steps from
+        it rather than stepping those words again.
         After level k the lower bounds L_j are Q_j for j <= k and
         max_i L_i*L_(j-i) beyond; a word u of level k is not extended when
         q(u)*L_(m-k) > U_m*(1 + EPS_PRUNE) for every m in k+1..n_max.
@@ -414,9 +425,14 @@ class NumberSystemSpec:
         """
         if n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {n_max}")
-        upper = self._dive_bounds(n_max)
+        upper, stepped = self._dive_bounds(n_max)
+
+        def step(entry, a):  # _walk_step, read from the descent where it went
+            children = stepped.get(id(entry))
+            return self._walk_step(entry, a) if children is None else children[a]
+
         lower = [1.0]   # exact Q_0..Q_k of the levels walked so far
-        levels = self.interval_shift_levels(n_max)
+        levels = walk(self.subshift, n_max, "interval-shift enumeration", self._root, step)
         next(levels)  # level 0, the empty word
         table = []
         for n, level in enumerate(levels, 1):

@@ -85,8 +85,12 @@ def build_automaton(spec: NumberSystemSpec, state_cap: int = STATE_CAP,
     A new state is the lowest-index stored state within eps_state by
     ArcSet.distance, else a state of its own.  The candidates come from a
     _StateIndex rather than a scan of every stored state; the rule, and so
-    the automaton, is the one the scan gives.  state_cap must be >= 1, and
-    eps_state finite and >= 0 (0 merges exact repeats only).
+    the automaton, is the one the scan gives.  An empty step, once the
+    empty state is stored, takes the sink's id without a lookup: only an
+    empty set lies within any eps_state of an empty set, at distance 0, so
+    the rule picks the sink and the residual does not move.  state_cap
+    must be >= 1, and eps_state finite and >= 0 (0 merges exact repeats
+    only).
     """
     if state_cap < 1:
         raise ValueError(f"state_cap must be >= 1, got {state_cap}")
@@ -100,10 +104,14 @@ def build_automaton(spec: NumberSystemSpec, state_cap: int = STATE_CAP,
     growth: list[int] = []
     residual = 0.0
     saturated = True
+    sink = None  # the empty state's id, once stored
     for z in states:
         row: list[int] = []
         for a in range(size):
             nz = spec.pull_step(z, a)
+            if sink is not None and not nz.arcs and not nz.full:
+                row.append(sink)
+                continue
             for j in index.candidates(nz):
                 d = states[j].distance(nz)
                 if d <= eps_state:
@@ -113,6 +121,8 @@ def build_automaton(spec: NumberSystemSpec, state_cap: int = STATE_CAP,
                 j = len(states)
                 states.append(nz)
                 index.add(nz, j)
+                if not nz.arcs and not nz.full:
+                    sink = j
             row.append(j)
         transitions.append(row)
         if len(transitions) == (growth[-1] if growth else 1):  # a depth ends

@@ -122,17 +122,21 @@ class DiscMoebius:
         self._set_canonical(a * s, b * s)
 
     def _set_canonical(self, a: complex, b: complex) -> None:
+        """Store the entries under the one sign rule: Re alpha > 0, or
+        Re alpha == 0 and Im alpha >= 0.  The fields are set through their
+        slot descriptors, past the frozen __setattr__."""
         if a.real < 0.0 or (a.real == 0.0 and a.imag < 0.0):
             a, b = -a, -b
-        object.__setattr__(self, "alpha", a)
-        object.__setattr__(self, "beta", b)
+        _set_alpha(self, a)
+        _set_beta(self, b)
 
-    @classmethod
-    def _product(cls, a: complex, b: complex) -> "DiscMoebius":
+    @staticmethod
+    def _product(a: complex, b: complex) -> "DiscMoebius":
         """The map with entries that already have |a|^2 - |b|^2 = 1 up to
         rounding (a product of maps, or a formula of determinant 1): the
-        sign is canonicalized, nothing is checked or rescaled."""
-        f = object.__new__(cls)
+        sign is canonicalized by _set_canonical's rule, nothing is checked
+        or rescaled, and no __init__ runs."""
+        f = _new(DiscMoebius)
         f._set_canonical(a, b)
         return f
 
@@ -239,6 +243,11 @@ class DiscMoebius:
 
     def __repr__(self):
         return f"DiscMoebius(alpha={self.alpha:.12g}, beta={self.beta:.12g})"
+
+
+_new = object.__new__
+_set_alpha = DiscMoebius.alpha.__set__
+_set_beta = DiscMoebius.beta.__set__
 
 
 # -- powers -----------------------------------------------------------------

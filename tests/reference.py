@@ -6,7 +6,8 @@ membership, the expansion interval of a map, factor-avoidance, the
 subshift-blind pullback fold of a word, the open refined set R(w) and
 its forward refinement, the exhaustive level minima, the scalar
 generator pair, expansion arcs, cover sweep and inward certificate,
-the linear state scan, a frozen copy of the arc-set kernel, the
+the linear state scan and a state search that scans every stored state
+for every step, a frozen copy of the arc-set kernel, the
 first-fit decoder through the arc-set and map methods, and the
 decode -> encode audit of a certificate.
 The random disc maps, arc sets and candidate systems the tests draw
@@ -579,6 +580,34 @@ class LinearScan:
 
     def candidates(self, z):
         return range(self.n)
+
+
+def scanned_automaton(spec, state_cap: int, eps: float):
+    """Reference state search: breadth first from the full circle, every
+    step, an empty one too, taking the lowest-index stored state within
+    eps by ArcSet.distance, else a state of its own; the queue stops after
+    the depth that takes it past state_cap.  Returns (states, transitions
+    of the expanded states, growth, residual)."""
+    states, transitions, growth, residual = [ArcSet.full_circle()], [], [], 0.0
+    for z in states:
+        row = []
+        for a in range(spec.alphabet.size):
+            nz = spec.pull_step(z, a)
+            for j, stored in enumerate(states):
+                d = stored.distance(nz)
+                if d <= eps:
+                    residual = max(residual, d)
+                    break
+            else:
+                j = len(states)
+                states.append(nz)
+            row.append(j)
+        transitions.append(row)
+        if len(transitions) == (growth[-1] if growth else 1):
+            growth.append(len(states))
+            if len(states) > state_cap:
+                break
+    return states, transitions, growth, residual
 
 
 def expanded_count(automaton) -> int:

@@ -403,6 +403,49 @@ def test_kernel_built_sets_equal_constructed_ones():
     assert image(identity(), ArcSet.full_circle()) is ArcSet.full_circle()
 
 
+@pytest.mark.parametrize("built, made", [
+    (lambda: ArcSet.from_arcs([(3.0, 0.25), (0.5, 1.0)]),
+     lambda: ArcSet(((0.5, 1.0), (3.0, 0.25)))),
+    (lambda: ArcSet.arc(0.0, 2.0).intersect(ArcSet.arc(1.0, 3.0)), lambda: ArcSet(((1.0, 1.0),))),
+    (lambda: ArcSet.from_arcs([(0.5, 1.0)]).closure(), lambda: ClosedArcSet(((0.5, 1.0),))),
+    (lambda: ArcSet(((0.5, 1.0), (1.5, 1.0))).closure(), lambda: ClosedArcSet(((0.5, 2.0),))),
+    (lambda: identity().compose(DiscMoebius(1.25 + 0j, 0.75 + 0j)),
+     lambda: DiscMoebius(1.25 + 0j, 0.75 + 0j)),
+    (lambda: contraction(2.0).inverse().inverse(), lambda: DiscMoebius(1.25 + 0j, 0.75 + 0j)),
+], ids=["from_arcs", "intersect", "one-arc-closure", "merged-closure", "compose", "inverse"])
+def test_slot_built_values_behave_as_constructed_ones(built, made):
+    # the set algebra and the map products set their fields through the
+    # slot descriptors; the values are those the checked constructors give
+    value, twin = built(), made()
+    assert type(value) is type(twin) and repr(value) == repr(twin)
+    fields = [f.name for f in dataclasses.fields(value)]
+    assert repr([getattr(value, f) for f in fields]) == repr([getattr(twin, f) for f in fields])
+    assert value == twin and hash(value) == hash(twin)
+    again = pickle.loads(pickle.dumps(value))
+    assert type(again) is type(value) and repr(again) == repr(value)
+    assert again == value and hash(again) == hash(value)
+    for name in fields:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, getattr(value, name))
+
+
+_EDGE_STARTS = [0.0, -0.0, 5e-324, 1.0, math.nextafter(TAU, 0.0), 1, np.float64(1.0)]
+_EDGE_LENGTHS = [math.nextafter(EPS_ANGLE, 0.0), EPS_ANGLE, math.nextafter(EPS_ANGLE, 1.0), 1.0,
+                 math.nextafter(TAU - EPS_ANGLE, 0.0), TAU - EPS_ANGLE,
+                 math.nextafter(TAU - EPS_ANGLE, TAU), TAU]
+
+
+@pytest.mark.parametrize("length", _EDGE_LENGTHS)
+@pytest.mark.parametrize("start", _EDGE_STARTS, ids=repr)
+def test_one_arc_closure_matches_the_reference_at_its_edges(start, length):
+    # closure returns one float-start arc in stored form as it is; every
+    # other one arc, a start of 0.0 or -0.0, an int or numpy start, or a
+    # length within EPS_ANGLE of 0 or of a full turn, still goes through
+    # the merge, which the frozen reference pins
+    a = ArcSet(((start, length),))
+    _assert_same(_pair(a.closure()), ref_closure(_pair(a)))
+
+
 # -- bit-identity oracle -------------------------------------------------------------
 #
 # The kernel against the frozen copy in reference.py, on (arcs, full) pairs.

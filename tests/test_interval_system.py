@@ -501,7 +501,7 @@ def test_empty_levels_are_inf_and_skipped_by_the_rate_bound():
     [(_, q1)] = exhaustive_table(spec, 1)
     assert 0.0 < q1 < 1.0
     # the greedy descent ends at the first level with no child
-    assert spec._dive_bounds(3) == [1.0, q1, math.inf, math.inf]
+    assert spec._dive_bounds(3)[0] == [1.0, q1, math.inf, math.inf]
     est = spec.expansion_rate_bound(3)
     assert est.table == [(1, q1), (2, math.inf), (3, math.inf)]
     assert est.lower_bound == q1 and est.n_achieving == 1

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 import re
 
 import pytest
@@ -17,8 +18,11 @@ from reference import (
     LinearScan,
     expanded_count,
     interval_shift_words,
+    perturbed_builtin,
+    random_system,
     recomputed_residual,
     refined_set,
+    scanned_automaton,
     turned_cover,
 )
 
@@ -188,6 +192,7 @@ def _assert_same_automaton(spec, cap, eps, monkeypatch):
     assert indexed.transitions == linear.transitions
     assert indexed.growth == linear.growth
     assert indexed.saturated == linear.saturated
+    assert indexed.residual == linear.residual
     return indexed
 
 
@@ -211,6 +216,51 @@ def test_state_index_matches_linear_scan_across_zero(eps, monkeypatch):
         assert auto.transitions[below][q] == below
     else:
         assert auto.states[auto.transitions[below][q]].arcs[0][0] < 1e-3
+
+
+def _empty_dominated_specs():
+    """The perturbed builtins and a derandomized slice of direction 2's
+    random systems: state searches in which most steps are empty."""
+    rng = random.Random(11)
+    return ([perturbed_builtin(builtin(name), r) for name in BUILTIN_NAMES for r in (3.0, 1e2, 1e4)]
+            + [random_system(rng) for _ in range(16)])
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-7, 1e-3])
+def test_sink_rule_matches_the_full_scan_where_empty_steps_dominate(eps, monkeypatch):
+    # an empty step that meets the stored sink takes its id unlooked; the
+    # reference search scans every stored state for it, as for any step
+    empty = steps = 0
+    for spec in _empty_dominated_specs():
+        auto = _assert_same_automaton(spec, 120, eps, monkeypatch)
+        states, transitions, growth, residual = scanned_automaton(spec, 120, eps)
+        assert [(s.full, s.arcs) for s in auto.states] == [(s.full, s.arcs) for s in states]
+        assert auto.transitions[:len(transitions)] == transitions
+        assert auto.growth == growth and auto.residual == residual
+        steps += sum(map(len, transitions))
+        empty += sum(states[j].is_empty for row in transitions for j in row)
+    assert empty > steps / 2
+
+
+def test_empty_steps_skip_the_state_lookup_once_the_sink_is_stored(monkeypatch):
+    looked_up, measured = [], []
+    candidates, distance = sofic._StateIndex.candidates, ArcSet.distance
+    monkeypatch.setattr(sofic._StateIndex, "candidates",
+                        lambda self, z: looked_up.append(z.is_empty) or candidates(self, z))
+    monkeypatch.setattr(ArcSet, "distance", lambda self, other: measured.append(
+        self.is_empty or other.is_empty) or distance(self, other))
+    sinks = 0
+    for spec in _empty_dominated_specs() + [builtin(name) for name in BUILTIN_NAMES]:
+        looked_up.clear()
+        measured.clear()
+        auto = build_automaton(spec, state_cap=120)
+        has_sink = any(s.is_empty for s in auto.states)
+        sinks += has_sink
+        # one lookup of an empty step, the one that stores the sink; none
+        # measures a distance to or from the empty set
+        assert looked_up.count(True) == has_sink
+        assert not any(measured)
+    assert sinks > 20
 
 
 @pytest.mark.parametrize("eps", [math.inf, math.nan, -1.0, -math.inf])

@@ -94,6 +94,23 @@ def test_contraction_needs_a_positive_parameter(r):
         contraction(r)
 
 
+@pytest.mark.parametrize("a", [
+    complex(-0.75, 1.0), complex(0.75, -1.0), complex(-1.25, 0.0), complex(-1.25, -0.0),
+    complex(0.0, 1.25), complex(0.0, -1.25), complex(-0.0, 1.25), complex(-0.0, -1.25),
+])
+@pytest.mark.parametrize("b", [complex(0.75, 0.0), complex(-0.0, -0.75)])
+def test_product_takes_the_checked_constructors_sign_rule(a, b):
+    # |a| = 1.25 and |b| = 0.75 in floats, so the checked constructor
+    # scales by exactly 1; Re alpha < 0, and Re alpha = +-0.0 with
+    # Im alpha < 0, flip both entries, bit for bit
+    flip = a.real < 0.0 or (a.real == 0.0 and a.imag < 0.0)
+    got = DiscMoebius._product(a, b)
+    assert repr((got.alpha, got.beta)) == repr((-a, -b) if flip else (a, b))
+    checked = DiscMoebius(a, b)
+    assert checked == got and hash(checked) == hash(got)
+    assert checked.alpha.real > 0.0 or (checked.alpha.real == 0.0 and checked.alpha.imag > 0.0)
+
+
 def test_contraction_is_built_from_its_formula():
     # (r + 1/r)/2 and (r - 1/r)/2 round to the same float here, so a
     # checked difference of squares would be 0
