@@ -18,12 +18,14 @@ went one by one, when a is exactly parabolic (transforms.parabolic_scale:
 with M its matrix at determinant 1, M^k = k M - (k - 1) I) and the
 pair of follower state and pullback state is fixed by a.  The least k
 whose certificate meets tol is solved for and confirmed at k - 1 and k;
-the run's digits are then read in chunks that double in size, and every
+the run's digits are then read into lists that double in size, and every
 one is compared with a at C speed, as a byte.  A mismatch, or a digit
 that is no index (a float equal to a too), ends the jump there and the
-loop goes on with that digit.  A digit step and a jump both end in the
-one exit test of the loop: the certificate met, or max_digits reached,
-so no digit past the cap is read.
+loop goes on with that digit, reading first the digits the jump read
+past it.  A jump reads the caller's iterator itself once those are used
+up, not through the chain that put them first.  A digit step and a jump
+both end in the one exit test of the loop: the certificate met, or
+max_digits reached, so no digit past the cap is read.
 Neither a digit nor a jump renormalizes F (products of disc maps never
 are, see transforms); a jump keeps det F as it was, so the certificate
 of a run carries no rounding drift: on the cf system's rational
@@ -58,7 +60,7 @@ from bisect import bisect_right
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from operator import index
+from operator import index, length_hint
 
 from .arcs import ArcSet, ClosedArcSet, EPS_ANGLE, expansion_geometry, image
 from .errors import NoLegalDigit
@@ -168,7 +170,10 @@ def encode(spec: NumberSystemSpec, digits, tol: float, max_digits: int | None = 
                     b1 = (fa * b2 + fb * a2.conjugate()) * scale
                     room = cap - consumed
                     k = _run_crossing(fb, b1, tol, room)
-                    m, rest = _read_run(digits_in, a, (room if k is None else k) - 1)
+                    # with the read-ahead drained, the chain would only hand
+                    # on base's digits: read them from base directly
+                    m, rest = _read_run(digits_in if length_hint(pending) else base,
+                                        a, (room if k is None else k) - 1)
                     fa, fb = (m + 1) * a1 - m * fa, (m + 1) * b1 - m * fb
                     consumed += m + 1
                 else:
@@ -279,18 +284,20 @@ def _read_run(stream, a: int, need) -> tuple[int, tuple]:
     """Read up to `need` digits equal to `a` from the stream, in chunks that
     double in size, comparing each digit at C speed.
 
-    Returns (m, rest): the m digits of the run that were read and the
-    chunk's digits from the first mismatch on (empty when the run reached
-    `need` or the stream ended).
+    Each chunk is a list (list(islice(...)) builds faster than a tuple
+    from an iterator with no length hint).  Returns (m, rest): the m
+    digits of the run that were read and, as a tuple, the chunk's digits
+    from the first mismatch on (empty when the run reached `need` or the
+    stream ended).
     """
     m, size = 0, _RUN_CHUNK_MIN
     letter = bytes((a,)) if a < 256 else None
     while m < need:
         asked = min(size, need - m)
-        chunk = tuple(islice(stream, asked))
+        chunk = list(islice(stream, asked))
         j = _run_length(chunk, a, letter)
         if j < len(chunk):
-            return m + j, chunk[j:]
+            return m + j, tuple(chunk[j:])
         m += len(chunk)
         if len(chunk) < asked:  # the stream ended
             break
@@ -298,9 +305,10 @@ def _read_run(stream, a: int, need) -> tuple[int, tuple]:
     return m, ()
 
 
-def _run_length(chunk: tuple, a: int, letter: bytes | None) -> int:
+def _run_length(chunk: list, a: int, letter: bytes | None) -> int:
     """How many of the chunk's digits, from its first, are the index a,
-    whose byte is `letter` (None past 255).
+    whose byte is `letter` (None past 255).  The chunk is a list, as
+    _read_run reads it, or any other sequence.
 
     A digit that is no index ends the run even where it equals a, as 2.0
     equals 2, so that the digit loop rejects it.  A chunk of indices below

@@ -379,7 +379,7 @@ class NumberSystemSpec:
         outside it raises as in _shift_entry."""
         return _least_expansion(*self._shift_entry(word))
 
-    def _dive_bounds(self, n_max: int) -> tuple[list[float], dict[int, list]]:
+    def _dive_bounds(self, n_max: int) -> tuple[list[float], dict[int, list], dict[int, float]]:
         """Upper bounds on Q_0..Q_n_max: the q of the words met by descending
         from the root, each time to the interval-shift child of least q (the
         first letter on a tie); +inf past a word that has no such child.
@@ -387,22 +387,27 @@ class NumberSystemSpec:
         Also returns the steps the descent took, for the level walk to reuse:
         keyed by the id of each entry it stepped from, that entry's children,
         one per letter, None where the subshift forbids the letter or the
-        step empties the set.  Every such entry is the root or a stored
-        child, so it stays alive with the dict and its id names it alone."""
+        step empties the set; and keyed by the id of each child that is not
+        None, its q.  Every such entry is the root or a stored child, so it
+        stays alive with the dicts and its id names it alone."""
         upper = [1.0] + [math.inf] * n_max
         stepped: dict[int, list] = {}
+        known_q: dict[int, float] = {}
         entry, state = self._root, self.subshift.initial
         for m in range(1, n_max + 1):
             row = self.subshift.transitions[state]
             children = stepped[id(entry)] = [None if nxt is None else self._walk_step(entry, a)
                                              for a, nxt in enumerate(row)]
-            best = min(((_least_expansion(*child), a, child)
+            for child in children:
+                if child is not None:
+                    known_q[id(child)] = _least_expansion(*child)
+            best = min(((known_q[id(child)], a, child)
                         for a, child in enumerate(children) if child is not None), default=None)
             if best is None:
                 break
             upper[m], a, entry = best
             state = row[a]
-        return upper, stepped
+        return upper, stepped, known_q
 
     def expansion_rate_bound(self, n_max: int) -> ExpansionRateBound:
         """Best n-th-root lower bound over levels 1..n_max, with diagnostics.
@@ -425,7 +430,7 @@ class NumberSystemSpec:
         """
         if n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {n_max}")
-        upper, stepped = self._dive_bounds(n_max)
+        upper, stepped, known_q = self._dive_bounds(n_max)
 
         def step(entry, a):  # _walk_step, read from the descent where it went
             children = stepped.get(id(entry))
@@ -436,7 +441,8 @@ class NumberSystemSpec:
         next(levels)  # level 0, the empty word
         table = []
         for n, level in enumerate(levels, 1):
-            qs = [_least_expansion(z, f) for _, _, (z, f) in level]
+            qs = [_least_expansion(*entry) if (q := known_q.get(id(entry))) is None else q
+                  for _, _, entry in level]
             q = min(qs, default=math.inf)
             table.append((n, q))
             lower.append(q)

@@ -102,15 +102,24 @@ class Subshift:
         states = sorted({f[:k] for f in forbidden for k in range(len(f))} | {()},
                         key=lambda p: (len(p), p))
         index = {p: i for i, p in enumerate(states)}
+        banned = set(forbidden)
         transitions = []
         for p in states:
             row: list[int | None] = []
             for a in range(self.alphabet.size):
+                # one scan of the suffixes of p + (a,), longest first: None at
+                # the first forbidden one, else the longest that is a state
+                # (the empty suffix always is)
                 w = p + (a,)
-                if any(w[len(w) - len(f):] == f for f in forbidden):
-                    row.append(None)
-                else:  # the longest suffix of w that is a state
-                    row.append(next(index[w[j:]] for j in range(len(w) + 1) if w[j:] in index))
+                nxt = None
+                for j in range(len(w) + 1):
+                    suffix = w[j:]
+                    if suffix in banned:
+                        nxt = None
+                        break
+                    if nxt is None:
+                        nxt = index.get(suffix)
+                row.append(nxt)
             transitions.append(tuple(row))
         object.__setattr__(self, "forbidden", forbidden)
         object.__setattr__(self, "states", tuple(states))

@@ -3,6 +3,7 @@
 Each model is the slow or direct form of something the package computes
 faster or in other coordinates: derivative moduli, sampled arc-set
 membership, the expansion interval of a map, factor-avoidance, the
+follower table built by scanning every forbidden word, the
 subshift-blind pullback fold of a word, the open refined set R(w) and
 its forward refinement, the exhaustive level minima, the scalar
 generator pair, expansion arcs, cover sweep and inward certificate,
@@ -305,6 +306,29 @@ def in_language(shift, word) -> bool:
             if word[i:i + m] == f:
                 return False
     return True
+
+
+def follower_table(forbidden, size: int):
+    """(states, transitions) of the follower automaton of the subshift over
+    `size` letters whose forbidden words are `forbidden`, a sorted tuple of
+    index words without repeats, built as the definition reads: a letter
+    is None after a state where some forbidden word is a suffix of the
+    state and the letter, else it leads to the longest such suffix that
+    is a state."""
+    states = sorted({f[:k] for f in forbidden for k in range(len(f))} | {()},
+                    key=lambda p: (len(p), p))
+    index = {p: i for i, p in enumerate(states)}
+    transitions = []
+    for p in states:
+        row = []
+        for a in range(size):
+            w = p + (a,)
+            if any(w[len(w) - len(f):] == f for f in forbidden):
+                row.append(None)
+            else:
+                row.append(next(index[w[j:]] for j in range(len(w) + 1) if w[j:] in index))
+        transitions.append(tuple(row))
+    return tuple(states), tuple(transitions)
 
 
 def follower_accepts(subshift, word) -> bool:

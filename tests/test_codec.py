@@ -342,6 +342,67 @@ def test_a_run_jump_reads_ahead_at_most_one_chunk():
         assert len(list(it)) == len(word) - res.digits_consumed, tol
 
 
+def cf_runs(lengths):
+    """A cf word: runs of 1- and 1 by turns, of the given lengths, each
+    after a 0, so that no forbidden factor occurs."""
+    word = []
+    for i, n in enumerate(lengths):
+        word += [1] + [(0, 2)[i % 2]] * n
+    return word
+
+
+def spy_on_jumps(monkeypatch, it):
+    """Record, for each run jump, whether it reads the iterator `it` itself."""
+    direct = []
+    read_run = codec._read_run
+    monkeypatch.setattr(codec, "_read_run",
+                        lambda stream, *a: direct.append(stream is it) or read_run(stream, *a))
+    return direct
+
+
+def test_a_jump_after_the_read_ahead_is_used_up_reads_the_callers_iterator(monkeypatch):
+    # each run of 100 breaks inside a jump's chunk; the run of 17 jumps inside
+    # the second one's read-ahead, through the chain that puts it first; the
+    # short runs after each use that read-ahead up, so the next long run jumps
+    # from the caller's iterator itself, and the run of 20 from a chain again
+    cf = builtin("cf")
+    word = cf_runs([100] + [5] * 8 + [100, 17] + [5] * 8 + [300, 20])
+    for tol, max_digits in ((1e-30, None), (1e-30, 500), (1e-6, None)):
+        want = encode(cf, tuple(word), tol, max_digits)
+        it = iter(word)
+        direct = spy_on_jumps(monkeypatch, it)
+        assert encode(cf, it, tol, max_digits) == want
+        if tol == 1e-30:
+            assert direct == [True, True, False, True, False][:len(direct)]
+            assert len(direct) == (5 if max_digits is None else 4)
+    assert want.converged and want.digits_consumed < len(word)
+
+
+def test_past_the_read_ahead_a_run_still_checks_every_digit(monkeypatch):
+    # after a broken jump and its drained read-ahead, the next run's jump
+    # reads the caller's iterator: a float equal to the letter still ends
+    # the run and raises at its own position, and a TypeError of the stream
+    # itself still propagates
+    cf = builtin("cf")
+    head = cf_runs([100, 5, 3, 5, 3, 5, 3, 5, 300])
+    it = iter(head + [2.0] + [2] * 50)
+    direct = spy_on_jumps(monkeypatch, it)
+    message = f"digit 2.0 at position {len(head)} is not a symbol index 0..2"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        encode(cf, it, 1e-30)
+    assert direct == [True, True]
+
+    def failing():
+        yield from head
+        raise TypeError("the stream failed")
+
+    it = failing()
+    direct = spy_on_jumps(monkeypatch, it)
+    with pytest.raises(TypeError, match="the stream failed"):
+        encode(cf, it, 1e-30)
+    assert direct == [True, True]
+
+
 def test_encode_certificate_covers_longer_expansions():
     # extending a word never leaves the reported disc of the shorter one,
     # and the origin's images under every longer prefix stay inside it too
@@ -772,6 +833,7 @@ def test_a_run_ends_at_its_first_digit_that_is_not_its_index():
     ]:
         letter = bytes((a,)) if a < 256 else None
         assert codec._run_length(chunk, a, letter) == want, chunk
+        assert codec._run_length(list(chunk), a, letter) == want, chunk
 
 
 def test_a_type_error_of_the_stream_itself_propagates():

@@ -8,7 +8,8 @@ import pytest
 from moebius_systems.errors import BudgetExceeded
 from moebius_systems import subshift
 from moebius_systems.subshift import Alphabet, Subshift
-from reference import follower_accepts, in_language
+from moebius_systems.systems import BUILTIN_NAMES, builtin
+from reference import follower_accepts, follower_table, in_language
 
 
 def three_parabolic_shift():
@@ -117,6 +118,22 @@ def test_automaton_agrees_with_in_language(shift):
     for n in range(0, 7):
         for w in itertools.product(range(k), repeat=n):
             assert follower_accepts(shift, w) == in_language(shift, w)
+
+
+def test_follower_table_matches_the_reference_construction():
+    # the one suffix scan per (state, letter) against the definition's
+    # generator scans over every forbidden word
+    shifts = [builtin(name).subshift for name in BUILTIN_NAMES]
+    shifts += [three_parabolic_shift(), cf_shift(), Subshift(Alphabet(("x",)), ())]
+    rng = random.Random(2024)
+    for _ in range(3000):
+        size = rng.randint(1, 4)
+        forbidden = [tuple(rng.randrange(size) for _ in range(rng.randint(1, 5)))
+                     for _ in range(rng.randint(0, 6))]
+        shifts.append(Subshift(Alphabet(tuple("abcd"[:size])), forbidden))
+    for shift in shifts:
+        want = follower_table(shift.forbidden, shift.alphabet.size)
+        assert (shift.states, shift.transitions) == want, shift.forbidden
 
 
 def test_follower_tables_take_no_part_in_equality():
