@@ -33,22 +33,24 @@ streams, whose tails are endless runs of a parabolic letter, the digit
 count at which encode stops is the exact first crossing of tol.
 
 The decoder walks the point backwards through inverse letter maps,
-choosing at each step the first legal symbol whose closed cover arc
-contains the current point without sitting at its counterclockwise end
-(points are swept counterclockwise into the arc's interior, so that end
-cannot start a representation).  It reads the spec's per-state tables
-(NumberSystemSpec._decode_rows, built on the first decode).  A table's
-row lists the letters legal in one follower state, in letter order, each
-with its next state, its closed cover arcs and the entries of its
-inverse map.  Its cuts, the points 2*EPS_ANGLE either side of each arc
-end, split the circle into intervals on which that choice is fixed, and
-its picks give the choice per interval, so a digit costs one bisect.
-Within 2*EPS_ANGLE of an arc end, and where no legal arc holds the
-point, the pick is None and the digit loop walks the row with the arc
-tests of ClosedArcSet.component_containing and circle_distance written
-inline.  Either way it maps the point with the arithmetic of
-DiscMoebius.apply_angle, so it chooses and moves bit for bit as those
-calls would; change apply_angle, image and decode together.
+choosing at each step by one rule, interval_system._first_fit: the first
+legal symbol whose closed cover arc holds the current point more than
+EPS_ANGLE inside its ends, else the one whose arc holds it deepest (points
+are swept counterclockwise into the arc's interior, so an arc's
+counterclockwise end cannot start a representation).  It reads the spec's
+per-state tables (NumberSystemSpec._decode_rows, built on the first
+decode).  A table's row lists the letters legal in one follower state, in
+letter order, each with its next state, its closed cover arcs and the
+entries of its inverse map.  Its cuts, the points 2*EPS_ANGLE either side
+of each arc end, split the circle into intervals, and its picks hold
+_first_fit at the midpoint of each interval wider than three times that
+band, on which no arc end lies close enough for the choice to change;
+so a digit costs one bisect.  On a narrower interval, and where no legal
+arc holds the point, the pick is None and the digit takes _first_fit at
+the point itself; a None from it raises NoLegalDigit.  Either way it maps
+the point with the arithmetic of DiscMoebius.apply_angle, so it chooses
+and moves bit for bit as component_containing and apply_angle would;
+change apply_angle, image and decode together.
 """
 
 from __future__ import annotations
@@ -62,15 +64,14 @@ from dataclasses import dataclass, field
 from itertools import chain, islice
 from operator import index, length_hint
 
-from .arcs import ArcSet, ClosedArcSet, EPS_ANGLE, expansion_geometry, image
+from .arcs import ArcSet, ClosedArcSet, expansion_geometry, image
 from .errors import NoLegalDigit
-from .interval_system import EPS_ONE, NumberSystemSpec, _least_expansion
+from .interval_system import EPS_ONE, NumberSystemSpec, _first_fit, _least_expansion
 from .subshift import Word
 from .transforms import (
     EPS_ROTATION, SpherePoint, TAU, canon_angle,
 )
 
-_NEARLY_FULL = TAU - EPS_ANGLE
 _NEAR_TOL = 1e-6           # relative margin far above rounding in 1/|beta| vs tol
 _RUN_MIN = 16               # digits of a run taken one by one before a jump is tried
 _RUN_CHUNK_MIN = 8         # digits in the first chunk a run jump reads
@@ -336,15 +337,18 @@ def decode(spec: NumberSystemSpec, theta: float, n_digits: int) -> Word:
     symbols.
 
     Each digit is chosen among the letters spec.subshift.transitions
-    allows: the first whose closed cover arc holds the point more than
-    EPS_ANGLE inside its ends, else the one whose arc holds it deepest
-    within EPS_ANGLE.  So a point near an endpoint takes the arc it lies
-    in, not one it lies just outside, whose inverse map would carry it
-    further out.  The caller is expected to have verified the system; on
-    covers that fail compatibility the decoder can run out of candidates,
-    which raises NoLegalDigit with the offending point attached.  A
-    non-finite theta, or an n_digits that is no integer or is negative,
-    raises ValueError.
+    allows, by the one rule interval_system._first_fit: the first whose
+    closed cover arc holds the point more than EPS_ANGLE inside its ends,
+    else the one whose arc holds it deepest within EPS_ANGLE.  So a point
+    near an endpoint takes the arc it lies in, not one it lies just
+    outside, whose inverse map would carry it further out.  The state's
+    table holds that choice for every interval between its cuts wider than
+    the width test of interval_system._decode_cuts, and the digit takes
+    _first_fit at the point on the rest.  The caller is expected to have
+    verified the system; on covers that fail compatibility the decoder can
+    run out of candidates, which raises NoLegalDigit with the offending
+    point attached.  A non-finite theta, or an n_digits that is no integer
+    or is negative, raises ValueError.
     """
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta!r}")
@@ -352,41 +356,18 @@ def decode(spec: NumberSystemSpec, theta: float, n_digits: int) -> Word:
     x = canon_angle(theta)
     rows = spec._decode_rows
     cuts, picks, row = rows[spec.subshift.initial]
-    tau, eps, nearly_full = TAU, EPS_ANGLE, _NEARLY_FULL
+    tau = TAU
     exp, phase = cmath.exp, cmath.phase
     word = []
     for _ in range(n):
-        entry = picks[bisect_right(cuts, x)]
+        entry = picks[bisect_right(cuts, x)] or _first_fit(row, x)
         if entry is None:
-            # near an arc end: the first entry whose closed arc holds x, as
-            # ClosedArcSet.component_containing(x, EPS_ANGLE) finds it, more
-            # than EPS_ANGLE inside both its ends; else the entry whose arc
-            # holds x deepest (the signed distance to its nearer end,
-            # negative outside it), the first on ties
-            fallback, depth = None, -tau
-            for entry in row:
-                for s, l, reach in entry[2]:
-                    d = (x - s) % tau
-                    if d <= reach or d >= nearly_full:
-                        break
-                else:
-                    continue
-                if l < nearly_full:
-                    m = d - tau if d > reach else (d if d < l - d else l - d)
-                    if m <= eps:
-                        if m > depth:
-                            fallback, depth = entry, m
-                        continue
-                break
-            else:
-                if fallback is None:
-                    raise NoLegalDigit(
-                        f"no cover arc admits the point at angle {x:.12g}",
-                        angle=x,
-                        word=tuple(word),
-                        candidates=[spec.alphabet.symbols[e[0]] for e in row],
-                    )
-                entry = fallback
+            raise NoLegalDigit(
+                f"no cover arc admits the point at angle {x:.12g}",
+                angle=x,
+                word=tuple(word),
+                candidates=[spec.alphabet.symbols[e[0]] for e in row],
+            )
         a, nxt, _, alpha, beta, cb, ca = entry
         word.append(a)
         cuts, picks, row = rows[nxt]

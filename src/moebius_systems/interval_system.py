@@ -50,6 +50,7 @@ EPS_ONE = 1e-9      # band around an expansion bound of exactly 1
 EPS_PRUNE = 1e-9    # slack on q(uv) >= q(u)*Q_|v|; min_expansion is within 3e-12 of a 60-digit product
 _PULL_TABLE_CAP = 4096  # interned pairs per table before a fresh one starts
 _DECODE_BAND = 2 * EPS_ANGLE  # decode's guard band either side of a cover-arc end
+_NEARLY_FULL = TAU - EPS_ANGLE  # decode: an arc offset or length within EPS_ANGLE of a full turn
 
 
 @dataclass
@@ -111,41 +112,55 @@ def _meets(first, second) -> bool:
     return False
 
 
+def _first_fit(row: tuple[tuple, ...], x: float) -> tuple | None:
+    """The entry of a decode row that decode chooses at the point x in
+    [0, 2*pi): the first whose closed arc holds x, as
+    ClosedArcSet.component_containing(x, EPS_ANGLE) finds it, more than
+    EPS_ANGLE inside both its ends; else the entry whose arc holds x
+    deepest (the signed distance to its nearer end, negative outside it),
+    the first on ties; None where no legal arc holds x.  The arc tests of
+    component_containing and circle_distance are written inline: the
+    calls were most of a digit's cost.
+    """
+    fallback, depth = None, -TAU
+    for entry in row:
+        for s, l, reach in entry[2]:
+            d = (x - s) % TAU
+            if d <= reach or d >= _NEARLY_FULL:
+                break
+        else:
+            continue
+        if l < _NEARLY_FULL:
+            m = d - TAU if d > reach else (d if d < l - d else l - d)
+            if m <= EPS_ANGLE:
+                if m > depth:
+                    fallback, depth = entry, m
+                continue
+        return entry
+    return fallback
+
+
 def _decode_cuts(row: tuple[tuple, ...]) -> tuple[list[float], list]:
     """(cuts, picks) of one decode row: the sorted points s +- _DECODE_BAND
     and s + l +- _DECODE_BAND, mod 2*pi, of every arc (s, l) of the row
     but a full circle's, and per interval between cuts (the first and the
-    last are one, across 0) the entry that holds it.
+    last are one, across 0) _first_fit at its midpoint where the interval
+    is wider than 3 * _DECODE_BAND, else None.
 
-    An entry holds an interval where each arc of the earlier entries, and
-    each earlier arc of its own, lies more than _DECODE_BAND from it, and
-    one arc of its own is the full circle or holds it more than
-    _DECODE_BAND inside both ends; else the pick is None.  Between cuts
-    that holds throughout or nowhere, and is read at the midpoint.  The
-    row walk's tests (d <= l + EPS_ANGLE, d >= 2*pi - EPS_ANGLE and
+    An interval with an arc end e inside lies between e - _DECODE_BAND and
+    e + _DECODE_BAND, so it is at most 2 * _DECODE_BAND wide.  Every point
+    of a wider one lies more than 2 * EPS_ANGLE from every arc end, where
+    _first_fit's tests (d <= l + EPS_ANGLE, d >= 2*pi - EPS_ANGLE and
     min(d, l - d) > EPS_ANGLE, on d = (x - s) % 2*pi) carry rounding of
-    about 1e-15 rad, far below the EPS_ANGLE that the band leaves, so on
-    such an interval the walk chooses the picked entry.
+    about 1e-15 rad and so give one answer throughout.
     """
     cuts = sorted({(e + off) % TAU for entry in row for s, l, _ in entry[2] if l < TAU
                    for e in (s, s + l) for off in (-_DECODE_BAND, _DECODE_BAND)})
-
-    def holder(x):
-        for entry in row:
-            for s, l, _ in entry[2]:
-                if l >= TAU:
-                    return entry
-                d = (x - s) % TAU
-                if _DECODE_BAND < d < l - _DECODE_BAND:
-                    return entry
-                if not l + _DECODE_BAND < d < TAU - _DECODE_BAND:
-                    return None
-        return None
-
     if not cuts:
-        return cuts, [holder(0.0)]
+        return cuts, [_first_fit(row, 0.0)]
     edges = [cuts[-1] - TAU] + cuts + [cuts[0] + TAU]
-    return cuts, [holder((lo + hi) / 2 % TAU) for lo, hi in zip(edges, edges[1:])]
+    return cuts, [_first_fit(row, (lo + hi) / 2 % TAU) if hi - lo > 3 * _DECODE_BAND else None
+                  for lo, hi in zip(edges, edges[1:])]
 
 
 class _PullbackTable:
@@ -236,10 +251,12 @@ class NumberSystemSpec:
         beta, conj alpha).  The arcs are those of cl C_a, each as (start,
         length, length + EPS_ANGLE), the full circle as the one arc
         (0, 2*pi), which holds every point; the four numbers are the
-        entries of F_a^-1 and their conjugates.  The sorted cuts and the
-        picks, one more than the cuts, are _decode_cuts' of the row: a
-        point x in [0, 2*pi) takes picks[bisect_right(cuts, x)], the entry
-        decode's walk of the row chooses there, or None near an arc end.
+        entries of F_a^-1 and their conjugates.  Decode's letter choice is
+        _first_fit of the row, and the sorted cuts and the picks, one more
+        than the cuts, are _decode_cuts' of the row: a point x in
+        [0, 2*pi) takes picks[bisect_right(cuts, x)], _first_fit on an
+        interval that passes the width test, or None, where decode calls
+        _first_fit at x itself.
         """
         letters = [(tuple((s, l, l + EPS_ANGLE) for s, l in _arcs(c.closure())),
                     g.alpha, g.beta, g.beta.conjugate(), g.alpha.conjugate())

@@ -22,6 +22,7 @@ None of it is package API, and each model is defined here once.
 import cmath
 import math
 import random
+from functools import reduce
 
 import numpy as np
 
@@ -419,6 +420,24 @@ def random_system(rng):
         maps[sym] = random_disc_moebius(rng, scale)
     forbidden = [(rng.randrange(k), rng.randrange(k))] if rng.random() < 0.5 else []
     return NumberSystemSpec(alph, maps, cover, Subshift(alph, forbidden), name="random")
+
+
+def random_multi_arc_system(rng):
+    """A random candidate system whose letters may hold several cover arcs:
+    2-4 letters from random_disc_moebius at beta scale 0.5, 2 or 10, each
+    covering a random_arcset, and the points no letter covers added to one
+    random letter's cover; no subshift restriction.  Arcs of different
+    letters overlap, so a later letter's arc end can lie inside an earlier
+    letter's arc."""
+    k = rng.randint(2, 4)
+    scale = rng.choice((0.5, 2.0, 10.0))
+    alph = Alphabet(tuple(str(i) for i in range(k)))
+    covers = [random_arcset(rng) for _ in range(k)]
+    j = rng.randrange(k)
+    covers[j] = covers[j].union(reduce(ArcSet.union, covers, ArcSet.empty()).complement())
+    maps = {sym: random_disc_moebius(rng, scale) for sym in alph.symbols}
+    return NumberSystemSpec(alph, maps, dict(zip(alph.symbols, covers)), Subshift(alph, ()),
+                            name="random-multi-arc")
 
 
 def interval_shift_words(spec, n: int) -> list[tuple[int, ...]]:

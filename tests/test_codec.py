@@ -30,6 +30,8 @@ from reference import (
     in_language,
     perturbed_letter,
     pullback_entry,
+    random_multi_arc_system,
+    random_system,
     refined_set,
     rotated_parabolic3,
     turned_cover,
@@ -700,7 +702,7 @@ def test_representable_interval_answers_every_prefix_of_a_decoded_word(name):
 
 
 # the last five sit on and either side of the guard band of the decode table
-# (interval_system._DECODE_BAND), where the table hands over to the row walk
+# (interval_system._DECODE_BAND), where the table hands over to _first_fit
 _ENDPOINT_OFFSETS = (0.0, 1e-15, 1e-12, 2e-10, 1e-9, 1e-6, 3e-3,
                      2 * EPS_ANGLE, 2 * EPS_ANGLE - 1e-15, 2 * EPS_ANGLE + 1e-15,
                      2 * EPS_ANGLE - 1e-12, 2 * EPS_ANGLE + 1e-12)
@@ -716,12 +718,16 @@ def _decode_outcome(decoder, spec, theta):
 
 def test_decode_matches_the_first_fit_reference():
     # decode picks a digit from its per-state table of cover-arc cuts, and
-    # walks the row, inlining the arc tests and the map of the methods the
-    # reference calls, near an arc end; words and strands agree bit for bit
-    # with the reference's.  The points sit at every cover endpoint and just
-    # off it, where the arc tests decide, and at either edge of the table's
-    # guard band; the last spec's letter c is the full circle
+    # takes interval_system._first_fit, which inlines the arc tests and the
+    # map of the methods the reference calls, near an arc end; words and
+    # strands agree bit for bit with the reference's.  The points sit at
+    # every cover endpoint and just off it, where the arc tests decide, and
+    # at either edge of the table's guard band.  The 17th spec's letter c is
+    # the full circle; the random systems after it have overlapping arcs, so
+    # that a later letter's arc end lies inside an earlier letter's arc,
+    # forbidden pairs, and letters with several arcs or none
     rng = random.Random(20)
+    draw = random.Random(3)
     golden = (math.sqrt(5.0) - 1.0) / 2.0
     p3 = builtin("parabolic3")
     specs = [turned_cover(builtin(name), turn) if turn else builtin(name)
@@ -729,6 +735,8 @@ def test_decode_matches_the_first_fit_reference():
              for turn in (0.0, 0.23, 0.5, 0.77)]
     specs.append(with_cover(p3, {**dict(zip(p3.alphabet.symbols, p3.cover)),
                                  "c": ArcSet.full_circle()}))
+    specs += [random_system(draw) for _ in range(20)]
+    specs += [random_multi_arc_system(draw) for _ in range(20)]
     strands = decodes = 0
     for spec in specs:
         ends = {e for c in spec.cover for s, l in c.arcs for e in (s, s + l)}

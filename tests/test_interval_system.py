@@ -27,6 +27,8 @@ from reference import (
     interval_shift_words,
     mp_product,
     pullback_entry,
+    random_multi_arc_system,
+    random_system,
     refined_set,
     rotated_parabolic3,
     turned_cover,
@@ -345,22 +347,52 @@ def _inside(lo, hi, arcs):
                for s, l in arcs for k in (-TAU, 0.0, TAU))
 
 
-@pytest.mark.parametrize("turn", [0.0, 0.23, 0.5, 0.77])
-@pytest.mark.parametrize("name", ["parabolic3", "cf", "binary", "hyperbolic4"])
-def test_decode_table_leaves_undecided_only_the_guard_bands(name, turn):
-    # decode walks its row only where the table's pick is None; inside the
-    # legal closed arcs that is at most the guard band, 4 EPS_ANGLE wide,
-    # round each arc end (the builtins' arcs abut, so two ends share one)
-    spec = turned_cover(builtin(name), turn) if turn else builtin(name)
+def _check_decode_table(spec):
+    """decode calls _first_fit only where the table's pick is None; inside
+    the legal closed arcs that is at most the guard band, 4 EPS_ANGLE
+    wide, round each arc end (two ends of the builtins share one, since
+    their arcs abut), up to the rounding of the cuts, 1e-12 per end.
+    Each pick is _first_fit's 1e-12 inside both ends of its interval, and
+    an interval left None is no wider than the width test lets through,
+    or holds points that no legal arc holds."""
+    band = interval_system._DECODE_BAND
     for cuts, picks, row in spec._decode_rows:
         assert len(picks) == len(cuts) + 1 and picks[0] is picks[-1]
+        if not cuts:  # every legal arc is the full circle, or there is none
+            assert picks == [interval_system._first_fit(row, 0.0)]
+            continue
         legal = reduce(ArcSet.union, (spec.cover[entry[0]] for entry in row), ArcSet.empty())
         arcs = interval_system._arcs(legal.closure())
         ends = sum(2 for entry in row for s, l, _ in entry[2] if l < TAU)
-        bounds = zip(cuts, cuts[1:] + cuts[:1])
+        bounds = list(zip(cuts, cuts[1:] + cuts[:1]))
         undecided = sum(_inside(lo, hi if hi > lo else hi + TAU, arcs)
                         for (lo, hi), pick in zip(bounds, picks[1:]) if pick is None)
-        assert ends and undecided <= 4 * EPS_ANGLE * ends, (undecided, ends)
+        assert ends and undecided <= (4 * EPS_ANGLE + 1e-12) * ends, (undecided, ends)
+        for (lo, hi), pick in zip(bounds, picks[1:]):
+            hi += TAU if hi <= lo else 0.0
+            inner = [(lo + 1e-12) % TAU, (hi - 1e-12) % TAU]
+            fits = [interval_system._first_fit(row, x) for x in inner]
+            if pick is not None:
+                assert fits == [pick, pick], (lo, hi)
+            else:
+                assert hi - lo <= 3 * band or fits == [None, None], (lo, hi)
+
+
+@pytest.mark.parametrize("turn", [0.0, 0.23, 0.5, 0.77])
+@pytest.mark.parametrize("name", ["parabolic3", "cf", "binary", "hyperbolic4"])
+def test_decode_table_leaves_undecided_only_the_guard_bands(name, turn):
+    spec = turned_cover(builtin(name), turn) if turn else builtin(name)
+    assert all(cuts for cuts, _, _ in spec._decode_rows)
+    _check_decode_table(spec)
+
+
+def test_decode_table_leaves_undecided_only_the_guard_bands_on_random_systems():
+    # arcs that overlap, letters with several arcs and forbidden pairs,
+    # none of which the builtins have
+    rng = random.Random(8)
+    for spec in [random_system(rng) for _ in range(8)] + [random_multi_arc_system(rng)
+                                                         for _ in range(8)]:
+        _check_decode_table(spec)
 
 
 def test_min_expansion_matches_a_high_precision_product():
