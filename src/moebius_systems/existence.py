@@ -20,10 +20,14 @@ generators, generator-major, and takes their expansion arcs, the
 half-width as arctan(1/|beta|) and the centre as arg(alpha*beta); from
 level 5 on, and at the last level, it sweeps each cell's arcs by sorting
 their starts and their ends apart and drops the cells found covered,
-compacting the other cells' arcs in place.  render_grid
-hands it blocks of consecutive cells (sharded over worker processes if
-asked), whose generator entries come from one array formula that
-two_hyperbolic_system reads too, and cover_search is a batch of one.
+compacting the other cells' arcs in place.  Each batch takes its level
+arrays (the arc rows, the sweep's sorted copies, two generations of
+children and the product temporary) from one workspace, allocated per
+call and dropped on return, and every slot of it that a sweep or a level
+reads is written first.  render_grid hands it blocks of consecutive cells
+(sharded over worker processes if asked), whose generator entries come
+from one array formula that two_hyperbolic_system reads too, and
+cover_search is a batch of one.
 The inward test stays per cell and builds no map objects: only where a
 cell's parameters lie in one of the certificate's rectangles does it
 fold the certificate's words over the generator entries, as Python
@@ -99,7 +103,10 @@ def _generator_entries(q_a: np.ndarray, q_b: np.ndarray) -> tuple[np.ndarray, ..
 
 
 # Word maps per level that one render block may reach: blocks of 1,024
-# cells at depth <= 8, proportionally fewer cells deeper.
+# cells at depth <= 8, proportionally fewer cells deeper.  A block's kernel
+# workspace takes 128 bytes per word map of its last level, so at most
+# 32 MiB: with _v_arcs' temporaries of that level, this bounds a render's
+# memory per process.
 _BLOCK_WORDS = 1 << 18
 # The first level the pruned cover search sweeps: an early sweep costs about
 # as much as a whole early level, and a cell covered before level 5 costs at
@@ -124,9 +131,28 @@ def _cover_batch(alpha_a: np.ndarray, beta_a: np.ndarray, alpha_b: np.ndarray,
     starts and ends hold one row per active cell and a column per word of
     every level, 2^(depth+1) - 2 in all; the first `filled` columns hold
     the levels taken so far.  Dropping covered cells moves the kept rows'
-    filled columns up in place, within the arrays the batch allocated,
-    and leaves their later columns stale: every level writes its columns
-    before a sweep reads them.
+    filled columns up in place, within the workspace, and leaves their
+    later columns stale: every level writes its columns before a sweep
+    reads them.
+
+    The batch takes its level arrays from one workspace, a single float
+    array allocated per call and dropped on return, laid out as
+      * starts and ends, n x (2^(depth+1) - 2) each, filled with padding;
+      * the sweep's sorted copies of starts and of ends + EPS_GAP, the same
+        size again;
+      * in complex entries, two generations of the children's (alpha,
+        beta): level k writes generation (depth - k) % 2, so a level never
+        writes the generation its parents are read from; generation 0
+        takes 2n 2^depth entries, level depth's, and generation 1 takes
+        n 2^depth, level depth - 1's;
+      * _children's product temporary, n 2^depth complex entries;
+    128n 2^depth - 64n bytes in all, for n cells.  It is not initialised,
+    and may hold what an earlier batch left: every slot a sweep or a level
+    reads is written first.  A level writes its children and their product
+    temporary before it reads them, its arcs before the sweep reads them,
+    and the sweep its sorted copies before it sorts them.  Arrays
+    allocated level by level would let the allocator trim the heap after
+    one small batch and fault it back in for the next.
     """
     import numpy as np
     if depth < 0:
@@ -142,16 +168,21 @@ def _cover_batch(alpha_a: np.ndarray, beta_a: np.ndarray, alpha_b: np.ndarray,
     gens = np.concatenate((gens, gens[:, [2, 3, 0, 1]].conj()), axis=1)[:, :, None]
     alpha = np.ones((n, 1), dtype=complex)
     beta = np.zeros((n, 1), dtype=complex)
-    starts = np.full((n, 2 ** (depth + 1) - 2), -np.inf)  # -inf: padding
-    ends = starts.copy()
+    size, top = n * (2 ** (depth + 1) - 2), n << depth
+    work = np.empty(4 * size + 8 * top)
+    arcs, sweep = work[:2 * size].reshape(2, n, -1), work[2 * size:4 * size]
+    arcs.fill(-np.inf)  # -inf: padding
+    starts, ends = arcs
+    entries = work[4 * size:].view(complex)
+    generations, t = (entries[:2 * top], entries[2 * top:3 * top]), entries[3 * top:]
     filled = 0
     for level in range(1, depth + 1):
-        alpha, beta = _children(alpha, beta, gens)
+        alpha, beta = _children(alpha, beta, gens, generations[(depth - level) % 2], t)
         new = slice(filled, filled + alpha.shape[1])
         filled = new.stop
         starts[:, new], ends[:, new] = _v_arcs(alpha, beta)
         if prune and level >= _FIRST_SWEEP or level == depth:
-            done = _closed_arcs_cover(starts[:, :filled], ends[:, :filled])
+            done = _closed_arcs_cover(starts[:, :filled], ends[:, :filled], sweep)
             covered[cells[done]] = True
             if level == depth or done.all():
                 break
@@ -165,9 +196,12 @@ def _cover_batch(alpha_a: np.ndarray, beta_a: np.ndarray, alpha_b: np.ndarray,
     return covered
 
 
-def _closed_arcs_cover(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+def _closed_arcs_cover(starts: np.ndarray, ends: np.ndarray,
+                       scratch: np.ndarray) -> np.ndarray:
     """Sweep test, one circle per row: do the closed arcs [start, end] of
-    each row cover the circle?
+    each row cover the circle?  scratch, a flat float array of at least
+    2 * starts.size entries, takes the sorted copies s and e, written before
+    they are read.
 
     Starts lie in [0, 2*pi); an entry with start and end -inf is padding
     that never fails the sweep nor extends it, and a row of padding only
@@ -193,31 +227,38 @@ def _closed_arcs_cover(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     import numpy as np
     top = ends.max(axis=1)
     floor = (top - TAU) + EPS_GAP
-    s = np.sort(starts, axis=1)
-    e = ends + EPS_GAP
+    s, e = scratch[:2 * starts.size].reshape(2, *starts.shape)
+    s[...] = starts
+    s.sort(axis=1)
+    np.add(ends, EPS_GAP, out=e)
     e.sort(axis=1)
     reach = np.maximum(e[:, :-1], floor[:, None], out=e[:, :-1])
     return (top >= TAU - EPS_GAP) & (s[:, 0] <= floor) & (s[:, 1:] <= reach).all(axis=1)
 
 
-def _children(alpha: np.ndarray, beta: np.ndarray,
-              gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _children(alpha: np.ndarray, beta: np.ndarray, gens: np.ndarray,
+              out: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row's W word maps composed with the row's two generators,
     generator-major: child j of word i is entry j*W + i, so each product
     runs over the words in its inner loop.  gens, of shape (n, 8, 1),
     holds each row's alpha_a, alpha_b, beta_a, beta_b and then the
     conjugates of beta_a, beta_b, alpha_a, alpha_b, taken once per batch.
+    The children's alpha and beta are written into the first 4nW entries
+    of the flat complex array out, and t, of at least 2nW entries, takes
+    the product temporary; neither may overlap alpha or beta.
     Like DiscMoebius.compose, the products are not renormalised: the
     generators are, and a product's determinant drifts from 1 by only a
     few rounding errors per level."""
     import numpy as np
+    n, w = alpha.shape
     a1, b1 = alpha[:, None, :], beta[:, None, :]
-    alpha = a1 * gens[:, 0:2]
-    t = b1 * gens[:, 4:6]
-    alpha += t
-    beta = a1 * gens[:, 2:4]
+    alpha, beta = out[:4 * n * w].reshape(2, n, 2, w)
+    t = t[:2 * n * w].reshape(n, 2, w)
+    np.multiply(a1, gens[:, 0:2], out=alpha)
+    alpha += np.multiply(b1, gens[:, 4:6], out=t)
+    np.multiply(a1, gens[:, 2:4], out=beta)
     beta += np.multiply(b1, gens[:, 6:8], out=t)
-    return alpha.reshape(len(alpha), -1), beta.reshape(len(beta), -1)
+    return alpha.reshape(n, -1), beta.reshape(n, -1)
 
 
 def _v_arcs(alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -368,7 +368,7 @@ def test_cover_sweep_rows_with_padding_match_single_sets():
     want.append(False)
     table = np.array(rows)
     assert 50 < sum(want) < 250
-    assert _closed_arcs_cover(table[:, :, 0], table[:, :, 1]).tolist() == want
+    assert _closed_arcs_cover(table[:, :, 0], table[:, :, 1], np.empty(table.size)).tolist() == want
 
 
 # -- value types -------------------------------------------------------------------

@@ -178,6 +178,29 @@ def test_batched_kernel_matches_scalar_reference():
     assert min(covered) < _FIRST_SWEEP <= max(covered)
 
 
+def test_batches_back_to_back_match_the_scalar_reference():
+    # each batch takes an uninitialised workspace: batches of 1 and 36
+    # cells (an existence tile) at every depth, pruned and not, run in a
+    # shuffled order, so each starts in memory another batch left behind
+    rng = random.Random(57)
+    gens = [two_hyperbolic_system(rng.uniform(0.02, 0.98), rng.uniform(0.02, 0.98))
+            for _ in range(36)]
+    entries = np.array([(fa.alpha, fa.beta, fb.alpha, fb.beta) for fa, fb in gens]).T
+    want = [[scalar_cover_search(fa, fb, depth) for fa, fb in gens] for depth in range(10)]
+    runs = [(size, depth, prune) for size in (1, 36) for depth in range(10)
+            for prune in (True, False)] * 2
+    rng.shuffle(runs)
+    for size, depth, prune in runs:
+        first = rng.randrange(37 - size)
+        got = _cover_batch(*entries[:, first:first + size], depth, prune)
+        assert got.tolist() == want[depth][first:first + size], (size, depth, prune, first)
+    # the tile has cells covered before, at and after the first sweep, and
+    # cells never covered, so the pruned batches compact their rows
+    first = [next((d for d in range(10) if want[d][i]), None) for i in range(36)]
+    covered = [d for d in first if d is not None]
+    assert None in first and min(covered) < _FIRST_SWEEP < max(covered)
+
+
 _NUDGES = (0.0, EPS_GAP, EPS_GAP * (1 + 1e-6), EPS_GAP * (1 - 1e-6), 1e-16, 2 * EPS_GAP)
 
 
@@ -220,7 +243,7 @@ def test_sweep_matches_the_scalar_sweep_near_its_decision():
         starts[i, at] = [s for s, _ in arcs]
         ends[i, at] = [s + l for s, l in arcs]
     want = [scalar_arcs_cover(arcs) for arcs in rows]
-    assert _closed_arcs_cover(starts, ends).tolist() == want
+    assert _closed_arcs_cover(starts, ends, np.empty(2 * starts.size)).tolist() == want
     assert len(rows) / 4 <= sum(want) <= 3 * len(rows) / 4
 
 
@@ -494,6 +517,23 @@ def test_grid_golden_labels():
         "b7f55b06ebf985245935b23dd1aed85f02a147b81082729fff721bd3cde55388"
     assert np.array_equal(render_grid(60, 60, depth=8, n_max=8, workers=2).labels,
                           grid.labels)
+
+
+def test_grid_labels_do_not_depend_on_the_block_size(monkeypatch):
+    # the kernel's workspace is sized per block: blocks of 1, 7, 36 and all
+    # 600 cells of a 30 x 20 grid label it alike
+    blocks = []
+    original = existence._render_block
+    monkeypatch.setattr(existence, "_render_block",
+                        lambda job: blocks.append(job[1] - job[0]) or original(job))
+    grids = []
+    for cells in (1, 7, 36, 600):
+        blocks.clear()
+        monkeypatch.setattr(existence, "_BLOCK_WORDS", cells << 8)
+        grids.append(render_grid(30, 20, depth=8, n_max=8).labels)
+        assert max(blocks) == cells and sum(blocks) == 600
+    assert all(np.array_equal(grid, grids[-1]) for grid in grids)
+    assert len(np.unique(grids[-1])) == 3
 
 
 @pytest.mark.parametrize("workers", [1, 2])
