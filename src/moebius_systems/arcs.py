@@ -37,7 +37,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 from .errors import EmptyArcSet, IsRotation
 from .transforms import EPS_ROTATION, DiscMoebius, TAU
@@ -307,8 +306,12 @@ _FULL = {ArcSet: ArcSet((), True), ClosedArcSet: ClosedArcSet((), True)}
 
 def _uncovered(sets) -> ArcSet:
     """The points that the closure of none of the given arc sets holds: the
-    complement of their union, so gaps no wider than EPS_ANGLE are covered."""
-    return reduce(ArcSet.union, sets, _EMPTY[ArcSet]).complement()
+    complement of their union, taken by one merge of all their arcs, so
+    gaps no wider than EPS_ANGLE are covered."""
+    sets = list(sets)
+    if any(a.full for a in sets):
+        return _EMPTY[ArcSet]
+    return ArcSet.from_arcs([arc for a in sets for arc in a.arcs]).complement()
 
 
 def covers_circle(sets) -> bool:

@@ -19,6 +19,7 @@ import json
 import math
 import sys
 import time
+from json.encoder import encode_basestring_ascii as _quoted
 
 from . import __version__
 from .codec import AUTO_N_MAX, decode, encode, verify
@@ -263,16 +264,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _strict_json(value):
-    """value with each non-finite float written as the string 'inf', '-inf'
-    or 'nan' (JSON has no such numbers), containers copied as they go."""
+def _json(value, margin: str = "\n") -> str:
+    """The text json.dumps(value, indent=2, allow_nan=False) gives, but for
+    each non-finite float, written as the string 'inf', '-inf' or 'nan'
+    (JSON has no such numbers); keys are strings.  Each container is one
+    join of its items' texts: json.dumps indents in pure Python, passing
+    every token through one generator per level."""
+    if isinstance(value, str):
+        return _quoted(value)
     if isinstance(value, float):
-        return value if math.isfinite(value) else str(value)
+        return float.__repr__(value) if math.isfinite(value) else f'"{value}"'
+    if isinstance(value, int) and value is not True and value is not False:
+        return int.__repr__(value)
+    inner = margin + "  "
     if isinstance(value, dict):
-        return {k: _strict_json(v) for k, v in value.items()}
+        items = [f"{_quoted(k)}: {_json(v, inner)}" for k, v in value.items()]
+        return f"{{{inner}{(',' + inner).join(items)}{margin}}}" if items else "{}"
     if isinstance(value, (list, tuple)):
-        return [_strict_json(v) for v in value]
-    return value
+        items = [_json(v, inner) for v in value]
+        return f"[{inner}{(',' + inner).join(items)}{margin}]" if items else "[]"
+    return json.dumps(value)  # true, false or null; any other type raises TypeError
 
 
 def main(argv=None) -> int:
@@ -293,7 +304,7 @@ def main(argv=None) -> int:
             "warnings": warnings,
             "timings": {"seconds": round(time.perf_counter() - started, 6)},
         }
-        text = json.dumps(_strict_json(report), indent=2, allow_nan=False)
+        text = _json(report)
         if args.out and spec is not None:  # existence-map's --out is its grid file
             with open(args.out, "w") as fh:
                 fh.write(text + "\n")

@@ -137,7 +137,8 @@ def _cover_batch(alpha_a: np.ndarray, beta_a: np.ndarray, alpha_b: np.ndarray,
 
     The batch takes its level arrays from one workspace, a single float
     array allocated per call and dropped on return, laid out as
-      * starts and ends, n x (2^(depth+1) - 2) each, filled with padding;
+      * starts and ends, n x (2^(depth+1) - 2) each, a column written by
+        its level (_v_arcs gives a rotation its padding);
       * the sweep's sorted copies of starts and of ends + EPS_GAP, the same
         size again;
       * in complex entries, two generations of the children's (alpha,
@@ -171,7 +172,6 @@ def _cover_batch(alpha_a: np.ndarray, beta_a: np.ndarray, alpha_b: np.ndarray,
     size, top = n * (2 ** (depth + 1) - 2), n << depth
     work = np.empty(4 * size + 8 * top)
     arcs, sweep = work[:2 * size].reshape(2, n, -1), work[2 * size:4 * size]
-    arcs.fill(-np.inf)  # -inf: padding
     starts, ends = arcs
     entries = work[4 * size:].view(complex)
     generations, t = (entries[:2 * top], entries[2 * top:3 * top]), entries[3 * top:]

@@ -189,6 +189,10 @@ class _PullbackTable:
         return sid
 
 
+# (Z, F) of the empty word: one pair, and so one identity map, for every spec
+_ROOT = (ArcSet.full_circle(), transforms.identity())
+
+
 class NumberSystemSpec:
     """Alphabet -> disc map, alphabet -> cover arcs, plus a subshift.
 
@@ -219,7 +223,6 @@ class NumberSystemSpec:
             self.cover.append(cover_by_symbol[name_])
         if not covers_circle(self.cover):
             raise ValueError("closures of the cover arcs must fill the circle")
-        self._root = (ArcSet.full_circle(), transforms.identity())  # (Z, F) of the empty word
         self._cache: dict = {}  # never written: bench/run.py reads its len (ROADMAP direction 8)
         # per-letter tables, built once: F_a^-1 (pull_step) and the letter
         # pullback F_a^-1(C_a) (pull_step); the tables below the constructor
@@ -285,7 +288,7 @@ class NumberSystemSpec:
         stored nowhere.  The first digit that leaves the shift raises
         _leaves' error.  The walks carry their own entries, and verify
         reads its prefix set's from them, so neither calls it."""
-        entry, state = self._root, self.subshift.initial
+        entry, state = _ROOT, self.subshift.initial
         for i, a in enumerate(self.alphabet.word(word)):
             nxt = self.subshift.transitions[state][a]
             if nxt is None or (entry := self._walk_step(entry, a)) is None:
@@ -298,7 +301,7 @@ class NumberSystemSpec:
         _walk_step composes them; any word has one, in the interval shift
         or not."""
         maps = (self.transforms[a] for a in self.alphabet.word(word))
-        return reduce(transforms.DiscMoebius.compose, maps, self._root[1])
+        return reduce(transforms.DiscMoebius.compose, maps, _ROOT[1])
 
     # -- the pullback step ------------------------------------------------------
 
@@ -368,7 +371,7 @@ class NumberSystemSpec:
         lexicographic (word, follower state, (Z_w, F_w)) triples, one list
         per level, each entry stepped from its parent's.  An entry dropped
         from a level before the next is taken is not extended."""
-        return walk(self.subshift, n_max, "interval-shift enumeration", self._root,
+        return walk(self.subshift, n_max, "interval-shift enumeration", _ROOT,
                     self._walk_step)
 
     def compatibility_violations(self, level) -> list[tuple[Word, tuple[tuple[float, float], ...]]]:
@@ -410,7 +413,7 @@ class NumberSystemSpec:
         upper = [1.0] + [math.inf] * n_max
         stepped: dict[int, list] = {}
         known_q: dict[int, float] = {}
-        entry, state = self._root, self.subshift.initial
+        entry, state = _ROOT, self.subshift.initial
         for m in range(1, n_max + 1):
             row = self.subshift.transitions[state]
             children = stepped[id(entry)] = [None if nxt is None else self._walk_step(entry, a)
@@ -454,7 +457,7 @@ class NumberSystemSpec:
             return self._walk_step(entry, a) if children is None else children[a]
 
         lower = [1.0]   # exact Q_0..Q_k of the levels walked so far
-        levels = walk(self.subshift, n_max, "interval-shift enumeration", self._root, step)
+        levels = walk(self.subshift, n_max, "interval-shift enumeration", _ROOT, step)
         next(levels)  # level 0, the empty word
         table = []
         for n, level in enumerate(levels, 1):

@@ -65,13 +65,14 @@ class PullbackAutomaton:
         return self.accepting(state)
 
     def transition_table(self, alphabet) -> str:
-        """Plain-text transition table (one row per state), each letter's
-        column as wide as its name and at least 4."""
-        cells = "  ".join(f"{{:>{max(4, len(s))}}}" for s in alphabet.symbols)
-        lines = [f"state  {cells.format(*alphabet.symbols)}  accepting"]
-        for i, row in enumerate(self.transitions):
-            lines.append(f"{i:>5}  {cells.format(*row)}  {'yes' if self.accepting(i) else 'no'}")
-        return "\n".join(lines)
+        """Plain-text transition table (one row per state, each formatted by
+        one % operation), each letter's column as wide as its name and at
+        least 4."""
+        widths = ["%5"] + [f"%{max(4, len(s))}" for s in alphabet.symbols]
+        head = "  ".join([w + "s" for w in widths] + ["accepting"]) % ("state", *alphabet.symbols)
+        line = "  ".join([w + "d" for w in widths] + ["%s"])
+        return "\n".join([head] + [line % (i, *row, "no" if z.is_empty else "yes") for i, (row, z)
+                                   in enumerate(zip(self.transitions, self.states))])
 
 
 def build_automaton(spec: NumberSystemSpec, state_cap: int = STATE_CAP,

@@ -78,7 +78,8 @@ class Alphabet:
 @dataclass(frozen=True)
 class Subshift:
     """Subshift of finite type over an alphabet, via forbidden factors,
-    each read by Alphabet.word, and its own follower automaton, built once:
+    each read by Alphabet.word's rule (a list of names through one
+    name-to-index dict), and its own follower automaton, built once:
     `states` are the proper prefixes of forbidden words, shortest first, so
     `initial`, the empty context, is 0; transitions[state][a] is the state
     after letter a, or None where a forbidden factor ends.  The tables take
@@ -91,13 +92,16 @@ class Subshift:
     initial = 0  # a class constant, not a field: the empty context
 
     def __post_init__(self):
-        seen = []
+        of_name = {name: i for i, name in enumerate(self.alphabet.symbols)}
+        seen = set()
         for w in self.forbidden:
-            w = self.alphabet.word(w)
+            try:  # a list of names, as a definition file gives it, through the dict
+                w = tuple([of_name[a] for a in w]) if type(w) is list else self.alphabet.word(w)
+            except (KeyError, TypeError):  # indices, or no word: Alphabet.word reads or raises
+                w = self.alphabet.word(w)
             if not w:
                 raise ValueError("forbidden words must be nonempty")
-            if w not in seen:
-                seen.append(w)
+            seen.add(w)
         forbidden = tuple(sorted(seen))
         states = sorted({f[:k] for f in forbidden for k in range(len(f))} | {()},
                         key=lambda p: (len(p), p))

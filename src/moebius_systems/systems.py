@@ -14,13 +14,15 @@ Four systems ship with the package:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
 import re
 from collections.abc import Mapping
+from types import MappingProxyType
 
-from .arcs import ArcSet
+from .arcs import EPS_ANGLE, ArcSet
 from .errors import ConfigError, NotDiscPreserving, OrientationReversing, SingularMatrix
 from .interval_system import NumberSystemSpec
 from .subshift import Alphabet, Subshift
@@ -38,21 +40,18 @@ EPS_UNIT = 1e-9          # | |z| - 1 | allowed for a config arc endpoint on the 
 EPS_WHOLE_TURN = 1e-15   # distinct arc endpoints this close mod 2*pi mean the whole circle
 
 
-def _spec(name, symbols, maps, cover, forbidden) -> NumberSystemSpec:
+def _parts(symbols, maps, cover, forbidden) -> tuple:
+    """A builtin's alphabet, maps and covers keyed by symbol, read-only, and
+    subshift."""
     alphabet = Alphabet(tuple(symbols))
-    return NumberSystemSpec(
-        alphabet,
-        dict(zip(symbols, maps)),
-        dict(zip(symbols, cover)),
-        Subshift(alphabet, forbidden),
-        name=name,
-    )
+    maps = MappingProxyType(dict(zip(symbols, maps)))
+    cover = MappingProxyType(dict(zip(symbols, cover)))
+    return alphabet, maps, cover, Subshift(alphabet, forbidden)
 
 
-def _make_parabolic3() -> NumberSystemSpec:
+def _make_parabolic3() -> tuple:
     a, b, c = 0.0, TAU / 3.0, 2.0 * TAU / 3.0
-    return _spec(
-        "parabolic3",
+    return _parts(
         ["a", "b", "c"],
         [parabolic_map(a, c, b), parabolic_map(b, a, c), parabolic_map(c, b, a)],
         [ArcSet.arc(a, b), ArcSet.arc(b, c), ArcSet.arc(c, TAU)],
@@ -63,10 +62,9 @@ def _make_parabolic3() -> NumberSystemSpec:
 _CF_SYMBOLS = ("1-", "0", "1")  # shared with cf_digit_stream
 
 
-def _make_cf() -> NumberSystemSpec:
+def _make_cf() -> tuple:
     half = math.pi / 2.0
-    return _spec(
-        "cf",
+    return _parts(
         _CF_SYMBOLS,
         [
             normalize([[(2 - 1j) / 2, -0.5], [-0.5, (2 + 1j) / 2]]),
@@ -78,14 +76,13 @@ def _make_cf() -> NumberSystemSpec:
     )
 
 
-def _make_binary() -> NumberSystemSpec:
+def _make_binary() -> tuple:
     s = 1.0 / (2.0 * math.sqrt(2.0))
     h_minus = math.atan2(-3.0, -4.0) % TAU   # circle image of -1/2
     h_plus = math.atan2(-3.0, 4.0) % TAU     # circle image of +1/2
     q_minus = math.atan2(-15.0, -8.0) % TAU  # circle image of -1/4
     q_plus = math.atan2(-15.0, 8.0) % TAU    # circle image of +1/4
-    return _spec(
-        "binary",
+    return _parts(
         ["1-", "0", "1", "2"],
         [
             normalize([[(3 - 1j) * s, (-1 - 1j) * s], [(-1 + 1j) * s, (3 + 1j) * s]]),
@@ -103,12 +100,11 @@ def _make_binary() -> NumberSystemSpec:
     )
 
 
-def _make_hyperbolic4() -> NumberSystemSpec:
+def _make_hyperbolic4() -> tuple:
     f1 = contraction(1.0 + math.sqrt(2.0))  # expansion interval spans a quarter turn
     quarter = math.pi / 2.0
     f0 = rotation(-quarter).compose(f1).compose(rotation(quarter))
-    return _spec(
-        "hyperbolic4",
+    return _parts(
         ["0", "1", "2", "3"],
         [f0, f1, f0.inverse(), f1.inverse()],
         [
@@ -131,12 +127,17 @@ _BUILTIN_FACTORIES = {
 BUILTIN_NAMES = tuple(sorted(_BUILTIN_FACTORIES))
 
 
+@functools.cache
+def _builtin_parts(name: str) -> tuple:
+    """The named builtin's parts, built on first use; no spec changes them."""
+    return _BUILTIN_FACTORIES[name]()
+
+
 def builtin(name: str) -> NumberSystemSpec:
-    try:
-        factory = _BUILTIN_FACTORIES[name]
-    except KeyError:
+    """A fresh spec of the named builtin, on the parts all its specs share."""
+    if name not in _BUILTIN_FACTORIES:
         raise ConfigError(f"unknown builtin {name!r}; available: {', '.join(BUILTIN_NAMES)}")
-    return factory()
+    return NumberSystemSpec(*_builtin_parts(name), name=name)
 
 
 def with_cover(spec: NumberSystemSpec, cover_by_symbol) -> NumberSystemSpec:
@@ -178,7 +179,7 @@ def _pairs(vals, what: str) -> list[complex]:
     """Complex numbers from a list of [re, im] pairs; JSON true and false
     are no numbers, though complex() reads them."""
     try:
-        if not any(isinstance(x, bool) for pair in vals for x in pair):
+        if bool not in map(type, itertools.chain.from_iterable(vals)):
             return [complex(re_, im_) for re_, im_ in vals]
     except (TypeError, ValueError):
         pass
@@ -204,6 +205,21 @@ def _parse_arc(entry) -> tuple[float, float]:
 def _whole_turn(s: float, e: float) -> bool:
     """Whether a cover arc written from s to e reads as the whole circle."""
     return (e - s) % TAU < EPS_WHOLE_TURN and e != s
+
+
+def _parse_cover(entry, name: str) -> ArcSet:
+    """The cover of symbol `name` from its list of arcs, by one merge: the
+    whole circle where an arc reads as a whole turn, and ConfigError for
+    an arc that reads as empty, no longer than EPS_ANGLE."""
+    pieces, full = [], False
+    for arc in _listed(entry, f"the cover of {name!r}"):
+        s, e = _parse_arc(arc)
+        pieces.append((s, (e - s) % TAU))
+        if _whole_turn(s, e):
+            full = True  # equal endpoints: the whole circle
+        elif pieces[-1][1] <= EPS_ANGLE:
+            raise ConfigError(f"cover arc {arc!r} of symbol {name!r} is empty")
+    return ArcSet.full_circle() if full else ArcSet.from_arcs(pieces)
 
 
 def _parse_transform(entry) -> DiscMoebius:
@@ -241,8 +257,9 @@ def _section(data: dict, key: str) -> dict:
 
 def _listed(value, what: str) -> list:
     """The items of a JSON array: a string, bytes or an object is no list,
-    though each is iterable."""
-    if isinstance(value, (str, bytes, Mapping)):
+    though each is iterable.  A list, what json.load gives for an array,
+    skips that test."""
+    if type(value) is not list and isinstance(value, (str, bytes, Mapping)):
         raise ConfigError(f"{what} needs a list, got {value!r}")
     try:
         return list(value)
@@ -272,17 +289,10 @@ def parse_config(data: dict) -> NumberSystemSpec:
         c_entry = cover_in.get(name)
         if c_entry is None:
             raise ConfigError(f"no cover arcs for symbol {name!r}")
-        arcs = ArcSet.empty()
-        for arc in _listed(c_entry, f"the cover of {name!r}"):
-            s, e = _parse_arc(arc)
-            if _whole_turn(s, e):
-                arcs = ArcSet.full_circle()  # equal endpoints: the whole circle
-            else:
-                arcs = arcs.union(ArcSet.arc(s, e))
-        cover_map[name] = arcs
+        cover_map[name] = _parse_cover(c_entry, name)
     forbidden = _listed(data.get("forbidden", []), "'forbidden'")
     for word in forbidden:
-        if isinstance(word, (list, tuple)) and any(isinstance(a, bool) for a in word):
+        if isinstance(word, (list, tuple)) and bool in map(type, word):
             raise ConfigError(f"forbidden word {word!r} holds true or false, not a symbol")
     name = data.get("name", "")
     if not isinstance(name, str):

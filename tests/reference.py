@@ -8,18 +8,21 @@ subshift-blind pullback fold of a word, the open refined set R(w) and
 its forward refinement, the exhaustive level minima, the scalar
 generator pair, expansion arcs, cover sweep and inward certificate,
 the linear state scan and a state search that scans every stored state
-for every step, a frozen copy of the arc-set kernel, the
-first-fit decoder through the arc-set and map methods, and the
-decode -> encode audit of a certificate.
-The random disc maps, arc sets and candidate systems the tests draw
-are here too, the perturbed builtins and builtins with one letter
-perturbed, parabolic3 with its cover rotated, a system whose language
+for every step, a frozen copy of the arc-set kernel, the union folds
+that a system's covers and cover gaps were once built by, the
+first-fit decoder through the arc-set and map methods, the
+decode -> encode audit of a certificate, and the JSON text a CLI report
+was once written as.
+The random disc maps, arc sets, raw arc families and candidate systems
+the tests draw are here too, the perturbed builtins and builtins with
+one letter perturbed, parabolic3 with its cover rotated, a system whose language
 ends after one letter, the words of one level of the interval shift and the
 count of states a sofic search expanded.
 None of it is package API, and each model is defined here once.
 """
 
 import cmath
+import json
 import math
 import random
 from functools import reduce
@@ -34,7 +37,7 @@ from moebius_systems.errors import IllegalPrefix, NoLegalDigit
 from moebius_systems.existence import EPS_GAP, two_hyperbolic_system
 from moebius_systems.interval_system import NumberSystemSpec
 from moebius_systems.subshift import Alphabet, Subshift, last_level
-from moebius_systems.systems import builtin, with_cover
+from moebius_systems.systems import _whole_turn, builtin, with_cover
 from moebius_systems.transforms import (
     EPS_ROTATION, TAU, DiscMoebius, canon_angle, contraction, identity, rotation,
 )
@@ -71,6 +74,68 @@ def random_arcset(rng, max_arcs: int = 3) -> ArcSet:
     for _ in range(rng.randint(0, max_arcs)):
         arcs.append((rng.uniform(0, TAU), rng.uniform(1e-3, TAU * 0.8)))
     return ArcSet.from_arcs(arcs)
+
+
+ARC_FAMILIES = ("overlapping", "touching", "wrapping", "whole-turn", "near")
+
+
+def random_raw_arcs(rng, family: str) -> list[tuple[float, float]]:
+    """1-6 raw (start, end) arcs, counterclockwise, of one family:
+    overlapping at random; touching, each starting where the one before
+    it ends; wrapping, with starts about 2*pi or below 0 and ends past
+    2*pi; one whole turn (s, s + 2*pi) among overlapping ones; near, each
+    starting within two EPS_ANGLE of where the one before it ends, some
+    exactly one EPS_ANGLE off, where the merge's threshold lies, and some no
+    longer than a few EPS_ANGLE (and so, at most EPS_ANGLE, empty)."""
+    n = rng.randint(1, 6)
+    if family == "wrapping":
+        starts = [rng.choice((TAU, 0.0)) + rng.uniform(-1.0, 1.0) for _ in range(n)]
+        return [(s, s + rng.uniform(0.1, 3.0)) for s in starts]
+    if family in ("touching", "near"):
+        out, s = [], rng.uniform(0.0, TAU)
+        for _ in range(n):
+            tiny = family == "near" and rng.random() < 0.3
+            e = s + (rng.uniform(0.0, 4.0) * EPS_ANGLE if tiny else rng.uniform(0.05, 2.5))
+            out.append((s, e))
+            offset = rng.choice((-2, -1, -0.5, 0, 0.5, 1, 2)) if family == "near" else 0
+            s = e + offset * EPS_ANGLE
+        return out
+    out = [(s, s + rng.uniform(0.05, 3.0)) for s in (rng.uniform(0.0, TAU) for _ in range(n))]
+    if family == "whole-turn":
+        s = rng.uniform(-TAU, 2 * TAU)
+        out.insert(rng.randint(0, n), (s, s + TAU))
+    return out
+
+
+def union_fold_cover(pairs) -> ArcSet:
+    """A symbol's cover from raw (start, end) arcs as a fold of
+    ArcSet.union, one ArcSet.arc at a time: a whole turn (systems._whole_turn)
+    makes it the full circle, and an empty arc drops out."""
+    cover = ArcSet.empty()
+    for s, e in pairs:
+        cover = ArcSet.full_circle() if _whole_turn(s, e) else cover.union(ArcSet.arc(s, e))
+    return cover
+
+
+def union_fold_uncovered(sets) -> ArcSet:
+    """arcs._uncovered as a fold of ArcSet.union: the complement of the
+    union, one merge per set."""
+    return reduce(ArcSet.union, sets, ArcSet.empty()).complement()
+
+
+def strict_json_text(value) -> str:
+    """A CLI report's text as json.dumps wrote it: every non-finite float
+    replaced by its str ('inf', '-inf', 'nan'), containers copied as they
+    go, then json.dumps(..., indent=2, allow_nan=False)."""
+    def strict(v):
+        if isinstance(v, float):
+            return v if math.isfinite(v) else str(v)
+        if isinstance(v, dict):
+            return {k: strict(x) for k, x in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [strict(x) for x in v]
+        return v
+    return json.dumps(strict(value), indent=2, allow_nan=False)
 
 
 def expansion_interval(f: DiscMoebius) -> ArcSet:

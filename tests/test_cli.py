@@ -5,12 +5,13 @@ import math
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from moebius_systems import cli
 from moebius_systems.cli import main
 from moebius_systems.interval_system import NumberSystemSpec
 from moebius_systems.systems import builtin, serialize_config
-from reference import dead_end_pair
+from reference import dead_end_pair, strict_json_text
 
 
 def run(capsys, *argv):
@@ -434,3 +435,32 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["class"] == "elliptic"
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_JSON_VALUES)
+def test_report_text_is_the_json_dumps_text(value):
+    # non-finite floats, -0.0, tuples, empty containers, any unicode text
+    assert cli._json(value) == strict_json_text(value)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--builtin", "cf"], ["verify", "--builtin", "binary", "--qn", "3"],
+    ["qn", "--builtin", "hyperbolic4", "--max-n", "5"], ["sofic", "--builtin", "binary"],
+    ["encode", "--builtin", "cf", "1", "--digits", "0"],
+    ["decode", "--builtin", "cf", "--real=-inf"],
+    ["classify", "--builtin", "parabolic3", "ab"],
+    ["existence-map", "--res", "3x2", "--depth", "3", "--nmax", "3"],
+])
+def test_each_command_prints_the_json_dumps_text(capsys, argv):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out == strict_json_text(json.loads(out)) + "\n"

@@ -169,6 +169,33 @@ def test_transition_table_columns_fit_long_symbol_names():
         [row.split() for row in build_automaton(cf).transition_table(cf.alphabet).splitlines()[1:]]
 
 
+_BINARY_TABLE = """\
+state  minus1     0     1     2  accepting
+    0       1     2     3     4  yes
+    1       1     2     5     6  yes
+    2       1     2     3     7  yes
+    3       8     2     3     9  yes
+    4       1    10     3     4  yes
+    5       8    11    12    12  yes
+    6       8    13    12    12  yes
+    7       8    10     5    12  yes
+    8      12    14     5    12  yes
+    9      12    15     5    12  yes
+   10      11    12    14     7  yes
+   11       1    11    12     6  yes
+   12      12    12    12    12  no
+   13      11    12    12     6  yes
+   14      12    14     3     9  yes
+   15      12    12    14     9  yes"""
+
+
+def test_transition_table_text_is_pinned():
+    # binary's 16 states, its first letter renamed to a six-character name:
+    # two-digit state ids, a column wider than 4 and the sink's "no" row
+    auto = build_automaton(builtin("binary"))
+    assert auto.transition_table(Alphabet(("minus1", "0", "1", "2"))) == _BINARY_TABLE
+
+
 def _wrap_spec():
     # letter p keeps an arc starting just below 2*pi; letter q turns any
     # state by +4e-4, so p then q gives an arc starting just above 0 that

@@ -2,13 +2,18 @@
 
 import json
 import math
+import random
 
 import pytest
 
-from moebius_systems.arcs import ArcSet
+from moebius_systems import systems
+from moebius_systems.arcs import EPS_ANGLE, ArcSet, _uncovered, covers_circle
+from moebius_systems.codec import decode, encode
 from moebius_systems.errors import ConfigError
 from moebius_systems.systems import (
     BUILTIN_NAMES,
+    _parse_cover,
+    _whole_turn,
     builtin,
     load_config,
     parse_angle,
@@ -17,7 +22,16 @@ from moebius_systems.systems import (
     with_cover,
 )
 from moebius_systems.transforms import TAU, circle_distance, from_real_line, normalize
-from reference import expansion_interval
+from reference import (
+    ARC_FAMILIES,
+    expansion_interval,
+    random_multi_arc_system,
+    random_raw_arcs,
+    random_system,
+    turned_cover,
+    union_fold_cover,
+    union_fold_uncovered,
+)
 
 
 def test_registry_contents():
@@ -217,3 +231,111 @@ def test_load_config_file(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError):
         load_config(bad)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_builtin_returns_a_fresh_spec_on_parts_built_once(name):
+    first, second = builtin(name), builtin(name)
+    alphabet, maps, cover, subshift = systems._BUILTIN_FACTORIES[name]()  # built anew
+    for spec in (first, second):
+        assert spec.name == name and spec.alphabet == alphabet and spec.subshift == subshift
+        assert spec.transforms == [maps[a] for a in alphabet.symbols]
+        assert spec.cover == [cover[a] for a in alphabet.symbols]
+    # nothing a spec builds or fills is shared
+    assert first is not second
+    assert first._pull_table is not second._pull_table
+    assert first._decode_rows is not second._decode_rows
+    assert first._gaps is not second._gaps
+    word = decode(second, 1.0, 30)
+    before = (list(second._pull_table.states), [list(r) for r in second._pull_table.rows])
+    encode(first, word, tol=1e-9)
+    assert len(first._pull_table.states) > 1
+    assert (second._pull_table.states, second._pull_table.rows) == before
+    assert encode(second, word, tol=1e-9) == encode(builtin(name), word, tol=1e-9)
+
+
+@pytest.mark.parametrize("arc", [[2.0, 2.0], [0.0, EPS_ANGLE], [4.0, 4.0 + 0.9 * EPS_ANGLE],
+                                 ["pi", "pi"], {"points": [[0, 1], [0, 1]]}])
+def test_an_empty_cover_arc_is_a_config_error(arc):
+    # cf with a second arc for "1" that reads as empty: it was dropped from
+    # the cover, and the file read as cf itself
+    base = json.loads(json.dumps(serialize_config(builtin("cf"))))
+    cover = {**base["cover"], "1": [[0.0, math.pi / 2], arc]}
+    with pytest.raises(ConfigError, match=r"cover arc .* of symbol '1' is empty"):
+        parse_config({**base, "cover": cover})
+    assert union_fold_cover([(0.0, math.pi / 2), (2.0, 2.0)]) == builtin("cf").cover[2]
+
+
+def _canonical(pair):
+    s, e = pair
+    return s % TAU, (e - s) % TAU
+
+
+def _same(a: ArcSet, b: ArcSet):
+    assert repr((a.arcs, a.full)) == repr((b.arcs, b.full))  # repr tells -0.0 from 0.0
+
+
+def _arc_by_arc(sets) -> list[ArcSet]:
+    """The arcs of the sets, one set each, in canonical order."""
+    if any(a.full for a in sets):
+        return [ArcSet.full_circle()]
+    return [ArcSet.from_arcs([arc]) for arc in sorted(arc for a in sets for arc in a.arcs)]
+
+
+# parse_config once folded a symbol's cover arc by arc with ArcSet.union, in
+# the order the file lists them, and _uncovered folded the sets letter by
+# letter.  One merge of all the arcs gives a fold's result bit for bit where
+# the fold takes the arcs in canonical order, the order serialize_config
+# writes them in.  In another order a fold can round its merged ends
+# differently, in the last bit, and where arc ends lie exactly EPS_ANGLE
+# apart ("near") it can join other arcs; the one merge's result does not
+# depend on the order.
+
+
+@pytest.mark.parametrize("family", ARC_FAMILIES)
+def test_one_merge_cover_matches_the_union_fold(family):
+    rng = random.Random(f"cover-{family}")
+    for _ in range(400):
+        pairs = random_raw_arcs(rng, family)
+        kept = [p for p in pairs if _whole_turn(*p) or (p[1] - p[0]) % TAU > EPS_ANGLE]
+        if len(kept) < len(pairs):
+            with pytest.raises(ConfigError, match="is empty"):
+                _parse_cover(pairs, "x")
+        cover = _parse_cover(kept, "x")
+        _same(cover, union_fold_cover(sorted(kept, key=_canonical)))
+        _same(_parse_cover(rng.sample(kept, len(kept)), "x"), cover)
+        if family != "near":
+            assert cover.distance(union_fold_cover(kept)) <= 2e-15
+
+
+@pytest.mark.parametrize("family", ARC_FAMILIES)
+def test_one_merge_uncovered_matches_the_union_fold(family):
+    rng = random.Random(f"uncovered-{family}")
+    for _ in range(400):
+        sets = [ArcSet.from_arcs([(s, e - s) for s, e in random_raw_arcs(rng, family)
+                                  if not _whole_turn(s, e)])
+                for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.1:
+            sets.insert(rng.randint(0, len(sets)), ArcSet.full_circle())
+        gaps, folded = _uncovered(sets), union_fold_uncovered(sets)
+        _same(gaps, union_fold_uncovered(_arc_by_arc(sets)))
+        assert covers_circle(sets) == gaps.is_empty == folded.is_empty
+        if family != "near":
+            assert gaps.distance(folded) <= 2e-15
+
+
+def test_cover_gaps_match_the_union_fold():
+    rng = random.Random(41)
+    specs = [builtin(name) for name in BUILTIN_NAMES]
+    specs += [turned_cover(spec, t) for spec in specs for t in (0.2, 0.5, 0.8)]
+    exact = len(specs)  # the builtins and their turned covers: bit for bit in letter order
+    specs += [random_system(rng) for _ in range(60)]
+    specs += [random_multi_arc_system(rng) for _ in range(60)]
+    for i, spec in enumerate(specs):
+        for row, gaps in zip(spec.subshift.transitions, spec._gaps):
+            legal = [c for c, nxt in zip(spec.cover, row) if nxt is not None]
+            _same(gaps, union_fold_uncovered(_arc_by_arc(legal)))
+            if i < exact:
+                _same(gaps, union_fold_uncovered(legal))
+            else:
+                assert gaps.distance(union_fold_uncovered(legal)) <= 2e-15
